@@ -40,6 +40,7 @@ from .errors import (
     InsecureLedgerError,
     LedgerParseError,
     LedgerUsageError,
+    SensitivityRangeError,
     UnsupportedPolicyError,
 )
 from .harness import (
@@ -91,6 +92,7 @@ from .vectors import (
     PartitionReport,
     PrivacyTuple,
     RecordVectors,
+    clip_rows,
     clip_to_norm,
     concat_norm,
     l2_norm,

@@ -34,6 +34,12 @@ class InsecureLedgerError(AccountingRefusal):
     """The ledger contains rounds recorded with zero noise (test mode)."""
 
 
+class SensitivityRangeError(AccountingRefusal):
+    """A round's recorded clip and noise values give an equivalent
+    sensitivity S* that is not a positive finite float (for example a
+    nonzero sigma_sum so small that S* overflows to inf)."""
+
+
 class UnsupportedPolicyError(AccountingRefusal):
     """The ledger contains rounds under a sampling policy without a
     supported privacy analysis."""

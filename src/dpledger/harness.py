@@ -9,6 +9,11 @@ so its clip bound of 1 is a prior fact about the query, not a data-derived
 choice. Averages always divide by q * n, never by the realized sample
 size, and the true (non-noisy) metric never reaches any report.
 
+No round loops over its records: the sampled examples' gradients
+(m x dim), bias gradients and indicators (m x 1 each) are checked for
+finiteness once and pass through microbatch_reduce and the group queries
+as one batch of blocks.
+
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
 """
@@ -31,7 +36,7 @@ from .sampling import (
     draw_sample,
     partition_epoch,
 )
-from .vectors import GroupPartition, GroupSpec, Mechanism, RecordVectors
+from .vectors import GroupPartition, GroupSpec, Mechanism
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,6 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         cfg.holdout_n, cfg.dim, cfg.separation, cfg.seed, stream_index=1
     )
     q = _effective_q(cfg.sampler)
-    member_dims = {"weights": (cfg.dim,), "bias": (1,), "metrics": (1,)}
-    dims_by_group = {
-        g.name: tuple(member_dims[m][0] for m in g.member_names)
-        for g in cfg.partition.groups
-    }
 
     w = np.zeros(cfg.dim)
     b = 0.0
@@ -277,54 +277,34 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         else:
             sample = draw_sample(cfg.sampler, t)
         idx = np.asarray(sample.indices, dtype=np.int64)
-
-        examples: list[RecordVectors] = []
-        if idx.size:
-            xs = data.features[idx]
-            ys = data.labels[idx].astype(np.float64)
-            grad_w, grad_b = per_example_gradients(xs, ys, w, b)
-            preds = forward_probabilities(xs, w, b) >= 0.5
-            correct = (preds == (ys == 1.0)).astype(np.float64)
-            # Validate the whole batch at once, freeze it, and hand out row
-            # views through the trusted constructor: same invariants as the
-            # checked path at a fraction of the per-example cost.
-            if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
-                raise ValueError(f"non-finite gradients in round {round_id}")
-            for block in (grad_w, grad_b, correct):
-                block.flags.writeable = False
-            examples = [
-                RecordVectors._trusted(
-                    (
-                        ("weights", grad_w[i]),
-                        ("bias", grad_b[i : i + 1]),
-                        ("metrics", correct[i : i + 1]),
-                    )
-                )
-                for i in range(idx.size)
-            ]
-        records = microbatch_reduce(
-            examples, cfg.microbatch_size, remainder=cfg.microbatch_remainder
+        xs = data.features[idx]
+        ys = data.labels[idx].astype(np.float64)
+        grad_w, grad_b = per_example_gradients(xs, ys, w, b)
+        preds = forward_probabilities(xs, w, b) >= 0.5
+        correct = (preds == (ys == 1.0)).astype(np.float64)
+        if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
+            raise ValueError(f"non-finite gradients in round {round_id}")
+        batch = microbatch_reduce(
+            {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]},
+            cfg.microbatch_size,
+            remainder=cfg.microbatch_remainder,
         )
         ctx = RoundContext(
             q=q, n=cfg.n, round_id=round_id, insecure_test_mode=cfg.insecure_test_mode
         )
         estimates = run_partitioned_round(
-            records, cfg.partition, ctx, cfg.seed, member_dims=dims_by_group, ledger=ledger
+            batch, cfg.partition, ctx, cfg.seed, ledger=ledger
         )
         ledger.close_round()
 
-        step_w = np.zeros(cfg.dim)
-        step_b = 0.0
-        for est in estimates.values():
-            for member, value in zip(est.member_names, est.estimates):
-                if member == "weights":
-                    step_w = value
-                elif member == "bias":
-                    step_b = float(value[0])
-                elif member == "metrics":
-                    metric_estimates.append(float(value[0]))
-        w = w - cfg.learning_rate * step_w
-        b = b - cfg.learning_rate * step_b
+        by_member = {
+            member: value
+            for est in estimates.values()
+            for member, value in zip(est.member_names, est.estimates)
+        }
+        metric_estimates.append(float(by_member["metrics"][0]))
+        w = w - cfg.learning_rate * by_member["weights"]
+        b = b - cfg.learning_rate * float(by_member["bias"][0])
 
     holdout_scores = holdout.features @ w + b
     holdout_acc = float(np.mean((holdout_scores >= 0.0) == (holdout.labels == 1)))

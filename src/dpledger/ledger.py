@@ -19,7 +19,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import LedgerParseError, LedgerUsageError
+from .errors import (
+    InsecureLedgerError,
+    LedgerParseError,
+    LedgerUsageError,
+    SensitivityRangeError,
+)
 from .mechanisms import EffectiveQuery, round_compose
 from .vectors import PrivacyTuple, _check_name
 
@@ -161,15 +166,11 @@ class Ledger:
         return out
 
     def insecure_rounds(self) -> tuple[int, ...]:
-        """Ids of rounds containing any zero-noise sum query."""
-        seen: list[int] = []
+        """Ids of rounds with any zero-noise sum query, in first-seen order."""
+        seen: dict[int, None] = {}
         for ev in self._events:
-            if (
-                isinstance(ev, SumQueryEvent)
-                and ev.sigma_sum == 0.0
-                and ev.round_id not in seen
-            ):
-                seen.append(ev.round_id)
+            if isinstance(ev, SumQueryEvent) and ev.sigma_sum == 0.0:
+                seen[ev.round_id] = None
         return tuple(seen)
 
 
@@ -180,7 +181,9 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
     a warning (an empty round usually means a crashed producer). Rounds
     containing a zero-noise query are refused outright unless
     allow_insecure is set, in which case they surface with effective=None
-    so the accountant can mark the guarantee vacuous instead of wrong.
+    so the accountant can mark the guarantee vacuous instead of wrong. A
+    round whose clip and noise values put S* out of float range is refused
+    with SensitivityRangeError naming the round.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
@@ -189,8 +192,6 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
         )
     insecure = ledger.insecure_rounds()
     if insecure and not allow_insecure:
-        from .errors import InsecureLedgerError
-
         raise InsecureLedgerError(
             f"ledger contains zero-noise round(s) {list(insecure)}; these "
             f"provide no privacy. Pass allow_insecure=True only to inspect "
@@ -207,9 +208,13 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
         tainted = any(ev.sigma_sum == 0.0 for ev in queries)
         effective = None
         if not tainted:
-            effective = round_compose(
-                PrivacyTuple(clip_s=ev.clip_s, sigma_sum=ev.sigma_sum) for ev in queries
-            )
+            try:
+                effective = round_compose(
+                    PrivacyTuple(clip_s=ev.clip_s, sigma_sum=ev.sigma_sum)
+                    for ev in queries
+                )
+            except ValueError as exc:
+                raise SensitivityRangeError(f"round {sample.round_id}: {exc}") from None
         out.append(
             RoundQuery(
                 round_id=sample.round_id,
@@ -235,10 +240,13 @@ def _parse_float(text: str, line_no: int, field: str) -> float:
 
 
 def _parse_int(text: str, line_no: int, field: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise LedgerParseError(f"field {field}={text!r} is not an integer", line=line_no)
+    """Only the canonical spelling serialize writes: 0 or [1-9][0-9]* (the
+    text is ASCII, so isdigit means [0-9]+)."""
+    if not text.isdigit() or (text[0] == "0" and text != "0"):
+        raise LedgerParseError(
+            f"field {field}={text!r} is not a canonical integer", line=line_no
+        )
+    return int(text)
 
 
 def serialize(ledger: Ledger) -> bytes:

@@ -1,5 +1,9 @@
 """Noisy group queries over sampled records and their round-level algebra.
 
+A round's records arrive as a batch, one float64 (m x d) block per member
+with a row per record: clipping scales rows of a group's (m x D_g) block,
+summing adds its columns, and a microbatch is a reshape and a mean.
+
 Two mechanisms privatize a group of vectors: the separate mechanism clips
 each group's concatenation to its own bound and adds one Gaussian; the
 joint mechanism rescales members by per-vector factors, clips once across
@@ -15,7 +19,9 @@ so the round behaves like one Gaussian query at noise multiplier 1/S*.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,7 @@ from .vectors import (
     Mechanism,
     PrivacyTuple,
     RecordVectors,
-    _clip_norm_unchecked,
+    clip_rows,
 )
 
 
@@ -96,27 +102,25 @@ def gaussian_sum(
     dim: int | None = None,
     insecure_test_mode: bool = False,
 ) -> np.ndarray:
-    """Sum the vectors and add isotropic Gaussian noise of std sigma_sum.
+    """Column-sum an (m x d) block and add isotropic Gaussian noise of std
+    sigma_sum.
 
-    All vectors must share one shape; an empty list is legal (a Poisson
-    sample can be empty) but then dim must say what shape to noise. Noise
-    is always drawn, even at sigma_sum = 0, so replay alignment of the
-    keyed stream does not depend on the noise level.
+    vs is the block, or anything np.asarray turns into one, such as a list
+    of equal-length vectors. An empty list is legal (a Poisson sample can
+    be empty) but then dim must say what shape to noise. Noise is always
+    drawn, even at sigma_sum = 0, so replay alignment of the keyed stream
+    does not depend on the noise level.
     """
-    vs = [np.asarray(v, dtype=np.float64) for v in vs]
-    if vs:
-        d = vs[0].size
-        for v in vs:
-            if v.ndim != 1 or v.size != d:
-                raise ValueError("all vectors in a sum must share one 1-d shape")
-        if dim is not None and dim != d:
-            raise ValueError(f"dim={dim} disagrees with vector size {d}")
-    elif dim is None:
-        raise ValueError("empty input needs an explicit dim for the noise shape")
-    else:
-        d = int(dim)
-        if d < 1:
-            raise ValueError(f"dim must be positive, got {dim}")
+    block = np.asarray(vs, dtype=np.float64)
+    if block.size == 0 and block.ndim == 1:
+        if dim is None:
+            raise ValueError("empty input needs an explicit dim for the noise shape")
+        block = block.reshape(0, int(dim))
+    if block.ndim != 2:
+        raise ValueError("a sum takes an (m x d) block of equal-length rows")
+    d = block.shape[1]
+    if d < 1 or (dim is not None and dim != d):
+        raise ValueError(f"vector size {d} must be positive and match dim={dim}")
     if not (math.isfinite(sigma_sum) and sigma_sum >= 0.0):
         raise ValueError(f"sigma_sum must be nonnegative and finite, got {sigma_sum}")
     if sigma_sum == 0.0 and not insecure_test_mode:
@@ -124,53 +128,88 @@ def gaussian_sum(
             "sigma_sum = 0 adds no noise and gives no privacy; "
             "requires insecure_test_mode=True"
         )
-    total = np.zeros(d, dtype=np.float64)
-    for v in vs:
-        total += v
-    return total + sigma_sum * rng.standard_normal(d)
+    return block.sum(axis=0) + sigma_sum * rng.standard_normal(d)
 
 
-def _member_arrays(
+def _batch_rows(blocks) -> int:
+    """Row count shared by a batch's (m x d) blocks."""
+    rows = {np.shape(block)[0] if np.ndim(block) == 2 else None for block in blocks}
+    if len(rows) != 1 or None in rows:
+        raise ValueError("a batch holds 2-d (m x d) blocks that share one row count")
+    return rows.pop()
+
+
+def _group_block(
     records, spec: GroupSpec, member_dims
-) -> tuple[list[list[np.ndarray]], tuple[int, ...]]:
-    """Pull this group's member vectors out of each record, checking shape
-    agreement, and resolve the per-member dims (needed when records is empty)."""
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """This group's members side by side as one float64 (m x D_g) block.
+
+    records is a batch, a mapping from member name to an (m x d_j) block
+    with one row per record, or a sequence of records (RecordVectors, or
+    sequences of the group's k vectors in member order), which is stacked
+    here once. member_dims gives the member dims of an empty sequence and
+    must agree with the records otherwise.
+    """
     k = spec.k
-    rows: list[list[np.ndarray]] = []
-    dims: tuple[int, ...] | None = None
-    for rec in records:
-        if isinstance(rec, RecordVectors):
-            vs = [rec.get(name) for name in spec.member_names]
-        else:
-            vs = [np.asarray(v, dtype=np.float64) for v in rec]
-        if len(vs) != k:
-            raise ValueError(f"record has {len(vs)} vectors, group expects {k}")
-        row_dims = tuple(v.size for v in vs)
-        if dims is None:
-            dims = row_dims
-        elif row_dims != dims:
-            raise ValueError(f"inconsistent member shapes: {row_dims} vs {dims}")
-        rows.append(vs)
-    if dims is None:
-        if member_dims is None:
-            raise ValueError(
-                "no records sampled; pass member_dims so the noise shape is known"
-            )
-        dims = tuple(int(d) for d in member_dims)
-        if len(dims) != k or any(d < 1 for d in dims):
-            raise ValueError(f"member_dims must be {k} positive ints, got {member_dims}")
-    elif member_dims is not None and tuple(int(d) for d in member_dims) != dims:
-        raise ValueError(f"member_dims={tuple(member_dims)} but records have {dims}")
-    return rows, dims
+    if member_dims is not None:
+        member_dims = tuple(int(d) for d in member_dims)
+    if not isinstance(records, Mapping):
+        rows = [
+            [rec.get(name) for name in spec.member_names]
+            if isinstance(rec, RecordVectors)
+            else list(rec)
+            for rec in records
+        ]
+        if any(len(row) != k for row in rows):
+            raise ValueError(f"every record must hold the group's {k} vectors")
+        if not rows and (member_dims is None or len(member_dims) != k):
+            raise ValueError(f"no records sampled; pass the group's {k} member_dims")
+        records = {
+            name: np.array([row[j] for row in rows], dtype=np.float64)
+            if rows
+            else np.empty((0, member_dims[j]))
+            for j, name in enumerate(spec.member_names)
+        }
+    parts = [np.asarray(records[name], dtype=np.float64) for name in spec.member_names]
+    _batch_rows(parts)
+    dims = tuple(part.shape[1] for part in parts)
+    if min(dims) < 1 or (member_dims is not None and member_dims != dims):
+        raise ValueError(f"member dims {dims} must be positive and match {member_dims}")
+    block = parts[0] if k == 1 else np.concatenate(parts, axis=1)
+    return block, dims
 
 
 def _split(concat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    out = []
-    at = 0
-    for d in dims:
-        out.append(concat[at : at + d].copy())
-        at += d
-    return tuple(out)
+    ends = tuple(itertools.accumulate(dims))
+    return tuple(concat[end - d : end] for d, end in zip(dims, ends))
+
+
+def _group_query(
+    records, spec: GroupSpec, ctx: RoundContext, rng: SecureStream, member_dims
+) -> GroupEstimate:
+    """Both mechanisms on one group's block: divide a joint group's columns
+    by their member's scale, clip the rows to clip_s, column-sum, add
+    N(0, sigma_sum^2 I), divide by q * n, and multiply the scales back."""
+    block, dims = _group_block(records, spec, member_dims)
+    scales = None if spec.joint_scales is None else np.repeat(spec.joint_scales, dims)
+    if scales is not None:
+        block = block / scales
+    sigma_sum = ctx.qn * spec.noise_sigma
+    total = gaussian_sum(
+        clip_rows(block, spec.clip_s),
+        sigma_sum,
+        rng,
+        insecure_test_mode=ctx.insecure_test_mode,
+    )
+    estimate = total / ctx.qn
+    if scales is not None:
+        estimate = scales * estimate
+    return GroupEstimate(
+        group_name=spec.name,
+        member_names=spec.member_names,
+        estimates=_split(estimate, dims),
+        emitted=PrivacyTuple(clip_s=spec.clip_s, sigma_sum=sigma_sum),
+    )
 
 
 def separate_group_query(
@@ -183,28 +222,7 @@ def separate_group_query(
     """
     if spec.mechanism is not Mechanism.SEPARATE:
         raise ValueError(f"group {spec.name!r} is not configured for separate clipping")
-    rows, dims = _member_arrays(records, spec, member_dims)
-    # Inputs were validated on the way in; concatenation yields fresh
-    # arrays, so the cheap clip core is safe here.
-    if spec.k == 1:
-        clipped = [_clip_norm_unchecked(vs[0], spec.clip_s) for vs in rows]
-    else:
-        clipped = [_clip_norm_unchecked(np.concatenate(vs), spec.clip_s) for vs in rows]
-    sigma_sum = ctx.qn * spec.noise_sigma
-    total = gaussian_sum(
-        clipped,
-        sigma_sum,
-        rng,
-        dim=sum(dims),
-        insecure_test_mode=ctx.insecure_test_mode,
-    )
-    estimate = total / ctx.qn
-    return GroupEstimate(
-        group_name=spec.name,
-        member_names=spec.member_names,
-        estimates=_split(estimate, dims),
-        emitted=PrivacyTuple(clip_s=spec.clip_s, sigma_sum=sigma_sum),
-    )
+    return _group_query(records, spec, ctx, rng, member_dims)
 
 
 def joint_group_query(
@@ -219,28 +237,7 @@ def joint_group_query(
     """
     if spec.mechanism is not Mechanism.JOINT:
         raise ValueError(f"group {spec.name!r} is not configured for joint clipping")
-    assert spec.joint_scales is not None
-    rows, dims = _member_arrays(records, spec, member_dims)
-    clipped = []
-    for vs in rows:
-        scaled = np.concatenate([v / a for v, a in zip(vs, spec.joint_scales)])
-        clipped.append(_clip_norm_unchecked(scaled, spec.clip_s))
-    sigma_sum = ctx.qn * spec.noise_sigma
-    total = gaussian_sum(
-        clipped,
-        sigma_sum,
-        rng,
-        dim=sum(dims),
-        insecure_test_mode=ctx.insecure_test_mode,
-    )
-    averaged = _split(total / ctx.qn, dims)
-    estimates = tuple(a * part for a, part in zip(spec.joint_scales, averaged))
-    return GroupEstimate(
-        group_name=spec.name,
-        member_names=spec.member_names,
-        estimates=estimates,
-        emitted=PrivacyTuple(clip_s=spec.clip_s, sigma_sum=sigma_sum),
-    )
+    return _group_query(records, spec, ctx, rng, member_dims)
 
 
 def round_compose(tuples) -> EffectiveQuery:
@@ -249,7 +246,8 @@ def round_compose(tuples) -> EffectiveQuery:
 
     s_star = sqrt(sum_g (clip_s_g / sigma_sum_g)^2); the round's noise
     multiplier is z = 1 / s_star. A zero sigma_sum would make s_star
-    infinite, which is rejected rather than represented.
+    infinite, which is rejected rather than represented, as is an s_star
+    that overflows to inf or underflows to 0.
     """
     tuples = list(tuples)
     if not tuples:
@@ -264,50 +262,47 @@ def round_compose(tuples) -> EffectiveQuery:
             )
         acc += (t.clip_s / t.sigma_sum) ** 2
     s_star = math.sqrt(acc)
+    if not (math.isfinite(s_star) and s_star > 0):
+        raise ValueError(f"equivalent sensitivity S* = {s_star!r} is out of range")
     return EffectiveQuery(s_star=s_star, sigma=1.0, z_effective=1.0 / s_star)
 
 
-def microbatch_reduce(examples, size: int, remainder: str = "drop") -> list[RecordVectors]:
-    """Average consecutive runs of `size` examples into one record each.
+def microbatch_reduce(
+    batch, size: int, remainder: str = "drop"
+) -> dict[str, np.ndarray]:
+    """Average consecutive runs of `size` rows into one row each.
 
-    Chunking is deterministic by position, never randomized; randomness
-    belongs to the sampler that picks which records participate. remainder
-    handles a final short run: "drop" discards it, "error" refuses, and
-    "pad_with_mean" pads it to full size with its own mean, which leaves
-    the chunk average unchanged, so the short run is simply averaged.
+    batch maps names to (m x d) blocks with one row per example; the result
+    maps the same names to (m // size x d) blocks, or one row more under
+    "pad_with_mean". Chunking is deterministic by position, never
+    randomized; randomness belongs to the sampler that picks which records
+    participate. remainder handles a final short run: "drop" discards it,
+    "error" refuses, and "pad_with_mean" pads it to full size with its own
+    mean, which leaves the chunk average unchanged, so the short run is
+    simply averaged.
     """
     if size < 1:
         raise ValueError(f"microbatch size must be at least 1, got {size}")
     if remainder not in ("drop", "error", "pad_with_mean"):
         raise ValueError(f"unknown remainder policy {remainder!r}")
-    examples = list(examples)
-    names = None
-    for ex in examples:
-        if not isinstance(ex, RecordVectors):
-            raise TypeError("microbatch_reduce expects RecordVectors examples")
-        if names is None:
-            names = ex.names
-        elif ex.names != names:
-            raise ValueError("all examples must share the same vector names")
+    if not isinstance(batch, Mapping):
+        raise TypeError("microbatch_reduce expects a mapping of names to blocks")
+    blocks = {name: np.asarray(b, dtype=np.float64) for name, b in batch.items()}
+    m = _batch_rows(blocks.values())
     if size == 1:
         # Chunks of one average to themselves.
-        return examples
-    out: list[RecordVectors] = []
-    for start in range(0, len(examples), size):
-        chunk = examples[start : start + size]
-        if len(chunk) < size:
-            if remainder == "drop":
-                break
-            if remainder == "error":
-                raise ValueError(
-                    f"{len(examples)} examples leave a short chunk of {len(chunk)} "
-                    f"at microbatch size {size}"
-                )
-        averaged = [
-            (name, np.mean([ex.get(name) for ex in chunk], axis=0))
-            for name in chunk[0].names
-        ]
-        out.append(RecordVectors(averaged))
+        return blocks
+    full = m - m % size
+    if full < m and remainder == "error":
+        raise ValueError(
+            f"{m} examples leave a short chunk of {m - full} at microbatch size {size}"
+        )
+    out = {}
+    for name, block in blocks.items():
+        means = block[:full].reshape(full // size, size, block.shape[1]).mean(axis=1)
+        if full < m and remainder == "pad_with_mean":
+            means = np.concatenate([means, block[full:].mean(axis=0, keepdims=True)])
+        out[name] = means
     return out
 
 
@@ -321,11 +316,13 @@ def run_partitioned_round(
 ) -> dict[str, GroupEstimate]:
     """Run every group's query for one round and optionally record it.
 
-    Each group draws from its own keyed noise stream ("noise/<group>",
-    round_id), so group order cannot entangle the randomness. member_dims
-    maps group name to per-member dims and is required if records may be
-    empty. When a ledger is given, one sum-query event per group is
-    appended; the caller records the sample event (it knows the sampler).
+    records is a batch (member name to (m x d) block) or a sequence of
+    records; see _group_block. Each group draws from its own keyed noise
+    stream ("noise/<group>", round_id), so group order cannot entangle the
+    randomness. member_dims maps group name to per-member dims and is
+    required if records may be an empty sequence. When a ledger is given,
+    one sum-query event per group is appended; the caller records the
+    sample event (it knows the sampler).
     """
     estimates: dict[str, GroupEstimate] = {}
     for spec in partition.groups:

@@ -72,18 +72,6 @@ class RecordVectors:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.entries)
 
-    @classmethod
-    def _trusted(cls, entries) -> "RecordVectors":
-        """Skip-validation constructor for hot paths.
-
-        Callers must supply unique valid names and 1-d float64 arrays that
-        are finite, non-writeable, and never mutated afterwards; bulk-check
-        a whole batch once instead of per record.
-        """
-        rec = object.__new__(cls)
-        object.__setattr__(rec, "entries", tuple(entries))
-        return rec
-
     def get(self, name: str) -> np.ndarray:
         for entry_name, vec in self.entries:
             if entry_name == name:
@@ -216,33 +204,49 @@ def l2_norm(v) -> float:
     return float(np.sqrt(np.dot(arr, arr)))
 
 
-def _clip_norm_unchecked(arr: np.ndarray, s: float) -> np.ndarray:
-    """clip_to_norm's core, for callers that already validated arr."""
-    norm = float(np.sqrt(np.dot(arr, arr)))
-    if norm <= s:
-        return arr
-    out = arr * (s / norm)
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    # One (1 x d) @ (d x 1) product per row: the same dot product, and the
+    # same bits, as np.dot on the row alone.
+    return np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+
+
+def clip_rows(block, s: float) -> np.ndarray:
+    """Project each row of a finite (m x d) block onto the L2 ball of radius s.
+
+    Rows whose norm is at most s come back bitwise unchanged; the others are
+    rescaled, and re-shrunk if float rounding lands a hair above s. The
+    input is never written to. An empty block (m = 0) is its own projection.
+    """
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"clip bound must be positive and finite, got {s}")
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or not np.isfinite(block).all():
+        raise ValueError("clip_rows expects a finite (m x d) block")
+    norms = _row_norms(block)
+    over = norms > s
+    if not over.any():
+        return block
+    out = block.copy()
+    rows = out[over] * (s / norms[over])[:, None]
     for _ in range(4):
-        norm = float(np.sqrt(np.dot(out, out)))
-        if norm <= s:
+        norms = _row_norms(rows)
+        high = norms > s
+        if not high.any():
             break
-        factor = s / norm
-        if factor >= 1.0:
-            factor = 1.0 - 2.0**-52
-        out = out * factor
+        factor = s / norms[high]
+        factor[factor >= 1.0] = 1.0 - 2.0**-52
+        rows[high] *= factor[:, None]
+    out[over] = rows
     return out
 
 
 def clip_to_norm(v, s: float) -> np.ndarray:
-    """Project v onto the L2 ball of radius s.
+    """Project v onto the L2 ball of radius s: clip_rows on a one-row block.
 
-    Returns v unchanged (bitwise) when its norm is at most s; otherwise
-    rescales so the returned norm never exceeds s, re-shrinking if float
-    rounding lands a hair above. The zero vector is its own projection.
+    Returns v unchanged (bitwise) when its norm is at most s; the zero
+    vector is its own projection. The result is read-only.
     """
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"clip bound must be positive and finite, got {s}")
-    out = _clip_norm_unchecked(_as_vector(v), s)
+    out = clip_rows(_as_vector(v)[None, :], s)[0]
     out.flags.writeable = False
     return out
 

@@ -123,6 +123,23 @@ def test_train_deterministic_given_seed(tmp_path, capsys):
     assert r1 == r2
 
 
+def test_account_refuses_sensitivity_overflow(tmp_path, capsys):
+    # sigma_sum is finite and nonzero, but clip / sigma_sum overflows S*
+    path = tmp_path / "tiny-sigma.txt"
+    path.write_bytes(
+        b"dpledger ledger v1\n"
+        b"sample round=0 policy=poisson_iid q=0x1.47ae147ae147bp-7 n=10000\n"
+        b"sum round=0 group=weights clip=0x1.0000000000000p+0 sigma_sum=0x1.0p-1074\n"
+    )
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("refused: ")
+    assert "round 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_insecure_train_refused_by_account(tmp_path, capsys):
     code, out = _train(tmp_path, "--insecure-no-noise")
     assert code == 0

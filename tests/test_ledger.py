@@ -4,10 +4,12 @@ import warnings
 import pytest
 
 from dpledger import (
+    AccountingRefusal,
     InsecureLedgerError,
     Ledger,
     LedgerParseError,
     LedgerUsageError,
+    SensitivityRangeError,
     deserialize,
     formal_ledger,
     serialize,
@@ -235,6 +237,55 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(LedgerParseError) as exc:
         deserialize(bad)
     assert exc.value.line == data.count(b"\n") + 1
+
+
+_CANONICAL_ROUND = (
+    b"dpledger ledger v1\n"
+    b"sample round=0 policy=poisson_iid q=0x1.0000000000000p-1 n=1000\n"
+)
+
+
+@pytest.mark.parametrize(
+    "field, token",
+    [
+        ("n", "+1000"),
+        ("n", "01000"),
+        ("n", "1_000"),
+        ("n", "-1000"),
+        ("n", ""),
+        ("n", "1000\t"),
+        ("round", "00"),
+        ("round", "+0"),
+        ("round", "-0"),
+        ("round", "0x0"),
+    ],
+)
+def test_noncanonical_integers_rejected(field, token):
+    assert serialize(deserialize(_CANONICAL_ROUND)) == _CANONICAL_ROUND
+    canonical = {"n": b"n=1000", "round": b"round=0"}[field]
+    bad = _CANONICAL_ROUND.replace(canonical, f"{field}={token}".encode())
+    with pytest.raises(LedgerParseError) as exc:
+        deserialize(bad)
+    assert exc.value.line == 2
+
+
+def test_insecure_rounds_first_seen_order_without_repeats():
+    led = Ledger()
+    for sigmas in ((1.0,), (0.0, 0.0), (1.0, 0.0), (0.0,)):
+        rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
+        for g, sigma in enumerate(sigmas):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name=f"g{g}")
+        led.close_round()
+    assert led.insecure_rounds() == (1, 2, 3)
+
+
+def test_formal_refuses_sensitivity_out_of_range():
+    # a nonzero sigma_sum so small that S* = clip / sigma_sum overflows
+    led = _one_round(sigma=2.0**-1074)
+    with pytest.raises(SensitivityRangeError) as exc:
+        formal_ledger(led)
+    assert "round 0" in str(exc.value)
+    assert isinstance(exc.value, AccountingRefusal)
 
 
 def test_sum_before_sample_rejected():

@@ -16,6 +16,7 @@ from dpledger import (
     SamplerConfig,
     SamplingPolicy,
     SecureStream,
+    clip_rows,
     clip_to_norm,
     gaussian_sum,
     joint_group_query,
@@ -277,56 +278,121 @@ def test_round_compose_rejects_degenerate():
         round_compose([PrivacyTuple(1.0, 0.0)])
 
 
+def test_round_compose_rejects_s_star_out_of_range():
+    # finite, nonzero tuples whose S* overflows to inf or underflows to 0
+    with pytest.raises(ValueError):
+        round_compose([PrivacyTuple(1.0, 2.0**-1074)])
+    with pytest.raises(ValueError):
+        round_compose([PrivacyTuple(2.0**-1074, 1e300)])
+
+
 # -------------------------------------------------------- microbatch_reduce
 
 
-def _rec(*vals):
-    return RecordVectors([("x", list(vals))])
+def _batch(*vals):
+    """A batch of len(vals) one-entry examples under the name "x"."""
+    return {"x": np.array(vals, dtype=np.float64)[:, None]}
 
 
 def test_microbatch_size_one_is_identity():
-    examples = [_rec(1.0), _rec(2.0), _rec(3.0), _rec(4.0)]
+    examples = _batch(1.0, 2.0, 3.0, 4.0)
     out = microbatch_reduce(examples, 1)
-    assert len(out) == 4
-    for a, b in zip(out, examples):
-        assert np.array_equal(a.get("x"), b.get("x"))
+    assert out["x"].shape[0] == 4
+    assert np.array_equal(out["x"], examples["x"])
 
 
 def test_microbatch_mean():
-    out = microbatch_reduce([_rec(2.0), _rec(4.0)], 2)
-    assert len(out) == 1
-    assert np.array_equal(out[0].get("x"), [3.0])
+    out = microbatch_reduce(_batch(2.0, 4.0), 2)
+    assert out["x"].shape[0] == 1
+    assert np.array_equal(out["x"][0], [3.0])
 
 
 def test_microbatch_remainder_drop_is_default():
-    out = microbatch_reduce([_rec(float(i)) for i in range(5)], 2)
-    assert len(out) == 2
-    assert np.array_equal(out[0].get("x"), [0.5])
-    assert np.array_equal(out[1].get("x"), [2.5])
+    out = microbatch_reduce(_batch(*(float(i) for i in range(5))), 2)
+    assert out["x"].shape[0] == 2
+    assert np.array_equal(out["x"][0], [0.5])
+    assert np.array_equal(out["x"][1], [2.5])
 
 
 def test_microbatch_remainder_error():
     with pytest.raises(ValueError):
-        microbatch_reduce([_rec(float(i)) for i in range(5)], 2, remainder="error")
+        microbatch_reduce(_batch(*(float(i) for i in range(5))), 2, remainder="error")
 
 
 def test_microbatch_remainder_pad_with_mean():
     out = microbatch_reduce(
-        [_rec(float(i)) for i in range(5)], 2, remainder="pad_with_mean"
+        _batch(*(float(i) for i in range(5))), 2, remainder="pad_with_mean"
     )
-    assert len(out) == 3
-    assert np.array_equal(out[2].get("x"), [4.0])  # mean of the lone leftover
+    assert out["x"].shape[0] == 3
+    assert np.array_equal(out["x"][2], [4.0])  # mean of the lone leftover
 
 
 def test_microbatch_validation():
     with pytest.raises(ValueError):
-        microbatch_reduce([_rec(1.0)], 0)
+        microbatch_reduce(_batch(1.0), 0)
     with pytest.raises(ValueError):
-        microbatch_reduce([_rec(1.0)], 2, remainder="bogus")
+        microbatch_reduce(_batch(1.0), 2, remainder="bogus")
     with pytest.raises(TypeError):
         microbatch_reduce([[1.0]], 2)
     with pytest.raises(ValueError):
-        microbatch_reduce([_rec(1.0), RecordVectors([("y", [1.0])])], 2)
+        microbatch_reduce({"x": [[1.0]], "y": [[1.0], [2.0]]}, 2)
+    with pytest.raises(ValueError):
+        microbatch_reduce({"x": [1.0, 2.0]}, 2)  # not an (m x d) block
+
+
+@pytest.mark.parametrize("remainder", ["drop", "error", "pad_with_mean"])
+@pytest.mark.parametrize("m", [0, 3, 8, 11])
+def test_microbatch_batch_matches_chunk_loop(remainder, m):
+    # reference: average each run of `size` rows with its own np.mean
+    rng = np.random.default_rng(m)
+    batch = {"w": rng.normal(size=(m, 3)), "b": rng.normal(size=(m, 1))}
+    size = 4
+    if m % size and remainder == "error":
+        with pytest.raises(ValueError):
+            microbatch_reduce(batch, size, remainder=remainder)
+        return
+    out = microbatch_reduce(batch, size, remainder=remainder)
+    for name, block in batch.items():
+        chunks = [block[i : i + size] for i in range(0, m, size)]
+        if chunks and len(chunks[-1]) < size and remainder == "drop":
+            chunks.pop()
+        want = [np.mean(chunk, axis=0) for chunk in chunks]
+        assert out[name].shape == (len(want), block.shape[1])
+        for got_row, want_row in zip(out[name], want):
+            assert np.array_equal(got_row, want_row)
+
+
+# -------------------------------------------------------------- clip_rows
+
+
+@pytest.mark.parametrize("s", [1.0, 0.3, 7.5])
+def test_clip_rows_never_exceeds_bound(s):
+    rng = np.random.default_rng(17)
+    unit = rng.normal(size=6)
+    unit /= np.sqrt(np.dot(unit, unit))
+    norms = [0.0, s, s * (1 + 2.0**-52), s * (1 - 2.0**-52), 0.5 * s, 1e150]
+    axis_rows = [np.eye(6)[0] * r for r in norms]
+    block = np.array(axis_rows + [unit * r for r in norms])
+    before = block.copy()
+    out = clip_rows(block, s)
+    assert np.array_equal(block, before)  # input untouched
+    for row_in, row_out in zip(block, out):
+        assert math.sqrt(np.dot(row_out, row_out)) <= s
+        if math.sqrt(np.dot(row_in, row_in)) <= s:
+            assert np.array_equal(row_out, row_in)
+    # each row is clipped exactly as clip_to_norm clips it alone
+    for row_in, row_out in zip(block, out):
+        assert np.array_equal(row_out, clip_to_norm(row_in, s))
+
+
+def test_clip_rows_validation():
+    with pytest.raises(ValueError):
+        clip_rows(np.ones((2, 3)), 0.0)
+    with pytest.raises(ValueError):
+        clip_rows(np.ones(3), 1.0)
+    with pytest.raises(ValueError):
+        clip_rows(np.array([[1.0, math.nan]]), 1.0)
+    assert clip_rows(np.empty((0, 4)), 1.0).shape == (0, 4)
 
 
 # ----------------------------------------------- composition equivalence
@@ -478,3 +544,110 @@ def test_run_partitioned_round_deterministic():
     ctx2 = RoundContext(q=0.5, n=4, round_id=8)
     c = run_partitioned_round(recs, part, ctx2, seed)
     assert not np.array_equal(a["weights"].get("w"), c["weights"].get("w"))
+
+
+# ----------------------------------------------------------- columnar batches
+
+
+def _batch_partition():
+    return GroupPartition(
+        groups=(
+            _sep(["w"], clip_s=1.0, sigma=0.5, name="weights"),
+            GroupSpec(
+                member_names=("a", "b"),
+                mechanism=Mechanism.JOINT,
+                clip_s=1.0,
+                noise_sigma=0.25,
+                joint_scales=(1.0, 10.0),
+                name="joint",
+            ),
+        ),
+        total_dim=6,
+    )
+
+
+def _random_batch(m, seed=5):
+    rng = np.random.default_rng(seed)
+    return {
+        "w": rng.normal(size=(m, 3)) * rng.uniform(0.1, 3.0, size=(m, 1)),
+        "a": rng.normal(size=(m, 1)),
+        "b": rng.normal(size=(m, 2)) * 8.0,
+    }
+
+
+def test_batch_and_record_list_give_identical_estimates():
+    batch = _random_batch(7)
+    records = [
+        RecordVectors([(name, batch[name][i]) for name in ("w", "a", "b")])
+        for i in range(7)
+    ]
+    ctx = RoundContext(q=0.5, n=12, round_id=2)
+    seed = coerce16(b"stack-seed")
+    from_batch = run_partitioned_round(batch, _batch_partition(), ctx, seed)
+    from_records = run_partitioned_round(records, _batch_partition(), ctx, seed)
+    for name in ("weights", "joint"):
+        for member in from_batch[name].member_names:
+            assert np.array_equal(
+                from_batch[name].get(member), from_records[name].get(member)
+            )
+
+
+def test_batch_noise_replays_from_group_stream():
+    # estimate * qn - colsum(clipped rows) is exactly the group's noise
+    batch = _random_batch(40)
+    ctx = RoundContext(q=0.25, n=100, round_id=9)
+    seed = coerce16(b"replay-seed")
+    part = _batch_partition()
+    out = run_partitioned_round(batch, part, ctx, seed)
+    for spec in part.groups:
+        est = out[spec.name]
+        dims = [batch[m].shape[1] for m in spec.member_names]
+        scales = np.repeat(spec.joint_scales or (1.0,), dims)
+        block = np.concatenate([batch[m] for m in spec.member_names], axis=1) / scales
+        clipped = clip_rows(block, spec.clip_s)
+        got = np.concatenate(est.estimates) / scales * ctx.qn - clipped.sum(axis=0)
+        noise = SecureStream(seed, f"noise/{spec.name}", ctx.round_id).standard_normal(
+            block.shape[1]
+        )
+        want = est.emitted.sigma_sum * noise
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.any(np.sqrt(np.einsum("ij,ij->i", block, block)) > spec.clip_s)
+
+
+def test_empty_batch_still_draws_full_noise_and_records():
+    part = _batch_partition()
+    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    seed = coerce16(b"empty-seed")
+    dims = {"weights": (3,), "joint": (1, 2)}
+    empty_batch = {"w": np.empty((0, 3)), "a": np.empty((0, 1)), "b": np.empty((0, 2))}
+    for records, member_dims in ((empty_batch, None), (empty_batch, dims), ([], dims)):
+        led = Ledger()
+        led.record_sample(q=0.25, n=100, policy_tag="poisson_iid")
+        out = run_partitioned_round(
+            records, part, ctx, seed, member_dims=member_dims, ledger=led
+        )
+        led.close_round()
+        assert [e.group_name for e in led.rounds()[0][1]] == ["weights", "joint"]
+        for spec in part.groups:
+            d = sum(dims[spec.name])
+            noise = SecureStream(seed, f"noise/{spec.name}", 0).standard_normal(d)
+            scales = np.repeat(spec.joint_scales or (1.0,), dims[spec.name])
+            want = scales * (out[spec.name].emitted.sigma_sum * noise / ctx.qn)
+            assert np.array_equal(np.concatenate(out[spec.name].estimates), want)
+
+
+def test_group_block_rejects_bad_batches():
+    part = _batch_partition()
+    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    seed = coerce16(b"bad-seed")
+    good = _random_batch(4)
+    with pytest.raises(ValueError):  # row counts disagree
+        run_partitioned_round({**good, "b": good["b"][:3]}, part, ctx, seed)
+    with pytest.raises(ValueError):  # non-finite entry
+        bad = {**good, "w": good["w"].copy()}
+        bad["w"][1, 2] = math.inf
+        run_partitioned_round(bad, part, ctx, seed)
+    with pytest.raises(ValueError):  # member_dims disagree with the blocks
+        run_partitioned_round(good, part, ctx, seed, member_dims={"weights": (2,)})
+    with pytest.raises(KeyError):  # a member is missing
+        run_partitioned_round({"w": good["w"]}, part, ctx, seed)
