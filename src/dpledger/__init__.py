@@ -78,7 +78,6 @@ from .sampling import (
     Sample,
     SamplerConfig,
     SamplingPolicy,
-    accounting_support,
     draw_sample,
     fixed_size_sample,
     partition_epoch,
@@ -89,16 +88,10 @@ from .vectors import (
     GroupPartition,
     GroupSpec,
     Mechanism,
-    PartitionReport,
     PrivacyTuple,
     RecordVectors,
     clip_rows,
     clip_to_norm,
-    concat_norm,
-    l2_norm,
-    scale_group,
-    unscale_group,
-    validate_partition,
 )
 
 __version__ = "0.1.0"

@@ -285,7 +285,7 @@ def account_ledger(
     profiles: list[RdpProfile] = []
     for row in rows:
         support = policy_accounting_support(
-            row.policy_tag, row.q, wor_as_poisson=wor_as_poisson
+            row.policy_tag, wor_as_poisson=wor_as_poisson
         )
         if not support.supported:
             raise UnsupportedPolicyError(

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .mechanisms import round_compose
-from .vectors import PrivacyTuple
 
 
 class AllocationStrategy(enum.Enum):
@@ -58,22 +57,10 @@ class AllocationRequest:
         object.__setattr__(self, "group_bounds", bounds)
 
 
-def effective_z(tuples, q: float = 1.0, n: int = 1) -> float:
-    """Noise multiplier of one round: z = 1/S* = q*n*(sum(S_g/sigma_g)^2)^(-1/2).
-
-    With the defaults the tuples are taken as sum-level (clip_s, sigma_sum)
-    pairs; pass q and n to supply per-average sigmas instead, which are
-    scaled to sum level by q*n before composing.
-    """
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    scaled = []
-    for t in tuples:
-        s, sigma = (t.clip_s, t.sigma_sum) if isinstance(t, PrivacyTuple) else t
-        scaled.append(PrivacyTuple(clip_s=s, sigma_sum=q * n * sigma))
-    return round_compose(scaled).z_effective
+def effective_z(tuples) -> float:
+    """Noise multiplier 1/S* of one round's sum-level (clip_s, sigma_sum)
+    tuples, as round_compose defines it."""
+    return round_compose(tuples).z_effective
 
 
 def proportional_allocation(req: AllocationRequest) -> tuple[float, ...]:
@@ -106,21 +93,13 @@ def allocate(req: AllocationRequest) -> tuple[float, ...]:
 
 
 def split_clip_budget(
-    total_s: float,
-    group_dims,
-    strategy: ClipSplit,
-    *,
-    invert_fraction: bool = False,
+    total_s: float, group_dims, strategy: ClipSplit
 ) -> tuple[float, ...]:
     """Divide a total clip budget into per-group bounds.
 
     Flat does not split: one group, the whole budget. PerLayer gives each
     of the m groups total_s / sqrt(m); DimFraction gives group g
     total_s * sqrt(d_g / D). Both conserve sum(S_g^2) = total_s^2.
-
-    invert_fraction switches DimFraction to total_s / sqrt(d_g / D), a
-    non-conserving variant that hands smaller groups larger budgets; it
-    exists for comparison and is never the default.
     """
     if not (math.isfinite(total_s) and total_s > 0):
         raise ValueError(f"total_s must be positive, got {total_s}")
@@ -129,8 +108,6 @@ def split_clip_budget(
         raise ValueError("group_dims must be nonempty")
     if any(d < 1 for d in dims):
         raise ValueError(f"dimensions must be at least 1, got {dims}")
-    if invert_fraction and strategy is not ClipSplit.DIM_FRACTION:
-        raise ValueError("invert_fraction only applies to the DimFraction split")
     if strategy is ClipSplit.FLAT:
         return (total_s,)
     if strategy is ClipSplit.PER_LAYER:
@@ -138,7 +115,5 @@ def split_clip_budget(
         return tuple(total_s / root_m for _ in dims)
     if strategy is ClipSplit.DIM_FRACTION:
         total_d = sum(dims)
-        if invert_fraction:
-            return tuple(total_s / math.sqrt(d / total_d) for d in dims)
         return tuple(total_s * math.sqrt(d / total_d) for d in dims)
     raise ValueError(f"unknown split strategy {strategy!r}")

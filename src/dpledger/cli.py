@@ -130,7 +130,6 @@ def _cmd_train(args) -> int:
     try:
         if policy is SamplingPolicy.POISSON_IID:
             sampler = SamplerConfig(policy=policy, n=args.n, seed=seed, q=args.q)
-            q_eff = args.q
         else:
             if args.batch_size is None:
                 print(
@@ -141,13 +140,14 @@ def _cmd_train(args) -> int:
             sampler = SamplerConfig(
                 policy=policy, n=args.n, seed=seed, batch_size=args.batch_size
             )
-            q_eff = args.batch_size / args.n
 
         clips = (args.clip_weights, args.clip_bias, 1.0)
         if args.insecure_no_noise:
             sigmas = (0.0, 0.0, 0.0)
         else:
-            sigmas = sigmas_for_target_z(args.noise_multiplier, clips, q_eff, args.n)
+            sigmas = sigmas_for_target_z(
+                args.noise_multiplier, clips, sampler.rate, args.n
+            )
         partition = make_sgd_partition(
             args.dim,
             clip_weights=args.clip_weights,

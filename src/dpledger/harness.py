@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacyGuarantee, account_ledger
+from .allocation import AllocationRequest, AllocationStrategy, allocate
 from .errors import AccountingRefusal
 from .ledger import Ledger, serialize
 from .mechanisms import RoundContext, microbatch_reduce, run_partitioned_round
@@ -122,7 +123,8 @@ def make_sgd_partition(
     sigma_metrics: float,
 ) -> GroupPartition:
     """Weights, bias, and the correctness-indicator metric as three
-    separate-mechanism groups. Sigmas are per-average noise stds."""
+    separate-mechanism groups. Sigmas are per-average noise stds. Groups
+    carry no dimensions (the blocks do), so dim is not read."""
     groups = (
         GroupSpec(
             member_names=("weights",),
@@ -143,22 +145,22 @@ def make_sgd_partition(
             noise_sigma=sigma_metrics,
         ),
     )
-    return GroupPartition(groups=groups, total_dim=dim + 2)
+    return GroupPartition(groups=groups)
 
 
 def sigmas_for_target_z(
     target_z: float, clip_bounds, q: float, n: int
 ) -> tuple[float, ...]:
     """Per-average sigmas that make one round's effective multiplier
-    exactly target_z, spreading the budget proportionally to each bound:
-    sigma_g = z * sqrt(G) * S_g / (q * n)."""
-    if not (math.isfinite(target_z) and target_z > 0):
-        raise ValueError(f"target_z must be positive, got {target_z}")
-    bounds = [float(s) for s in clip_bounds]
-    if not bounds or any(s <= 0 for s in bounds):
-        raise ValueError(f"clip bounds must be positive, got {clip_bounds}")
-    root_g = math.sqrt(len(bounds))
-    return tuple(target_z * root_g * s / (q * n) for s in bounds)
+    exactly target_z: the proportional allocation's sum-level sigmas
+    z * sqrt(G) * S_g, divided by q * n."""
+    # Proportional allocation does not read the dimensions; 1 stands in.
+    req = AllocationRequest(
+        target_z=target_z,
+        group_bounds=tuple((s, 1) for s in clip_bounds),
+        strategy=AllocationStrategy.PROPORTIONAL,
+    )
+    return tuple(sigma / (q * n) for sigma in allocate(req))
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ class TrainConfig:
     delta: float
     separation: float = 4.0
     holdout_n: int = 1000
-    microbatch_remainder: str = "drop"
     insecure_test_mode: bool = False
     ledger_path: str | None = None
 
@@ -209,11 +210,6 @@ class TrainConfig:
             raise ValueError(
                 f"partition must cover exactly weights/bias/metrics, got {sorted(names)}"
             )
-        if self.partition.total_dim != self.dim + 2:
-            raise ValueError(
-                f"partition total_dim={self.partition.total_dim}, expected dim+2="
-                f"{self.dim + 2}"
-            )
         zero_noise = [g.name for g in self.partition.groups if g.noise_sigma == 0.0]
         if zero_noise and not self.insecure_test_mode:
             raise ValueError(
@@ -236,12 +232,6 @@ class TrainReport:
     refusal: str | None
 
 
-def _effective_q(sampler: SamplerConfig) -> float:
-    if sampler.policy is SamplingPolicy.POISSON_IID:
-        return sampler.q
-    return sampler.batch_size / sampler.n
-
-
 def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     """Run the full pipeline and account the emitted ledger.
 
@@ -257,7 +247,7 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     holdout = generate_synthetic(
         cfg.holdout_n, cfg.dim, cfg.separation, cfg.seed, stream_index=1
     )
-    q = _effective_q(cfg.sampler)
+    q = cfg.sampler.rate
 
     w = np.zeros(cfg.dim)
     b = 0.0
@@ -276,9 +266,8 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
             sample = epoch_batches[t % batches_per_epoch]
         else:
             sample = draw_sample(cfg.sampler, t)
-        idx = np.asarray(sample.indices, dtype=np.int64)
-        xs = data.features[idx]
-        ys = data.labels[idx].astype(np.float64)
+        xs = data.features[sample.indices]
+        ys = data.labels[sample.indices].astype(np.float64)
         grad_w, grad_b = per_example_gradients(xs, ys, w, b)
         preds = forward_probabilities(xs, w, b) >= 0.5
         correct = (preds == (ys == 1.0)).astype(np.float64)
@@ -287,7 +276,6 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         batch = microbatch_reduce(
             {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]},
             cfg.microbatch_size,
-            remainder=cfg.microbatch_remainder,
         )
         ctx = RoundContext(
             q=q, n=cfg.n, round_id=round_id, insecure_test_mode=cfg.insecure_test_mode

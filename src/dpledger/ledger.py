@@ -9,13 +9,14 @@ removed; rounds carry strictly increasing ids.
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
-in memory, not approximate it. Appending events to a ledger appends lines
-to its serialization, so the old file is always a byte prefix of the new.
+in memory, not approximate it. The parser reads back only the spellings
+serialize writes, so serialize(deserialize(b)) == b or the parse fails.
+Appending events to a ledger appends lines to its serialization, so the
+old file is always a byte prefix of the new.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .errors import (
     SensitivityRangeError,
 )
 from .mechanisms import EffectiveQuery, round_compose
+from .sampling import _check_round
 from .vectors import PrivacyTuple, _check_name
 
 _HEADER = b"dpledger ledger v1\n"
@@ -41,18 +43,14 @@ class SampleEvent:
     policy_tag: str
 
     def __post_init__(self):
-        if self.round_id < 0:
-            raise ValueError(f"round_id must be nonnegative, got {self.round_id}")
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        _check_round(self.q, self.n, self.round_id)
         _check_name(self.policy_tag, "policy tag")
 
 
 @dataclass(frozen=True)
-class SumQueryEvent:
-    """One Gaussian sum query: its clip bound and sum-level noise std.
+class SumQueryEvent(PrivacyTuple):
+    """One Gaussian sum query: the privacy tuple (clip bound, sum-level
+    noise std) of a group in a round, checked once, here.
 
     sigma_sum = 0 is recordable (insecure test runs still get logged) but
     poisons the round; the accountant refuses such ledgers by default.
@@ -60,19 +58,12 @@ class SumQueryEvent:
 
     round_id: int
     group_name: str
-    clip_s: float
-    sigma_sum: float
 
     def __post_init__(self):
+        self.check(self.clip_s, self.sigma_sum)
         if self.round_id < 0:
             raise ValueError(f"round_id must be nonnegative, got {self.round_id}")
         _check_name(self.group_name, "group name")
-        if not (math.isfinite(self.clip_s) and self.clip_s > 0):
-            raise ValueError(f"clip_s must be positive and finite, got {self.clip_s}")
-        if not (math.isfinite(self.sigma_sum) and self.sigma_sum >= 0):
-            raise ValueError(
-                f"sigma_sum must be nonnegative and finite, got {self.sigma_sum}"
-            )
 
 
 @dataclass(frozen=True)
@@ -209,10 +200,7 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
         effective = None
         if not tainted:
             try:
-                effective = round_compose(
-                    PrivacyTuple(clip_s=ev.clip_s, sigma_sum=ev.sigma_sum)
-                    for ev in queries
-                )
+                effective = round_compose(queries)
             except ValueError as exc:
                 raise SensitivityRangeError(f"round {sample.round_id}: {exc}") from None
         out.append(
@@ -233,10 +221,17 @@ def _fmt_float(x: float) -> str:
 
 
 def _parse_float(text: str, line_no: int, field: str) -> float:
+    """Only the spelling serialize writes, float.hex(): float.fromhex also
+    takes 0x1p-1, 1.0 or a trailing tab, which would not round-trip."""
     try:
-        return float.fromhex(text)
+        value = float.fromhex(text)
+        if value.hex() == text:
+            return value
     except ValueError:
-        raise LedgerParseError(f"field {field}={text!r} is not a hex float", line=line_no)
+        pass
+    raise LedgerParseError(
+        f"field {field}={text!r} is not a canonical hex float", line=line_no
+    )
 
 
 def _parse_int(text: str, line_no: int, field: str) -> int:

@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InfiniteSensitivityError
 from .prng import SecureStream
+from .sampling import _check_round
 from .vectors import (
     GroupPartition,
     GroupSpec,
@@ -52,12 +53,7 @@ class RoundContext:
     insecure_test_mode: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.q <= 1.0):
-            raise ValueError(f"q must be in (0, 1], got {self.q}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if self.round_id < 0:
-            raise ValueError(f"round_id must be nonnegative, got {self.round_id}")
+        _check_round(self.q, self.n, self.round_id)
 
     @property
     def qn(self) -> float:
@@ -83,15 +79,22 @@ class GroupEstimate:
 
 @dataclass(frozen=True)
 class EffectiveQuery:
-    """One round collapsed to a single sensitivity-s_star, sigma-1 query."""
+    """One round collapsed to a single sensitivity-s_star, sigma-1 query,
+    whose noise multiplier is z_effective = 1 / s_star.
+
+    An s_star that is not a positive finite float (a sum that overflowed
+    to inf or underflowed to 0) is refused rather than represented.
+    """
 
     s_star: float
-    sigma: float
-    z_effective: float
+    z_effective: float = field(init=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.s_star) and self.s_star > 0):
-            raise ValueError(f"s_star must be positive and finite, got {self.s_star}")
+            raise ValueError(
+                f"equivalent sensitivity S* = {self.s_star!r} is out of range"
+            )
+        object.__setattr__(self, "z_effective", 1.0 / self.s_star)
 
 
 def gaussian_sum(
@@ -245,9 +248,10 @@ def round_compose(tuples) -> EffectiveQuery:
     equivalent query of sensitivity s_star at noise std 1.
 
     s_star = sqrt(sum_g (clip_s_g / sigma_sum_g)^2); the round's noise
-    multiplier is z = 1 / s_star. A zero sigma_sum would make s_star
-    infinite, which is rejected rather than represented, as is an s_star
-    that overflows to inf or underflows to 0.
+    multiplier is z = 1 / s_star. Each tuple is a PrivacyTuple (the
+    ledger's sum-query events are), used as already checked, or a plain
+    (clip_s, sigma_sum) pair, checked here. A zero sigma_sum would make
+    s_star infinite, which is rejected rather than represented.
     """
     tuples = list(tuples)
     if not tuples:
@@ -261,10 +265,7 @@ def round_compose(tuples) -> EffectiveQuery:
                 "a zero-noise query has unbounded equivalent sensitivity"
             )
         acc += (t.clip_s / t.sigma_sum) ** 2
-    s_star = math.sqrt(acc)
-    if not (math.isfinite(s_star) and s_star > 0):
-        raise ValueError(f"equivalent sensitivity S* = {s_star!r} is out of range")
-    return EffectiveQuery(s_star=s_star, sigma=1.0, z_effective=1.0 / s_star)
+    return EffectiveQuery(s_star=math.sqrt(acc))
 
 
 def microbatch_reduce(

@@ -33,19 +33,34 @@ class SamplingPolicy(enum.Enum):
     DISJOINT_PARTITION = "disjoint_partition"
 
 
-@dataclass(frozen=True)
+def _check_round(q: float, n: int, round_id: int = 0) -> None:
+    """The sampling facts every round carries: rate q in (0, 1], population
+    n at least 1, round id nonnegative."""
+    if not (0.0 < q <= 1.0):
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if round_id < 0:
+        raise ValueError(f"round_id must be nonnegative, got {round_id}")
+
+
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Indices chosen for one round.
+    """Indices chosen for one round: a read-only, ascending int64 array.
 
     size_confidential marks realized sizes that leak information about the
     random tape (Poisson). repr respects it; size(reveal=True) is the
-    explicit, non-private escape hatch for diagnostics.
+    explicit, non-private escape hatch for diagnostics. Samples compare by
+    identity; compare their indices with np.array_equal.
     """
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     round_id: int
     policy: SamplingPolicy
     size_confidential: bool
+
+    def __post_init__(self):
+        self.indices.flags.writeable = False
 
     def size(self, reveal: bool = False) -> int:
         if self.size_confidential and not reveal:
@@ -65,27 +80,19 @@ class Sample:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Population size, policy, and the policy's knob (q or batch_size).
-
-    wor_poisson_accounting controls whether fixed-size sampling may be
-    accounted at rate q = batch_size / n; turning it off makes the policy
-    unsupported for accounting instead of approximately supported.
-    """
+    """Population size, policy, and the policy's knob (q or batch_size)."""
 
     policy: SamplingPolicy
     n: int
     seed: bytes
     q: float | None = None
     batch_size: int | None = None
-    wor_poisson_accounting: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "seed", coerce_seed(self.seed))
-        if self.n < 1:
-            raise ValueError(f"population size must be at least 1, got {self.n}")
         if self.policy is SamplingPolicy.POISSON_IID:
-            if self.q is None or not (0.0 < self.q <= 1.0):
-                raise ValueError(f"poisson sampling needs q in (0, 1], got {self.q}")
+            if self.q is None:
+                raise ValueError("poisson sampling needs q")
             if self.batch_size is not None:
                 raise ValueError("poisson sampling takes q, not batch_size")
         else:
@@ -95,6 +102,15 @@ class SamplerConfig:
                 )
             if self.q is not None:
                 raise ValueError(f"{self.policy.value} takes batch_size, not q")
+        _check_round(self.rate, self.n)
+
+    @property
+    def rate(self) -> float:
+        """The sampling rate each round records and is accounted at: q, or
+        batch_size / n for the fixed-size and partition policies."""
+        if self.policy is SamplingPolicy.POISSON_IID:
+            return self.q
+        return self.batch_size / self.n
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,6 @@ class AccountingSupport:
     """Whether rounds under a policy can be fed to the accountant, and how."""
 
     supported: bool
-    q_equivalent: float | None = None
     caveat: str | None = None
     reason: str | None = None
 
@@ -117,9 +132,8 @@ def poisson_sample(cfg: SamplerConfig, round_id: int) -> Sample:
     # on every platform. q = 1 makes every index pass.
     threshold = math.ceil(cfg.q * 2.0**53)
     bits = stream.uint64(cfg.n) >> np.uint64(11)
-    indices = tuple(int(i) for i in np.flatnonzero(bits < threshold))
     return Sample(
-        indices=indices,
+        indices=np.flatnonzero(bits < threshold).astype(np.int64, copy=False),
         round_id=round_id,
         policy=cfg.policy,
         size_confidential=True,
@@ -142,7 +156,7 @@ def fixed_size_sample(cfg: SamplerConfig, round_id: int) -> Sample:
     stream = SecureStream(cfg.seed, "sample", round_id)
     chosen = _fisher_yates(stream, cfg.n, cfg.batch_size)
     return Sample(
-        indices=tuple(sorted(chosen)),
+        indices=np.sort(np.array(chosen, dtype=np.int64)),
         round_id=round_id,
         policy=cfg.policy,
         size_confidential=False,
@@ -159,14 +173,13 @@ def partition_epoch(cfg: SamplerConfig, epoch_id: int) -> list[Sample]:
     if cfg.policy is not SamplingPolicy.DISJOINT_PARTITION:
         raise ValueError(f"config is for {cfg.policy.value}, not disjoint_partition")
     stream = SecureStream(cfg.seed, "sample", epoch_id)
-    order = _fisher_yates(stream, cfg.n, cfg.n)
+    order = np.array(_fisher_yates(stream, cfg.n, cfg.n), dtype=np.int64)
     b = cfg.batch_size
     batches = []
     for i in range(cfg.n // b):
-        batch = order[i * b : (i + 1) * b]
         batches.append(
             Sample(
-                indices=tuple(sorted(batch)),
+                indices=np.sort(order[i * b : (i + 1) * b]),
                 round_id=i,
                 policy=cfg.policy,
                 size_confidential=False,
@@ -194,18 +207,15 @@ _WOR_CAVEAT = (
 
 
 def policy_accounting_support(
-    policy: SamplingPolicy | str,
-    q: float | None = None,
-    *,
-    wor_as_poisson: bool = True,
+    policy: SamplingPolicy | str, *, wor_as_poisson: bool = True
 ) -> AccountingSupport:
     """Accounting stance for a policy tag as found in a ledger."""
     tag = policy.value if isinstance(policy, SamplingPolicy) else str(policy)
     if tag == SamplingPolicy.POISSON_IID.value:
-        return AccountingSupport(supported=True, q_equivalent=q)
+        return AccountingSupport(supported=True)
     if tag == SamplingPolicy.FIXED_SIZE_WOR.value:
         if wor_as_poisson:
-            return AccountingSupport(supported=True, q_equivalent=q, caveat=_WOR_CAVEAT)
+            return AccountingSupport(supported=True, caveat=_WOR_CAVEAT)
         return AccountingSupport(
             supported=False, reason="poisson-style accounting for fixed-size "
             "sampling was disabled by configuration"
@@ -217,14 +227,3 @@ def policy_accounting_support(
             "the accountant refuses rather than guessing",
         )
     return AccountingSupport(supported=False, reason=f"unknown policy tag {tag!r}")
-
-
-def accounting_support(cfg: SamplerConfig) -> AccountingSupport:
-    """Accounting stance for a concrete sampler configuration."""
-    if cfg.policy is SamplingPolicy.POISSON_IID:
-        q = cfg.q
-    else:
-        q = cfg.batch_size / cfg.n
-    return policy_accounting_support(
-        cfg.policy, q, wor_as_poisson=cfg.wor_poisson_accounting
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,22 +68,34 @@ class RecordVectors:
             raise ValueError("a record must contain at least one vector")
         object.__setattr__(self, "entries", tuple(items))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
     def get(self, name: str) -> np.ndarray:
         for entry_name, vec in self.entries:
             if entry_name == name:
                 return vec
         raise KeyError(name)
 
-    def dims(self) -> dict[str, int]:
-        return {name: vec.size for name, vec in self.entries}
 
-    @property
-    def total_dim(self) -> int:
-        return sum(vec.size for _, vec in self.entries)
+@dataclass(frozen=True)
+class PrivacyTuple:
+    """Sensitivity bound and sum-level noise std of one Gaussian sum query.
+
+    check is the one definition of a valid (clip bound, noise std) pair:
+    the ledger's sum-query events are privacy tuples, and GroupSpec applies
+    it to its per-average noise_sigma.
+    """
+
+    clip_s: float
+    sigma_sum: float
+
+    def __post_init__(self):
+        self.check(self.clip_s, self.sigma_sum)
+
+    @staticmethod
+    def check(clip_s: float, sigma: float) -> None:
+        if not (math.isfinite(clip_s) and clip_s > 0):
+            raise ValueError(f"clip_s must be positive and finite, got {clip_s}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"noise std must be nonnegative and finite, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,7 @@ class GroupSpec:
         for m in members:
             _check_name(m, "member name")
         object.__setattr__(self, "member_names", members)
-        if not (math.isfinite(self.clip_s) and self.clip_s > 0):
-            raise ValueError(f"clip_s must be positive and finite, got {self.clip_s}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(
-                f"noise_sigma must be nonnegative and finite, got {self.noise_sigma}"
-            )
+        PrivacyTuple.check(self.clip_s, self.noise_sigma)
         if self.mechanism is Mechanism.JOINT:
             if self.joint_scales is None:
                 raise ValueError("joint mechanism requires joint_scales")
@@ -149,14 +156,9 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """A disjoint assignment of every vector name to exactly one group.
-
-    total_dim is the declared sum of member dimensionalities; it is checked
-    against actual records by validate_partition.
-    """
+    """A disjoint assignment of every vector name to exactly one group."""
 
     groups: tuple[GroupSpec, ...]
-    total_dim: int
 
     def __post_init__(self):
         groups = tuple(self.groups)
@@ -171,8 +173,6 @@ class GroupPartition:
         names = [g.name for g in groups]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate group names: {names}")
-        if self.total_dim < 1:
-            raise ValueError(f"total_dim must be positive, got {self.total_dim}")
         object.__setattr__(self, "groups", groups)
 
     def member_names(self) -> set[str]:
@@ -182,32 +182,18 @@ class GroupPartition:
         return out
 
 
-@dataclass(frozen=True)
-class PrivacyTuple:
-    """Sensitivity bound and sum-level noise std of one Gaussian sum query."""
-
-    clip_s: float
-    sigma_sum: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.clip_s) and self.clip_s > 0):
-            raise ValueError(f"clip_s must be positive and finite, got {self.clip_s}")
-        if not (math.isfinite(self.sigma_sum) and self.sigma_sum >= 0):
-            raise ValueError(
-                f"sigma_sum must be nonnegative and finite, got {self.sigma_sum}"
-            )
-
-
-def l2_norm(v) -> float:
-    """Euclidean norm of a finite 1-d vector."""
-    arr = _as_vector(v)
-    return float(np.sqrt(np.dot(arr, arr)))
-
-
 def _row_norms(block: np.ndarray) -> np.ndarray:
     # One (1 x d) @ (d x 1) product per row: the same dot product, and the
     # same bits, as np.dot on the row alone.
-    return np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+        big = np.isinf(norms)
+        if big.any():
+            # A finite row whose squared norm overflows: measure it divided
+            # by its largest |entry|, which brings every square into range.
+            scale = np.abs(block[big]).max(axis=1)
+            norms[big] = scale * _row_norms(block[big] / scale[:, None])
+    return norms
 
 
 def clip_rows(block, s: float) -> np.ndarray:
@@ -216,6 +202,7 @@ def clip_rows(block, s: float) -> np.ndarray:
     Rows whose norm is at most s come back bitwise unchanged; the others are
     rescaled, and re-shrunk if float rounding lands a hair above s. The
     input is never written to. An empty block (m = 0) is its own projection.
+    A row whose norm exceeds the float range is refused.
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"clip bound must be positive and finite, got {s}")
@@ -223,6 +210,8 @@ def clip_rows(block, s: float) -> np.ndarray:
     if block.ndim != 2 or not np.isfinite(block).all():
         raise ValueError("clip_rows expects a finite (m x d) block")
     norms = _row_norms(block)
+    if np.isinf(norms).any():
+        raise ValueError("clip_rows: a row's L2 norm exceeds the float range")
     over = norms > s
     if not over.any():
         return block
@@ -249,77 +238,3 @@ def clip_to_norm(v, s: float) -> np.ndarray:
     out = clip_rows(_as_vector(v)[None, :], s)[0]
     out.flags.writeable = False
     return out
-
-
-def scale_group(vs, alphas) -> list[np.ndarray]:
-    """Divide vector j by alphas[j]; the pre-processing step of joint clipping."""
-    vs = list(vs)
-    alphas = [float(a) for a in alphas]
-    if len(vs) != len(alphas):
-        raise ValueError(f"{len(vs)} vectors but {len(alphas)} scales")
-    if any(not (math.isfinite(a) and a > 0) for a in alphas):
-        raise ValueError("scales must all be positive and finite")
-    return [_as_vector(v) / a for v, a in zip(vs, alphas)]
-
-
-def unscale_group(vs, alphas) -> list[np.ndarray]:
-    """Multiply vector j by alphas[j]; inverse of scale_group."""
-    vs = list(vs)
-    alphas = [float(a) for a in alphas]
-    if len(vs) != len(alphas):
-        raise ValueError(f"{len(vs)} vectors but {len(alphas)} scales")
-    if any(not (math.isfinite(a) and a > 0) for a in alphas):
-        raise ValueError("scales must all be positive and finite")
-    return [_as_vector(v) * a for v, a in zip(vs, alphas)]
-
-
-def concat_norm(vs) -> float:
-    """L2 norm of the concatenation of the given vectors."""
-    vs = list(vs)
-    if not vs:
-        raise ValueError("concat_norm of an empty group is undefined")
-    return l2_norm(np.concatenate([_as_vector(v) for v in vs]))
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Outcome of checking a partition against a concrete record."""
-
-    violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_partition(partition: GroupPartition, record: RecordVectors) -> PartitionReport:
-    """Check that the partition covers the record exactly and consistently.
-
-    Reports every violation rather than stopping at the first: unassigned or
-    unknown vectors, a total_dim that disagrees with the record, and joint
-    specs whose scale arity does not match their member count (re-checked
-    here to guard against specs built by deserialization or other unchecked
-    paths).
-    """
-    violations: list[str] = []
-    record_names = set(record.names)
-    assigned = partition.member_names()
-    for missing in sorted(record_names - assigned):
-        violations.append(f"unassigned vector: {missing!r}")
-    for extra in sorted(assigned - record_names):
-        violations.append(f"group member not in record: {extra!r}")
-    dims = record.dims()
-    covered = sum(dims[n] for n in assigned & record_names)
-    if not (record_names - assigned) and covered != partition.total_dim:
-        violations.append(
-            f"total_dim={partition.total_dim} but assigned vectors span {covered}"
-        )
-    for g in partition.groups:
-        if g.mechanism is Mechanism.JOINT:
-            scales = g.joint_scales or ()
-            if len(scales) != len(g.member_names):
-                violations.append(
-                    f"group {g.name!r}: {len(scales)} joint scales for "
-                    f"{len(g.member_names)} members"
-                )
-    return PartitionReport(tuple(violations))

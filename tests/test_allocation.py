@@ -7,6 +7,7 @@ from dpledger import (
     AllocationRequest,
     AllocationStrategy,
     ClipSplit,
+    InfiniteSensitivityError,
     PrivacyTuple,
     allocate,
     dim_adjusted_allocation,
@@ -27,13 +28,6 @@ def test_effective_z_unit_tuple():
     assert effective_z([(1.0, 1.0)]) == 1.0
 
 
-def test_effective_z_scales_per_average_sigmas():
-    # per-average sigma 0.01 at q=0.01, n=10_000 is sum-level 1.0
-    assert effective_z([(1.0, 0.01)], q=0.01, n=10_000) == pytest.approx(
-        1.0, rel=1e-12
-    )
-
-
 def test_effective_z_accepts_privacy_tuples():
     tuples = [PrivacyTuple(clip_s=3.0, sigma_sum=6.0), PrivacyTuple(clip_s=4.0, sigma_sum=8.0)]
     assert effective_z(tuples) == pytest.approx(math.sqrt(2.0), rel=1e-12)
@@ -41,14 +35,13 @@ def test_effective_z_accepts_privacy_tuples():
 
 def test_effective_z_validation():
     with pytest.raises(ValueError):
-        effective_z([(1.0, 1.0)], q=0.0)
+        effective_z([])
+    with pytest.raises(InfiniteSensitivityError):
+        effective_z([(1.0, 0.0)])
     with pytest.raises(ValueError):
-        effective_z([(1.0, 1.0)], q=1.5)
+        effective_z([(1.0, -1.0)])
     with pytest.raises(ValueError):
-        effective_z([(1.0, 1.0)], n=0)
-
-
-# ------------------------------------------------------------- proportional
+        effective_z([(0.0, 1.0)])
 
 
 def test_proportional_example():
@@ -172,21 +165,6 @@ def test_splits_conserve_squared_budget():
             assert sum(s * s for s in parts) == pytest.approx(
                 total * total, rel=1e-12
             )
-
-
-def test_inverted_fraction_variant():
-    got = split_clip_budget(
-        1.0, [25, 75], ClipSplit.DIM_FRACTION, invert_fraction=True
-    )
-    assert got[0] == pytest.approx(2.0, rel=1e-12)
-    assert got[1] == pytest.approx(1.0 / math.sqrt(0.75), rel=1e-12)
-    # deliberately does not conserve the squared budget
-    assert sum(s * s for s in got) > 1.0 + 1e-9
-
-
-def test_invert_fraction_limited_to_dim_fraction():
-    with pytest.raises(ValueError):
-        split_clip_budget(1.0, [2, 2], ClipSplit.PER_LAYER, invert_fraction=True)
 
 
 def test_split_validation():

@@ -129,7 +129,8 @@ def test_account_refuses_sensitivity_overflow(tmp_path, capsys):
     path.write_bytes(
         b"dpledger ledger v1\n"
         b"sample round=0 policy=poisson_iid q=0x1.47ae147ae147bp-7 n=10000\n"
-        b"sum round=0 group=weights clip=0x1.0000000000000p+0 sigma_sum=0x1.0p-1074\n"
+        b"sum round=0 group=weights clip=0x1.0000000000000p+0 "
+        b"sigma_sum=0x0.0000000000001p-1022\n"
     )
     code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
     captured = capsys.readouterr()

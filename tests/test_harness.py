@@ -162,7 +162,6 @@ def test_partition_shape():
         10, clip_weights=2.0, clip_bias=1.0, sigma_weights=0.1,
         sigma_bias=0.1, sigma_metrics=0.1,
     )
-    assert part.total_dim == 12
     by_name = {g.name: g for g in part.groups}
     assert set(by_name) == {"weights", "bias", "metrics"}
     assert by_name["metrics"].clip_s == 1.0  # indicator lives in [0, 1]
@@ -174,7 +173,7 @@ def test_sigmas_for_target_z_round_trip():
     clips = (4.0, 1.0, 1.0)
     for z in (0.7, 1.1, 3.0):
         sigmas = sigmas_for_target_z(z, clips, 0.05, 400)
-        got = effective_z(list(zip(clips, sigmas)), q=0.05, n=400)
+        got = effective_z([(c, 0.05 * 400 * sig) for c, sig in zip(clips, sigmas)])
         assert got == pytest.approx(z, rel=1e-12)
     with pytest.raises(ValueError):
         sigmas_for_target_z(0.0, clips, 0.05, 400)
@@ -190,26 +189,11 @@ def test_config_validation():
         _config(SEED, n=200, sampler=_poisson(100, 1.0, SEED))  # n mismatch
     with pytest.raises(ValueError):
         _config(SEED, z=None, insecure=False)  # zero noise needs the flag
-    part = make_sgd_partition(
-        5, clip_weights=1.0, clip_bias=1.0, sigma_weights=0.1,
-        sigma_bias=0.1, sigma_metrics=0.1,
-    )
-    with pytest.raises(ValueError):
-        TrainConfig(
-            n=200, dim=6, rounds=5, sampler=_poisson(200, 1.0, SEED),
-            microbatch_size=1, partition=part, learning_rate=0.5,
-            seed=SEED, delta=1e-5,
-        )  # partition dim disagrees with dim+2
     with pytest.raises(ValueError):
         _config(SEED, rounds=0, z=1.1, q=0.5)
     cfg = _config(SEED, z=1.1, q=0.5)
     with pytest.raises(ValueError):
         TrainConfig(**{**cfg.__dict__, "delta": 0.0})
-
-
-def test_default_remainder_policy_is_drop():
-    cfg = _config(SEED, z=1.1, q=0.5)
-    assert cfg.microbatch_remainder == "drop"
 
 
 # ----------------------------------------------------------------- training

@@ -102,7 +102,6 @@ def test_formal_single_round():
     row = rows[0]
     assert row.q == 0.5
     assert row.effective.s_star == 1.0
-    assert row.effective.sigma == 1.0
 
 
 def test_formal_two_tuple_round():
@@ -267,6 +266,33 @@ def test_noncanonical_integers_rejected(field, token):
     with pytest.raises(LedgerParseError) as exc:
         deserialize(bad)
     assert exc.value.line == 2
+
+
+_CANONICAL_SUM = _CANONICAL_ROUND + (
+    b"sum round=0 group=g clip=0x1.8000000000000p+0 sigma_sum=0x1.0000000000000p+2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "field, line",
+    [("q", 2), ("clip", 3), ("sigma_sum", 3)],
+)
+@pytest.mark.parametrize(
+    "token",
+    ["0x1p-1", "0X1P0", "1.0", "inf", "nan", "0x.8p0", "0x1.0000000000000p-1\t",
+     "+0x1.0000000000000p-1", "0x1.0000000000000P-1"],
+)  # fmt: skip
+def test_noncanonical_floats_rejected(field, line, token):
+    assert serialize(deserialize(_CANONICAL_SUM)) == _CANONICAL_SUM
+    canonical = {
+        "q": b"q=0x1.0000000000000p-1",
+        "clip": b"clip=0x1.8000000000000p+0",
+        "sigma_sum": b"sigma_sum=0x1.0000000000000p+2",
+    }[field]
+    bad = _CANONICAL_SUM.replace(canonical, f"{field}={token}".encode())
+    with pytest.raises(LedgerParseError) as exc:
+        deserialize(bad)
+    assert exc.value.line == line
 
 
 def test_insecure_rounds_first_seen_order_without_repeats():

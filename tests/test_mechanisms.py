@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,7 +250,6 @@ def test_k1_separate_and_joint_coincide():
 def test_round_compose_single_tuple():
     eff = round_compose([PrivacyTuple(1.0, 1.0)])
     assert eff.s_star == 1.0
-    assert eff.sigma == 1.0
     assert eff.z_effective == 1.0
 
 
@@ -370,16 +370,26 @@ def test_clip_rows_never_exceeds_bound(s):
     rng = np.random.default_rng(17)
     unit = rng.normal(size=6)
     unit /= np.sqrt(np.dot(unit, unit))
-    norms = [0.0, s, s * (1 + 2.0**-52), s * (1 - 2.0**-52), 0.5 * s, 1e150]
+    # From 1e200 on, the squared norm overflows float64.
+    norms = [0.0, s, s * (1 + 2.0**-52), s * (1 - 2.0**-52), 0.5 * s, 1e150, 1e200]
     axis_rows = [np.eye(6)[0] * r for r in norms]
-    block = np.array(axis_rows + [unit * r for r in norms])
+    pythagorean = np.array([3e160, 4e160, 0.0, 0.0, 0.0, 0.0])
+    block = np.array(axis_rows + [unit * r for r in norms] + [pythagorean])
     before = block.copy()
-    out = clip_rows(block, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clip_rows(block, s)
     assert np.array_equal(block, before)  # input untouched
     for row_in, row_out in zip(block, out):
         assert math.sqrt(np.dot(row_out, row_out)) <= s
-        if math.sqrt(np.dot(row_in, row_in)) <= s:
+        with np.errstate(over="ignore"):
+            unclipped = math.sqrt(np.dot(row_in, row_in)) <= s
+        if unclipped:
             assert np.array_equal(row_out, row_in)
+    # overflowing rows are projected, not zeroed
+    assert out[len(norms) - 1] == pytest.approx(np.eye(6)[0] * s, rel=1e-15)
+    assert out[-2] == pytest.approx(unit * s, rel=1e-14)
+    assert out[-1] == pytest.approx([0.6 * s, 0.8 * s, 0, 0, 0, 0], rel=1e-15)
     # each row is clipped exactly as clip_to_norm clips it alone
     for row_in, row_out in zip(block, out):
         assert np.array_equal(row_out, clip_to_norm(row_in, s))
@@ -392,6 +402,8 @@ def test_clip_rows_validation():
         clip_rows(np.ones(3), 1.0)
     with pytest.raises(ValueError):
         clip_rows(np.array([[1.0, math.nan]]), 1.0)
+    with pytest.raises(ValueError):
+        clip_rows(np.array([[1.7e308, 1.7e308]]), 1.0)  # norm beyond float range
     assert clip_rows(np.empty((0, 4)), 1.0).shape == (0, 4)
 
 
@@ -491,7 +503,6 @@ def _partition():
             _sep(["w"], clip_s=1.0, sigma=0.5, name="weights"),
             _sep(["m"], clip_s=1.0, sigma=0.25, name="metrics"),
         ),
-        total_dim=3,
     )
 
 
@@ -524,7 +535,7 @@ def test_run_partitioned_round_noise_keyed_by_group_name():
     recs = [RecordVectors([("w", [0.1, 0.2]), ("m", [1.0])])]
     ctx = RoundContext(q=0.5, n=4, round_id=3)
     part = _partition()
-    flipped = GroupPartition(groups=tuple(reversed(part.groups)), total_dim=3)
+    flipped = GroupPartition(groups=tuple(reversed(part.groups)))
     seed = coerce16(b"order-seed")
     a = run_partitioned_round(recs, part, ctx, seed)
     b = run_partitioned_round(recs, flipped, ctx, seed)
@@ -562,7 +573,6 @@ def _batch_partition():
                 name="joint",
             ),
         ),
-        total_dim=6,
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,6 @@ import pytest
 from dpledger import (
     SamplerConfig,
     SamplingPolicy,
-    accounting_support,
     draw_sample,
     fixed_size_sample,
     partition_epoch,
@@ -50,6 +50,16 @@ def test_config_rejects_bad_knobs():
         SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=10, seed=SEED, batch_size=2)
     with pytest.raises(ValueError):
         SamplerConfig(policy=SamplingPolicy.FIXED_SIZE_WOR, n=10, seed=SEED, q=0.5)
+    with pytest.raises(ValueError):
+        SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=10, seed=SEED)
+    with pytest.raises(ValueError):
+        _poisson(0, 0.5)
+
+
+def test_config_rate_is_q_or_batch_fraction():
+    assert _poisson(10, 0.25).rate == 0.25
+    assert _fixed(10_000, 100).rate == pytest.approx(0.01, rel=1e-15)
+    assert _disjoint(40, 10).rate == 0.25
 
 
 def test_policy_mismatch_rejected():
@@ -67,7 +77,7 @@ def test_policy_mismatch_rejected():
 def test_poisson_q_one_takes_everything():
     for r in range(5):
         s = poisson_sample(_poisson(37, 1.0), r)
-        assert s.indices == tuple(range(37))
+        assert np.array_equal(s.indices, np.arange(37))
 
 
 def test_poisson_mean_size():
@@ -111,7 +121,7 @@ def test_poisson_size_confidential():
 
 def test_fixed_full_batch_is_everything():
     s = fixed_size_sample(_fixed(12, 12), 0)
-    assert s.indices == tuple(range(12))
+    assert np.array_equal(s.indices, np.arange(12))
 
 
 def test_fixed_no_duplicates_and_size():
@@ -201,15 +211,60 @@ def test_same_seed_same_sample():
     for cfg in (_poisson(64, 0.25), _fixed(64, 9)):
         a = draw_sample(cfg, 5)
         b = draw_sample(cfg, 5)
-        assert a.indices == b.indices
+        assert np.array_equal(a.indices, b.indices)
         c = draw_sample(cfg, 6)
-        assert a.indices != c.indices
+        assert not np.array_equal(a.indices, c.indices)
 
 
 def test_different_seed_different_sample():
     a = poisson_sample(_poisson(64, 0.25, seed=b"sampling-seed-0a"), 0)
     b = poisson_sample(_poisson(64, 0.25, seed=b"sampling-seed-0b"), 0)
-    assert a.indices != b.indices
+    assert not np.array_equal(a.indices, b.indices)
+
+
+def _index_digest(samples) -> str:
+    digest = hashlib.sha256()
+    for sample in samples:
+        digest.update(np.asarray(sample.indices, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def test_samplers_known_answers():
+    # sha256 of the little-endian int64 index bytes, round after round:
+    # the same seed must give the same samples on every platform and
+    # every later version of the samplers.
+    seed = b"known-answer-smp"
+    poisson = SamplerConfig(
+        policy=SamplingPolicy.POISSON_IID, n=1000, seed=seed, q=0.05
+    )
+    fixed = SamplerConfig(
+        policy=SamplingPolicy.FIXED_SIZE_WOR, n=1000, seed=seed, batch_size=40
+    )
+    disjoint = SamplerConfig(
+        policy=SamplingPolicy.DISJOINT_PARTITION, n=103, seed=seed, batch_size=20
+    )
+    assert _index_digest(poisson_sample(poisson, r) for r in range(3)) == (
+        "bc50ff84751e7684e51d54bab488c07d48c474b4f7499e3ddec9186fac294114"
+    )
+    assert _index_digest(fixed_size_sample(fixed, r) for r in range(3)) == (
+        "a57641bb1ad016fd485a787cd9568bbd083546fff001521b2fe625c33c769f67"
+    )
+    epochs = (b for e in range(2) for b in partition_epoch(disjoint, e))
+    assert _index_digest(epochs) == (
+        "706362f2daf11af7b2eb69414e4341c6599c3d78f319fc90f26927b0924ca7d5"
+    )
+
+
+def test_indices_are_read_only_int64():
+    for sample in (
+        poisson_sample(_poisson(64, 0.25), 0),
+        fixed_size_sample(_fixed(64, 9), 0),
+        partition_epoch(_disjoint(64, 9), 0)[0],
+    ):
+        assert sample.indices.dtype == np.int64
+        assert np.all(np.diff(sample.indices) > 0)
+        with pytest.raises(ValueError):
+            sample.indices[0] = 1
 
 
 def test_draw_sample_dispatch():
@@ -224,38 +279,29 @@ def test_draw_sample_dispatch():
 
 
 def test_support_poisson():
-    sup = policy_accounting_support("poisson_iid", 0.01)
+    sup = policy_accounting_support("poisson_iid")
     assert sup.supported
-    assert sup.q_equivalent == 0.01
     assert sup.caveat is None
 
 
 def test_support_fixed_wor_caveated():
-    sup = accounting_support(_fixed(10_000, 100))
+    sup = policy_accounting_support(SamplingPolicy.FIXED_SIZE_WOR)
     assert sup.supported
-    assert sup.q_equivalent == pytest.approx(0.01, rel=1e-15)
     assert sup.caveat  # approximation flagged, not silent
 
 
 def test_support_fixed_wor_can_be_disabled():
-    cfg = SamplerConfig(
-        policy=SamplingPolicy.FIXED_SIZE_WOR,
-        n=10_000,
-        seed=SEED,
-        batch_size=100,
-        wor_poisson_accounting=False,
-    )
-    sup = accounting_support(cfg)
+    sup = policy_accounting_support(SamplingPolicy.FIXED_SIZE_WOR, wor_as_poisson=False)
     assert not sup.supported
     assert sup.reason
 
 
 def test_support_disjoint_refused():
-    sup = accounting_support(_disjoint(100, 10))
+    sup = policy_accounting_support(SamplingPolicy.DISJOINT_PARTITION)
     assert not sup.supported
     assert "disjoint" in sup.reason
 
 
 def test_support_unknown_tag():
-    sup = policy_accounting_support("made_up_policy", 0.5)
+    sup = policy_accounting_support("made_up_policy")
     assert not sup.supported

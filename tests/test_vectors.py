@@ -9,12 +9,10 @@ from dpledger import (
     Mechanism,
     PrivacyTuple,
     RecordVectors,
+    RoundContext,
+    SecureStream,
     clip_to_norm,
-    concat_norm,
-    l2_norm,
-    scale_group,
-    unscale_group,
-    validate_partition,
+    joint_group_query,
 )
 
 
@@ -24,7 +22,7 @@ from dpledger import (
 def test_clip_shrinks_to_bound():
     out = clip_to_norm([3.0, 4.0], 1.0)
     assert out == pytest.approx([0.6, 0.8], rel=1e-12)
-    assert l2_norm(out) <= 1.0 + 1e-12
+    assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
 def test_clip_identity_below_bound():
@@ -49,7 +47,7 @@ def test_clip_norm_bound_randomized():
     for d in dims:
         v = rng.normal(size=int(d)) * 10.0 ** rng.uniform(-6, 6)
         s = 10.0 ** rng.uniform(-3, 3)
-        assert l2_norm(clip_to_norm(v, s)) <= s * (1.0 + 1e-12)
+        assert np.linalg.norm(clip_to_norm(v, s)) <= s * (1.0 + 1e-12)
 
 
 def test_clip_positive_homogeneity():
@@ -82,46 +80,45 @@ def test_clip_output_not_writeable():
         out[0] = 0.0
 
 
-# ------------------------------------------------------- norms and scaling
+# -------------------------------------------------------------- joint scales
 
 
-def test_concat_norm_matches_concatenation_exactly():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        vs = [rng.normal(size=rng.integers(1, 10)) for _ in range(rng.integers(1, 5))]
-        assert concat_norm(vs) == l2_norm(np.concatenate(vs))
-
-
-def test_concat_norm_empty_rejected():
-    with pytest.raises(ValueError):
-        concat_norm([])
+def _joint_estimates(vs, scales, clip_s):
+    """Zero-noise joint query on one record with q * n = 1."""
+    names = tuple(f"v{j}" for j in range(len(vs)))
+    spec = GroupSpec(
+        member_names=names,
+        mechanism=Mechanism.JOINT,
+        clip_s=clip_s,
+        noise_sigma=0.0,
+        joint_scales=tuple(scales),
+    )
+    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+    stream = SecureStream(b"vectors-tests-00", "noise", 0)
+    batch = {name: np.asarray(v)[None, :] for name, v in zip(names, vs)}
+    return joint_group_query(batch, spec, ctx, stream).estimates
 
 
 def test_scale_then_clip_norm_at_most_sqrt_k():
     # Scaling each member by its own norm puts every piece on the unit
-    # sphere, so the concatenation has norm exactly sqrt(k).
+    # sphere, so the scaled concatenation has norm sqrt(k): the joint clip
+    # at sqrt(k) does not bind, and the estimate is the record itself.
     rng = np.random.default_rng(19)
     for k in (1, 2, 5):
         vs = [rng.normal(size=4) + 0.1 for _ in range(k)]
-        alphas = [l2_norm(v) for v in vs]
-        scaled = scale_group(vs, alphas)
-        assert concat_norm(scaled) == pytest.approx(math.sqrt(k), rel=1e-12)
+        alphas = [float(np.linalg.norm(v)) for v in vs]
+        for v, est in zip(vs, _joint_estimates(vs, alphas, math.sqrt(k))):
+            assert np.allclose(est, v, rtol=1e-12, atol=0.0)
 
 
 def test_scale_unscale_roundtrip():
+    # the joint query divides member j by alphas[j] before the clip and
+    # multiplies the estimate back afterwards
     rng = np.random.default_rng(23)
-    vs = [rng.normal(size=3), rng.normal(size=5)]
-    alphas = [2.0, 0.25]
-    back = unscale_group(scale_group(vs, alphas), alphas)
+    vs = [0.1 * rng.normal(size=3), 0.01 * rng.normal(size=5)]
+    back = _joint_estimates(vs, [2.0, 0.25], 1.0)
     for v, b in zip(vs, back):
         assert np.allclose(v, b, rtol=1e-15)
-
-
-def test_scale_group_validates():
-    with pytest.raises(ValueError):
-        scale_group([[1.0]], [0.0])
-    with pytest.raises(ValueError):
-        scale_group([[1.0], [2.0]], [1.0])  # arity mismatch
 
 
 # ------------------------------------------------------------ record type
@@ -129,9 +126,6 @@ def test_scale_group_validates():
 
 def test_record_vectors_basics():
     rec = RecordVectors([("w", [1.0, 2.0]), ("b", [3.0])])
-    assert rec.names == ("w", "b")
-    assert rec.dims() == {"w": 2, "b": 1}
-    assert rec.total_dim == 3
     assert np.array_equal(rec.get("w"), [1.0, 2.0])
     with pytest.raises(KeyError):
         rec.get("missing")
@@ -226,14 +220,14 @@ def test_partition_disjointness():
     g1 = GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0)
     g2 = GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="other")
     with pytest.raises(ValueError):
-        GroupPartition(groups=(g1, g2), total_dim=2)
+        GroupPartition(groups=(g1, g2))
 
 
 def test_partition_duplicate_group_names():
     g1 = GroupSpec(member_names=("a",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="g")
     g2 = GroupSpec(member_names=("b",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="g")
     with pytest.raises(ValueError):
-        GroupPartition(groups=(g1, g2), total_dim=2)
+        GroupPartition(groups=(g1, g2))
 
 
 def test_privacy_tuple_validation():
@@ -244,26 +238,3 @@ def test_privacy_tuple_validation():
     with pytest.raises(ValueError):
         PrivacyTuple(clip_s=1.0, sigma_sum=-1.0)
 
-
-def test_validate_partition_reports_each_violation():
-    g_w = GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0)
-    part = GroupPartition(groups=(g_w,), total_dim=2)
-    rec = RecordVectors([("w", [1.0, 2.0]), ("stray", [0.0])])
-    report = validate_partition(part, rec)
-    assert not report.ok
-    assert any("unassigned" in v for v in report.violations)
-
-    ok_rec = RecordVectors([("w", [1.0, 2.0])])
-    assert validate_partition(part, ok_rec).ok
-
-    short_rec = RecordVectors([("w", [1.0])])
-    report = validate_partition(part, short_rec)
-    assert any("total_dim" in v for v in report.violations)
-
-
-def test_validate_partition_missing_member():
-    g = GroupSpec(member_names=("w", "b"), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0)
-    part = GroupPartition(groups=(g,), total_dim=3)
-    rec = RecordVectors([("w", [1.0, 2.0])])
-    report = validate_partition(part, rec)
-    assert any("not in record" in v for v in report.violations)
