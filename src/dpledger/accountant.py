@@ -294,7 +294,7 @@ def account_ledger(
             )
         if support.caveat and support.caveat not in caveats:
             caveats.append(support.caveat)
-        if row.insecure or row.effective is None:
+        if row.effective is None:
             profiles.append(RdpProfile.diverged(grid))
             if _INSECURE_CAVEAT not in caveats:
                 caveats.append(_INSECURE_CAVEAT)

@@ -34,6 +34,7 @@ from .prng import SecureStream, coerce_seed
 from .sampling import (
     SamplerConfig,
     SamplingPolicy,
+    _check_round,
     draw_sample,
     partition_epoch,
 )
@@ -154,6 +155,7 @@ def sigmas_for_target_z(
     """Per-average sigmas that make one round's effective multiplier
     exactly target_z: the proportional allocation's sum-level sigmas
     z * sqrt(G) * S_g, divided by q * n."""
+    _check_round(q, n)
     # Proportional allocation does not read the dimensions; 1 stands in.
     req = AllocationRequest(
         target_z=target_z,

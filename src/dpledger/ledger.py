@@ -4,19 +4,22 @@ The ledger is the trust boundary between training and accounting: training
 appends one sample event per round (policy, q, n) and one sum-query event
 per group query (clip_s, sigma_sum), and the accountant later recomputes
 the guarantee from those events alone. Events are never mutated or
-removed; rounds carry strictly increasing ids.
+removed; round ids run 0, 1, 2, ... with no gaps.
 
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
 in memory, not approximate it. The parser reads back only the spellings
-serialize writes, so serialize(deserialize(b)) == b or the parse fails.
+serialize writes, so serialize(deserialize(b)) == b or the parse fails,
+and it rebuilds the ledger by replaying each line through the Ledger
+methods, so a file obeys the same round bracketing as a live run.
 Appending events to a ledger appends lines to its serialization, so the
 old file is always a byte prefix of the new.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +34,15 @@ from .sampling import _check_round
 from .vectors import PrivacyTuple, _check_name
 
 _HEADER = b"dpledger ledger v1\n"
+
+# One event per line. Integers are canonical (0 or no leading zero, sign or
+# underscore); names and floats are single tokens that the event checks and
+# _parse_float hold to the spelling serialize writes.
+_INT = r"(0|[1-9][0-9]*)"
+_EVENT_LINE = re.compile(
+    rf"sample round={_INT} policy=(\S+) q=(\S+) n={_INT}"
+    rf"|sum round={_INT} group=(\S+) clip=(\S+) sigma_sum=(\S+)"
+)
 
 
 @dataclass(frozen=True)
@@ -74,65 +86,53 @@ class RoundQuery:
 
     round_id: int
     q: float
-    n: int
     policy_tag: str
     effective: EffectiveQuery | None
-    insecure: bool
 
 
 class Ledger:
-    """In-memory event log with explicit round bracketing.
+    """In-memory log of rounds, each a sample event and its sum queries.
 
-    record_sample opens a round and assigns its id; record_sum_query
-    appends to the open round; close_round seals it. Opening a new round
-    while one is open is a usage error here (the file parser is more
-    lenient, treating the next sample line as an implicit close, so files
-    written by simpler producers still load).
+    This is the one definition of round bracketing: record_sample opens
+    round len(rounds) and returns that id; record_sum_query appends to the
+    open round; close_round seals it. Opening a round while one is open,
+    or querying with none open, is a usage error. deserialize replays a
+    file through these methods, treating each sample line as closing the
+    round before it.
     """
 
     def __init__(self):
-        self._events: list[SampleEvent | SumQueryEvent] = []
-        self._open_round: int | None = None
-        self._next_round: int = 0
-
-    @classmethod
-    def _restore(cls, events) -> "Ledger":
-        """Rebuild from already-validated events, all rounds closed."""
-        ledger = cls()
-        ledger._events = list(events)
-        rounds = [ev.round_id for ev in ledger._events]
-        ledger._next_round = max(rounds) + 1 if rounds else 0
-        return ledger
-
-    @property
-    def events(self) -> tuple[SampleEvent | SumQueryEvent, ...]:
-        return tuple(self._events)
+        self._rounds: list[tuple[SampleEvent, list[SumQueryEvent]]] = []
+        self._open = False
 
     @property
     def open_round(self) -> int | None:
-        return self._open_round
+        return len(self._rounds) - 1 if self._open else None
 
     def record_sample(self, q: float, n: int, policy_tag: str) -> int:
-        if self._open_round is not None:
+        if self._open:
             raise LedgerUsageError(
-                f"round {self._open_round} is still open; close_round() first"
+                f"round {self.open_round} is still open; close_round() first"
             )
-        round_id = self._next_round
-        self._events.append(SampleEvent(round_id=round_id, q=q, n=n, policy_tag=policy_tag))
-        self._open_round = round_id
-        self._next_round = round_id + 1
+        round_id = len(self._rounds)
+        sample = SampleEvent(round_id=round_id, q=q, n=n, policy_tag=policy_tag)
+        self._rounds.append((sample, []))
+        self._open = True
         return round_id
 
     def record_sum_query(
         self, round_id: int, *, clip_s: float, sigma_sum: float, group_name: str
     ) -> None:
-        if self._open_round is None:
-            raise LedgerUsageError("no open round; record_sample() first")
-        if round_id != self._open_round:
+        if not self._open:
             raise LedgerUsageError(
-                f"round {round_id} is not the open round {self._open_round}"
+                "no open round; record_sample() first (a sum query before "
+                "any sample, or after close_round(), belongs to no round)"
             )
-        self._events.append(
+        if round_id != len(self._rounds) - 1:
+            raise LedgerUsageError(
+                f"round {round_id} is not the open round {self.open_round}"
+            )
+        self._rounds[-1][1].append(
             SumQueryEvent(
                 round_id=round_id,
                 group_name=group_name,
@@ -142,27 +142,21 @@ class Ledger:
         )
 
     def close_round(self) -> None:
-        if self._open_round is None:
+        if not self._open:
             raise LedgerUsageError("no open round to close")
-        self._open_round = None
+        self._open = False
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
-        """Events regrouped by round, in id order."""
-        out: list[tuple[SampleEvent, list[SumQueryEvent]]] = []
-        for ev in self._events:
-            if isinstance(ev, SampleEvent):
-                out.append((ev, []))
-            else:
-                out[-1][1].append(ev)
-        return out
+        """Each round's sample event and sum queries, in id order (a copy)."""
+        return [(sample, list(queries)) for sample, queries in self._rounds]
 
     def insecure_rounds(self) -> tuple[int, ...]:
-        """Ids of rounds with any zero-noise sum query, in first-seen order."""
-        seen: dict[int, None] = {}
-        for ev in self._events:
-            if isinstance(ev, SumQueryEvent) and ev.sigma_sum == 0.0:
-                seen[ev.round_id] = None
-        return tuple(seen)
+        """Ids of rounds with any zero-noise sum query, in id order."""
+        return tuple(
+            sample.round_id
+            for sample, queries in self._rounds
+            if any(ev.sigma_sum == 0.0 for ev in queries)
+        )
 
 
 def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[RoundQuery]:
@@ -189,16 +183,15 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
             f"test-mode ledgers"
         )
     out: list[RoundQuery] = []
-    for sample, queries in ledger.rounds():
+    for sample, queries in ledger._rounds:
         if not queries:
             warnings.warn(
                 f"round {sample.round_id} recorded no sum queries; dropping it",
                 stacklevel=2,
             )
             continue
-        tainted = any(ev.sigma_sum == 0.0 for ev in queries)
         effective = None
-        if not tainted:
+        if all(ev.sigma_sum != 0.0 for ev in queries):
             try:
                 effective = round_compose(queries)
             except ValueError as exc:
@@ -207,10 +200,8 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
             RoundQuery(
                 round_id=sample.round_id,
                 q=sample.q,
-                n=sample.n,
                 policy_tag=sample.policy_tag,
                 effective=effective,
-                insecure=tainted,
             )
         )
     return out
@@ -220,28 +211,16 @@ def _fmt_float(x: float) -> str:
     return float(x).hex()
 
 
-def _parse_float(text: str, line_no: int, field: str) -> float:
+def _parse_float(text: str, field: str) -> float:
     """Only the spelling serialize writes, float.hex(): float.fromhex also
-    takes 0x1p-1, 1.0 or a trailing tab, which would not round-trip."""
+    takes 0x1p-1 or 1.0, which would not round-trip."""
     try:
         value = float.fromhex(text)
         if value.hex() == text:
             return value
     except ValueError:
         pass
-    raise LedgerParseError(
-        f"field {field}={text!r} is not a canonical hex float", line=line_no
-    )
-
-
-def _parse_int(text: str, line_no: int, field: str) -> int:
-    """Only the canonical spelling serialize writes: 0 or [1-9][0-9]* (the
-    text is ASCII, so isdigit means [0-9]+)."""
-    if not text.isdigit() or (text[0] == "0" and text != "0"):
-        raise LedgerParseError(
-            f"field {field}={text!r} is not a canonical integer", line=line_no
-        )
-    return int(text)
+    raise ValueError(f"field {field}={text!r} is not a canonical hex float")
 
 
 def serialize(ledger: Ledger) -> bytes:
@@ -251,13 +230,12 @@ def serialize(ledger: Ledger) -> bytes:
             f"round {ledger.open_round} is still open; close it before serializing"
         )
     lines = [_HEADER.decode()]
-    for ev in ledger.events:
-        if isinstance(ev, SampleEvent):
-            lines.append(
-                f"sample round={ev.round_id} policy={ev.policy_tag} "
-                f"q={_fmt_float(ev.q)} n={ev.n}\n"
-            )
-        else:
+    for sample, queries in ledger._rounds:
+        lines.append(
+            f"sample round={sample.round_id} policy={sample.policy_tag} "
+            f"q={_fmt_float(sample.q)} n={sample.n}\n"
+        )
+        for ev in queries:
             lines.append(
                 f"sum round={ev.round_id} group={ev.group_name} "
                 f"clip={_fmt_float(ev.clip_s)} sigma_sum={_fmt_float(ev.sigma_sum)}\n"
@@ -265,28 +243,15 @@ def serialize(ledger: Ledger) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-def _fields(body: str, expected: tuple[str, ...], line_no: int) -> dict[str, str]:
-    parts = body.split(" ")
-    if len(parts) != len(expected):
-        raise LedgerParseError(
-            f"expected fields {list(expected)}, got {len(parts)} tokens", line=line_no
-        )
-    out = {}
-    for part, key in zip(parts, expected):
-        prefix = key + "="
-        if not part.startswith(prefix):
-            raise LedgerParseError(f"expected {key}=..., got {part!r}", line=line_no)
-        out[key] = part[len(prefix) :]
-    return out
-
-
 def deserialize(data: bytes) -> Ledger:
     """Decode bytes produced by serialize back into an appendable Ledger.
 
-    Every event line must end in a newline; a stream that stops mid-line is
-    reported as truncation rather than silently loaded short. Errors carry
-    1-based line numbers. A sample line implicitly closes the previous
-    round; all rounds are closed at end of input.
+    Lines end in "\\n" only, and the last one too: a stream that stops
+    mid-line is reported as truncation rather than silently loaded short.
+    Each event line is replayed through the Ledger methods: a sample line
+    closes the open round and must carry the next id, so a missing round
+    is refused; a sum line must carry the open round's id. All rounds are
+    closed at end of input. Errors carry 1-based line numbers.
     """
     if not isinstance(data, bytes):
         raise TypeError("deserialize expects bytes")
@@ -301,58 +266,33 @@ def deserialize(data: bytes) -> Ledger:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise LedgerParseError(f"not ascii: {exc}") from None
-    events: list[SampleEvent | SumQueryEvent] = []
-    current_round: int | None = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line_no == 1:
-            continue
-        if not line:
-            raise LedgerParseError("blank line", line=line_no)
-        kind, _, body = line.partition(" ")
+    ledger = Ledger()
+    for line_no, line in enumerate(text.split("\n")[1:-1], start=2):
         try:
-            if kind == "sample":
-                f = _fields(body, ("round", "policy", "q", "n"), line_no)
-                round_id = _parse_int(f["round"], line_no, "round")
-                if current_round is not None and round_id <= current_round:
-                    raise LedgerParseError(
-                        f"round ids must be strictly increasing; "
-                        f"{round_id} after {current_round}",
-                        line=line_no,
-                    )
-                events.append(
-                    SampleEvent(
-                        round_id=round_id,
-                        q=_parse_float(f["q"], line_no, "q"),
-                        n=_parse_int(f["n"], line_no, "n"),
-                        policy_tag=f["policy"],
-                    )
+            match = _EVENT_LINE.fullmatch(line)
+            if match is None:
+                raise ValueError(f"not a sample or sum event line: {line!r}")
+            round_id, policy, q, n, sum_round, group, clip, sigma_sum = match.groups()
+            if round_id is not None:
+                if ledger.open_round is not None:
+                    ledger.close_round()
+                expected = ledger.record_sample(
+                    q=_parse_float(q, "q"), n=int(n), policy_tag=policy
                 )
-                current_round = round_id
-            elif kind == "sum":
-                f = _fields(body, ("round", "group", "clip", "sigma_sum"), line_no)
-                round_id = _parse_int(f["round"], line_no, "round")
-                if current_round is None:
-                    raise LedgerParseError(
-                        "sum event before any sample event", line=line_no
+                if int(round_id) != expected:
+                    raise ValueError(
+                        f"round ids must be strictly increasing from 0 with no "
+                        f"gaps; round {round_id} where {expected} is next"
                     )
-                if round_id != current_round:
-                    raise LedgerParseError(
-                        f"sum event for round {round_id} inside round "
-                        f"{current_round}",
-                        line=line_no,
-                    )
-                events.append(
-                    SumQueryEvent(
-                        round_id=round_id,
-                        group_name=f["group"],
-                        clip_s=_parse_float(f["clip"], line_no, "clip"),
-                        sigma_sum=_parse_float(f["sigma_sum"], line_no, "sigma_sum"),
-                    )
-                )
             else:
-                raise LedgerParseError(f"unknown event kind {kind!r}", line=line_no)
+                ledger.record_sum_query(
+                    int(sum_round),
+                    clip_s=_parse_float(clip, "clip"),
+                    sigma_sum=_parse_float(sigma_sum, "sigma_sum"),
+                    group_name=group,
+                )
         except (ValueError, LedgerUsageError) as exc:
-            if isinstance(exc, LedgerParseError):
-                raise
             raise LedgerParseError(str(exc), line=line_no) from None
-    return Ledger._restore(events)
+    if ledger.open_round is not None:
+        ledger.close_round()
+    return ledger

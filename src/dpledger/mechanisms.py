@@ -264,7 +264,10 @@ def round_compose(tuples) -> EffectiveQuery:
             raise InfiniteSensitivityError(
                 "a zero-noise query has unbounded equivalent sensitivity"
             )
-        acc += (t.clip_s / t.sigma_sum) ** 2
+        try:
+            acc += (t.clip_s / t.sigma_sum) ** 2
+        except OverflowError:  # float ** raises where * would give inf
+            acc = math.inf
     return EffectiveQuery(s_star=math.sqrt(acc))
 
 

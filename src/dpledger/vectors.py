@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_NAME_OK = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-/"
-)
+_NAME = re.compile(r"[A-Za-z0-9_.+/-]+")
 
 
 def _check_name(name: str, what: str) -> None:
-    if not name or not set(name) <= _NAME_OK:
+    if not (isinstance(name, str) and _NAME.fullmatch(name)):
         raise ValueError(
             f"{what} {name!r} must be nonempty and use only [A-Za-z0-9_.+-/]"
         )

@@ -141,6 +141,20 @@ def test_account_refuses_sensitivity_overflow(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_account_refuses_ledger_with_a_round_deleted(tmp_path, capsys):
+    lines = GOLDEN.read_bytes().split(b"\n")
+    second = next(i for i, ln in enumerate(lines) if ln.startswith(b"sample round=1 "))
+    third = next(i for i, ln in enumerate(lines) if ln.startswith(b"sample round=2 "))
+    path = tmp_path / "cut.txt"
+    path.write_bytes(b"\n".join(lines[:second] + lines[third:]))
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"line {second + 1}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_insecure_train_refused_by_account(tmp_path, capsys):
     code, out = _train(tmp_path, "--insecure-no-noise")
     assert code == 0

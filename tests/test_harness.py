@@ -181,6 +181,12 @@ def test_sigmas_for_target_z_round_trip():
         sigmas_for_target_z(1.0, (), 0.05, 400)
 
 
+@pytest.mark.parametrize("q, n", [(0.0, 400), (0.05, 0), (-0.5, 400), (1.5, 400)])
+def test_sigmas_for_target_z_checks_q_and_n(q, n):
+    with pytest.raises(ValueError):
+        sigmas_for_target_z(1.0, (1.0,), q, n)
+
+
 # ------------------------------------------------------------------- config
 
 

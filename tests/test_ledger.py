@@ -44,9 +44,9 @@ def test_nested_round_is_a_usage_error():
 def test_sum_query_appends():
     led = Ledger()
     rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
-    before = len(led.events)
     led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name="g")
-    assert len(led.events) == before + 1
+    ((sample, sums),) = led.rounds()
+    assert [(e.round_id, e.group_name) for e in sums] == [(rid, "g")]
 
 
 def test_sum_query_requires_open_round():
@@ -143,7 +143,6 @@ def test_formal_refuses_insecure_by_default():
     with pytest.raises(InsecureLedgerError):
         formal_ledger(led)
     rows = formal_ledger(led, allow_insecure=True)
-    assert rows[0].insecure
     assert rows[0].effective is None
 
 
@@ -295,6 +294,45 @@ def test_noncanonical_floats_rejected(field, line, token):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("line", [2, 3])
+@pytest.mark.parametrize("ending", [b"\r\n", b"\x0c\n", b"\x1e\n"])
+def test_noncanonical_line_endings_rejected(line, ending):
+    lines = _CANONICAL_SUM.split(b"\n")
+    lines[line - 1] += ending[:-1]
+    bad = b"\n".join(lines)
+    with pytest.raises(LedgerParseError) as exc:
+        deserialize(bad)
+    assert exc.value.line == line
+
+
+def _three_rounds():
+    led = Ledger()
+    for q in (0.01, 0.02, 0.03):
+        rid = led.record_sample(q=q, n=10_000, policy_tag="poisson_iid")
+        for g in ("a", "b", "c"):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=g)
+        led.close_round()
+    return serialize(led)
+
+
+def test_deleted_middle_round_is_refused():
+    lines = _three_rounds().split(b"\n")
+    # header, then 4 lines per round: round 1 is lines 6-9
+    cut = b"\n".join(lines[:5] + lines[9:])
+    with pytest.raises(LedgerParseError) as exc:
+        deserialize(cut)
+    assert exc.value.line == 6
+    assert "strictly increasing" in str(exc.value)
+
+
+def test_sum_for_another_round_is_refused():
+    data = _three_rounds().replace(b"sum round=1 group=b", b"sum round=0 group=b")
+    with pytest.raises(LedgerParseError) as exc:
+        deserialize(data)
+    assert exc.value.line == 8
+    assert "not the open round 1" in str(exc.value)
+
+
 def test_insecure_rounds_first_seen_order_without_repeats():
     led = Ledger()
     for sigmas in ((1.0,), (0.0, 0.0), (1.0, 0.0), (0.0,)):
@@ -315,10 +353,14 @@ def test_formal_refuses_sensitivity_out_of_range():
 
 
 def test_sum_before_sample_rejected():
-    bad = b"dpledger ledger v1\nsum round=0 group=g clip=0x1p+0 sigma_sum=0x1p+0\n"
+    bad = (
+        b"dpledger ledger v1\n"
+        b"sum round=0 group=g clip=0x1.0000000000000p+0 sigma_sum=0x1.0000000000000p+0\n"
+    )
     with pytest.raises(LedgerParseError) as exc:
         deserialize(bad)
     assert "before any sample" in str(exc.value)
+    assert exc.value.line == 2
 
 
 def test_round_ids_must_increase():

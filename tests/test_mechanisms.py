@@ -284,6 +284,9 @@ def test_round_compose_rejects_s_star_out_of_range():
         round_compose([PrivacyTuple(1.0, 2.0**-1074)])
     with pytest.raises(ValueError):
         round_compose([PrivacyTuple(2.0**-1074, 1e300)])
+    # a finite ratio whose square overflows (float ** raises OverflowError)
+    with pytest.raises(ValueError):
+        round_compose([PrivacyTuple(1e155, 1.0)])
 
 
 # -------------------------------------------------------- microbatch_reduce
