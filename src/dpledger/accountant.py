@@ -7,9 +7,10 @@ exactly into a binomial sum,
 
     A_lam = sum_{k=0..lam} C(lam, k) (1-q)^(lam-k) q^k exp(k (k-1) / (2 z^2)),
 
-evaluated here entirely in log space; non-integer orders fall back to
-numerical integration of the defining expectation. Costs add across
-rounds order-by-order, and the classic conversion
+evaluated here entirely in log space. Only integer orders are accepted,
+so every per-round value is this finite sum and no step of the
+computation is a numerical approximation with an unchecked error. Costs
+add across rounds order-by-order, and the classic conversion
 eps = min_lam [ RDP(lam) + log(1/delta) / (lam - 1) ] turns the composed
 profile into an (eps, delta) guarantee. The conversion is deliberately
 the textbook one; sharper conversions exist but are out of scope, and the
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
 from .errors import CalibrationError, UnsupportedPolicyError
@@ -42,10 +42,19 @@ _DEFAULT_ORDERS = tuple(float(k) for k in range(2, 65)) + (
     512.0,
 )
 
+# The binomial sum at order lam holds lam + 1 terms; 2**16 keeps each
+# table at 0.5 MB, far above the default grid's largest order.
+_MAX_ORDER = 2**16
+
 
 @dataclass(frozen=True)
 class OrderGrid:
-    """Strictly ascending Renyi orders, all above 1."""
+    """Strictly ascending integer Renyi orders in [2, _MAX_ORDER].
+
+    Orders are stored as floats (an achieving order prints as 9.0), but
+    each must be an integer, since the accountant evaluates the moment
+    only as its exact binomial sum.
+    """
 
     orders: tuple[float, ...]
 
@@ -54,8 +63,10 @@ class OrderGrid:
         if not orders:
             raise ValueError("order grid must be nonempty")
         for o in orders:
-            if not (math.isfinite(o) and o > 1.0):
-                raise ValueError(f"orders must be finite and > 1, got {o}")
+            if not (o.is_integer() and 2.0 <= o <= _MAX_ORDER):
+                raise ValueError(
+                    f"orders must be integers in [2, {_MAX_ORDER}], got {o}"
+                )
         if any(b <= a for a, b in zip(orders, orders[1:])):
             raise ValueError("orders must be strictly ascending")
         object.__setattr__(self, "orders", orders)
@@ -126,61 +137,18 @@ def _rdp_integer_order(q: float, z: float, lam: int) -> float:
     return max(0.0, log_a / (lam - 1.0))
 
 
-def _rdp_real_order(q: float, z: float, lam: float) -> float:
-    """Numerical integration of the forward moment for non-integer orders.
-
-    The integrand mu0(x) (mu(x)/mu0(x))^lam is evaluated in log space with
-    its maximum factored out before quadrature, since the raw moment
-    overflows float64 long before the RDP value does.
-    """
-    log_q = math.log(q)
-    log_1mq = math.log1p(-q)
-    inv_2zz = 1.0 / (2.0 * z * z)
-    norm = -math.log(z) - 0.5 * math.log(2.0 * math.pi)
-
-    def log_f(x):
-        x = np.asarray(x, dtype=np.float64)
-        ratio = np.logaddexp(log_1mq, log_q + (2.0 * x - 1.0) * inv_2zz)
-        return norm - x * x * inv_2zz + lam * ratio
-
-    lo = -12.0 * z
-    hi = lam + 12.0 * z
-    xs = np.linspace(lo, hi, 8193)
-    vals = log_f(xs)
-    peak = float(np.max(vals))
-    if not math.isfinite(peak):
-        return math.inf
-    breaks = [float(k) for k in np.arange(1.0, math.ceil(lam))] or None
-    with np.errstate(over="ignore"):
-        area, _ = integrate.quad(
-            lambda x: math.exp(min(log_f(float(x)) - peak, 700.0)),
-            lo,
-            hi,
-            points=breaks,
-            limit=800,
-            epsabs=1e-14,
-            epsrel=1e-12,
-        )
-    log_a = peak + math.log(area)
-    return max(0.0, log_a / (lam - 1.0))
-
-
 @functools.lru_cache(maxsize=16384)
 def _rdp_step_cached(q: float, z: float, grid: OrderGrid) -> RdpProfile:
-    values = []
-    for lam in grid.orders:
-        if float(lam).is_integer():
-            values.append(_rdp_integer_order(q, z, int(lam)))
-        else:
-            values.append(_rdp_real_order(q, z, lam))
-    return RdpProfile(grid=grid, values=tuple(values))
+    values = tuple(_rdp_integer_order(q, z, int(lam)) for lam in grid.orders)
+    return RdpProfile(grid=grid, values=values)
 
 
 def rdp_step(q: float, z: float, grid: OrderGrid | None = None) -> RdpProfile:
     """RDP cost of one round sampled at rate q with noise multiplier z.
 
     q = 0 touches no records and costs nothing; q = 1 is the plain Gaussian
-    mechanism, costing exactly lam / (2 z^2) at every order.
+    mechanism, costing exactly lam / (2 z^2) at every order. A z so small
+    that z^2 underflows to 0 gives the diverged profile at every q > 0.
     """
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must be in [0, 1], got {q}")
@@ -189,6 +157,8 @@ def rdp_step(q: float, z: float, grid: OrderGrid | None = None) -> RdpProfile:
     grid = grid or OrderGrid.default()
     if q == 0.0:
         return RdpProfile.zero(grid)
+    if z * z == 0.0:
+        return RdpProfile.diverged(grid)
     if q == 1.0:
         return RdpProfile(
             grid=grid, values=tuple(lam / (2.0 * z * z) for lam in grid.orders)
@@ -376,8 +346,8 @@ def calibrate(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")

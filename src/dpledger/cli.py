@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--orders",
         type=_parse_orders,
         default=None,
-        help="comma-separated Renyi orders (default: built-in grid)",
+        help="comma-separated integer Renyi orders ≥ 2 (default: built-in grid)",
     )
     p_account.add_argument(
         "--allow-insecure",

@@ -102,17 +102,6 @@ def log_reverse_moment(q: float, z: float, lam: float) -> float:
     return _integrate_log(g, lo, hi, seeds)
 
 
-def rdp_oracle(q: float, z: float, lam: float) -> float:
-    """Renyi-DP bound of one subsampled Gaussian step, by quadrature."""
-    if q == 0.0:
-        return 0.0
-    fwd = log_forward_moment(q, z, lam)
-    if q == 1.0:
-        return fwd / (lam - 1.0)
-    rev = log_reverse_moment(q, z, lam)
-    return max(fwd, rev) / (lam - 1.0)
-
-
 def epsilon_from_rdp(orders, values, delta: float) -> tuple[float, float]:
     """Classic RDP-to-DP conversion done longhand: min over the grid of
     value + log(1/delta)/(order - 1). Returns (epsilon, achieving order)."""

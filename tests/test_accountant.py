@@ -1,9 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-import oracles
 from dpledger import (
     CalibrationError,
     InsecureLedgerError,
@@ -20,6 +20,7 @@ from dpledger import (
     epsilon_at_delta,
     rdp_step,
 )
+from dpledger.accountant import _MAX_ORDER
 
 DELTA = 1e-5
 
@@ -53,6 +54,15 @@ def test_order_grid_validation():
         OrderGrid((3.0, 2.0))
     with pytest.raises(ValueError):
         OrderGrid((2.0, 2.0))
+
+
+def test_order_grid_refuses_non_integer_and_oversized_orders():
+    # the accountant evaluates only the exact integer-order binomial sum,
+    # whose table at order lam holds lam + 1 terms
+    for orders in ((2.5,), (2.0, 3.5), (1.0000001,), (_MAX_ORDER + 1.0,), (1e12,)):
+        with pytest.raises(ValueError):
+            OrderGrid(orders)
+    assert OrderGrid((2.0, float(_MAX_ORDER))).orders == (2.0, float(_MAX_ORDER))
 
 
 def test_profile_validation():
@@ -90,12 +100,13 @@ def test_rdp_step_matches_oracle_spot(oracle_table):
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_rdp_step_non_integer_orders_match_oracle():
-    grid = OrderGrid((2.5, 3.5))
-    profile = rdp_step(0.1, 1.0, grid)
-    for lam, got in zip(grid.orders, profile.values):
-        want = oracles.rdp_oracle(0.1, 1.0, lam)
-        assert got == pytest.approx(want, rel=1e-6)
+def test_rdp_step_vanishing_z_diverges_without_warning():
+    # z^2 underflows to 0: no finite guarantee, and no division warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.5, 1.0):
+            profile = rdp_step(q, 1e-200)
+            assert all(math.isinf(v) for v in profile.values)
 
 
 def test_forward_moment_dominates_reverse(oracle_table):
@@ -427,3 +438,14 @@ def test_calibrate_validation():
         calibrate(
             -1.0, DELTA, rounds=10, knob=Knob.NOISE_MULTIPLIER, q=0.01, bounds=(0.5, 4.0)
         )
+    for tolerance in (math.inf, math.nan):  # inf would return lo unbisected
+        with pytest.raises(ValueError):
+            calibrate(
+                2.0,
+                DELTA,
+                rounds=1000,
+                knob=Knob.NOISE_MULTIPLIER,
+                q=0.01,
+                bounds=(0.5, 4.0),
+                tolerance=tolerance,
+            )

@@ -86,9 +86,12 @@ def test_account_custom_orders(capsys):
 
 
 def test_account_bad_orders_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["account", "--ledger", str(GOLDEN), "--delta", "1e-5", "--orders", "1,0.5"])
-    assert exc.value.code == 2
+    for orders in ("1,0.5", "2.5", "2,3.5", "1e12"):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["account", "--ledger", str(GOLDEN), "--delta", "1e-5", "--orders", orders]
+            )
+        assert exc.value.code == 2, orders
 
 
 # --------------------------------------------------------------------- train
@@ -288,6 +291,19 @@ def test_calibrate_infeasible_prints_bracket(capsys):
     err = capsys.readouterr().err
     assert "infeasible" in err
     assert "eps(0.5) = " in err and "eps(4.0) = " in err
+
+
+def test_calibrate_non_finite_tolerance_is_refused(capsys):
+    for tolerance in ("inf", "nan"):
+        code = main(
+            [
+                "calibrate", "--target-epsilon", "2", "--delta", "1e-5",
+                "--rounds", "1000", "--knob", "z", "--q", "0.01",
+                "--lo", "0.5", "--hi", "4", "--tolerance", tolerance,
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_calibrate_z_requires_q(capsys):
