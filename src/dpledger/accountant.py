@@ -18,11 +18,13 @@ achieving order is reported so a user can audit the minimization.
 
 Everything is deterministic: the same ledger, grid, and delta give
 bit-identical epsilon, whether the ledger came from memory or a file.
+
+With ledger, this is the trusted core; it imports only ledger and errors.
+It decides which policies it can account; calibration is in allocation.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -30,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .errors import CalibrationError, UnsupportedPolicyError
-from .ledger import Ledger, formal_ledger
-from .sampling import policy_accounting_support
+from .errors import UnsupportedPolicyError
+from .ledger import Ledger, SamplingPolicy, formal_ledger
 
 _DEFAULT_ORDERS = tuple(float(k) for k in range(2, 65)) + (
     80.0,
@@ -227,6 +228,44 @@ def epsilon_at_delta(profile: RdpProfile, delta: float) -> PrivacyGuarantee:
     )
 
 
+@dataclass(frozen=True)
+class AccountingSupport:
+    """Whether rounds under a policy can be fed to the accountant, and how."""
+
+    supported: bool
+    caveat: str | None = None
+    reason: str | None = None
+
+
+_WOR_CAVEAT = (
+    "fixed-size sampling without replacement is accounted as Poisson at "
+    "q = batch_size / n; this is a heuristic, not a proven equivalence"
+)
+
+
+def policy_accounting_support(
+    policy: SamplingPolicy | str, *, wor_as_poisson: bool = True
+) -> AccountingSupport:
+    """Accounting stance for a policy tag as found in a ledger."""
+    tag = policy.value if isinstance(policy, SamplingPolicy) else str(policy)
+    if tag == SamplingPolicy.POISSON_IID.value:
+        return AccountingSupport(supported=True)
+    if tag == SamplingPolicy.FIXED_SIZE_WOR.value:
+        if wor_as_poisson:
+            return AccountingSupport(supported=True, caveat=_WOR_CAVEAT)
+        return AccountingSupport(
+            supported=False, reason="poisson-style accounting for fixed-size "
+            "sampling was disabled by configuration"
+        )
+    if tag == SamplingPolicy.DISJOINT_PARTITION.value:
+        return AccountingSupport(
+            supported=False,
+            reason="no supported analysis for disjoint-partition sampling; "
+            "the accountant refuses rather than guessing",
+        )
+    return AccountingSupport(supported=False, reason=f"unknown policy tag {tag!r}")
+
+
 _INSECURE_CAVEAT = (
     "zero-noise round(s) present: the guarantee is vacuous (epsilon = inf)"
 )
@@ -276,130 +315,4 @@ def account_ledger(
         delta=guarantee.delta,
         achieving_order=guarantee.achieving_order,
         caveats=tuple(caveats) + guarantee.caveats,
-    )
-
-
-def baseline_noise_multiplier(epsilon: float, delta: float) -> float:
-    """Single-query Gaussian baseline: the z that makes one sensitivity-S
-    query with noise std z*S satisfy (epsilon, delta)-DP. The closed form's
-    privacy claim is the standard one, meaningful for epsilon below 1;
-    larger epsilon is accepted but the caller owns that interpretation."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def baseline_guarantee(q: float, epsilon: float, delta: float) -> tuple[float, float]:
-    """Subsampling amplification of the baseline: a q-sampled
-    (epsilon, delta)-DP query is (q*epsilon, q*delta)-DP (small-epsilon
-    linearization of the exact amplification bound)."""
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return (q * epsilon, q * delta)
-
-
-class Knob(enum.Enum):
-    """Which parameter calibrate() is allowed to move."""
-
-    SAMPLING_RATE = "sampling_rate"
-    NOISE_MULTIPLIER = "noise_multiplier"
-
-
-def _total_epsilon(
-    q: float, z: float, rounds: int, delta: float, grid: OrderGrid
-) -> float:
-    profile = rdp_step(q, z, grid)
-    total = compose_rdp([profile] * rounds, grid)
-    return epsilon_at_delta(total, delta).epsilon
-
-
-def calibrate(
-    target_epsilon: float,
-    delta: float,
-    *,
-    rounds: int,
-    knob: Knob,
-    q: float | None = None,
-    z: float | None = None,
-    bounds: tuple[float, float],
-    tolerance: float = 1e-3,
-    grid: OrderGrid | None = None,
-    max_iterations: int = 60,
-) -> float:
-    """Bisect the chosen knob until `rounds` identical rounds cost
-    target_epsilon at delta, within tolerance.
-
-    Epsilon grows with q and shrinks with z; both directions are verified
-    at the bounds before bisecting, and a target outside the bracket fails
-    with the epsilon values at both bounds so the caller can see how far
-    off the bracket is.
-    """
-    if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
-        raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds}")
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
-    grid = grid or OrderGrid.default()
-
-    if knob is Knob.SAMPLING_RATE:
-        if z is None or not (math.isfinite(z) and z > 0.0):
-            raise ValueError("calibrating q requires a fixed noise multiplier z > 0")
-        if not (0.0 < lo and hi <= 1.0):
-            raise ValueError(f"q bounds must lie in (0, 1], got {bounds}")
-        evaluate = lambda x: _total_epsilon(x, z, rounds, delta, grid)
-        increasing = True
-    elif knob is Knob.NOISE_MULTIPLIER:
-        if q is None or not (0.0 < q <= 1.0):
-            raise ValueError("calibrating z requires a fixed sampling rate q in (0, 1]")
-        if lo <= 0.0:
-            raise ValueError(f"z bounds must be positive, got {bounds}")
-        evaluate = lambda x: _total_epsilon(q, x, rounds, delta, grid)
-        increasing = False
-    else:
-        raise ValueError(f"unknown knob {knob!r}")
-
-    eps_lo = evaluate(lo)
-    eps_hi = evaluate(hi)
-    if increasing and eps_lo > eps_hi or not increasing and eps_lo < eps_hi:
-        raise CalibrationError(
-            f"epsilon is not monotone over the bounds as expected: "
-            f"eps({lo}) = {eps_lo}, eps({hi}) = {eps_hi}",
-            bracket=(eps_lo, eps_hi),
-        )
-    if abs(eps_lo - target_epsilon) <= tolerance:
-        return lo
-    if abs(eps_hi - target_epsilon) <= tolerance:
-        return hi
-    low_eps, high_eps = min(eps_lo, eps_hi), max(eps_lo, eps_hi)
-    if not low_eps <= target_epsilon <= high_eps:
-        raise CalibrationError(
-            f"target epsilon {target_epsilon} is not bracketed: the bounds "
-            f"reach eps({lo}) = {eps_lo} and eps({hi}) = {eps_hi}",
-            bracket=(eps_lo, eps_hi),
-        )
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        eps_mid = evaluate(mid)
-        if abs(eps_mid - target_epsilon) <= tolerance:
-            return mid
-        if (eps_mid < target_epsilon) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    raise CalibrationError(
-        f"no knob value within tolerance {tolerance} of epsilon "
-        f"{target_epsilon} after {max_iterations} bisection steps",
-        bracket=(eps_lo, eps_hi),
     )

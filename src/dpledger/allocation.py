@@ -13,6 +13,9 @@ split_clip_budget is the dual knob: dividing a total sensitivity budget
 into per-group clip bounds. Flat keeps one bound, PerLayer divides by
 sqrt(m), DimFraction weights by sqrt(d_g / D); the latter two conserve
 the sum of squared bounds.
+
+calibrate bisects q or z to a target epsilon. Like the splits, it only
+proposes what gets recorded; the accountant reads the ledger alone.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .mechanisms import round_compose
+from .accountant import OrderGrid, compose_rdp, epsilon_at_delta, rdp_step
+from .errors import CalibrationError
+from .ledger import round_compose
 
 
 class AllocationStrategy(enum.Enum):
@@ -117,3 +122,104 @@ def split_clip_budget(
         total_d = sum(dims)
         return tuple(total_s * math.sqrt(d / total_d) for d in dims)
     raise ValueError(f"unknown split strategy {strategy!r}")
+
+
+class Knob(enum.Enum):
+    """Which parameter calibrate() is allowed to move."""
+
+    SAMPLING_RATE = "sampling_rate"
+    NOISE_MULTIPLIER = "noise_multiplier"
+
+
+def _total_epsilon(
+    q: float, z: float, rounds: int, delta: float, grid: OrderGrid
+) -> float:
+    profile = rdp_step(q, z, grid)
+    total = compose_rdp([profile] * rounds, grid)
+    return epsilon_at_delta(total, delta).epsilon
+
+
+def calibrate(
+    target_epsilon: float,
+    delta: float,
+    *,
+    rounds: int,
+    knob: Knob,
+    q: float | None = None,
+    z: float | None = None,
+    bounds: tuple[float, float],
+    tolerance: float = 1e-3,
+    grid: OrderGrid | None = None,
+    max_iterations: int = 60,
+) -> float:
+    """Bisect the chosen knob until `rounds` identical rounds cost
+    target_epsilon at delta, within tolerance.
+
+    Epsilon grows with q and shrinks with z; both directions are verified
+    at the bounds before bisecting, and a target outside the bracket fails
+    with the epsilon values at both bounds so the caller can see how far
+    off the bracket is.
+    """
+    if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
+        raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not lo < hi:
+        raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
+    grid = grid or OrderGrid.default()
+
+    if knob is Knob.SAMPLING_RATE:
+        if z is None or not (math.isfinite(z) and z > 0.0):
+            raise ValueError("calibrating q requires a fixed noise multiplier z > 0")
+        if not (0.0 < lo and hi <= 1.0):
+            raise ValueError(f"q bounds must lie in (0, 1], got {bounds}")
+        evaluate = lambda x: _total_epsilon(x, z, rounds, delta, grid)
+        increasing = True
+    elif knob is Knob.NOISE_MULTIPLIER:
+        if q is None or not (0.0 < q <= 1.0):
+            raise ValueError("calibrating z requires a fixed sampling rate q in (0, 1]")
+        if lo <= 0.0:
+            raise ValueError(f"z bounds must be positive, got {bounds}")
+        evaluate = lambda x: _total_epsilon(q, x, rounds, delta, grid)
+        increasing = False
+    else:
+        raise ValueError(f"unknown knob {knob!r}")
+
+    eps_lo = evaluate(lo)
+    eps_hi = evaluate(hi)
+    if increasing and eps_lo > eps_hi or not increasing and eps_lo < eps_hi:
+        raise CalibrationError(
+            f"epsilon is not monotone over the bounds as expected: "
+            f"eps({lo}) = {eps_lo}, eps({hi}) = {eps_hi}",
+            bracket=(eps_lo, eps_hi),
+        )
+    if abs(eps_lo - target_epsilon) <= tolerance:
+        return lo
+    if abs(eps_hi - target_epsilon) <= tolerance:
+        return hi
+    low_eps, high_eps = min(eps_lo, eps_hi), max(eps_lo, eps_hi)
+    if not low_eps <= target_epsilon <= high_eps:
+        raise CalibrationError(
+            f"target epsilon {target_epsilon} is not bracketed: the bounds "
+            f"reach eps({lo}) = {eps_lo} and eps({hi}) = {eps_hi}",
+            bracket=(eps_lo, eps_hi),
+        )
+    for _ in range(max_iterations):
+        mid = 0.5 * (lo + hi)
+        eps_mid = evaluate(mid)
+        if abs(eps_mid - target_epsilon) <= tolerance:
+            return mid
+        if (eps_mid < target_epsilon) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    raise CalibrationError(
+        f"no knob value within tolerance {tolerance} of epsilon "
+        f"{target_epsilon} after {max_iterations} bisection steps",
+        bracket=(eps_lo, eps_hi),
+    )

@@ -4,7 +4,8 @@ Every subcommand that touches a guarantee requires an explicit --delta;
 there is deliberately no default failure probability. Exit codes: 0 on
 success, 1 when the accountant or calibrator refuses (insecure rounds,
 unsupported policy, infeasible target, unreadable ledger), 2 for usage
-errors (argparse's convention).
+errors (argparse's convention), which include a --delta outside the open
+interval (0, 1).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import os
 import secrets
 import sys
 
-from .accountant import Knob, OrderGrid, account_ledger, calibrate
+from .accountant import OrderGrid, account_ledger
+from .allocation import Knob, calibrate
 from .errors import (
     AccountingRefusal,
     CalibrationError,
@@ -29,8 +31,8 @@ from .harness import (
     make_sgd_partition,
     sigmas_for_target_z,
 )
-from .ledger import deserialize
-from .sampling import SamplerConfig, SamplingPolicy
+from .ledger import SamplingPolicy, deserialize
+from .sampling import SamplerConfig
 
 _TUNING_NOTE = (
     "note: if this target or configuration was chosen by measuring utility "
@@ -44,6 +46,16 @@ def _parse_orders(text: str) -> OrderGrid:
         return OrderGrid(tuple(float(tok) for tok in text.split(",") if tok.strip()))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _parse_delta(text: str) -> float:
+    try:
+        delta = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not 0.0 < delta < 1.0:
+        raise argparse.ArgumentTypeError(f"delta must be in (0, 1), got {text}")
+    return delta
 
 
 def _print_guarantee(guarantee) -> None:
@@ -217,7 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_account = sub.add_parser("account", help="recompute a guarantee from a ledger file")
     p_account.add_argument("--ledger", required=True, help="path to a serialized ledger")
     p_account.add_argument(
-        "--delta", type=float, required=True, help="failure probability (no default)"
+        "--delta",
+        type=_parse_delta,
+        required=True,
+        help="failure probability in (0, 1) (no default)",
     )
     p_account.add_argument(
         "--orders",
@@ -239,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="bisect q or z to hit a target epsilon")
     p_cal.add_argument("--target-epsilon", type=float, required=True)
-    p_cal.add_argument("--delta", type=float, required=True)
+    p_cal.add_argument("--delta", type=_parse_delta, required=True)
     p_cal.add_argument("--rounds", type=int, required=True)
     p_cal.add_argument("--knob", choices=("q", "z"), required=True)
     p_cal.add_argument("--q", type=float, default=None, help="fixed q when tuning z")
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--learning-rate", type=float, default=1.0)
     p_train.add_argument("--separation", type=float, default=4.0)
     p_train.add_argument("--holdout-n", type=int, default=1000)
-    p_train.add_argument("--delta", type=float, required=True)
+    p_train.add_argument("--delta", type=_parse_delta, required=True)
     p_train.add_argument(
         "--seed", default=None, help="32 hex chars; omitted = fresh secure entropy"
     )

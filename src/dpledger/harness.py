@@ -28,16 +28,10 @@ import numpy as np
 from .accountant import PrivacyGuarantee, account_ledger
 from .allocation import AllocationRequest, AllocationStrategy, allocate
 from .errors import AccountingRefusal
-from .ledger import Ledger, serialize
+from .ledger import Ledger, SamplingPolicy, _check_round, serialize
 from .mechanisms import RoundContext, microbatch_reduce, run_partitioned_round
 from .prng import SecureStream, coerce_seed
-from .sampling import (
-    SamplerConfig,
-    SamplingPolicy,
-    _check_round,
-    draw_sample,
-    partition_epoch,
-)
+from .sampling import SamplerConfig, draw_sample, partition_epoch
 from .vectors import GroupPartition, GroupSpec, Mechanism
 
 
@@ -98,12 +92,6 @@ def forward_probabilities(features: np.ndarray, w: np.ndarray, b: float) -> np.n
     """P(label = 1 | x) under the logistic model, numerically stable."""
     u = features @ w + b
     return 0.5 * (1.0 + np.tanh(0.5 * u))
-
-
-def example_loss(x: np.ndarray, y: int, w: np.ndarray, b: float) -> float:
-    """Logistic loss of one example: softplus(u) - y*u with u = x.w + b."""
-    u = float(np.dot(x, w) + b)
-    return float(np.logaddexp(0.0, u) - y * u)
 
 
 def per_example_gradients(

@@ -6,6 +6,10 @@ per group query (clip_s, sigma_sum), and the accountant later recomputes
 the guarantee from those events alone. Events are never mutated or
 removed; round ids run 0, 1, 2, ... with no gaps.
 
+With accountant, this is the trusted core; it imports only errors. It
+holds what an event is checked or read against: the name, (q, n, round)
+and (clip, sigma) checks, the policy tags, and round_compose, the one S*.
+
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
@@ -19,19 +23,119 @@ old file is always a byte prefix of the new.
 
 from __future__ import annotations
 
+import enum
+import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
+    InfiniteSensitivityError,
     InsecureLedgerError,
     LedgerParseError,
     LedgerUsageError,
     SensitivityRangeError,
 )
-from .mechanisms import EffectiveQuery, round_compose
-from .sampling import _check_round
-from .vectors import PrivacyTuple, _check_name
+
+_NAME = re.compile(r"[A-Za-z0-9_.+/-]+")
+
+
+def _check_name(name: str, what: str) -> None:
+    if not (isinstance(name, str) and _NAME.fullmatch(name)):
+        raise ValueError(
+            f"{what} {name!r} must be nonempty and use only [A-Za-z0-9_.+-/]"
+        )
+
+
+def _check_round(q: float, n: int, round_id: int = 0) -> None:
+    """The sampling facts every round carries: rate q in (0, 1], population
+    n at least 1, round id nonnegative."""
+    if not (0.0 < q <= 1.0):
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if round_id < 0:
+        raise ValueError(f"round_id must be nonnegative, got {round_id}")
+
+
+class SamplingPolicy(enum.Enum):
+    """Selection policy tags; the string values are what the ledger stores."""
+
+    POISSON_IID = "poisson_iid"
+    FIXED_SIZE_WOR = "fixed_size_wor"
+    DISJOINT_PARTITION = "disjoint_partition"
+
+
+@dataclass(frozen=True)
+class PrivacyTuple:
+    """Sensitivity bound and sum-level noise std of one Gaussian sum query.
+
+    check is the one definition of a valid (clip bound, noise std) pair:
+    the ledger's sum-query events are privacy tuples, and GroupSpec applies
+    it to its per-average noise_sigma.
+    """
+
+    clip_s: float
+    sigma_sum: float
+
+    def __post_init__(self):
+        self.check(self.clip_s, self.sigma_sum)
+
+    @staticmethod
+    def check(clip_s: float, sigma: float) -> None:
+        if not (math.isfinite(clip_s) and clip_s > 0):
+            raise ValueError(f"clip_s must be positive and finite, got {clip_s}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(f"noise std must be nonnegative and finite, got {sigma}")
+
+
+@dataclass(frozen=True)
+class EffectiveQuery:
+    """One round collapsed to a single sensitivity-s_star, sigma-1 query,
+    whose noise multiplier is z_effective = 1 / s_star.
+
+    An s_star that is not a positive finite float (a sum that overflowed
+    to inf or underflowed to 0) is refused rather than represented.
+    """
+
+    s_star: float
+    z_effective: float = field(init=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s_star) and self.s_star > 0):
+            raise ValueError(
+                f"equivalent sensitivity S* = {self.s_star!r} is out of range"
+            )
+        object.__setattr__(self, "z_effective", 1.0 / self.s_star)
+
+
+def round_compose(tuples) -> EffectiveQuery:
+    """Collapse one round's (clip_s, sigma_sum) tuples to a single
+    equivalent query of sensitivity s_star at noise std 1.
+
+    s_star = sqrt(sum_g (clip_s_g / sigma_sum_g)^2); the round's noise
+    multiplier is z = 1 / s_star. Each tuple is a PrivacyTuple (the
+    ledger's sum-query events are), used as already checked, or a plain
+    (clip_s, sigma_sum) pair, checked here. A zero sigma_sum would make
+    s_star infinite, which is rejected rather than represented.
+    """
+    tuples = list(tuples)
+    if not tuples:
+        raise ValueError("round_compose needs at least one query tuple")
+    acc = 0.0
+    for t in tuples:
+        if not isinstance(t, PrivacyTuple):
+            t = PrivacyTuple(*t)
+        if t.sigma_sum == 0.0:
+            raise InfiniteSensitivityError(
+                "a zero-noise query has unbounded equivalent sensitivity"
+            )
+        try:
+            acc += (t.clip_s / t.sigma_sum) ** 2
+        except OverflowError:  # float ** raises where * would give inf
+            acc = math.inf
+    return EffectiveQuery(s_star=math.sqrt(acc))
+
 
 _HEADER = b"dpledger ledger v1\n"
 

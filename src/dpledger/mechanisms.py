@@ -10,11 +10,8 @@ joint mechanism rescales members by per-vector factors, clips once across
 the scaled concatenation, then undoes the scaling on the estimate. Both
 emit the (clip_s, sigma_sum) tuple the privacy ledger exists to record,
 with sigma_sum = q * n * noise_sigma computed here, once, so the ledger
-sees the identical float.
-
-round_compose reduces all tuples of one round to a single equivalent
-sensitivity-S*, sigma-1 query: S* = sqrt(sum_g (clip_s_g / sigma_sum_g)^2),
-so the round behaves like one Gaussian query at noise multiplier 1/S*.
+sees the identical float. How a round's tuples compose into one
+equivalent query is the ledger's round_compose, not decided here.
 """
 
 from __future__ import annotations
@@ -22,18 +19,17 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InfiniteSensitivityError
+from .errors import ConfigurationError
+from .ledger import PrivacyTuple, _check_round
 from .prng import SecureStream
-from .sampling import _check_round
 from .vectors import (
     GroupPartition,
     GroupSpec,
     Mechanism,
-    PrivacyTuple,
     RecordVectors,
     clip_rows,
 )
@@ -75,26 +71,6 @@ class GroupEstimate:
             if member == name:
                 return est
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class EffectiveQuery:
-    """One round collapsed to a single sensitivity-s_star, sigma-1 query,
-    whose noise multiplier is z_effective = 1 / s_star.
-
-    An s_star that is not a positive finite float (a sum that overflowed
-    to inf or underflowed to 0) is refused rather than represented.
-    """
-
-    s_star: float
-    z_effective: float = field(init=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s_star) and self.s_star > 0):
-            raise ValueError(
-                f"equivalent sensitivity S* = {self.s_star!r} is out of range"
-            )
-        object.__setattr__(self, "z_effective", 1.0 / self.s_star)
 
 
 def gaussian_sum(
@@ -241,34 +217,6 @@ def joint_group_query(
     if spec.mechanism is not Mechanism.JOINT:
         raise ValueError(f"group {spec.name!r} is not configured for joint clipping")
     return _group_query(records, spec, ctx, rng, member_dims)
-
-
-def round_compose(tuples) -> EffectiveQuery:
-    """Collapse one round's (clip_s, sigma_sum) tuples to a single
-    equivalent query of sensitivity s_star at noise std 1.
-
-    s_star = sqrt(sum_g (clip_s_g / sigma_sum_g)^2); the round's noise
-    multiplier is z = 1 / s_star. Each tuple is a PrivacyTuple (the
-    ledger's sum-query events are), used as already checked, or a plain
-    (clip_s, sigma_sum) pair, checked here. A zero sigma_sum would make
-    s_star infinite, which is rejected rather than represented.
-    """
-    tuples = list(tuples)
-    if not tuples:
-        raise ValueError("round_compose needs at least one query tuple")
-    acc = 0.0
-    for t in tuples:
-        if not isinstance(t, PrivacyTuple):
-            t = PrivacyTuple(*t)
-        if t.sigma_sum == 0.0:
-            raise InfiniteSensitivityError(
-                "a zero-noise query has unbounded equivalent sensitivity"
-            )
-        try:
-            acc += (t.clip_s / t.sigma_sum) ** 2
-        except OverflowError:  # float ** raises where * would give inf
-            acc = math.inf
-    return EffectiveQuery(s_star=math.sqrt(acc))
 
 
 def microbatch_reduce(

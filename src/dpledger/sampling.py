@@ -1,4 +1,4 @@
-"""Record-selection policies and what each one means for accounting.
+"""Record-selection policies: which records each round touches.
 
 Three policies pick which of n records participate in a round: Poisson
 (each record independently with probability q), fixed-size sampling
@@ -11,37 +11,19 @@ platform.
 A Poisson sample's realized size is data-flow from the random tape and is
 treated as confidential: repr hides it, and callers that need it must say
 so explicitly. Fixed-size and partition batch sizes are configuration,
-not secrets.
+not secrets. The policy tags and the (q, n, round) check are the
+ledger's; what each tag means for accounting is the accountant's.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ledger import SamplingPolicy, _check_round
 from .prng import SecureStream, coerce_seed
-
-
-class SamplingPolicy(enum.Enum):
-    """Selection policy tags; the string values are what the ledger stores."""
-
-    POISSON_IID = "poisson_iid"
-    FIXED_SIZE_WOR = "fixed_size_wor"
-    DISJOINT_PARTITION = "disjoint_partition"
-
-
-def _check_round(q: float, n: int, round_id: int = 0) -> None:
-    """The sampling facts every round carries: rate q in (0, 1], population
-    n at least 1, round id nonnegative."""
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if round_id < 0:
-        raise ValueError(f"round_id must be nonnegative, got {round_id}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,15 +93,6 @@ class SamplerConfig:
         if self.policy is SamplingPolicy.POISSON_IID:
             return self.q
         return self.batch_size / self.n
-
-
-@dataclass(frozen=True)
-class AccountingSupport:
-    """Whether rounds under a policy can be fed to the accountant, and how."""
-
-    supported: bool
-    caveat: str | None = None
-    reason: str | None = None
 
 
 def poisson_sample(cfg: SamplerConfig, round_id: int) -> Sample:
@@ -198,32 +171,3 @@ def draw_sample(cfg: SamplerConfig, round_id: int) -> Sample:
     raise ValueError(
         "disjoint_partition is sampled per epoch; use partition_epoch"
     )
-
-
-_WOR_CAVEAT = (
-    "fixed-size sampling without replacement is accounted as Poisson at "
-    "q = batch_size / n; this is a heuristic, not a proven equivalence"
-)
-
-
-def policy_accounting_support(
-    policy: SamplingPolicy | str, *, wor_as_poisson: bool = True
-) -> AccountingSupport:
-    """Accounting stance for a policy tag as found in a ledger."""
-    tag = policy.value if isinstance(policy, SamplingPolicy) else str(policy)
-    if tag == SamplingPolicy.POISSON_IID.value:
-        return AccountingSupport(supported=True)
-    if tag == SamplingPolicy.FIXED_SIZE_WOR.value:
-        if wor_as_poisson:
-            return AccountingSupport(supported=True, caveat=_WOR_CAVEAT)
-        return AccountingSupport(
-            supported=False, reason="poisson-style accounting for fixed-size "
-            "sampling was disabled by configuration"
-        )
-    if tag == SamplingPolicy.DISJOINT_PARTITION.value:
-        return AccountingSupport(
-            supported=False,
-            reason="no supported analysis for disjoint-partition sampling; "
-            "the accountant refuses rather than guessing",
-        )
-    return AccountingSupport(supported=False, reason=f"unknown policy tag {tag!r}")

@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-_NAME = re.compile(r"[A-Za-z0-9_.+/-]+")
-
-
-def _check_name(name: str, what: str) -> None:
-    if not (isinstance(name, str) and _NAME.fullmatch(name)):
-        raise ValueError(
-            f"{what} {name!r} must be nonempty and use only [A-Za-z0-9_.+-/]"
-        )
+from .ledger import PrivacyTuple, _check_name
 
 
 def _as_vector(value, what: str = "vector") -> np.ndarray:
@@ -72,29 +64,6 @@ class RecordVectors:
             if entry_name == name:
                 return vec
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class PrivacyTuple:
-    """Sensitivity bound and sum-level noise std of one Gaussian sum query.
-
-    check is the one definition of a valid (clip bound, noise std) pair:
-    the ledger's sum-query events are privacy tuples, and GroupSpec applies
-    it to its per-average noise_sigma.
-    """
-
-    clip_s: float
-    sigma_sum: float
-
-    def __post_init__(self):
-        self.check(self.clip_s, self.sigma_sum)
-
-    @staticmethod
-    def check(clip_s: float, sigma: float) -> None:
-        if not (math.isfinite(clip_s) and clip_s > 0):
-            raise ValueError(f"clip_s must be positive and finite, got {clip_s}")
-        if not (math.isfinite(sigma) and sigma >= 0):
-            raise ValueError(f"noise std must be nonnegative and finite, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from dpledger import (
     RdpProfile,
     UnsupportedPolicyError,
     account_ledger,
-    baseline_guarantee,
-    baseline_noise_multiplier,
     calibrate,
     compose_rdp,
     epsilon_at_delta,
@@ -339,40 +337,6 @@ def test_account_wor_policy_caveated_and_disableable():
 def test_account_delta_required_valid():
     with pytest.raises(ValueError):
         account_ledger(Ledger(), 0.0)
-
-
-# ----------------------------------------------------------------- baseline
-
-
-def test_baseline_formula_value():
-    z = baseline_noise_multiplier(1.0, 1e-5)
-    assert z == math.sqrt(2.0 * math.log(1.25 / 1e-5))
-    assert z == pytest.approx(4.8448, abs=5e-4)
-
-
-def test_baseline_inverse_proportionality():
-    z1 = baseline_noise_multiplier(0.5, 1e-5)
-    z2 = baseline_noise_multiplier(1.0, 1e-5)
-    assert z1 == 2.0 * z2  # exact: scaling by a power of two
-
-
-def test_baseline_guarantee_amplification():
-    eps, delta = baseline_guarantee(0.01, 1.0, 1e-5)
-    assert eps == pytest.approx(0.01, rel=1e-12)
-    assert delta == pytest.approx(1e-7, rel=1e-12)
-
-
-def test_baseline_validation():
-    with pytest.raises(ValueError):
-        baseline_noise_multiplier(0.0, 1e-5)
-    with pytest.raises(ValueError):
-        baseline_noise_multiplier(1.0, 0.0)
-    with pytest.raises(ValueError):
-        baseline_noise_multiplier(1.0, 1.0)
-    with pytest.raises(ValueError):
-        baseline_guarantee(0.0, 1.0, 1e-5)
-    with pytest.raises(ValueError):
-        baseline_guarantee(1.5, 1.0, 1e-5)
 
 
 # -------------------------------------------------------------- calibration

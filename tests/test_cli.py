@@ -45,6 +45,29 @@ def test_account_requires_delta(capsys):
     assert "--delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["0", "1", "2", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["account", "--ledger", str(GOLDEN)],
+        ["calibrate", "--target-epsilon", "2", "--rounds", "10", "--knob", "z",
+         "--q", "0.01", "--lo", "0.5", "--hi", "4"],
+        ["train", "--n", "200", "--rounds", "1"],
+    ],
+    ids=["account", "calibrate", "train"],
+)  # fmt: skip
+def test_delta_outside_open_unit_interval_is_usage_error(
+    argv, delta, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # a train that ran anyway writes here
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--delta", delta])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "delta must be in (0, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

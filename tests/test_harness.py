@@ -17,11 +17,7 @@ from dpledger import (
     sigmas_for_target_z,
 )
 from dpledger.allocation import effective_z
-from dpledger.harness import (
-    example_loss,
-    forward_probabilities,
-    per_example_gradients,
-)
+from dpledger.harness import forward_probabilities, per_example_gradients
 
 SEED = b"harness-tests-00"
 
@@ -135,6 +131,12 @@ def test_forward_probabilities_is_logistic():
     got = forward_probabilities(x, w, b)
     want = 1.0 / (1.0 + np.exp(-(x @ w + b)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def example_loss(x: np.ndarray, y: int, w: np.ndarray, b: float) -> float:
+    """Logistic loss of one example: softplus(u) - y*u with u = x.w + b."""
+    u = float(np.dot(x, w) + b)
+    return float(np.logaddexp(0.0, u) - y * u)
 
 
 def test_gradients_match_central_differences():
