@@ -2,15 +2,26 @@
 
 One subsampled Gaussian round at rate q and noise multiplier z costs, at
 Renyi order lam, RDP(lam) = log(A_lam) / (lam - 1) where A_lam is the
-lam-th moment of the privacy loss. For integer orders the moment expands
-exactly into a binomial sum,
+lam-th moment of the privacy loss (Mironov 2017, arXiv 1702.07476). For
+integer orders the moment expands exactly into a binomial sum. Its
+weights C(lam, k) q^k (1-q)^(lam-k) sum to 1 and its k = 0 and k = 1
+terms have exponent 0, so
 
-    A_lam = sum_{k=0..lam} C(lam, k) (1-q)^(lam-k) q^k exp(k (k-1) / (2 z^2)),
+    A_lam - 1 = sum_{k=2..lam} C(lam, k) q^k (1-q)^(lam-k) expm1(c_k),
+    c_k = k (k - 1) / (2 z^2),
 
-evaluated here entirely in log space. Only integer orders are accepted,
-so every per-round value is this finite sum and no step of the
-computation is a numerical approximation with an unchecked error. Costs
-add across rounds order-by-order, and the classic conversion
+and RDP(lam) = log1p(A_lam - 1) / (lam - 1). Every term of that sum is
+positive, so the log-space sum (max-shifted, as in Mironov, Talwar and
+Zhang 2019, arXiv 1908.10530) adds and never subtracts: nothing cancels,
+even when RDP is about q^2 and A_lam is 1 + tiny. What is left is the
+rounding of each log term, mostly the log-binomial taken as a difference
+of lgammas. Against a 60-digit sum it stays within about 1e-13 relative
+at orders up to 512, in either direction: that is an error estimate, not
+a signed bound. Only integer orders are accepted, so no step is a
+numerical approximation with an unchecked error.
+
+Costs add across rounds order-by-order, so n rounds at one (q, z) cost n
+times one round's profile. The classic conversion
 eps = min_lam [ RDP(lam) + log(1/delta) / (lam - 1) ] turns the composed
 profile into an (eps, delta) guarantee. The conversion is deliberately
 the textbook one; sharper conversions exist but are out of scope, and the
@@ -19,18 +30,18 @@ achieving order is reported so a user can audit the minimization.
 Everything is deterministic: the same ledger, grid, and delta give
 bit-identical epsilon, whether the ledger came from memory or a file.
 
-With ledger, this is the trusted core; it imports only ledger and errors.
-It decides which policies it can account; calibration is in allocation.
+With ledger, this is the trusted core; it imports only ledger and errors,
+and of third-party code only numpy. It decides which policies it can
+account; calibration is in allocation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import UnsupportedPolicyError
 from .ledger import Ledger, SamplingPolicy, formal_ledger
@@ -43,9 +54,12 @@ _DEFAULT_ORDERS = tuple(float(k) for k in range(2, 65)) + (
     512.0,
 )
 
-# The binomial sum at order lam holds lam + 1 terms; 2**16 keeps each
-# table at 0.5 MB, far above the default grid's largest order.
+# The A - 1 sum at order lam holds lam - 1 terms (k = 2..lam). 2**16 is far
+# above the default grid's largest order and keeps the log-factorial table
+# at 0.5 MB; a grid of every order up to it holds about 2**31 terms, so
+# whole orders are evaluated in chunks of about _CHUNK_TERMS terms.
 _MAX_ORDER = 2**16
+_CHUNK_TERMS = 2**20
 
 
 @dataclass(frozen=True)
@@ -107,6 +121,12 @@ class RdpProfile:
     def diverged(cls, grid: OrderGrid) -> "RdpProfile":
         return cls(grid=grid, values=(math.inf,) * len(grid))
 
+    def repeated(self, rounds: int) -> "RdpProfile":
+        """Cost of `rounds` rounds at this cost: each order times rounds."""
+        return RdpProfile(
+            grid=self.grid, values=tuple(rounds * v for v in self.values)
+        )
+
 
 @dataclass(frozen=True)
 class PrivacyGuarantee:
@@ -118,30 +138,33 @@ class PrivacyGuarantee:
     caveats: tuple[str, ...] = ()
 
 
-def _log_binom(lam: int, ks: np.ndarray) -> np.ndarray:
-    return gammaln(lam + 1.0) - gammaln(ks + 1.0) - gammaln(lam - ks + 1.0)
+def _log_a_minus_one(
+    q: float, z: float, lams: np.ndarray, log_fact: np.ndarray
+) -> np.ndarray:
+    """log(A_lam - 1) at each order in lams, over their (lam, k >= 2) terms.
 
-
-def _rdp_integer_order(q: float, z: float, lam: int) -> float:
-    """Exact binomial expansion of the forward moment, in log space."""
-    ks = np.arange(lam + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
+    A term of +inf (c_k overflows) makes its order +inf; a term of -inf
+    (c_k underflows to 0) adds nothing.
+    """
+    counts = lams - 1
+    starts = np.cumsum(counts) - counts
+    lam = np.repeat(lams, counts)
+    k = np.arange(counts.sum()) - np.repeat(starts, counts) + 2
+    with np.errstate(over="ignore", divide="ignore"):
+        c = k * (k - 1.0) / (2.0 * z * z)
         terms = (
-            _log_binom(lam, ks)
-            + ks * math.log(q)
-            + (lam - ks) * math.log1p(-q)
-            + ks * (ks - 1.0) / (2.0 * z * z)
+            log_fact[lam]
+            - log_fact[k]
+            - log_fact[lam - k]
+            + k * math.log(q)
+            + (lam - k) * math.log1p(-q)
+            + c
+            + np.log(-np.expm1(-c))
         )
-    if not np.isfinite(terms).all():
-        return math.inf
-    log_a = float(logsumexp(terms))
-    return max(0.0, log_a / (lam - 1.0))
-
-
-@functools.lru_cache(maxsize=16384)
-def _rdp_step_cached(q: float, z: float, grid: OrderGrid) -> RdpProfile:
-    values = tuple(_rdp_integer_order(q, z, int(lam)) for lam in grid.orders)
-    return RdpProfile(grid=grid, values=values)
+        top = np.maximum.reduceat(terms, starts)
+        shift = np.where(np.isfinite(top), top, 0.0)
+        shifted = np.exp(terms - np.repeat(shift, counts))
+        return np.log(np.add.reduceat(shifted, starts)) + shift
 
 
 def rdp_step(q: float, z: float, grid: OrderGrid | None = None) -> RdpProfile:
@@ -164,7 +187,17 @@ def rdp_step(q: float, z: float, grid: OrderGrid | None = None) -> RdpProfile:
         return RdpProfile(
             grid=grid, values=tuple(lam / (2.0 * z * z) for lam in grid.orders)
         )
-    return _rdp_step_cached(float(q), float(z), grid)
+    lams = np.array(grid.orders, dtype=np.int64)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(lams[-1] + 1)])
+    # Cut before each order whose terms end in a new block of _CHUNK_TERMS,
+    # so a chunk holds at most _CHUNK_TERMS + _MAX_ORDER terms.
+    ends = np.cumsum(lams - 1)
+    cuts = np.flatnonzero(np.diff((ends - 1) // _CHUNK_TERMS)) + 1
+    log_am1 = np.concatenate(
+        [_log_a_minus_one(q, z, part, log_fact) for part in np.split(lams, cuts)]
+    )
+    values = np.logaddexp(0.0, log_am1) / (lams - 1.0)
+    return RdpProfile(grid=grid, values=tuple(values.tolist()))
 
 
 def compose_rdp(profiles, grid: OrderGrid | None = None) -> RdpProfile:
@@ -281,34 +314,38 @@ def account_ledger(
 ) -> PrivacyGuarantee:
     """Recompute the end-to-end guarantee from a ledger's events alone.
 
-    Per round: reduce to the single equivalent query, take its RDP profile
-    at (q, z = z_effective), compose, convert at delta. Policies the
-    accountant cannot analyze raise UnsupportedPolicyError instead of
-    returning a number that means nothing.
+    Per round: reduce to the single equivalent query at (q, z = z_effective).
+    Rounds are counted by (policy, q, z) in first-seen order, and each
+    distinct round's RDP profile is taken once and composed count times,
+    then converted at delta. Policies the accountant cannot analyze raise
+    UnsupportedPolicyError, naming their first round, instead of returning
+    a number that means nothing.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     grid = grid or OrderGrid.default()
     rows = formal_ledger(ledger, allow_insecure=allow_insecure)
+    counts = Counter(
+        (r.policy_tag, r.q, None if r.effective is None else r.effective.z_effective)
+        for r in rows
+    )
     caveats: list[str] = []
     profiles: list[RdpProfile] = []
-    for row in rows:
-        support = policy_accounting_support(
-            row.policy_tag, wor_as_poisson=wor_as_poisson
-        )
+    for (tag, q, z), count in counts.items():
+        support = policy_accounting_support(tag, wor_as_poisson=wor_as_poisson)
         if not support.supported:
+            first = next(r.round_id for r in rows if r.policy_tag == tag)
             raise UnsupportedPolicyError(
-                f"round {row.round_id} used policy {row.policy_tag!r}: "
-                f"{support.reason}"
+                f"round {first} used policy {tag!r}: {support.reason}"
             )
         if support.caveat and support.caveat not in caveats:
             caveats.append(support.caveat)
-        if row.effective is None:
+        if z is None:
             profiles.append(RdpProfile.diverged(grid))
             if _INSECURE_CAVEAT not in caveats:
                 caveats.append(_INSECURE_CAVEAT)
         else:
-            profiles.append(rdp_step(row.q, row.effective.z_effective, grid))
+            profiles.append(rdp_step(q, z, grid).repeated(count))
     guarantee = epsilon_at_delta(compose_rdp(profiles, grid), delta)
     return PrivacyGuarantee(
         epsilon=guarantee.epsilon,

@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .accountant import OrderGrid, compose_rdp, epsilon_at_delta, rdp_step
+from .accountant import OrderGrid, epsilon_at_delta, rdp_step
 from .errors import CalibrationError
 from .ledger import round_compose
 
@@ -134,8 +134,7 @@ class Knob(enum.Enum):
 def _total_epsilon(
     q: float, z: float, rounds: int, delta: float, grid: OrderGrid
 ) -> float:
-    profile = rdp_step(q, z, grid)
-    total = compose_rdp([profile] * rounds, grid)
+    total = rdp_step(q, z, grid).repeated(rounds)
     return epsilon_at_delta(total, delta).epsilon
 
 

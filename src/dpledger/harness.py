@@ -195,6 +195,10 @@ class TrainConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.holdout_n < 2:
             raise ValueError(f"holdout_n must be at least 2, got {self.holdout_n}")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise ValueError(
+                f"separation must be finite and nonnegative, got {self.separation}"
+            )
         names = self.partition.member_names()
         if names != {"weights", "bias", "metrics"}:
             raise ValueError(

@@ -151,6 +151,16 @@ def test_small_q_never_beats_full_sampling():
             assert np.all(vals <= full + 1e-12)
 
 
+def test_rdp_step_chunks_do_not_change_values():
+    # orders 2..1600 hold about 1.28M (order, k) terms, more than one chunk;
+    # each order must come out as it does when evaluated alone
+    wide = OrderGrid(tuple(float(o) for o in range(2, 1601)))
+    orders = (2.0, 1400.0, 1450.0, 1600.0)
+    got = dict(zip(wide.orders, rdp_step(0.01, 1.5, wide).values))
+    for lam in orders:
+        assert got[lam] == rdp_step(0.01, 1.5, OrderGrid((lam,))).values[0]
+
+
 def test_rdp_step_input_validation():
     with pytest.raises(ValueError):
         rdp_step(-0.1, 1.0)
@@ -317,6 +327,63 @@ def test_account_insecure_round_refused_then_overridden():
     got = account_ledger(led, DELTA, allow_insecure=True)
     assert got.epsilon == math.inf
     assert any("zero-noise" in c for c in got.caveats)
+
+
+def test_account_composes_repeated_rounds_by_count():
+    # each distinct (q, z) is evaluated once and scaled by its count, which
+    # agrees with round-by-round composition up to rounding
+    rounds = [(0.01, [(1.0, 110.0)]), (0.02, [(1.0, 55.0), (0.5, 60.0)])] * 40
+    led = _ledger_of_rounds(rounds + [(0.01, [(1.0, 110.0)])])
+    got = account_ledger(led, DELTA)
+    a, b = rdp_step(*_q_z(led, 0)), rdp_step(*_q_z(led, 1))
+    manual = epsilon_at_delta(compose_rdp([a, b] * 40 + [a]), DELTA)
+    assert got.epsilon == pytest.approx(manual.epsilon, rel=1e-14)
+    assert got.achieving_order == manual.achieving_order
+    by_count = epsilon_at_delta(compose_rdp([a.repeated(41), b.repeated(40)]), DELTA)
+    assert got.epsilon == by_count.epsilon
+
+
+def _q_z(led, round_id):
+    from dpledger import formal_ledger
+
+    row = formal_ledger(led)[round_id]
+    return row.q, row.effective.z_effective
+
+
+def _mixed_ledger(rounds):
+    """rounds: list of (policy, q, sigma_sum), one clip-1 query each."""
+    led = Ledger()
+    for policy, q, sigma in rounds:
+        rid = led.record_sample(q=q, n=10_000, policy_tag=policy)
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
+        led.close_round()
+    return led
+
+
+def test_account_refusal_names_first_round_of_the_policy():
+    led = _mixed_ledger(
+        [
+            ("poisson_iid", 0.01, 100.0),
+            ("poisson_iid", 0.02, 100.0),
+            ("disjoint_partition", 0.03, 100.0),
+            ("poisson_iid", 0.01, 100.0),
+            ("disjoint_partition", 0.02, 100.0),
+        ]
+    )
+    with pytest.raises(UnsupportedPolicyError, match=r"^round 2 used policy"):
+        account_ledger(led, DELTA)
+
+
+def test_account_caveats_keep_ledger_order():
+    wor, insecure = ("fixed_size_wor", 0.01, 100.0), ("poisson_iid", 0.01, 0.0)
+    first, second = (
+        account_ledger(_mixed_ledger(rounds), DELTA, allow_insecure=True)
+        for rounds in ([wor, insecure, wor], [insecure, wor, wor])
+    )
+    assert first.epsilon == second.epsilon == math.inf
+    assert len(first.caveats) == 3  # policy, insecure, no finite order
+    assert first.caveats[:2] == second.caveats[1::-1]
+    assert "fixed-size" in first.caveats[0]
 
 
 def test_account_refuses_unsupported_policy():

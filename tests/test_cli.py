@@ -8,8 +8,10 @@ from dpledger import account_ledger, compose_rdp, deserialize, epsilon_at_delta,
 from dpledger.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger.txt"
-# frozen at repo creation against the quadrature oracle (matched to the
-# last bit at the time); guards against silent accounting regressions
+# A 60-digit mpmath sum of each round's A - 1 series gives the golden
+# ledger's epsilon as 1.44674952079284553387... at order 9; the constant is
+# that value rounded to nearest (0.2 ulp off). test_rdp_properties checks
+# the derivation; the constant guards against silent accounting regressions.
 GOLDEN_EPSILON = 1.4467495207928456
 GOLDEN_ORDER = 9.0
 
@@ -225,6 +227,18 @@ def test_disjoint_train_runs_account_refuses(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "disjoint" in captured.err
+
+
+@pytest.mark.parametrize("separation", ["nan", "-1", "inf"])
+def test_train_bad_separation_is_refused_without_traceback(
+    separation, tmp_path, capsys
+):
+    code, out = _train(tmp_path, "--separation", separation)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: separation must be finite and nonnegative")
+    assert "Traceback" not in err
+    assert not (out / "ledger.txt").exists()
 
 
 def test_fixed_policy_requires_batch_size(tmp_path, capsys):

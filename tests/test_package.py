@@ -25,23 +25,34 @@ print(json.dumps({
     "order": guarantee.achieving_order,
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "dpledger"),
     "cryptography": "cryptography" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 }))
 """
 
+_IMPORT_CLI = """
+import json, sys
+import dpledger.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
 
-def test_ledger_bytes_to_epsilon_loads_only_the_core():
+
+def _run_fresh(code, *args):
     src = str(pathlib.Path(dpledger.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     done = subprocess.run(
-        [sys.executable, "-c", _ACCOUNT_WITH_CORE_ONLY, str(GOLDEN)],
+        [sys.executable, "-c", code, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_ledger_bytes_to_epsilon_loads_only_the_core():
+    report = _run_fresh(_ACCOUNT_WITH_CORE_ONLY, str(GOLDEN))
     assert report["epsilon"] == GOLDEN_EPSILON
     assert report["order"] == GOLDEN_ORDER
     assert report["modules"] == [
@@ -51,6 +62,11 @@ def test_ledger_bytes_to_epsilon_loads_only_the_core():
         "dpledger.ledger",
     ]
     assert report["cryptography"] is False
+    assert report["scipy"] == []
+
+
+def test_cli_import_loads_no_scipy():
+    assert _run_fresh(_IMPORT_CLI) == []
 
 
 def test_every_exported_name_resolves_to_its_definition():
