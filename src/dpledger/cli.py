@@ -297,7 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flush here, so a reader that closed the pipe early (`| head -1`)
+        # is met inside this try rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The recipe of the Python signal docs' "Note on SIGPIPE": point
+        # stdout at devnull so the flush at exit cannot fail again, and
+        # exit 1 with no traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -10,24 +10,38 @@ With accountant, this is the trusted core; it imports only errors. It
 holds what an event is checked or read against: the name, (q, n, round)
 and (clip, sigma) checks, the policy tags, and round_compose, the one S*.
 
+Storage is flat and interned. A Ledger keeps three lists: each round's
+sample facts, every round's queries in order, and the int index where each
+round's queries start. Each distinct checked (policy, q, n) and (group,
+clip, sigma_sum) is one shared object, carrying its serialized text, so a
+run with fixed hyperparameters holds G + 1 event objects however many
+rounds it records. The SampleEvent and SumQueryEvent views, round ids
+included, are built only when rounds() is called.
+
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
 in memory, not approximate it. The parser reads back only the spellings
 serialize writes, so serialize(deserialize(b)) == b or the parse fails,
 and it rebuilds the ledger by replaying each line through the Ledger
-methods, so a file obeys the same round bracketing as a live run.
-Appending events to a ledger appends lines to its serialization, so the
-old file is always a byte prefix of the new.
+methods, so a file obeys the same round bracketing as a live run. It
+checks each distinct line text after "round=K " in full once (pattern,
+canonical floats, event checks); a later line with the same text is
+replayed as that event once its K is the expected round id, and any other
+line takes the full check, so errors and their line numbers do not depend
+on what was seen before. Appending events to a ledger appends lines to its
+serialization, so the old file is always a byte prefix of the new.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     InfiniteSensitivityError,
@@ -194,6 +208,26 @@ class RoundQuery:
     effective: EffectiveQuery | None
 
 
+class _Sample(NamedTuple):
+    """A checked (policy, q, n), one object shared by every round that
+    records it; text is its serialized line after "round=K "."""
+
+    policy_tag: str
+    q: float
+    n: int
+    text: str
+
+
+class _Query(NamedTuple):
+    """A checked (group, clip, sigma_sum), one object shared by every
+    round that records it; text is its serialized line after "round=K "."""
+
+    group_name: str
+    clip_s: float
+    sigma_sum: float
+    text: str
+
+
 class Ledger:
     """In-memory log of rounds, each a sample event and its sum queries.
 
@@ -203,24 +237,44 @@ class Ledger:
     or querying with none open, is a usage error. deserialize replays a
     file through these methods, treating each sample line as closing the
     round before it.
+
+    An event is checked when its values are first recorded; recording
+    equal values again appends the interned event. A zero-noise query is
+    never interned, so -0.0 and 0.0 stay distinct; its round is noted as
+    insecure instead.
     """
 
     def __init__(self):
-        self._rounds: list[tuple[SampleEvent, list[SumQueryEvent]]] = []
+        self._samples: list[_Sample] = []  # one per round
+        self._queries: list[_Query] = []  # every round's, in order
+        self._starts: list[int] = []  # index in _queries of each round's first
+        self._insecure: list[int] = []  # rounds with a zero-noise query
+        self._sample_pool: dict[tuple, _Sample] = {}
+        self._query_pool: dict[tuple, _Query] = {}
         self._open = False
 
     @property
     def open_round(self) -> int | None:
-        return len(self._rounds) - 1 if self._open else None
+        return len(self._samples) - 1 if self._open else None
 
     def record_sample(self, q: float, n: int, policy_tag: str) -> int:
         if self._open:
             raise LedgerUsageError(
                 f"round {self.open_round} is still open; close_round() first"
             )
-        round_id = len(self._rounds)
-        sample = SampleEvent(round_id=round_id, q=q, n=n, policy_tag=policy_tag)
-        self._rounds.append((sample, []))
+        round_id = len(self._samples)
+        try:
+            sample = self._sample_pool.get((policy_tag, q, n))
+        except TypeError:  # unhashable; the checks below refuse it
+            sample = None
+        if sample is None:
+            _check_round(q, n, round_id)
+            _check_name(policy_tag, "policy tag")
+            q = float(q)
+            sample = _Sample(policy_tag, q, n, f"policy={policy_tag} q={q.hex()} n={n}\n")
+            sample = self._sample_pool.setdefault(sample[:3], sample)
+        self._samples.append(sample)
+        self._starts.append(len(self._queries))
         self._open = True
         return round_id
 
@@ -232,35 +286,66 @@ class Ledger:
                 "no open round; record_sample() first (a sum query before "
                 "any sample, or after close_round(), belongs to no round)"
             )
-        if round_id != len(self._rounds) - 1:
-            raise LedgerUsageError(
-                f"round {round_id} is not the open round {self.open_round}"
+        open_round = len(self._samples) - 1
+        if round_id != open_round:
+            raise LedgerUsageError(f"round {round_id} is not the open round {open_round}")
+        try:
+            query = self._query_pool.get((group_name, clip_s, sigma_sum))
+        except TypeError:  # unhashable; the checks below refuse it
+            query = None
+        if query is None:
+            PrivacyTuple.check(clip_s, sigma_sum)
+            _check_name(group_name, "group name")
+            clip_s, sigma_sum = float(clip_s), float(sigma_sum)
+            query = _Query(
+                group_name,
+                clip_s,
+                sigma_sum,
+                f"group={group_name} clip={clip_s.hex()} sigma_sum={sigma_sum.hex()}\n",
             )
-        self._rounds[-1][1].append(
-            SumQueryEvent(
-                round_id=round_id,
-                group_name=group_name,
-                clip_s=clip_s,
-                sigma_sum=sigma_sum,
-            )
-        )
+            if sigma_sum:
+                query = self._query_pool.setdefault(query[:3], query)
+            elif self._insecure[-1:] != [open_round]:
+                self._insecure.append(open_round)
+        self._queries.append(query)
 
     def close_round(self) -> None:
         if not self._open:
             raise LedgerUsageError("no open round to close")
         self._open = False
 
+    def _each_round(self):
+        """(round id, sample, that round's queries) for each round, in order."""
+        ends = self._starts[1:] + [len(self._queries)]
+        for round_id, (sample, start, end) in enumerate(
+            zip(self._samples, self._starts, ends)
+        ):
+            yield round_id, sample, self._queries[start:end]
+
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
-        """Each round's sample event and sum queries, in id order (a copy)."""
-        return [(sample, list(queries)) for sample, queries in self._rounds]
+        """Each round's sample event and sum queries, in id order, built
+        from the stored facts on each call."""
+        return [
+            (
+                SampleEvent(
+                    round_id=round_id, q=sample.q, n=sample.n, policy_tag=sample.policy_tag
+                ),
+                [
+                    SumQueryEvent(
+                        round_id=round_id,
+                        group_name=ev.group_name,
+                        clip_s=ev.clip_s,
+                        sigma_sum=ev.sigma_sum,
+                    )
+                    for ev in queries
+                ],
+            )
+            for round_id, sample, queries in self._each_round()
+        ]
 
     def insecure_rounds(self) -> tuple[int, ...]:
         """Ids of rounds with any zero-noise sum query, in id order."""
-        return tuple(
-            sample.round_id
-            for sample, queries in self._rounds
-            if any(ev.sigma_sum == 0.0 for ev in queries)
-        )
+        return tuple(self._insecure)
 
 
 def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[RoundQuery]:
@@ -272,7 +357,8 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
     allow_insecure is set, in which case they surface with effective=None
     so the accountant can mark the guarantee vacuous instead of wrong. A
     round whose clip and noise values put S* out of float range is refused
-    with SensitivityRangeError naming the round.
+    with SensitivityRangeError naming the round. Each distinct tuple of
+    queries is composed once, at its first round.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
@@ -287,32 +373,32 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
             f"test-mode ledgers"
         )
     out: list[RoundQuery] = []
-    for sample, queries in ledger._rounds:
+    effective_of: dict[tuple[_Query, ...], EffectiveQuery | None] = {}
+    for round_id, sample, queries in ledger._each_round():
         if not queries:
             warnings.warn(
-                f"round {sample.round_id} recorded no sum queries; dropping it",
+                f"round {round_id} recorded no sum queries; dropping it",
                 stacklevel=2,
             )
             continue
-        effective = None
-        if all(ev.sigma_sum != 0.0 for ev in queries):
-            try:
-                effective = round_compose(queries)
-            except ValueError as exc:
-                raise SensitivityRangeError(f"round {sample.round_id}: {exc}") from None
+        key = tuple(queries)
+        if key not in effective_of:
+            effective = None
+            if all(ev.sigma_sum != 0.0 for ev in queries):
+                try:
+                    effective = round_compose((ev.clip_s, ev.sigma_sum) for ev in queries)
+                except ValueError as exc:
+                    raise SensitivityRangeError(f"round {round_id}: {exc}") from None
+            effective_of[key] = effective
         out.append(
             RoundQuery(
-                round_id=sample.round_id,
+                round_id=round_id,
                 q=sample.q,
                 policy_tag=sample.policy_tag,
-                effective=effective,
+                effective=effective_of[key],
             )
         )
     return out
-
-
-def _fmt_float(x: float) -> str:
-    return float(x).hex()
 
 
 def _parse_float(text: str, field: str) -> float:
@@ -334,17 +420,44 @@ def serialize(ledger: Ledger) -> bytes:
             f"round {ledger.open_round} is still open; close it before serializing"
         )
     lines = [_HEADER.decode()]
-    for sample, queries in ledger._rounds:
-        lines.append(
-            f"sample round={sample.round_id} policy={sample.policy_tag} "
-            f"q={_fmt_float(sample.q)} n={sample.n}\n"
-        )
-        for ev in queries:
-            lines.append(
-                f"sum round={ev.round_id} group={ev.group_name} "
-                f"clip={_fmt_float(ev.clip_s)} sigma_sum={_fmt_float(ev.sigma_sum)}\n"
-            )
+    for round_id, sample, queries in ledger._each_round():
+        lines.append(f"sample round={round_id} {sample.text}")
+        head = f"sum round={round_id} "
+        lines.extend(head + ev.text for ev in queries)
     return "".join(lines).encode("ascii")
+
+
+def _replay(ledger: Ledger, line: str) -> bool:
+    """Check one event line in full and replay it through the Ledger
+    methods; True if it was a sample line. Raises ValueError or
+    LedgerUsageError."""
+    match = _EVENT_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(f"not a sample or sum event line: {line!r}")
+    round_id, policy, q, n, sum_round, group, clip, sigma_sum = match.groups()
+    if round_id is None:
+        ledger.record_sum_query(
+            int(sum_round),
+            clip_s=_parse_float(clip, "clip"),
+            sigma_sum=_parse_float(sigma_sum, "sigma_sum"),
+            group_name=group,
+        )
+        return False
+    if ledger.open_round is not None:
+        ledger.close_round()
+    expected = ledger.record_sample(q=_parse_float(q, "q"), n=int(n), policy_tag=policy)
+    if int(round_id) != expected:
+        raise ValueError(
+            f"round ids must be strictly increasing from 0 with no "
+            f"gaps; round {round_id} where {expected} is next"
+        )
+    return True
+
+
+def _heads(round_id: int) -> tuple[bytes, bytes]:
+    """How the sum lines of open round round_id, and the next sample
+    line, begin."""
+    return b"sum round=%d " % round_id, b"sample round=%d " % (round_id + 1)
 
 
 def deserialize(data: bytes) -> Ledger:
@@ -356,6 +469,11 @@ def deserialize(data: bytes) -> Ledger:
     closes the open round and must carry the next id, so a missing round
     is refused; a sum line must carry the open round's id. All rounds are
     closed at end of input. Errors carry 1-based line numbers.
+
+    The text after "round=K " of each line that passed the full check is
+    kept with the event it recorded. A later line that is the expected
+    "sample round=K " or "sum round=K " followed by kept text replays that
+    event without parsing it again; every other line takes the full check.
     """
     if not isinstance(data, bytes):
         raise TypeError("deserialize expects bytes")
@@ -366,35 +484,44 @@ def deserialize(data: bytes) -> Ledger:
             "input does not end with a newline; file is truncated",
             line=data.count(b"\n") + 1,
         )
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise LedgerParseError(f"not ascii: {exc}") from None
-    ledger = Ledger()
-    for line_no, line in enumerate(text.split("\n")[1:-1], start=2):
+    if not data.isascii():
         try:
-            match = _EVENT_LINE.fullmatch(line)
-            if match is None:
-                raise ValueError(f"not a sample or sum event line: {line!r}")
-            round_id, policy, q, n, sum_round, group, clip, sigma_sum = match.groups()
-            if round_id is not None:
-                if ledger.open_round is not None:
-                    ledger.close_round()
-                expected = ledger.record_sample(
-                    q=_parse_float(q, "q"), n=int(n), policy_tag=policy
-                )
-                if int(round_id) != expected:
-                    raise ValueError(
-                        f"round ids must be strictly increasing from 0 with no "
-                        f"gaps; round {round_id} where {expected} is next"
+            data.decode("ascii")  # raises, naming the first non-ascii byte
+        except UnicodeDecodeError as exc:
+            raise LedgerParseError(f"not ascii: {exc}") from None
+    ledger = Ledger()
+    seen_samples: dict[bytes, _Sample] = {}
+    seen_queries: dict[bytes, _Query] = {}
+    round_id, sum_head, sample_head = None, None, b"sample round=0 "
+    lines = io.BytesIO(data)
+    next(lines)  # the header
+    for line_no, line in enumerate(lines, start=2):
+        try:
+            if sum_head and line.startswith(sum_head):
+                query = seen_queries.get(line[len(sum_head) :])
+                if query is not None:
+                    ledger.record_sum_query(
+                        round_id,
+                        clip_s=query.clip_s,
+                        sigma_sum=query.sigma_sum,
+                        group_name=query.group_name,
                     )
+                    continue
+            elif line.startswith(sample_head):
+                sample = seen_samples.get(line[len(sample_head) :])
+                if sample is not None:
+                    ledger.close_round()  # open since the sample line that kept it
+                    round_id = ledger.record_sample(
+                        q=sample.q, n=sample.n, policy_tag=sample.policy_tag
+                    )
+                    sum_head, sample_head = _heads(round_id)
+                    continue
+            if _replay(ledger, line[:-1].decode("ascii")):
+                seen_samples[line[len(sample_head) :]] = ledger._samples[-1]
+                round_id = ledger.open_round
+                sum_head, sample_head = _heads(round_id)
             else:
-                ledger.record_sum_query(
-                    int(sum_round),
-                    clip_s=_parse_float(clip, "clip"),
-                    sigma_sum=_parse_float(sigma_sum, "sigma_sum"),
-                    group_name=group,
-                )
+                seen_queries[line[len(sum_head) :]] = ledger._queries[-1]
         except (ValueError, LedgerUsageError) as exc:
             raise LedgerParseError(str(exc), line=line_no) from None
     if ledger.open_round is not None:

@@ -111,11 +111,17 @@ def gaussian_sum(
 
 
 def _batch_rows(blocks) -> int:
-    """Row count shared by a batch's (m x d) blocks."""
-    rows = {np.shape(block)[0] if np.ndim(block) == 2 else None for block in blocks}
-    if len(rows) != 1 or None in rows:
+    """Row count shared by a batch's (m x d) arrays, of which there is at
+    least one."""
+    rows = None
+    for block in blocks:
+        if block.ndim != 2 or (rows is not None and block.shape[0] != rows):
+            rows = None
+            break
+        rows = block.shape[0]
+    if rows is None:
         raise ValueError("a batch holds 2-d (m x d) blocks that share one row count")
-    return rows.pop()
+    return rows
 
 
 def _group_block(
@@ -141,12 +147,14 @@ def _group_block(
         ]
         if any(len(row) != k for row in rows):
             raise ValueError(f"every record must hold the group's {k} vectors")
-        if not rows and (member_dims is None or len(member_dims) != k):
-            raise ValueError(f"no records sampled; pass the group's {k} member_dims")
+        if not rows:
+            if member_dims is None or len(member_dims) != k:
+                raise ValueError(f"no records sampled; pass the group's {k} member_dims")
+            if min(member_dims) < 1:
+                raise ValueError(f"member dims {member_dims} must be positive")
+            return np.empty((0, sum(member_dims))), member_dims
         records = {
             name: np.array([row[j] for row in rows], dtype=np.float64)
-            if rows
-            else np.empty((0, member_dims[j]))
             for j, name in enumerate(spec.member_names)
         }
     parts = [np.asarray(records[name], dtype=np.float64) for name in spec.member_names]
@@ -170,7 +178,7 @@ def _group_query(
     by their member's scale, clip the rows to clip_s, column-sum, add
     N(0, sigma_sum^2 I), divide by q * n, and multiply the scales back."""
     block, dims = _group_block(records, spec, member_dims)
-    scales = None if spec.joint_scales is None else np.repeat(spec.joint_scales, dims)
+    scales = None if spec.joint_scales is None else np.array(spec.joint_scales).repeat(dims)
     if scales is not None:
         block = block / scales
     sigma_sum = ctx.qn * spec.noise_sigma

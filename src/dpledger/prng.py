@@ -28,6 +28,8 @@ SEED_BYTES = 16
 
 _KEY_DOMAIN = b"dpledger.stream.v1"
 _TWO_POW_MINUS_53 = 2.0**-53
+_DROP = np.uint64(11)  # a uniform keeps the top 53 bits of a 64-bit word
+_ONE = np.uint64(1)
 
 
 def new_seed() -> bytes:
@@ -89,12 +91,12 @@ class SecureStream:
 
     def uniform_halfopen(self, count: int) -> np.ndarray:
         """Uniforms on [0, 1) with 53-bit resolution."""
-        bits = self.uint64(count) >> np.uint64(11)
+        bits = self.uint64(count) >> _DROP
         return bits.astype(np.float64) * _TWO_POW_MINUS_53
 
     def uniform_open(self, count: int) -> np.ndarray:
         """Uniforms on (0, 1] with 53-bit resolution (safe under log)."""
-        bits = (self.uint64(count) >> np.uint64(11)) + np.uint64(1)
+        bits = (self.uint64(count) >> _DROP) + _ONE
         return bits.astype(np.float64) * _TWO_POW_MINUS_53
 
     def standard_normal(self, count: int) -> np.ndarray:
@@ -104,11 +106,25 @@ class SecureStream:
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
-        u1 = self.uniform_open(pairs)
-        u2 = self.uniform_halfopen(pairs)
+        # One keystream read for both halves (the same bytes as reading
+        # them one after the other), then steps in place, which keep each
+        # variate's bits: the same integer and float operations as
+        # uniform_open / uniform_halfopen and the Box-Muller formula, with
+        # only the operands of * swapped.
+        bits = self.uint64(2 * pairs)
+        bits >>= _DROP
+        bits[:pairs] += _ONE  # the first half on (0, 1], safe under log
+        u = bits.astype(np.float64)
+        del bits
+        u *= _TWO_POW_MINUS_53
+        u1, angle = u.reshape(2, pairs)
         radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:count]
+        angle *= 2.0 * np.pi
+        out = np.empty((2, pairs))
+        np.cos(angle, out[0])
+        np.sin(angle, out[1])
+        out *= radius
+        return out.reshape(-1)[:count]
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias)."""

@@ -177,6 +177,8 @@ def clip_rows(block, s: float) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or not np.isfinite(block).all():
         raise ValueError("clip_rows expects a finite (m x d) block")
+    if block.shape[0] == 0:
+        return block
     norms = _row_norms(block)
     if np.isinf(norms).any():
         raise ValueError("clip_rows: a row's L2 norm exceeds the float range")

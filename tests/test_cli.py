@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import dpledger
 from dpledger import account_ledger, compose_rdp, deserialize, epsilon_at_delta, rdp_step
 from dpledger.cli import main
 
@@ -314,6 +318,32 @@ def test_calibrate_q_then_verify(capsys):
     assert code == 0
     q = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
     assert abs(_eps_of(q, 1.1, 1000) - 2.0) <= 1e-3
+
+
+def test_calibrate_into_a_closed_pipe_exits_1_without_traceback():
+    # `dpledger calibrate ... | head -1`, where the reader is gone before
+    # the output is written: every write to stdout fails with EPIPE.
+    src = str(pathlib.Path(dpledger.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "dpledger", "calibrate",
+                "--target-epsilon", "2", "--delta", "1e-5", "--rounds", "1000",
+                "--knob", "z", "--q", "0.01", "--lo", "0.5", "--hi", "4",
+            ],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )  # fmt: skip
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr, done.stderr.decode()
 
 
 def test_calibrate_infeasible_prints_bracket(capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -394,6 +395,64 @@ def test_deserialize_preserves_insecure_flags():
     led.close_round()
     back = deserialize(serialize(led))
     assert back.insecure_rounds() == (0,)
+
+
+def test_signed_zero_sigma_stays_distinct():
+    # -0.0 == 0.0, so equal-value sharing must not merge the two spellings
+    led = Ledger()
+    for sigmas in ((0.0,), (-0.0,), (-0.0, 0.0), (0.0,)):
+        rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
+        for sigma in sigmas:
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
+        led.close_round()
+    data = serialize(led)
+    sigma_texts = [
+        line.rsplit(b"=", 1)[1] for line in data.split(b"\n") if line.startswith(b"sum ")
+    ]
+    assert sigma_texts == [b"0x0.0p+0", b"-0x0.0p+0", b"-0x0.0p+0", b"0x0.0p+0", b"0x0.0p+0"]
+    back = deserialize(data)
+    assert serialize(back) == data
+    assert led.insecure_rounds() == back.insecure_rounds() == (0, 1, 2, 3)
+    signs = [
+        [math.copysign(1.0, ev.sigma_sum) for ev in sums] for _, sums in back.rounds()
+    ]
+    assert signs == [[1.0], [-1.0], [-1.0, 1.0], [1.0]]
+
+
+def test_out_of_range_round_named_when_its_queries_repeat():
+    # S* is composed once per distinct tuple of queries; the refusal still
+    # names the first round that carries it.
+    led = Ledger()
+    for sigma in (1.0, 2.0**-1074, 1.0, 2.0**-1074):
+        rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
+        led.close_round()
+    for ledger in (led, deserialize(serialize(led))):
+        with pytest.raises(SensitivityRangeError) as exc:
+            formal_ledger(ledger)
+        assert str(exc.value).startswith("round 1:")
+
+
+def test_fixed_hyperparameter_ledger_parses_into_shared_events():
+    # 20k rounds of the same 12 queries: the parsed ledger holds the 13
+    # distinct events once, so it adds a few GC-tracked objects, where one
+    # object per event would add 260,000.
+    led = Ledger()
+    for _ in range(20_000):
+        rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+        for g in range(12):
+            led.record_sum_query(
+                rid, clip_s=0.5 + g / 16, sigma_sum=3.0 + g, group_name=f"layer{g}"
+            )
+        led.close_round()
+    data = serialize(led)
+    del led
+    gc.collect()
+    before = len(gc.get_objects())
+    back = deserialize(data)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 40
+    assert serialize(back) == data
 
 
 def test_formal_is_pure_over_serialization():
