@@ -34,7 +34,6 @@ _MODULE_OF = {
     "allocate": "allocation",
     "calibrate": "allocation",
     "dim_adjusted_allocation": "allocation",
-    "effective_z": "allocation",
     "proportional_allocation": "allocation",
     "split_clip_budget": "allocation",
     "AccountingRefusal": "errors",
@@ -53,16 +52,15 @@ _MODULE_OF = {
     "generate_synthetic": "harness",
     "make_sgd_partition": "harness",
     "sigmas_for_target_z": "harness",
-    "EffectiveQuery": "ledger",
+    "FormalRow": "ledger",
     "Ledger": "ledger",
     "PrivacyTuple": "ledger",
-    "RoundQuery": "ledger",
     "SampleEvent": "ledger",
     "SamplingPolicy": "ledger",
     "SumQueryEvent": "ledger",
     "deserialize": "ledger",
+    "effective_z": "ledger",
     "formal_ledger": "ledger",
-    "round_compose": "ledger",
     "serialize": "ledger",
     "GroupEstimate": "mechanisms",
     "RoundContext": "mechanisms",

@@ -21,7 +21,10 @@ a signed bound. Only integer orders are accepted, so no step is a
 numerical approximation with an unchecked error.
 
 Costs add across rounds order-by-order, so n rounds at one (q, z) cost n
-times one round's profile. The classic conversion
+times one round's profile. The accountant reads a ledger only through
+ledger.formal_ledger, its count table: one row per distinct (policy, q, z)
+with its number of rounds, where z = 1/S* comes from ledger.effective_z,
+the one S*. It evaluates each row's profile once. The classic conversion
 eps = min_lam [ RDP(lam) + log(1/delta) / (lam - 1) ] turns the composed
 profile into an (eps, delta) guarantee. The conversion is deliberately
 the textbook one; sharper conversions exist but are out of scope, and the
@@ -38,8 +41,7 @@ account; calibration is in allocation.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -314,42 +316,30 @@ def account_ledger(
 ) -> PrivacyGuarantee:
     """Recompute the end-to-end guarantee from a ledger's events alone.
 
-    Per round: reduce to the single equivalent query at (q, z = z_effective).
-    Rounds are counted by (policy, q, z) in first-seen order, and each
-    distinct round's RDP profile is taken once and composed count times,
-    then converted at delta. Policies the accountant cannot analyze raise
-    UnsupportedPolicyError, naming their first round, instead of returning
-    a number that means nothing.
+    formal_ledger counts the usable rounds by (policy, q, z = 1/S*) in
+    first-seen order; each row's RDP profile is taken once and composed
+    its count times, then converted at delta. Policies the accountant
+    cannot analyze raise UnsupportedPolicyError, naming their first round,
+    instead of returning a number that means nothing.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     grid = grid or OrderGrid.default()
-    rows = formal_ledger(ledger, allow_insecure=allow_insecure)
-    counts = Counter(
-        (r.policy_tag, r.q, None if r.effective is None else r.effective.z_effective)
-        for r in rows
-    )
     caveats: list[str] = []
     profiles: list[RdpProfile] = []
-    for (tag, q, z), count in counts.items():
-        support = policy_accounting_support(tag, wor_as_poisson=wor_as_poisson)
+    for row in formal_ledger(ledger, allow_insecure=allow_insecure):
+        support = policy_accounting_support(row.policy_tag, wor_as_poisson=wor_as_poisson)
         if not support.supported:
-            first = next(r.round_id for r in rows if r.policy_tag == tag)
             raise UnsupportedPolicyError(
-                f"round {first} used policy {tag!r}: {support.reason}"
+                f"round {row.first_round} used policy {row.policy_tag!r}: {support.reason}"
             )
         if support.caveat and support.caveat not in caveats:
             caveats.append(support.caveat)
-        if z is None:
+        if row.z is None:
             profiles.append(RdpProfile.diverged(grid))
             if _INSECURE_CAVEAT not in caveats:
                 caveats.append(_INSECURE_CAVEAT)
         else:
-            profiles.append(rdp_step(q, z, grid).repeated(count))
+            profiles.append(rdp_step(row.q, row.z, grid).repeated(row.rounds))
     guarantee = epsilon_at_delta(compose_rdp(profiles, grid), delta)
-    return PrivacyGuarantee(
-        epsilon=guarantee.epsilon,
-        delta=guarantee.delta,
-        achieving_order=guarantee.achieving_order,
-        caveats=tuple(caveats) + guarantee.caveats,
-    )
+    return replace(guarantee, caveats=tuple(caveats) + guarantee.caveats)

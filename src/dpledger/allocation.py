@@ -2,7 +2,8 @@
 clip budget across layers.
 
 Given a target z, an allocation returns per-group sum-level noise stds
-whose round composition lands exactly back on z: proportional allocation
+whose round composition, the ledger's effective_z (re-exported here),
+lands exactly back on z: proportional allocation
 spends sqrt(G) per group, dimensionality-adjusted allocation spends
 sqrt(D / d_g) so high-dimensional groups get relatively less noise per
 coordinate. Both are pure functions of bounds and dimensions: they never
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .accountant import OrderGrid, epsilon_at_delta, rdp_step
 from .errors import CalibrationError
-from .ledger import round_compose
+from .ledger import effective_z  # noqa: F401  (re-exported)
 
 
 class AllocationStrategy(enum.Enum):
@@ -60,12 +61,6 @@ class AllocationRequest:
             if d < 1:
                 raise ValueError(f"dimensions must be at least 1, got {d}")
         object.__setattr__(self, "group_bounds", bounds)
-
-
-def effective_z(tuples) -> float:
-    """Noise multiplier 1/S* of one round's sum-level (clip_s, sigma_sum)
-    tuples, as round_compose defines it."""
-    return round_compose(tuples).z_effective
 
 
 def proportional_allocation(req: AllocationRequest) -> tuple[float, ...]:

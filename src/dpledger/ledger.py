@@ -8,7 +8,10 @@ removed; round ids run 0, 1, 2, ... with no gaps.
 
 With accountant, this is the trusted core; it imports only errors. It
 holds what an event is checked or read against: the name, (q, n, round)
-and (clip, sigma) checks, the policy tags, and round_compose, the one S*.
+and (clip, sigma) checks, the policy tags, and effective_z, the one S*.
+formal_ledger is the one reduction the accountant reads: a count table
+with one row per distinct (policy, q, z) of the usable rounds, giving how
+many rounds it covers and the id of the first.
 
 Storage is flat and interned. A Ledger keeps three lists: each round's
 sample facts, every round's queries in order, and the int index where each
@@ -38,9 +41,10 @@ from __future__ import annotations
 import enum
 import io
 import math
+import numbers
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -61,15 +65,19 @@ def _check_name(name: str, what: str) -> None:
         )
 
 
-def _check_round(q: float, n: int, round_id: int = 0) -> None:
+def _check_round(q: float, n: int, round_id: int = 0) -> int:
     """The sampling facts every round carries: rate q in (0, 1], population
-    n at least 1, round id nonnegative."""
+    n an integer (not a bool) at least 1, round id nonnegative. Returns n
+    as an int."""
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1], got {q}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if round_id < 0:
         raise ValueError(f"round_id must be nonnegative, got {round_id}")
+    return int(n)
 
 
 class SamplingPolicy(enum.Enum):
@@ -103,39 +111,21 @@ class PrivacyTuple:
             raise ValueError(f"noise std must be nonnegative and finite, got {sigma}")
 
 
-@dataclass(frozen=True)
-class EffectiveQuery:
-    """One round collapsed to a single sensitivity-s_star, sigma-1 query,
-    whose noise multiplier is z_effective = 1 / s_star.
+def effective_z(tuples) -> float:
+    """The noise multiplier z = 1/S* of one round's sum-level (clip_s,
+    sigma_sum) tuples: the one definition of S*.
 
-    An s_star that is not a positive finite float (a sum that overflowed
-    to inf or underflowed to 0) is refused rather than represented.
-    """
-
-    s_star: float
-    z_effective: float = field(init=False)
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s_star) and self.s_star > 0):
-            raise ValueError(
-                f"equivalent sensitivity S* = {self.s_star!r} is out of range"
-            )
-        object.__setattr__(self, "z_effective", 1.0 / self.s_star)
-
-
-def round_compose(tuples) -> EffectiveQuery:
-    """Collapse one round's (clip_s, sigma_sum) tuples to a single
-    equivalent query of sensitivity s_star at noise std 1.
-
-    s_star = sqrt(sum_g (clip_s_g / sigma_sum_g)^2); the round's noise
-    multiplier is z = 1 / s_star. Each tuple is a PrivacyTuple (the
-    ledger's sum-query events are), used as already checked, or a plain
-    (clip_s, sigma_sum) pair, checked here. A zero sigma_sum would make
-    s_star infinite, which is rejected rather than represented.
+    S* = sqrt(sum_g (clip_s_g / sigma_sum_g)^2) is the sensitivity of the
+    single query, at noise std 1, that the round's queries compose to. Each
+    tuple is a PrivacyTuple, used as already checked, or a plain (clip_s,
+    sigma_sum) pair, checked here. A zero sigma_sum would make S* infinite
+    and raises InfiniteSensitivityError; an S* that is not a positive
+    finite float (a sum that overflowed to inf or underflowed to 0) is
+    refused rather than represented.
     """
     tuples = list(tuples)
     if not tuples:
-        raise ValueError("round_compose needs at least one query tuple")
+        raise ValueError("effective_z needs at least one query tuple")
     acc = 0.0
     for t in tuples:
         if not isinstance(t, PrivacyTuple):
@@ -148,7 +138,10 @@ def round_compose(tuples) -> EffectiveQuery:
             acc += (t.clip_s / t.sigma_sum) ** 2
         except OverflowError:  # float ** raises where * would give inf
             acc = math.inf
-    return EffectiveQuery(s_star=math.sqrt(acc))
+    s_star = math.sqrt(acc)
+    if not (math.isfinite(s_star) and s_star > 0):
+        raise ValueError(f"equivalent sensitivity S* = {s_star!r} is out of range")
+    return 1.0 / s_star
 
 
 _HEADER = b"dpledger ledger v1\n"
@@ -163,8 +156,7 @@ _EVENT_LINE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SampleEvent:
+class SampleEvent(NamedTuple):
     """One round's selection facts: policy tag, rate q, population n."""
 
     round_id: int
@@ -172,40 +164,31 @@ class SampleEvent:
     n: int
     policy_tag: str
 
-    def __post_init__(self):
-        _check_round(self.q, self.n, self.round_id)
-        _check_name(self.policy_tag, "policy tag")
 
-
-@dataclass(frozen=True)
-class SumQueryEvent(PrivacyTuple):
-    """One Gaussian sum query: the privacy tuple (clip bound, sum-level
-    noise std) of a group in a round, checked once, here.
+class SumQueryEvent(NamedTuple):
+    """One Gaussian sum query of a round: a group's clip bound and
+    sum-level noise std.
 
     sigma_sum = 0 is recordable (insecure test runs still get logged) but
     poisons the round; the accountant refuses such ledgers by default.
     """
 
+    clip_s: float
+    sigma_sum: float
     round_id: int
     group_name: str
 
-    def __post_init__(self):
-        self.check(self.clip_s, self.sigma_sum)
-        if self.round_id < 0:
-            raise ValueError(f"round_id must be nonnegative, got {self.round_id}")
-        _check_name(self.group_name, "group name")
 
+class FormalRow(NamedTuple):
+    """Every usable round at one (policy, q, z): how many there are and
+    the id of the first. z is None for zero-noise rounds, whose equivalent
+    sensitivity is unbounded."""
 
-@dataclass(frozen=True)
-class RoundQuery:
-    """A closed round reduced for accounting: sampling facts plus the
-    single equivalent query (None when a zero-noise event made the round's
-    equivalent sensitivity unbounded)."""
-
-    round_id: int
-    q: float
     policy_tag: str
-    effective: EffectiveQuery | None
+    q: float
+    z: float | None
+    rounds: int
+    first_round: int
 
 
 class _Sample(NamedTuple):
@@ -264,11 +247,12 @@ class Ledger:
             )
         round_id = len(self._samples)
         try:
-            sample = self._sample_pool.get((policy_tag, q, n))
+            # 10.0 and True hash as 10 and 1 do; only an int n may match
+            sample = self._sample_pool.get((policy_tag, q, n)) if type(n) is int else None
         except TypeError:  # unhashable; the checks below refuse it
             sample = None
         if sample is None:
-            _check_round(q, n, round_id)
+            n = _check_round(q, n, round_id)
             _check_name(policy_tag, "policy tag")
             q = float(q)
             sample = _Sample(policy_tag, q, n, f"policy={policy_tag} q={q.hex()} n={n}\n")
@@ -327,16 +311,9 @@ class Ledger:
         from the stored facts on each call."""
         return [
             (
-                SampleEvent(
-                    round_id=round_id, q=sample.q, n=sample.n, policy_tag=sample.policy_tag
-                ),
+                SampleEvent(round_id, sample.q, sample.n, sample.policy_tag),
                 [
-                    SumQueryEvent(
-                        round_id=round_id,
-                        group_name=ev.group_name,
-                        clip_s=ev.clip_s,
-                        sigma_sum=ev.sigma_sum,
-                    )
+                    SumQueryEvent(ev.clip_s, ev.sigma_sum, round_id, ev.group_name)
                     for ev in queries
                 ],
             )
@@ -348,17 +325,18 @@ class Ledger:
         return tuple(self._insecure)
 
 
-def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[RoundQuery]:
-    """Reduce a fully closed ledger to one RoundQuery per usable round.
+def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[FormalRow]:
+    """Reduce a fully closed ledger to its count table: one FormalRow per
+    distinct (policy, q, z) of its usable rounds, in first-seen order.
 
     Rounds with no sum queries carry no privacy cost; they are dropped with
     a warning (an empty round usually means a crashed producer). Rounds
     containing a zero-noise query are refused outright unless
-    allow_insecure is set, in which case they surface with effective=None
-    so the accountant can mark the guarantee vacuous instead of wrong. A
-    round whose clip and noise values put S* out of float range is refused
-    with SensitivityRangeError naming the round. Each distinct tuple of
-    queries is composed once, at its first round.
+    allow_insecure is set, in which case they count at z = None so the
+    accountant can mark the guarantee vacuous instead of wrong. A round
+    whose clip and noise values put S* out of float range is refused with
+    SensitivityRangeError naming the round. Each distinct tuple of queries
+    is composed once, at its first round.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
@@ -372,8 +350,8 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
             f"provide no privacy. Pass allow_insecure=True only to inspect "
             f"test-mode ledgers"
         )
-    out: list[RoundQuery] = []
-    effective_of: dict[tuple[_Query, ...], EffectiveQuery | None] = {}
+    z_of: dict[tuple[_Query, ...], float | None] = {}
+    tally: dict[tuple, list[int]] = {}  # (policy, q, z) -> [rounds, first round]
     for round_id, sample, queries in ledger._each_round():
         if not queries:
             warnings.warn(
@@ -381,24 +359,17 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Round
                 stacklevel=2,
             )
             continue
-        key = tuple(queries)
-        if key not in effective_of:
-            effective = None
+        queries = tuple(queries)
+        if queries not in z_of:
+            z = None
             if all(ev.sigma_sum != 0.0 for ev in queries):
                 try:
-                    effective = round_compose((ev.clip_s, ev.sigma_sum) for ev in queries)
+                    z = effective_z((ev.clip_s, ev.sigma_sum) for ev in queries)
                 except ValueError as exc:
                     raise SensitivityRangeError(f"round {round_id}: {exc}") from None
-            effective_of[key] = effective
-        out.append(
-            RoundQuery(
-                round_id=round_id,
-                q=sample.q,
-                policy_tag=sample.policy_tag,
-                effective=effective_of[key],
-            )
-        )
-    return out
+            z_of[queries] = z
+        tally.setdefault((sample.policy_tag, sample.q, z_of[queries]), [0, round_id])[0] += 1
+    return [FormalRow(*key, *counts) for key, counts in tally.items()]
 
 
 def _parse_float(text: str, field: str) -> float:

@@ -11,7 +11,7 @@ the scaled concatenation, then undoes the scaling on the estimate. Both
 emit the (clip_s, sigma_sum) tuple the privacy ledger exists to record,
 with sigma_sum = q * n * noise_sigma computed here, once, so the ledger
 sees the identical float. How a round's tuples compose into one
-equivalent query is the ledger's round_compose, not decided here.
+equivalent query is the ledger's effective_z, not decided here.
 """
 
 from __future__ import annotations

@@ -304,9 +304,9 @@ def test_account_multi_round_matches_manual_composition():
     got = account_ledger(led, DELTA)
     from dpledger import formal_ledger
 
-    profiles = [
-        rdp_step(row.q, row.effective.z_effective) for row in formal_ledger(led)
-    ]
+    rows = formal_ledger(led)
+    assert [row.rounds for row in rows] == [1, 1, 1]
+    profiles = [rdp_step(row.q, row.z) for row in rows]
     manual = epsilon_at_delta(compose_rdp(profiles), DELTA)
     assert got.epsilon == manual.epsilon
     assert got.achieving_order == manual.achieving_order
@@ -343,11 +343,11 @@ def test_account_composes_repeated_rounds_by_count():
     assert got.epsilon == by_count.epsilon
 
 
-def _q_z(led, round_id):
+def _q_z(led, row_index):
     from dpledger import formal_ledger
 
-    row = formal_ledger(led)[round_id]
-    return row.q, row.effective.z_effective
+    row = formal_ledger(led)[row_index]
+    return row.q, row.z
 
 
 def _mixed_ledger(rounds):

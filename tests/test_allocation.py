@@ -26,11 +26,24 @@ def _req(strategy, z, bounds):
 
 def test_effective_z_unit_tuple():
     assert effective_z([(1.0, 1.0)]) == 1.0
+    assert effective_z([PrivacyTuple(1.0, 1.0)]) == 1.0
 
 
 def test_effective_z_accepts_privacy_tuples():
     tuples = [PrivacyTuple(clip_s=3.0, sigma_sum=6.0), PrivacyTuple(clip_s=4.0, sigma_sum=8.0)]
-    assert effective_z(tuples) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert effective_z(tuples) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert effective_z([(3.0, 6.0), (4.0, 8.0)]) == effective_z(tuples)
+
+
+def test_effective_z_proportional_cancellation():
+    # sigma_g = z sqrt(G) S_g makes S* collapse to 1/z
+    z = 0.7
+    for g_count in (1, 3, 7):
+        tuples = [
+            PrivacyTuple(s, z * math.sqrt(g_count) * s)
+            for s in np.linspace(0.5, 4.0, g_count)
+        ]
+        assert effective_z(tuples) == pytest.approx(z, rel=1e-12)
 
 
 def test_effective_z_validation():
@@ -38,10 +51,23 @@ def test_effective_z_validation():
         effective_z([])
     with pytest.raises(InfiniteSensitivityError):
         effective_z([(1.0, 0.0)])
+    with pytest.raises(InfiniteSensitivityError):
+        effective_z([PrivacyTuple(1.0, 0.0)])
     with pytest.raises(ValueError):
         effective_z([(1.0, -1.0)])
     with pytest.raises(ValueError):
         effective_z([(0.0, 1.0)])
+
+
+def test_effective_z_refuses_s_star_out_of_range():
+    # finite, nonzero tuples whose S* overflows to inf or underflows to 0
+    with pytest.raises(ValueError, match="out of range"):
+        effective_z([PrivacyTuple(1.0, 2.0**-1074)])
+    with pytest.raises(ValueError, match="out of range"):
+        effective_z([PrivacyTuple(2.0**-1074, 1e300)])
+    # a finite ratio whose square overflows (float ** raises OverflowError)
+    with pytest.raises(ValueError, match="out of range"):
+        effective_z([PrivacyTuple(1e155, 1.0)])
 
 
 def test_proportional_example():

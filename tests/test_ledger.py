@@ -2,6 +2,7 @@ import gc
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from dpledger import (
@@ -11,6 +12,7 @@ from dpledger import (
     LedgerParseError,
     LedgerUsageError,
     SensitivityRangeError,
+    FormalRow,
     deserialize,
     formal_ledger,
     serialize,
@@ -94,15 +96,33 @@ def test_sample_event_validation():
         led.record_sample(q=0.5, n=0, policy_tag="poisson_iid")
 
 
+@pytest.mark.parametrize("bad_n", [10.0, 10.5, True])
+def test_non_integer_n_refused_at_record_time(bad_n):
+    # the equal int is recorded first, so the refusal cannot depend on
+    # 10.0 or True matching an already checked n
+    led = Ledger()
+    led.record_sample(q=0.5, n=int(bad_n), policy_tag="poisson_iid")
+    led.close_round()
+    with pytest.raises(ValueError, match="n must be an integer"):
+        led.record_sample(q=0.5, n=bad_n, policy_tag="poisson_iid")
+
+
+def test_integral_n_is_stored_as_int():
+    led = Ledger()
+    led.record_sample(q=0.5, n=np.int64(10), policy_tag="poisson_iid")
+    led.close_round()
+    ((sample, _),) = led.rounds()
+    assert type(sample.n) is int
+    assert serialize(led).endswith(b" n=10\n")
+    assert serialize(deserialize(serialize(led))) == serialize(led)
+
+
 # ----------------------------------------------------------- normalization
 
 
 def test_formal_single_round():
     rows = formal_ledger(_one_round(q=0.5, clip=1.0, sigma=1.0))
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.q == 0.5
-    assert row.effective.s_star == 1.0
+    assert rows == [FormalRow("poisson_iid", 0.5, 1.0, rounds=1, first_round=0)]
 
 
 def test_formal_two_tuple_round():
@@ -111,9 +131,9 @@ def test_formal_two_tuple_round():
     led.record_sum_query(rid, clip_s=3.0, sigma_sum=6.0, group_name="a")
     led.record_sum_query(rid, clip_s=4.0, sigma_sum=8.0, group_name="b")
     led.close_round()
-    rows = formal_ledger(led)
-    assert rows[0].q == 0.01
-    assert rows[0].effective.s_star == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    (row,) = formal_ledger(led)
+    assert row.q == 0.01
+    assert row.z == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_formal_requires_closed_rounds():
@@ -132,8 +152,7 @@ def test_formal_drops_empty_rounds_with_warning():
     led.close_round()
     with pytest.warns(UserWarning):
         rows = formal_ledger(led)
-    assert len(rows) == 1
-    assert rows[0].q == 0.25
+    assert rows == [FormalRow("poisson_iid", 0.25, 2.0, rounds=1, first_round=1)]
 
 
 def test_formal_refuses_insecure_by_default():
@@ -144,7 +163,7 @@ def test_formal_refuses_insecure_by_default():
     with pytest.raises(InsecureLedgerError):
         formal_ledger(led)
     rows = formal_ledger(led, allow_insecure=True)
-    assert rows[0].effective is None
+    assert rows == [FormalRow("poisson_iid", 0.5, None, rounds=1, first_round=0)]
 
 
 def test_formal_keeps_policy_tag_for_later_refusal():
@@ -154,6 +173,51 @@ def test_formal_keeps_policy_tag_for_later_refusal():
     led.close_round()
     rows = formal_ledger(led)
     assert rows[0].policy_tag == "disjoint_partition"
+
+
+def _rounds_ledger(rounds):
+    """rounds: list of (policy, q, n, [(group, clip, sigma_sum), ...])."""
+    led = Ledger()
+    for policy, q, n, queries in rounds:
+        rid = led.record_sample(q=q, n=n, policy_tag=policy)
+        for group, clip, sigma in queries:
+            led.record_sum_query(rid, clip_s=clip, sigma_sum=sigma, group_name=group)
+        led.close_round()
+    return led
+
+
+def test_formal_counts_rounds_per_policy_q_z_in_first_seen_order():
+    one, two = [("g", 1.0, 2.0)], [("g", 1.0, 4.0), ("h", 1.0, 4.0)]
+    led = _rounds_ledger(
+        [
+            ("poisson_iid", 0.5, 10, one),
+            ("fixed_size_wor", 0.5, 10, one),
+            ("poisson_iid", 0.5, 20, one),  # n is not part of the key
+            ("poisson_iid", 0.25, 10, one),
+            ("poisson_iid", 0.5, 10, two),
+            ("fixed_size_wor", 0.5, 10, one),
+        ]
+    )
+    assert formal_ledger(led) == [
+        FormalRow("poisson_iid", 0.5, 2.0, rounds=2, first_round=0),
+        FormalRow("fixed_size_wor", 0.5, 2.0, rounds=2, first_round=1),
+        FormalRow("poisson_iid", 0.25, 2.0, rounds=1, first_round=3),
+        FormalRow("poisson_iid", 0.5, 1 / math.sqrt(2 * 0.25**2), rounds=1, first_round=4),
+    ]
+
+
+def test_formal_merges_rounds_whose_queries_differ_only_in_group_name():
+    led = _rounds_ledger(
+        [
+            ("poisson_iid", 0.25, 10, [("a", 1.0, 3.0)]),
+            ("poisson_iid", 0.5, 10, [("a", 1.0, 3.0)]),
+            ("poisson_iid", 0.5, 10, [("b", 1.0, 3.0)]),
+        ]
+    )
+    assert formal_ledger(led) == [
+        FormalRow("poisson_iid", 0.25, 3.0, rounds=1, first_round=0),
+        FormalRow("poisson_iid", 0.5, 3.0, rounds=2, first_round=1),
+    ]
 
 
 # ------------------------------------------------------------ serialization
@@ -465,5 +529,5 @@ def test_formal_is_pure_over_serialization():
         warnings.simplefilter("error")
         rows_a = formal_ledger(led)
         rows_b = formal_ledger(deserialize(serialize(led)))
-    assert rows_a[0].q == rows_b[0].q
-    assert rows_a[0].effective.s_star == rows_b[0].effective.s_star
+    assert rows_a == rows_b
+    assert [row.z.hex() for row in rows_a] == [row.z.hex() for row in rows_b]

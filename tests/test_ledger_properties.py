@@ -6,6 +6,8 @@ must be refused at the line where the round is missing. Ledgers drawn from
 a small pool of events repeat their line texts, as a fixed-hyperparameter
 run does, so the parser's check-once path is taken; a repeated line with
 its round id or line ending spoiled must be refused at that line.
+formal_ledger's count table must match a per-round reduction written out
+here.
 """
 
 import warnings
@@ -19,8 +21,11 @@ from dpledger import (
     Ledger,
     LedgerParseError,
     OrderGrid,
+    SensitivityRangeError,
     account_ledger,
     deserialize,
+    effective_z,
+    formal_ledger,
     serialize,
 )
 
@@ -48,6 +53,25 @@ _POOLED_ROUNDS = st.tuples(
         min_size=5,
         max_size=30,
     ).map(lambda rounds: [(*sample, queries) for sample, queries in rounds])
+)
+# Few distinct values, zero noise included, so that (policy, q, z) keys
+# repeat and rounds whose queries differ can still share a z.
+_SMALL_POOL_ROUNDS = st.lists(
+    st.tuples(
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.sampled_from([10, 20]),
+        _POLICIES,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from([0.5, 1.0, 2.0]),
+                st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+            ),
+            max_size=3,
+        ),
+    ),
+    min_size=1,
+    max_size=30,
 )
 # a short grid keeps each cold rdp_step cheap; the property is about inputs
 _GRID = OrderGrid((2.0, 3.0, 8.0, 32.0))
@@ -137,3 +161,43 @@ def test_spoiled_repeated_line_is_refused_at_that_line(rounds, spoiler, data):
     with pytest.raises(LedgerParseError) as exc:
         deserialize(b"\n".join(lines))
     assert exc.value.line == i + 1
+
+
+def _per_round_keys(rounds):
+    """(round id, (policy, q, z)) for each round with a query, one round at
+    a time; z is None for a round with a zero-noise query. Raises
+    SensitivityRangeError naming the first round whose S* is out of range."""
+    keys = []
+    for round_id, (q, _, policy, queries) in enumerate(rounds):
+        if not queries:
+            continue
+        z = None
+        if all(sigma != 0.0 for _, _, sigma in queries):
+            try:
+                z = effective_z([(clip, sigma) for _, clip, sigma in queries])
+            except ValueError as exc:
+                raise SensitivityRangeError(f"round {round_id}: {exc}") from None
+        keys.append((round_id, (policy, q, z)))
+    return keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ROUNDS, _SMALL_POOL_ROUNDS))
+def test_formal_ledger_is_the_per_round_count_table(rounds):
+    led = _build(rounds)
+    try:
+        keys = _per_round_keys(rounds)
+    except SensitivityRangeError as exc:
+        with pytest.raises(SensitivityRangeError) as got, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            formal_ledger(led, allow_insecure=True)
+        assert str(got.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = formal_ledger(led, allow_insecure=True)
+    assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
+    assert sum(row.rounds for row in rows) == len(keys)
+    for row in rows:
+        ids = [round_id for round_id, key in keys if key == row[:3]]
+        assert (row.rounds, row.first_round) == (len(ids), min(ids))

@@ -8,7 +8,6 @@ from dpledger import (
     ConfigurationError,
     GroupPartition,
     GroupSpec,
-    InfiniteSensitivityError,
     Ledger,
     Mechanism,
     PrivacyTuple,
@@ -23,7 +22,6 @@ from dpledger import (
     joint_group_query,
     microbatch_reduce,
     poisson_sample,
-    round_compose,
     run_partitioned_round,
     separate_group_query,
 )
@@ -244,49 +242,12 @@ def test_k1_separate_and_joint_coincide():
     assert sep.emitted == joint.emitted
 
 
-# ------------------------------------------------------------ round_compose
-
-
-def test_round_compose_single_tuple():
-    eff = round_compose([PrivacyTuple(1.0, 1.0)])
-    assert eff.s_star == 1.0
-    assert eff.z_effective == 1.0
-
-
-def test_round_compose_two_tuples():
-    eff = round_compose([PrivacyTuple(3.0, 6.0), PrivacyTuple(4.0, 8.0)])
-    assert eff.s_star == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert eff.z_effective == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-
-def test_round_compose_proportional_cancellation():
-    # sigma_g = z sqrt(G) S_g makes S* collapse to 1/z
-    z = 0.7
-    for g_count in (1, 3, 7):
-        tuples = [
-            PrivacyTuple(s, z * math.sqrt(g_count) * s)
-            for s in np.linspace(0.5, 4.0, g_count)
-        ]
-        eff = round_compose(tuples)
-        assert eff.z_effective == pytest.approx(z, rel=1e-12)
-
-
-def test_round_compose_rejects_degenerate():
-    with pytest.raises(ValueError):
-        round_compose([])
-    with pytest.raises(InfiniteSensitivityError):
-        round_compose([PrivacyTuple(1.0, 0.0)])
-
-
-def test_round_compose_rejects_s_star_out_of_range():
-    # finite, nonzero tuples whose S* overflows to inf or underflows to 0
-    with pytest.raises(ValueError):
-        round_compose([PrivacyTuple(1.0, 2.0**-1074)])
-    with pytest.raises(ValueError):
-        round_compose([PrivacyTuple(2.0**-1074, 1e300)])
-    # a finite ratio whose square overflows (float ** raises OverflowError)
-    with pytest.raises(ValueError):
-        round_compose([PrivacyTuple(1e155, 1.0)])
+def test_round_facts_refuse_non_integer_n():
+    # the same (q, n, round) check the ledger records with
+    with pytest.raises(ValueError, match="n must be an integer"):
+        RoundContext(q=0.5, n=10.5, round_id=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=10.5, seed=b"n-check-seed-000", q=0.5)
 
 
 # -------------------------------------------------------- microbatch_reduce

@@ -59,7 +59,7 @@ def test_golden_epsilon_is_the_60_digit_value_to_one_ulp():
         log_inv_delta = mpmath.log(1 / mpmath.mpf(1e-5))
         candidates = [
             (
-                sum(_oracle_rdp(r.q, r.effective.z_effective, int(lam)) for r in rows)
+                sum(r.rounds * _oracle_rdp(r.q, r.z, int(lam)) for r in rows)
                 + log_inv_delta / (lam - 1),
                 lam,
             )
