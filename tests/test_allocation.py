@@ -26,7 +26,6 @@ def _req(strategy, z, bounds):
 
 def test_effective_z_unit_tuple():
     assert effective_z([(1.0, 1.0)]) == 1.0
-    assert effective_z([PrivacyTuple(1.0, 1.0)]) == 1.0
 
 
 def test_effective_z_accepts_privacy_tuples():
@@ -51,8 +50,6 @@ def test_effective_z_validation():
         effective_z([])
     with pytest.raises(InfiniteSensitivityError):
         effective_z([(1.0, 0.0)])
-    with pytest.raises(InfiniteSensitivityError):
-        effective_z([PrivacyTuple(1.0, 0.0)])
     with pytest.raises(ValueError):
         effective_z([(1.0, -1.0)])
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from dpledger import (
     ConfigurationError,
     GroupPartition,
     GroupSpec,
+    InfiniteSensitivityError,
     Ledger,
     Mechanism,
     PrivacyTuple,
@@ -18,6 +19,7 @@ from dpledger import (
     SecureStream,
     clip_rows,
     clip_to_norm,
+    effective_z,
     gaussian_sum,
     joint_group_query,
     microbatch_reduce,
@@ -240,6 +242,27 @@ def test_k1_separate_and_joint_coincide():
     )
     assert np.array_equal(sep.get("v"), joint.get("v"))
     assert sep.emitted == joint.emitted
+
+
+# ------------------------------------------------------ round composition
+# a round's PrivacyTuples compose to one query of z = 1/S* (ledger.effective_z)
+
+
+def test_round_compose_single_tuple():
+    assert effective_z([PrivacyTuple(1.0, 1.0)]) == 1.0
+
+
+def test_round_compose_two_tuples():
+    z = effective_z([PrivacyTuple(3.0, 6.0), PrivacyTuple(4.0, 8.0)])
+    assert 1.0 / z == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert z == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_round_compose_rejects_degenerate():
+    with pytest.raises(ValueError):
+        effective_z([])
+    with pytest.raises(InfiniteSensitivityError):
+        effective_z([PrivacyTuple(1.0, 0.0)])
 
 
 def test_round_facts_refuse_non_integer_n():
