@@ -63,6 +63,23 @@ _DEFAULT_ORDERS = tuple(float(k) for k in range(2, 65)) + (
 _MAX_ORDER = 2**16
 _CHUNK_TERMS = 2**20
 
+# log(i!) = lgamma(i + 1) for i = 0, 1, ..., extended on demand to the
+# largest order asked for. A table of a pure function, so sharing it
+# across calls changes no result; it is replaced, never written in place.
+_log_fact = np.zeros(0)
+
+
+def _log_factorials(top: int) -> np.ndarray:
+    """log(i!) for i = 0..top (at least), read-only."""
+    global _log_fact
+    have = len(_log_fact)
+    if have <= top:
+        more = np.array([math.lgamma(i + 1.0) for i in range(have, top + 1)])
+        table = np.concatenate([_log_fact, more])
+        table.flags.writeable = False
+        _log_fact = table
+    return _log_fact
+
 
 @dataclass(frozen=True)
 class OrderGrid:
@@ -190,7 +207,7 @@ def rdp_step(q: float, z: float, grid: OrderGrid | None = None) -> RdpProfile:
             grid=grid, values=tuple(lam / (2.0 * z * z) for lam in grid.orders)
         )
     lams = np.array(grid.orders, dtype=np.int64)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(lams[-1] + 1)])
+    log_fact = _log_factorials(int(lams[-1]))
     # Cut before each order whose terms end in a new block of _CHUNK_TERMS,
     # so a chunk holds at most _CHUNK_TERMS + _MAX_ORDER terms.
     ends = np.cumsum(lams - 1)

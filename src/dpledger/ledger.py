@@ -13,37 +13,45 @@ formal_ledger is the one reduction the accountant reads: a count table
 with one row per distinct (policy, q, z) of the usable rounds, giving how
 many rounds it covers and the id of the first.
 
-Storage is flat and interned. A Ledger keeps three lists: each round's
-sample facts, every round's queries in order, and the int index where each
-round's queries start. Each distinct checked (policy, q, n) and (group,
-clip, sigma_sum) is one shared object, carrying its serialized text, so a
-run with fixed hyperparameters holds G + 1 event objects however many
-rounds it records. The SampleEvent and SumQueryEvent views, round ids
-included, are built only when rounds() is called.
+Storage is interned. A Ledger keeps one list with an entry per closed
+round, and each entry refers to a round record: the round's sample, the
+tuple of its queries and its wire form split at the round id. Each
+distinct checked (policy, q, n) and (group, clip, sigma_sum) is one
+shared object, carrying its serialized text, and each distinct round of
+shared events is one shared record, so a run with fixed hyperparameters
+holds G + 1 event objects and one round record however many rounds it
+records. The SampleEvent and SumQueryEvent views, round ids included, are
+built only when rounds() is called. formal_ledger counts the entries per
+round record, so its work follows the distinct rounds, not all of them.
 
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
 in memory, not approximate it. The parser reads back only the spellings
 serialize writes, so serialize(deserialize(b)) == b or the parse fails,
-and it rebuilds the ledger by replaying each line through the Ledger
-methods, so a file obeys the same round bracketing as a live run. It
-checks each distinct line text after "round=K " in full once (pattern,
-canonical floats, event checks); a later line with the same text is
-replayed as that event once its K is the expected round id, and any other
-line takes the full check, so errors and their line numbers do not depend
-on what was seen before. Appending events to a ledger appends lines to its
-serialization, so the old file is always a byte prefix of the new.
+and it rebuilds the ledger by replaying lines through the Ledger methods,
+so a file obeys the same round bracketing as a live run. Once a round
+has been replayed, the rounds after it are compared with it whole: where
+the bytes serialize would write for that round at the next ids follow,
+they are appended as copies of it. Other lines are replayed one at a
+time; each distinct line text after "round=K " is checked in full once
+(pattern, canonical floats, event checks), a later line with the same
+text is replayed as that event once its K is the expected round id, and
+any other line takes the full check, so errors and their line numbers do
+not depend on what was seen before. Appending events to a ledger appends
+lines to its serialization, so the old file is always a byte prefix of
+the new.
 """
 
 from __future__ import annotations
 
 import enum
-import io
+import itertools
 import math
 import numbers
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -211,6 +219,17 @@ class _Query(NamedTuple):
     text: str
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity: one per distinct round
+class _Round:
+    """A closed round: its sample, its queries and its wire form split at
+    the round id, so that str(k).join(parts) is the round's serialization
+    at id k. A round of interned events is itself interned."""
+
+    sample: _Sample
+    queries: tuple[_Query, ...]
+    parts: tuple[str, ...]
+
+
 class Ledger:
     """In-memory log of rounds, each a sample event and its sum queries.
 
@@ -219,33 +238,35 @@ class Ledger:
     open round; close_round seals it. Opening a round while one is open,
     or querying with none open, is a usage error. deserialize replays a
     file through these methods, treating each sample line as closing the
-    round before it.
+    round before it, and appends the whole copies of a replayed round that
+    follow it through _repeat_last_round.
 
     An event is checked when its values are first recorded; recording
-    equal values again appends the interned event. A zero-noise query is
-    never interned, so -0.0 and 0.0 stay distinct; its round is noted as
-    insecure instead.
+    equal values again appends the interned event, and closing a round of
+    the same interned events appends the interned round. A zero-noise
+    query is never interned, so -0.0 and 0.0 stay distinct; its round is
+    noted as insecure instead, and is not interned either.
     """
 
     def __init__(self):
-        self._samples: list[_Sample] = []  # one per round
-        self._queries: list[_Query] = []  # every round's, in order
-        self._starts: list[int] = []  # index in _queries of each round's first
+        self._rounds: list[_Round] = []  # closed rounds, in id order
+        self._sample: _Sample | None = None  # the open round's, if any
+        self._queries: list[_Query] = []  # the open round's
         self._insecure: list[int] = []  # rounds with a zero-noise query
         self._sample_pool: dict[tuple, _Sample] = {}
         self._query_pool: dict[tuple, _Query] = {}
-        self._open = False
+        self._round_pool: dict[tuple[int, ...], _Round] = {}  # by event ids
 
     @property
     def open_round(self) -> int | None:
-        return len(self._samples) - 1 if self._open else None
+        return None if self._sample is None else len(self._rounds)
 
     def record_sample(self, q: float, n: int, policy_tag: str) -> int:
-        if self._open:
+        if self._sample is not None:
             raise LedgerUsageError(
                 f"round {self.open_round} is still open; close_round() first"
             )
-        round_id = len(self._samples)
+        round_id = len(self._rounds)
         try:
             # 10.0 and True hash as 10 and 1 do; only an int n may match
             sample = self._sample_pool.get((policy_tag, q, n)) if type(n) is int else None
@@ -257,20 +278,18 @@ class Ledger:
             q = float(q)
             sample = _Sample(policy_tag, q, n, f"policy={policy_tag} q={q.hex()} n={n}\n")
             sample = self._sample_pool.setdefault(sample[:3], sample)
-        self._samples.append(sample)
-        self._starts.append(len(self._queries))
-        self._open = True
+        self._sample = sample
         return round_id
 
     def record_sum_query(
         self, round_id: int, *, clip_s: float, sigma_sum: float, group_name: str
     ) -> None:
-        if not self._open:
+        if self._sample is None:
             raise LedgerUsageError(
                 "no open round; record_sample() first (a sum query before "
                 "any sample, or after close_round(), belongs to no round)"
             )
-        open_round = len(self._samples) - 1
+        open_round = len(self._rounds)
         if round_id != open_round:
             raise LedgerUsageError(f"round {round_id} is not the open round {open_round}")
         try:
@@ -294,21 +313,41 @@ class Ledger:
         self._queries.append(query)
 
     def close_round(self) -> None:
-        if not self._open:
+        if self._sample is None:
             raise LedgerUsageError("no open round to close")
-        self._open = False
+        sample, queries = self._sample, tuple(self._queries)
+        # The pools keep every interned event alive, so their ids are keys.
+        key = (id(sample), *map(id, queries))
+        rnd = self._round_pool.get(key)
+        if rnd is None:
+            texts = [sample.text, *(ev.text for ev in queries)]
+            parts = (
+                "sample round=",
+                *(f" {t}sum round=" for t in texts[:-1]),
+                f" {texts[-1]}",
+            )
+            rnd = _Round(sample, queries, parts)
+            if self._insecure[-1:] != [len(self._rounds)]:
+                self._round_pool[key] = rnd
+        self._rounds.append(rnd)
+        self._sample = None
+        self._queries.clear()
 
-    def _each_round(self):
-        """(round id, sample, that round's queries) for each round, in order."""
-        ends = self._starts[1:] + [len(self._queries)]
-        for round_id, (sample, start, end) in enumerate(
-            zip(self._samples, self._starts, ends)
-        ):
-            yield round_id, sample, self._queries[start:end]
+    def _repeat_last_round(self, copies: int) -> None:
+        """Append copies more rounds equal to the last round, which is
+        closed: deserialize's whole-round path, for a round it replayed
+        through the methods above."""
+        last = len(self._rounds) - 1
+        self._rounds.extend(itertools.repeat(self._rounds[last], copies))
+        if self._insecure[-1:] == [last]:
+            self._insecure.extend(range(last + 1, last + 1 + copies))
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
-        """Each round's sample event and sum queries, in id order, built
-        from the stored facts on each call."""
+        """Each round's sample event and sum queries, in id order, the
+        open round included, built from the stored facts on each call."""
+        rounds = [(rnd.sample, rnd.queries) for rnd in self._rounds]
+        if self._sample is not None:
+            rounds.append((self._sample, self._queries))
         return [
             (
                 SampleEvent(round_id, sample.q, sample.n, sample.policy_tag),
@@ -317,7 +356,7 @@ class Ledger:
                     for ev in queries
                 ],
             )
-            for round_id, sample, queries in self._each_round()
+            for round_id, (sample, queries) in enumerate(rounds)
         ]
 
     def insecure_rounds(self) -> tuple[int, ...]:
@@ -335,8 +374,9 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Forma
     allow_insecure is set, in which case they count at z = None so the
     accountant can mark the guarantee vacuous instead of wrong. A round
     whose clip and noise values put S* out of float range is refused with
-    SensitivityRangeError naming the round. Each distinct tuple of queries
-    is composed once, at its first round.
+    SensitivityRangeError naming the round. The work is per distinct
+    round: rounds are counted per interned round, and each distinct round
+    is composed and keyed once, at its first id.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
@@ -350,26 +390,34 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Forma
             f"provide no privacy. Pass allow_insecure=True only to inspect "
             f"test-mode ledgers"
         )
-    z_of: dict[tuple[_Query, ...], float | None] = {}
+    rounds = ledger._rounds
+    counts = Counter(rounds)  # distinct rounds, in first-seen order
+    first = dict(zip(reversed(rounds), range(len(rounds) - 1, -1, -1)))
     tally: dict[tuple, list[int]] = {}  # (policy, q, z) -> [rounds, first round]
-    for round_id, sample, queries in ledger._each_round():
-        if not queries:
-            warnings.warn(
-                f"round {round_id} recorded no sum queries; dropping it",
-                stacklevel=2,
-            )
+    refusal, end = None, len(rounds)
+    for rnd, count in counts.items():
+        if not rnd.queries:
             continue
-        queries = tuple(queries)
-        if queries not in z_of:
-            z = None
-            if all(ev.sigma_sum != 0.0 for ev in queries):
-                try:
-                    z = effective_z((ev.clip_s, ev.sigma_sum) for ev in queries)
-                except ValueError as exc:
-                    raise SensitivityRangeError(f"round {round_id}: {exc}") from None
-            z_of[queries] = z
-        tally.setdefault((sample.policy_tag, sample.q, z_of[queries]), [0, round_id])[0] += 1
-    return [FormalRow(*key, *counts) for key, counts in tally.items()]
+        z = None
+        if all(ev.sigma_sum != 0.0 for ev in rnd.queries):
+            try:
+                z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
+            except ValueError as exc:
+                end = first[rnd]
+                refusal = SensitivityRangeError(f"round {end}: {exc}")
+                break
+        key = (rnd.sample.policy_tag, rnd.sample.q, z)
+        tally.setdefault(key, [0, first[rnd]])[0] += count
+    if not all(rnd.queries for rnd in counts):  # warn in id order, up to a refusal
+        for round_id, rnd in enumerate(rounds[:end]):
+            if not rnd.queries:
+                warnings.warn(
+                    f"round {round_id} recorded no sum queries; dropping it",
+                    stacklevel=2,
+                )
+    if refusal is not None:
+        raise refusal
+    return [FormalRow(*key, *row) for key, row in tally.items()]
 
 
 def _parse_float(text: str, field: str) -> float:
@@ -379,7 +427,7 @@ def _parse_float(text: str, field: str) -> float:
         value = float.fromhex(text)
         if value.hex() == text:
             return value
-    except ValueError:
+    except (ValueError, OverflowError):  # 0x1p99999 overflows
         pass
     raise ValueError(f"field {field}={text!r} is not a canonical hex float")
 
@@ -390,12 +438,8 @@ def serialize(ledger: Ledger) -> bytes:
         raise LedgerUsageError(
             f"round {ledger.open_round} is still open; close it before serializing"
         )
-    lines = [_HEADER.decode()]
-    for round_id, sample, queries in ledger._each_round():
-        lines.append(f"sample round={round_id} {sample.text}")
-        head = f"sum round={round_id} "
-        lines.extend(head + ev.text for ev in queries)
-    return "".join(lines).encode("ascii")
+    body = "".join(str(k).join(rnd.parts) for k, rnd in enumerate(ledger._rounds))
+    return _HEADER + body.encode("ascii")
 
 
 def _replay(ledger: Ledger, line: str) -> bool:
@@ -431,6 +475,46 @@ def _heads(round_id: int) -> tuple[bytes, bytes]:
     return b"sum round=%d " % round_id, b"sample round=%d " % (round_id + 1)
 
 
+# The most expected bytes one whole-round comparison builds, so that a
+# long run of copies costs little memory beyond the input.
+_BLOCK_BYTES = 1 << 16
+
+
+def _copies(
+    data: bytes, pos: int, parts: tuple[str, ...], round_id: int
+) -> tuple[int, int]:
+    """How many whole copies of a round data holds from pos on, at ids
+    round_id, round_id + 1, ..., and the position after them.
+
+    A copy is what serialize writes for the round at its id. Blocks of
+    copies are compared at once, doubling up to about _BLOCK_BYTES; the
+    first block that does not match is then compared copy by copy. The
+    last copy counts only when the end of data or the next id's sample
+    line follows it; otherwise it may be the head of a longer round.
+    """
+    copies, block = 0, 1
+    cap = max(1, _BLOCK_BYTES // len(str(round_id).join(parts)))
+    while True:
+        ids = range(round_id + copies, round_id + copies + block)
+        pieces = [str(k).join(parts) for k in ids]
+        expected = "".join(pieces).encode("ascii")
+        if not data.startswith(expected, pos):
+            break
+        pos += len(expected)
+        copies += block
+        block = min(2 * block, cap)
+    for piece in pieces:
+        if not data.startswith(piece.encode("ascii"), pos):
+            break
+        pos += len(piece)
+        copies += 1
+    follows = b"sample round=%d " % (round_id + copies)
+    if copies and pos < len(data) and not data.startswith(follows, pos):
+        copies -= 1
+        pos -= len(str(round_id + copies).join(parts))
+    return copies, pos
+
+
 def deserialize(data: bytes) -> Ledger:
     """Decode bytes produced by serialize back into an appendable Ledger.
 
@@ -441,10 +525,16 @@ def deserialize(data: bytes) -> Ledger:
     is refused; a sum line must carry the open round's id. All rounds are
     closed at end of input. Errors carry 1-based line numbers.
 
-    The text after "round=K " of each line that passed the full check is
-    kept with the event it recorded. A later line that is the expected
-    "sample round=K " or "sum round=K " followed by kept text replays that
-    event without parsing it again; every other line takes the full check.
+    Two paths skip work that a line already checked has done, and give
+    the same ledger. Once a round has been replayed, the rounds after it
+    are tried as whole copies of it: where the bytes serialize would write
+    for that round at the next ids follow, byte for byte, they are
+    appended as copies of the closed round. The text after "round=K " of
+    each line that passed the full check is kept with the event it
+    recorded, and a later line that is the expected "sample round=K " or
+    "sum round=K " followed by kept text replays that event without
+    parsing it again. Every other line takes the full check, so an error
+    has the same text and line number on either path.
     """
     if not isinstance(data, bytes):
         raise TypeError("deserialize expects bytes")
@@ -464,9 +554,11 @@ def deserialize(data: bytes) -> Ledger:
     seen_samples: dict[bytes, _Sample] = {}
     seen_queries: dict[bytes, _Query] = {}
     round_id, sum_head, sample_head = None, None, b"sample round=0 "
-    lines = io.BytesIO(data)
-    next(lines)  # the header
-    for line_no, line in enumerate(lines, start=2):
+    pos, line_no = len(_HEADER), 1
+    while pos < len(data):
+        start, pos = pos, data.index(b"\n", pos) + 1
+        line = data[start:pos]
+        line_no += 1
         try:
             if sum_head and line.startswith(sum_head):
                 query = seen_queries.get(line[len(sum_head) :])
@@ -479,16 +571,26 @@ def deserialize(data: bytes) -> Ledger:
                     )
                     continue
             elif line.startswith(sample_head):
+                if ledger.open_round is not None:
+                    ledger.close_round()
+                    parts = ledger._rounds[-1].parts
+                    copies, after = _copies(data, start, parts, round_id + 1)
+                    if copies:
+                        ledger._repeat_last_round(copies)
+                        round_id += copies
+                        sum_head, sample_head = _heads(round_id)
+                        # a round has len(parts) - 1 lines; this one is counted
+                        pos, line_no = after, line_no + copies * (len(parts) - 1) - 1
+                        continue
                 sample = seen_samples.get(line[len(sample_head) :])
                 if sample is not None:
-                    ledger.close_round()  # open since the sample line that kept it
                     round_id = ledger.record_sample(
                         q=sample.q, n=sample.n, policy_tag=sample.policy_tag
                     )
                     sum_head, sample_head = _heads(round_id)
                     continue
             if _replay(ledger, line[:-1].decode("ascii")):
-                seen_samples[line[len(sample_head) :]] = ledger._samples[-1]
+                seen_samples[line[len(sample_head) :]] = ledger._sample
                 round_id = ledger.open_round
                 sum_head, sample_head = _heads(round_id)
             else:

@@ -18,6 +18,7 @@ from dpledger import (
     epsilon_at_delta,
     rdp_step,
 )
+from dpledger import accountant
 from dpledger.accountant import _MAX_ORDER
 
 DELTA = 1e-5
@@ -159,6 +160,17 @@ def test_rdp_step_chunks_do_not_change_values():
     got = dict(zip(wide.orders, rdp_step(0.01, 1.5, wide).values))
     for lam in orders:
         assert got[lam] == rdp_step(0.01, 1.5, OrderGrid((lam,))).values[0]
+
+
+def test_log_factorial_table_grows_with_the_same_bits():
+    # rdp_step reads one table per process, grown to the largest order
+    # asked for; growing it must not change an entry already there.
+    small = accountant._log_factorials(10).copy()
+    table = accountant._log_factorials(2000)
+    want = np.array([math.lgamma(i + 1.0) for i in range(2001)])
+    assert table[:2001].tobytes() == want.tobytes()
+    assert table[:11].tobytes() == small[:11].tobytes()
+    assert not table.flags.writeable
 
 
 def test_rdp_step_input_validation():

@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import warnings
@@ -17,6 +18,7 @@ from dpledger import (
     formal_ledger,
     serialize,
 )
+from dpledger import ledger as ledger_module
 
 
 def _one_round(q=0.5, clip=1.0, sigma=1.0, policy="poisson_iid", n=100):
@@ -344,7 +346,7 @@ _CANONICAL_SUM = _CANONICAL_ROUND + (
 @pytest.mark.parametrize(
     "token",
     ["0x1p-1", "0X1P0", "1.0", "inf", "nan", "0x.8p0", "0x1.0000000000000p-1\t",
-     "+0x1.0000000000000p-1", "0x1.0000000000000P-1"],
+     "+0x1.0000000000000p-1", "0x1.0000000000000P-1", "0x1p99999"],
 )  # fmt: skip
 def test_noncanonical_floats_rejected(field, line, token):
     assert serialize(deserialize(_CANONICAL_SUM)) == _CANONICAL_SUM
@@ -497,10 +499,9 @@ def test_out_of_range_round_named_when_its_queries_repeat():
         assert str(exc.value).startswith("round 1:")
 
 
-def test_fixed_hyperparameter_ledger_parses_into_shared_events():
-    # 20k rounds of the same 12 queries: the parsed ledger holds the 13
-    # distinct events once, so it adds a few GC-tracked objects, where one
-    # object per event would add 260,000.
+@pytest.fixture(scope="module")
+def fixed_hyperparameter_bytes():
+    """20k rounds of the same 12 queries, serialized."""
     led = Ledger()
     for _ in range(20_000):
         rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
@@ -509,14 +510,47 @@ def test_fixed_hyperparameter_ledger_parses_into_shared_events():
                 rid, clip_s=0.5 + g / 16, sigma_sum=3.0 + g, group_name=f"layer{g}"
             )
         led.close_round()
-    data = serialize(led)
-    del led
+    return serialize(led)
+
+
+def test_fixed_hyperparameter_ledger_parses_into_shared_events(fixed_hyperparameter_bytes):
+    # 20k rounds of the same 12 queries: the parsed ledger holds the 13
+    # distinct events once, so it adds a few GC-tracked objects, where one
+    # object per event would add 260,000.
+    data = fixed_hyperparameter_bytes
     gc.collect()
     before = len(gc.get_objects())
     back = deserialize(data)
     gc.collect()
     assert len(gc.get_objects()) - before <= 40
     assert serialize(back) == data
+
+
+def test_fixed_hyperparameter_ledger_is_accounted_per_distinct_round(
+    fixed_hyperparameter_bytes, monkeypatch
+):
+    # The parse replays round 0 through the Ledger methods and reads the
+    # other 19,999 rounds as whole copies of it; formal_ledger composes
+    # the one distinct round once.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        Ledger, "record_sum_query", counted("record_sum_query", Ledger.record_sum_query)
+    )
+    monkeypatch.setattr(
+        ledger_module, "effective_z", counted("effective_z", ledger_module.effective_z)
+    )
+    rows = formal_ledger(deserialize(fixed_hyperparameter_bytes))
+    assert calls["effective_z"] == 1
+    assert calls["record_sum_query"] <= 12
+    assert [(row.rounds, row.first_round) for row in rows] == [(20_000, 0)]
 
 
 def test_formal_is_pure_over_serialization():

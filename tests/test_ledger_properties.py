@@ -5,21 +5,27 @@ from memory and from file; a file with a whole round cut out of its middle
 must be refused at the line where the round is missing. Ledgers drawn from
 a small pool of events repeat their line texts, as a fixed-hyperparameter
 run does, so the parser's check-once path is taken; a repeated line with
-its round id or line ending spoiled must be refused at that line.
-formal_ledger's count table must match a per-round reduction written out
-here.
+its round id or line ending spoiled must be refused at that line. Runs
+of identical whole rounds take the parser's whole-round path; inside a
+run, a dropped, duplicated or swapped sum line, or a changed hex digit,
+must parse exactly as a line-by-line reference parser written out here
+does, and so must every line prefix and sampled byte prefixes of a
+fixed-hyperparameter ledger. formal_ledger's count table must match a
+per-round reduction written out here.
 """
 
+import re
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpledger import (
     AccountingRefusal,
     Ledger,
     LedgerParseError,
+    LedgerUsageError,
     OrderGrid,
     SensitivityRangeError,
     account_ledger,
@@ -54,6 +60,36 @@ _POOLED_ROUNDS = st.tuples(
         max_size=30,
     ).map(lambda rounds: [(*sample, queries) for sample, queries in rounds])
 )
+
+
+@st.composite
+def _run_rounds(draw):
+    """Runs of identical whole rounds (1 to 50 each), as a fixed-
+    hyperparameter run writes them. Before or after some runs stands a
+    round with one query more or one fewer than the run's rounds, whose
+    serialization shares a head with theirs."""
+    samples = draw(
+        st.lists(st.tuples(_Q, st.integers(1, 10**12), _POLICIES), min_size=1, max_size=2)
+    )
+    pool = draw(st.lists(st.tuples(_NAMES, _CLIP, _SIGMA), min_size=1, max_size=3))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        sample = draw(st.sampled_from(samples))
+        queries = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        run = [(*sample, queries)] * draw(st.integers(1, 50))
+        odd = draw(st.sampled_from(["more", "fewer", None]))
+        if odd is not None:
+            more = queries + [draw(st.sampled_from(pool))]
+            other = queries[:-1] if odd == "fewer" else more
+            run.insert(draw(st.sampled_from([0, len(run)])), (*sample, other))
+        rounds += run
+    return rounds
+
+
+# At most 2 distinct sample facts over at least 3 rounds, so some sample
+# line text repeats.
+_RUN_ROUNDS = _run_rounds().filter(lambda rounds: len(rounds) >= 3)
+
 # Few distinct values, zero noise included, so that (policy, q, z) keys
 # repeat and rounds whose queries differ can still share a z.
 _SMALL_POOL_ROUNDS = st.lists(
@@ -100,7 +136,7 @@ def _outcome(led: Ledger):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_ROUNDS, _POOLED_ROUNDS))
+@given(st.one_of(_ROUNDS, _POOLED_ROUNDS, _RUN_ROUNDS))
 def test_random_ledgers_round_trip_and_account_identically(rounds):
     led = _build(rounds)
     data = serialize(led)
@@ -148,7 +184,9 @@ _SPOILERS = {
 
 
 @settings(max_examples=100, deadline=None)
-@given(_POOLED_ROUNDS, st.sampled_from(sorted(_SPOILERS)), st.data())
+@given(
+    st.one_of(_POOLED_ROUNDS, _RUN_ROUNDS), st.sampled_from(sorted(_SPOILERS)), st.data()
+)
 def test_spoiled_repeated_line_is_refused_at_that_line(rounds, spoiler, data):
     lines = serialize(_build(rounds)).split(b"\n")
     repeated = _repeated_lines(lines)
@@ -161,6 +199,175 @@ def test_spoiled_repeated_line_is_refused_at_that_line(rounds, spoiler, data):
     with pytest.raises(LedgerParseError) as exc:
         deserialize(b"\n".join(lines))
     assert exc.value.line == i + 1
+
+
+_EVENT = re.compile(
+    r"sample round=(0|[1-9][0-9]*) policy=(\S+) q=(\S+) n=(0|[1-9][0-9]*)"
+    r"|sum round=(0|[1-9][0-9]*) group=(\S+) clip=(\S+) sigma_sum=(\S+)"
+)
+
+
+def _hex_float(text: str, field: str) -> float:
+    try:
+        value = float.fromhex(text)
+    except (ValueError, OverflowError):
+        value = None
+    if value is None or value.hex() != text:
+        raise ValueError(f"field {field}={text!r} is not a canonical hex float")
+    return value
+
+
+def _reference_deserialize(data: bytes) -> Ledger:
+    """deserialize one line at a time: every line is matched, its floats
+    read and its event replayed through record_sample/record_sum_query,
+    with nothing kept from one line to the next."""
+    if not data.startswith(b"dpledger ledger v1\n"):
+        raise LedgerParseError("missing or unrecognized header", line=1)
+    if not data.endswith(b"\n"):
+        raise LedgerParseError(
+            "input does not end with a newline; file is truncated",
+            line=data.count(b"\n") + 1,
+        )
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise LedgerParseError(f"not ascii: {exc}") from None
+    led = Ledger()
+    for line_no, line in enumerate(text.split("\n")[1:-1], start=2):
+        try:
+            match = _EVENT.fullmatch(line)
+            if match is None:
+                raise ValueError(f"not a sample or sum event line: {line!r}")
+            round_id, policy, q, n, sum_round, group, clip, sigma = match.groups()
+            if round_id is None:
+                led.record_sum_query(
+                    int(sum_round),
+                    clip_s=_hex_float(clip, "clip"),
+                    sigma_sum=_hex_float(sigma, "sigma_sum"),
+                    group_name=group,
+                )
+                continue
+            if led.open_round is not None:
+                led.close_round()
+            q = _hex_float(q, "q")
+            expected = led.record_sample(q=q, n=int(n), policy_tag=policy)
+            if int(round_id) != expected:
+                raise ValueError(
+                    f"round ids must be strictly increasing from 0 with no "
+                    f"gaps; round {round_id} where {expected} is next"
+                )
+        except (ValueError, LedgerUsageError) as exc:
+            raise LedgerParseError(str(exc), line=line_no) from None
+    if led.open_round is not None:
+        led.close_round()
+    return led
+
+
+def _parsed(parse, data: bytes):
+    """What parse makes of data: its refusal (type, message, line), or the
+    parsed ledger's bytes, rounds, insecure rounds, count table (or its
+    refusal) and formal_ledger's warnings."""
+    try:
+        led = parse(data)
+    except LedgerParseError as exc:
+        return type(exc), str(exc), exc.line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = formal_ledger(led, allow_insecure=True)
+        except SensitivityRangeError as exc:
+            table = type(exc), str(exc)
+    messages = [str(w.message) for w in caught]
+    return serialize(led), led.rounds(), led.insecure_rounds(), table, messages
+
+
+def _spoil_run(lines, spoiler, i, data):
+    """lines with sum line i spoiled; the index of the first changed line."""
+    lines = list(lines)
+    if spoiler == "drop":
+        del lines[i]
+    elif spoiler == "duplicate":
+        lines.insert(i, lines[i])
+        i += 1
+    elif spoiler == "swap":  # with the next sum line, else the one before
+        sums = [k for k, line in enumerate(lines) if line.startswith(b"sum ")]
+        later = [k for k in sums if k > i]
+        k = later[0] if later else max(k for k in sums if k < i)
+        lines[i], lines[k] = lines[k], lines[i]
+        i = min(i, k)
+    else:  # one hex digit of a mantissa, to another
+        digits = [
+            pos
+            for match in re.finditer(rb"0x([0-9a-f.]+)p", lines[i])
+            for pos in range(match.start(1), match.end(1))
+            if lines[i][pos] != ord(".")
+        ]
+        pos = data.draw(st.sampled_from(digits), label="digit")
+        old = lines[i][pos]
+        new = data.draw(st.sampled_from([d for d in b"0123456789abcdef" if d != old]))
+        lines[i] = lines[i][:pos] + bytes([new]) + lines[i][pos + 1 :]
+    return lines, i
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RUN_ROUNDS, st.sampled_from(["drop", "duplicate", "swap", "hex"]), st.data())
+def test_spoiled_run_parses_as_the_reference_does(rounds, spoiler, data):
+    # A dropped, duplicated or in-round swapped sum line, or a new mantissa
+    # digit, can leave a well-formed ledger: v1 does not record how many
+    # queries a round has. So the round must be read as written, never as
+    # a copy of its neighbours, and any refusal must name the spoiled line.
+    lines = serialize(_build(rounds)).split(b"\n")
+    starts = [k for k, line in enumerate(lines) if line.startswith(b"sample ")]
+    starts.append(len(lines) - 1)  # where a round after the last would start
+    copies = [
+        k
+        for j in range(1, len(rounds))
+        if rounds[j] == rounds[j - 1]
+        for k in range(starts[j] + 1, starts[j + 1])
+    ]
+    assume(copies)
+    i = data.draw(st.sampled_from(copies), label="spoiled line")
+    spoiled, first = _spoil_run(lines, spoiler, i, data)
+    spoiled = b"\n".join(spoiled)
+    got = _parsed(deserialize, spoiled)
+    assert got == _parsed(_reference_deserialize, spoiled)
+    if got[0] is LedgerParseError:
+        assert got[2] == first + 1
+
+
+def _fixed_ledger(rounds: int, sigmas) -> bytes:
+    led = Ledger()
+    for _ in range(rounds):
+        rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+        for g, sigma in enumerate(sigmas):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name=f"g{g}")
+        led.close_round()
+    return serialize(led)
+
+
+# 200 rounds of 2 groups; the second file records a zero-noise query.
+_FIXED = {
+    "secure": _fixed_ledger(200, (3.0, 5.0)),
+    "insecure": _fixed_ledger(200, (3.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_every_line_prefix_parses_as_the_reference_does(name):
+    # Today a prefix cut at a line boundary parses as the rounds it holds,
+    # its last round possibly short; this pins that the fast paths agree.
+    data = _FIXED[name]
+    ends = [k + 1 for k, byte in enumerate(data) if byte == ord("\n")]
+    for prefix in (data[:end] for end in [0, *ends]):
+        assert _parsed(deserialize, prefix) == _parsed(_reference_deserialize, prefix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_FIXED)), st.data())
+def test_byte_prefixes_parse_as_the_reference_does(name, data):
+    whole = _FIXED[name]
+    prefix = whole[: data.draw(st.integers(0, len(whole)), label="prefix length")]
+    assert _parsed(deserialize, prefix) == _parsed(_reference_deserialize, prefix)
 
 
 def _per_round_keys(rounds):
@@ -185,19 +392,28 @@ def _per_round_keys(rounds):
 @given(st.one_of(_ROUNDS, _SMALL_POOL_ROUNDS))
 def test_formal_ledger_is_the_per_round_count_table(rounds):
     led = _build(rounds)
+    # one warning per empty round, in id order, up to a refused round
+    empty = [round_id for round_id, (*_, queries) in enumerate(rounds) if not queries]
     try:
         keys = _per_round_keys(rounds)
     except SensitivityRangeError as exc:
-        with pytest.raises(SensitivityRangeError) as got, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.raises(SensitivityRangeError) as got, warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always")
             formal_ledger(led, allow_insecure=True)
         assert str(got.value) == str(exc)
-        return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = formal_ledger(led, allow_insecure=True)
-    assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
-    assert sum(row.rounds for row in rows) == len(keys)
-    for row in rows:
-        ids = [round_id for round_id, key in keys if key == row[:3]]
-        assert (row.rounds, row.first_round) == (len(ids), min(ids))
+        refused = int(str(exc).split(":")[0].removeprefix("round "))
+        empty = [round_id for round_id in empty if round_id < refused]
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = formal_ledger(led, allow_insecure=True)
+        assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
+        assert sum(row.rounds for row in rows) == len(keys)
+        for row in rows:
+            ids = [round_id for round_id, key in keys if key == row[:3]]
+            assert (row.rounds, row.first_round) == (len(ids), min(ids))
+    assert [str(w.message) for w in caught] == [
+        f"round {round_id} recorded no sum queries; dropping it" for round_id in empty
+    ]
