@@ -146,13 +146,15 @@ def calibrate(
     grid: OrderGrid | None = None,
     max_iterations: int = 60,
 ) -> float:
-    """Bisect the chosen knob until `rounds` identical rounds cost
-    target_epsilon at delta, within tolerance.
+    """Bisect the chosen knob until `rounds` identical rounds cost at
+    most target_epsilon at delta, and at least target_epsilon - tolerance.
 
-    Epsilon grows with q and shrinks with z; both directions are verified
-    at the bounds before bisecting, and a target outside the bracket fails
-    with the epsilon values at both bounds so the caller can see how far
-    off the bracket is.
+    The search is one-sided, at the bounds too: a knob value whose epsilon
+    exceeds the target is never returned, however close. Epsilon grows
+    with q and shrinks with z; both directions are verified at the bounds
+    before bisecting, and a target outside the bracket fails with the
+    epsilon values at both bounds so the caller can see how far off the
+    bracket is.
     """
     if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
         raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
@@ -192,9 +194,10 @@ def calibrate(
             f"eps({lo}) = {eps_lo}, eps({hi}) = {eps_hi}",
             bracket=(eps_lo, eps_hi),
         )
-    if abs(eps_lo - target_epsilon) <= tolerance:
+    within = lambda eps: target_epsilon - tolerance <= eps <= target_epsilon
+    if within(eps_lo):
         return lo
-    if abs(eps_hi - target_epsilon) <= tolerance:
+    if within(eps_hi):
         return hi
     low_eps, high_eps = min(eps_lo, eps_hi), max(eps_lo, eps_hi)
     if not low_eps <= target_epsilon <= high_eps:
@@ -206,14 +209,14 @@ def calibrate(
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
         eps_mid = evaluate(mid)
-        if abs(eps_mid - target_epsilon) <= tolerance:
+        if within(eps_mid):
             return mid
         if (eps_mid < target_epsilon) == increasing:
             lo = mid
         else:
             hi = mid
     raise CalibrationError(
-        f"no knob value within tolerance {tolerance} of epsilon "
+        f"no knob value within tolerance {tolerance} below epsilon "
         f"{target_epsilon} after {max_iterations} bisection steps",
         bracket=(eps_lo, eps_hi),
     )

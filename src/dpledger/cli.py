@@ -261,7 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--z", type=float, default=None, help="fixed z when tuning q")
     p_cal.add_argument("--lo", type=float, required=True, help="lower knob bound")
     p_cal.add_argument("--hi", type=float, required=True, help="upper knob bound")
-    p_cal.add_argument("--tolerance", type=float, default=1e-3)
+    p_cal.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-3,
+        help="how far below the target the epsilon found may be (never above)",
+    )
     p_cal.add_argument("--orders", type=_parse_orders, default=None)
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -28,25 +28,21 @@ The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
 recorded: a guarantee recomputed from a file must equal the one computed
 in memory, not approximate it. The parser reads back only the spellings
-serialize writes, so serialize(deserialize(b)) == b or the parse fails,
-and it rebuilds the ledger by replaying lines through the Ledger methods,
-so a file obeys the same round bracketing as a live run. Once a round
-has been replayed, the rounds after it are compared with it whole: where
-the bytes serialize would write for that round at the next ids follow,
-they are appended as copies of it. Other lines are replayed one at a
-time; each distinct line text after "round=K " is checked in full once
-(pattern, canonical floats, event checks), a later line with the same
-text is replayed as that event once its K is the expected round id, and
-any other line takes the full check, so errors and their line numbers do
-not depend on what was seen before. Appending events to a ledger appends
-lines to its serialization, so the old file is always a byte prefix of
-the new.
+serialize writes, so serialize(deserialize(b)) == b or the parse fails.
+A round enters a parsed ledger in one of two ways. Where the input holds,
+byte for byte, what serialize writes at the expected round id for a
+round already closed, it is that interned round, and so is each whole
+copy of it that follows. Anything else is replayed line by line through
+the Ledger methods, each line checked in full (pattern, canonical floats,
+event checks), so a file obeys the same round bracketing as a live run,
+and errors and their line numbers do not depend on what came before.
+Appending events to a ledger appends lines to its serialization, so the
+old file is always a byte prefix of the new.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 import re
@@ -237,9 +233,9 @@ class Ledger:
     round len(rounds) and returns that id; record_sum_query appends to the
     open round; close_round seals it. Opening a round while one is open,
     or querying with none open, is a usage error. deserialize replays a
-    file through these methods, treating each sample line as closing the
-    round before it, and appends the whole copies of a replayed round that
-    follow it through _repeat_last_round.
+    file's new rounds through these methods, treating each sample line as
+    closing the round before it, and appends a round seen before, and the
+    copies that follow a round, through _repeat.
 
     An event is checked when its values are first recorded; recording
     equal values again appends the interned event, and closing a round of
@@ -333,14 +329,14 @@ class Ledger:
         self._sample = None
         self._queries.clear()
 
-    def _repeat_last_round(self, copies: int) -> None:
-        """Append copies more rounds equal to the last round, which is
-        closed: deserialize's whole-round path, for a round it replayed
-        through the methods above."""
-        last = len(self._rounds) - 1
-        self._rounds.extend(itertools.repeat(self._rounds[last], copies))
-        if self._insecure[-1:] == [last]:
-            self._insecure.extend(range(last + 1, last + 1 + copies))
+    def _repeat(self, rnd: _Round, copies: int) -> None:
+        """Append copies more closed rounds equal to rnd, a round this
+        ledger already holds: deserialize's interned-round path. Copies of
+        an insecure last round are insecure too."""
+        start = len(self._rounds)
+        if rnd is self._rounds[-1] and self._insecure[-1:] == [start - 1]:
+            self._insecure.extend(range(start, start + copies))
+        self._rounds += [rnd] * copies
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
         """Each round's sample event and sum queries, in id order, the
@@ -385,10 +381,11 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Forma
         )
     insecure = ledger.insecure_rounds()
     if insecure and not allow_insecure:
+        ids = ", ".join(map(str, insecure[:5])) + (", ..." if len(insecure) > 5 else "")
         raise InsecureLedgerError(
-            f"ledger contains zero-noise round(s) {list(insecure)}; these "
-            f"provide no privacy. Pass allow_insecure=True only to inspect "
-            f"test-mode ledgers"
+            f"ledger contains {len(insecure)} zero-noise round(s) (ids {ids}); "
+            f"these provide no privacy. Pass allow_insecure=True only to "
+            f"inspect test-mode ledgers"
         )
     rounds = ledger._rounds
     counts = Counter(rounds)  # distinct rounds, in first-seen order
@@ -442,10 +439,9 @@ def serialize(ledger: Ledger) -> bytes:
     return _HEADER + body.encode("ascii")
 
 
-def _replay(ledger: Ledger, line: str) -> bool:
+def _replay(ledger: Ledger, line: str) -> None:
     """Check one event line in full and replay it through the Ledger
-    methods; True if it was a sample line. Raises ValueError or
-    LedgerUsageError."""
+    methods. Raises ValueError or LedgerUsageError."""
     match = _EVENT_LINE.fullmatch(line)
     if match is None:
         raise ValueError(f"not a sample or sum event line: {line!r}")
@@ -457,7 +453,7 @@ def _replay(ledger: Ledger, line: str) -> bool:
             sigma_sum=_parse_float(sigma_sum, "sigma_sum"),
             group_name=group,
         )
-        return False
+        return
     if ledger.open_round is not None:
         ledger.close_round()
     expected = ledger.record_sample(q=_parse_float(q, "q"), n=int(n), policy_tag=policy)
@@ -466,13 +462,6 @@ def _replay(ledger: Ledger, line: str) -> bool:
             f"round ids must be strictly increasing from 0 with no "
             f"gaps; round {round_id} where {expected} is next"
         )
-    return True
-
-
-def _heads(round_id: int) -> tuple[bytes, bytes]:
-    """How the sum lines of open round round_id, and the next sample
-    line, begin."""
-    return b"sum round=%d " % round_id, b"sample round=%d " % (round_id + 1)
 
 
 # The most expected bytes one whole-round comparison builds, so that a
@@ -520,21 +509,21 @@ def deserialize(data: bytes) -> Ledger:
 
     Lines end in "\\n" only, and the last one too: a stream that stops
     mid-line is reported as truncation rather than silently loaded short.
-    Each event line is replayed through the Ledger methods: a sample line
-    closes the open round and must carry the next id, so a missing round
-    is refused; a sum line must carry the open round's id. All rounds are
-    closed at end of input. Errors carry 1-based line numbers.
+    Round ids run 0, 1, 2, ... with no gaps, and each sum line carries the
+    id of the sample line above it. All rounds are closed at end of input.
+    Errors carry 1-based line numbers.
 
-    Two paths skip work that a line already checked has done, and give
-    the same ledger. Once a round has been replayed, the rounds after it
-    are tried as whole copies of it: where the bytes serialize would write
-    for that round at the next ids follow, byte for byte, they are
-    appended as copies of the closed round. The text after "round=K " of
-    each line that passed the full check is kept with the event it
-    recorded, and a later line that is the expected "sample round=K " or
-    "sum round=K " followed by kept text replays that event without
-    parsing it again. Every other line takes the full check, so an error
-    has the same text and line number on either path.
+    A round enters the ledger in one of two ways. The candidate for round
+    K runs from where round K must start to the next "sample round=K+1 "
+    line, or to the end of input. If a round this parse has replayed,
+    written at id K, is exactly those bytes, the candidate is that round.
+    Otherwise its lines are replayed through the Ledger methods, each
+    checked in full, so a missing round, a wrong id or a bad field is
+    refused at its line; the closed round is then kept by its id-free
+    wire form, "".join(parts), unless it is insecure. After either, if
+    the round's bytes at id K+1 follow, the rounds after it are read as
+    whole copies of it while their bytes match (_copies); a round with no
+    run does not pay for that call.
     """
     if not isinstance(data, bytes):
         raise TypeError("deserialize expects bytes")
@@ -551,52 +540,33 @@ def deserialize(data: bytes) -> Ledger:
         except UnicodeDecodeError as exc:
             raise LedgerParseError(f"not ascii: {exc}") from None
     ledger = Ledger()
-    seen_samples: dict[bytes, _Sample] = {}
-    seen_queries: dict[bytes, _Query] = {}
-    round_id, sum_head, sample_head = None, None, b"sample round=0 "
-    pos, line_no = len(_HEADER), 1
-    while pos < len(data):
-        start, pos = pos, data.index(b"\n", pos) + 1
-        line = data[start:pos]
-        line_no += 1
-        try:
-            if sum_head and line.startswith(sum_head):
-                query = seen_queries.get(line[len(sum_head) :])
-                if query is not None:
-                    ledger.record_sum_query(
-                        round_id,
-                        clip_s=query.clip_s,
-                        sigma_sum=query.sigma_sum,
-                        group_name=query.group_name,
-                    )
-                    continue
-            elif line.startswith(sample_head):
-                if ledger.open_round is not None:
-                    ledger.close_round()
-                    parts = ledger._rounds[-1].parts
-                    copies, after = _copies(data, start, parts, round_id + 1)
-                    if copies:
-                        ledger._repeat_last_round(copies)
-                        round_id += copies
-                        sum_head, sample_head = _heads(round_id)
-                        # a round has len(parts) - 1 lines; this one is counted
-                        pos, line_no = after, line_no + copies * (len(parts) - 1) - 1
-                        continue
-                sample = seen_samples.get(line[len(sample_head) :])
-                if sample is not None:
-                    round_id = ledger.record_sample(
-                        q=sample.q, n=sample.n, policy_tag=sample.policy_tag
-                    )
-                    sum_head, sample_head = _heads(round_id)
-                    continue
-            if _replay(ledger, line[:-1].decode("ascii")):
-                seen_samples[line[len(sample_head) :]] = ledger._sample
-                round_id = ledger.open_round
-                sum_head, sample_head = _heads(round_id)
-            else:
-                seen_queries[line[len(sum_head) :]] = ledger._queries[-1]
-        except (ValueError, LedgerUsageError) as exc:
-            raise LedgerParseError(str(exc), line=line_no) from None
-    if ledger.open_round is not None:
-        ledger.close_round()
+    rounds, interned = ledger._rounds, {}  # id-free wire form -> _Round
+    pos, line_no, size = len(_HEADER), 1, len(data)
+    while pos < size:
+        round_id = len(rounds)
+        k, k1 = str(round_id), str(round_id + 1)
+        nxt = data.find(f"\nsample round={k1} ".encode("ascii"), pos)
+        end = size if nxt < 0 else nxt + 1
+        text = data[pos:end]
+        rnd = interned.get(text.replace(f"round={k} ".encode("ascii"), b"round= "))
+        if rnd is not None and k.join(rnd.parts).encode("ascii") == text:
+            copies = 1
+        else:
+            for line in text.decode("ascii").split("\n")[:-1]:
+                line_no += 1
+                try:
+                    _replay(ledger, line)
+                except (ValueError, LedgerUsageError) as exc:
+                    raise LedgerParseError(str(exc), line=line_no) from None
+            ledger.close_round()
+            rnd, copies = rounds[-1], 0
+            if ledger._insecure[-1:] != [round_id]:
+                interned["".join(rnd.parts).encode("ascii")] = rnd
+        pos = end
+        if data.startswith(k1.join(rnd.parts).encode("ascii"), pos):
+            run, pos = _copies(data, pos, rnd.parts, round_id + 1)
+            copies += run
+        if copies:
+            ledger._repeat(rnd, copies)
+            line_no += copies * (len(rnd.parts) - 1)  # lines per round
     return ledger

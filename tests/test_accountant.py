@@ -450,6 +450,36 @@ def test_calibrate_sampling_rate_self_consistent():
     assert abs(_eps_of(q, 1.1, 1000) - 2.0) <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "knob, fixed, bounds",
+    [
+        (Knob.NOISE_MULTIPLIER, dict(q=0.01), (0.5, 4.0)),
+        (Knob.SAMPLING_RATE, dict(z=1.1), (1e-4, 0.5)),
+    ],
+)
+def test_calibrate_never_overshoots_the_target(knob, fixed, bounds):
+    # With tolerance 0.1 a two-sided search stopped at z = 1.1016 (epsilon
+    # 2.0796) and at q = 0.009864 (epsilon 2.0594): a knob costing more
+    # than was asked for.
+    got = calibrate(
+        2.0, DELTA, rounds=1000, knob=knob, bounds=bounds, tolerance=0.1, **fixed
+    )
+    q, z = fixed.get("q", got), fixed.get("z", got)
+    assert 1.9 <= _eps_of(q, z, 1000) <= 2.0
+
+
+def test_calibrate_bound_just_above_the_target_is_infeasible():
+    # Every z in the bounds costs more than the target, if only by a
+    # tenth of the tolerance: the bound is not returned.
+    target = _eps_of(0.01, 4.0, 100) - 1e-4
+    with pytest.raises(CalibrationError) as exc:
+        calibrate(
+            target, DELTA, rounds=100, knob=Knob.NOISE_MULTIPLIER, q=0.01,
+            bounds=(0.5, 4.0), tolerance=1e-3,
+        )
+    assert min(exc.value.bracket) > target
+
+
 def test_calibrate_infeasible_reports_bracket():
     with pytest.raises(CalibrationError) as exc:
         calibrate(

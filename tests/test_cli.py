@@ -8,7 +8,15 @@ import sys
 import pytest
 
 import dpledger
-from dpledger import account_ledger, compose_rdp, deserialize, epsilon_at_delta, rdp_step
+from dpledger import (
+    Ledger,
+    account_ledger,
+    compose_rdp,
+    deserialize,
+    epsilon_at_delta,
+    rdp_step,
+    serialize,
+)
 from dpledger.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger.txt"
@@ -211,6 +219,23 @@ def test_insecure_train_refused_by_account(tmp_path, capsys):
     assert code == 1  # vacuous guarantees never exit 0
     assert "epsilon = inf" in captured.out
     assert "caveat:" in captured.out
+
+
+def test_insecure_refusal_names_a_count_not_every_round(tmp_path, capsys):
+    # The refusal names a count and a few ids, so its size does not grow
+    # with the number of zero-noise rounds.
+    led = Ledger()
+    for _ in range(20_000):
+        rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=0.0, group_name="g")
+        led.close_round()
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(serialize(led))
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.encode()) < 300
+    assert "20000 zero-noise round(s) (ids 0, 1," in err
 
 
 def test_disjoint_train_runs_account_refuses(tmp_path, capsys):

@@ -4,16 +4,18 @@ Random ledgers must round-trip byte-exactly and account to the same bits
 from memory and from file; a file with a whole round cut out of its middle
 must be refused at the line where the round is missing. Ledgers drawn from
 a small pool of events repeat their line texts, as a fixed-hyperparameter
-run does, so the parser's check-once path is taken; a repeated line with
-its round id or line ending spoiled must be refused at that line. Runs
-of identical whole rounds take the parser's whole-round path; inside a
-run, a dropped, duplicated or swapped sum line, or a changed hex digit,
-must parse exactly as a line-by-line reference parser written out here
-does, and so must every line prefix and sampled byte prefixes of a
-fixed-hyperparameter ledger. formal_ledger's count table must match a
-per-round reduction written out here.
+run does; a repeated line with its round id or line ending spoiled must be
+refused at that line. Runs of identical whole rounds, and cycles through a
+few distinct rounds, take the parser's interned-round path; in a round
+that repeats an earlier one, a dropped, duplicated or swapped sum line, or
+a changed hex digit, must parse exactly as a line-by-line reference parser
+written out here does, and so must every line prefix and sampled byte
+prefixes of a fixed-hyperparameter and a periodic ledger. An alternating
+ledger replays only its two distinct rounds. formal_ledger's count table
+must match a per-round reduction written out here.
 """
 
+import collections
 import re
 import warnings
 
@@ -90,6 +92,35 @@ def _run_rounds(draw):
 # line text repeats.
 _RUN_ROUNDS = _run_rounds().filter(lambda rounds: len(rounds) >= 3)
 
+
+@st.composite
+def _periodic_rounds(draw):
+    """2 to 4 distinct rounds written in turn, as a run writes them when
+    (q, sigma) follows a cycle or a metric is queried every k-th round.
+    Some rounds have one query more than the round before them in the
+    cycle, so that their serializations share a head. The cycle's first
+    round is written at least twice."""
+    samples = draw(
+        st.lists(st.tuples(_Q, st.integers(1, 10**12), _POLICIES), min_size=1, max_size=2)
+    )
+    pool = draw(st.lists(st.tuples(_NAMES, _CLIP, _SIGMA), min_size=1, max_size=3))
+    cycle = []
+    for _ in range(draw(st.integers(2, 4))):
+        if cycle and draw(st.booleans()):
+            *sample, queries = cycle[-1]
+            rnd = (*sample, queries + [draw(st.sampled_from(pool))])
+        else:
+            queries = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            rnd = (*draw(st.sampled_from(samples)), queries)
+        if rnd not in cycle:
+            cycle.append(rnd)
+    assume(len(cycle) >= 2)
+    length = draw(st.integers(len(cycle) + 1, 40))
+    return [cycle[k % len(cycle)] for k in range(length)]
+
+
+_PERIODIC_ROUNDS = _periodic_rounds()
+
 # Few distinct values, zero noise included, so that (policy, q, z) keys
 # repeat and rounds whose queries differ can still share a z.
 _SMALL_POOL_ROUNDS = st.lists(
@@ -136,7 +167,7 @@ def _outcome(led: Ledger):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(_ROUNDS, _POOLED_ROUNDS, _RUN_ROUNDS))
+@given(st.one_of(_ROUNDS, _POOLED_ROUNDS, _RUN_ROUNDS, _PERIODIC_ROUNDS))
 def test_random_ledgers_round_trip_and_account_identically(rounds):
     led = _build(rounds)
     data = serialize(led)
@@ -176,6 +207,7 @@ def _repeated_lines(lines):
 _SPOILERS = {
     "leading zero": lambda kind, rid, rest: kind + b" round=0%d " % rid + rest,
     "plus sign": lambda kind, rid, rest: kind + b" round=+%d " % rid + rest,
+    "no id": lambda kind, rid, rest: kind + b" round= " + rest,
     "one more": lambda kind, rid, rest: kind + b" round=%d " % (rid + 1) + rest,
     "one less": lambda kind, rid, rest: kind + b" round=%d " % (rid - 1) + rest,
     "trailing CR": lambda kind, rid, rest: kind + b" round=%d " % rid + rest + b"\r",
@@ -185,7 +217,9 @@ _SPOILERS = {
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.one_of(_POOLED_ROUNDS, _RUN_ROUNDS), st.sampled_from(sorted(_SPOILERS)), st.data()
+    st.one_of(_POOLED_ROUNDS, _RUN_ROUNDS, _PERIODIC_ROUNDS),
+    st.sampled_from(sorted(_SPOILERS)),
+    st.data(),
 )
 def test_spoiled_repeated_line_is_refused_at_that_line(rounds, spoiler, data):
     lines = serialize(_build(rounds)).split(b"\n")
@@ -310,19 +344,23 @@ def _spoil_run(lines, spoiler, i, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_RUN_ROUNDS, st.sampled_from(["drop", "duplicate", "swap", "hex"]), st.data())
+@given(
+    st.one_of(_RUN_ROUNDS, _PERIODIC_ROUNDS),
+    st.sampled_from(["drop", "duplicate", "swap", "hex"]),
+    st.data(),
+)
 def test_spoiled_run_parses_as_the_reference_does(rounds, spoiler, data):
     # A dropped, duplicated or in-round swapped sum line, or a new mantissa
     # digit, can leave a well-formed ledger: v1 does not record how many
     # queries a round has. So the round must be read as written, never as
-    # a copy of its neighbours, and any refusal must name the spoiled line.
+    # a copy of an earlier round, and any refusal must name the spoiled line.
     lines = serialize(_build(rounds)).split(b"\n")
     starts = [k for k, line in enumerate(lines) if line.startswith(b"sample ")]
     starts.append(len(lines) - 1)  # where a round after the last would start
     copies = [
         k
         for j in range(1, len(rounds))
-        if rounds[j] == rounds[j - 1]
+        if rounds[j] in rounds[:j]
         for k in range(starts[j] + 1, starts[j + 1])
     ]
     assume(copies)
@@ -335,20 +373,27 @@ def test_spoiled_run_parses_as_the_reference_does(rounds, spoiler, data):
         assert got[2] == first + 1
 
 
-def _fixed_ledger(rounds: int, sigmas) -> bytes:
+def _cyclic_ledger(rounds: int, cycle) -> bytes:
+    """rounds rounds that take their (q, sigma_sum per group) from cycle
+    in turn, at clip 1."""
     led = Ledger()
-    for _ in range(rounds):
-        rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+    for k in range(rounds):
+        q, sigmas = cycle[k % len(cycle)]
+        rid = led.record_sample(q=q, n=60_000, policy_tag="poisson_iid")
         for g, sigma in enumerate(sigmas):
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name=f"g{g}")
         led.close_round()
     return serialize(led)
 
 
-# 200 rounds of 2 groups; the second file records a zero-noise query.
+# 200 rounds of 2 groups, the second file with a zero-noise query; and 200
+# rounds cycling through 3, one of them with a third query.
 _FIXED = {
-    "secure": _fixed_ledger(200, (3.0, 5.0)),
-    "insecure": _fixed_ledger(200, (3.0, 0.0)),
+    "secure": _cyclic_ledger(200, [(0.01, (3.0, 5.0))]),
+    "insecure": _cyclic_ledger(200, [(0.01, (3.0, 0.0))]),
+    "periodic": _cyclic_ledger(
+        200, [(0.01, (3.0, 5.0)), (0.02, (3.0, 5.0)), (0.01, (3.0, 5.0, 7.0))]
+    ),
 }
 
 
@@ -368,6 +413,28 @@ def test_byte_prefixes_parse_as_the_reference_does(name, data):
     whole = _FIXED[name]
     prefix = whole[: data.draw(st.integers(0, len(whole)), label="prefix length")]
     assert _parsed(deserialize, prefix) == _parsed(_reference_deserialize, prefix)
+
+
+def test_alternating_ledger_is_parsed_per_distinct_round(monkeypatch):
+    # 20k rounds alternating between two 3-group rounds: each distinct
+    # round is replayed once, and every later round is found among the
+    # interned ones. A parse that checks each line against the rounds
+    # just before it replays all 60,000 sum lines.
+    data = _cyclic_ledger(20_000, [(0.01, (100.0,) * 3), (0.02, (101.0,) * 3)])
+    want = _reference_deserialize(data).rounds()
+    calls = collections.Counter()
+    record_sum_query = Ledger.record_sum_query
+
+    def counted(*args, **kwargs):
+        calls["record_sum_query"] += 1
+        return record_sum_query(*args, **kwargs)
+
+    monkeypatch.setattr(Ledger, "record_sum_query", counted)
+    back = deserialize(data)
+    monkeypatch.undo()
+    assert calls["record_sum_query"] <= 6
+    assert back.rounds() == want
+    assert serialize(back) == data
 
 
 def _per_round_keys(rounds):
