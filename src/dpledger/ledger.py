@@ -30,19 +30,19 @@ recorded: a guarantee recomputed from a file must equal the one computed
 in memory, not approximate it. The parser reads back only the spellings
 serialize writes, so serialize(deserialize(b)) == b or the parse fails.
 A round enters a parsed ledger in one of two ways. Where the input holds,
-byte for byte, what serialize writes at the expected round id for a
-round already closed, it is that interned round, and so is each whole
-copy of it that follows. Anything else is replayed line by line through
-the Ledger methods, each line checked in full (pattern, canonical floats,
-event checks), so a file obeys the same round bracketing as a live run,
-and errors and their line numbers do not depend on what came before.
-Appending events to a ledger appends lines to its serialization, so the
-old file is always a byte prefix of the new.
+byte for byte, what serialize writes for the round just closed at the
+next ids, those rounds are whole copies of it. Anything else is replayed
+line by line through the Ledger methods, each line checked in full
+(pattern, canonical floats, event checks), so a file obeys the same
+round bracketing as a live run, and errors and their line numbers do not
+depend on what came before. Appending events to a ledger appends lines to
+its serialization, so the old file is always a byte prefix of the new.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 import re
@@ -233,9 +233,9 @@ class Ledger:
     round len(rounds) and returns that id; record_sum_query appends to the
     open round; close_round seals it. Opening a round while one is open,
     or querying with none open, is a usage error. deserialize replays a
-    file's new rounds through these methods, treating each sample line as
-    closing the round before it, and appends a round seen before, and the
-    copies that follow a round, through _repeat.
+    file through these methods, treating each sample line as closing the
+    round before it, and appends the whole copies of a replayed round that
+    follow it through _repeat_last_round.
 
     An event is checked when its values are first recorded; recording
     equal values again appends the interned event, and closing a round of
@@ -329,14 +329,14 @@ class Ledger:
         self._sample = None
         self._queries.clear()
 
-    def _repeat(self, rnd: _Round, copies: int) -> None:
-        """Append copies more closed rounds equal to rnd, a round this
-        ledger already holds: deserialize's interned-round path. Copies of
-        an insecure last round are insecure too."""
-        start = len(self._rounds)
-        if rnd is self._rounds[-1] and self._insecure[-1:] == [start - 1]:
-            self._insecure.extend(range(start, start + copies))
-        self._rounds += [rnd] * copies
+    def _repeat_last_round(self, copies: int) -> None:
+        """Append copies more rounds equal to the last round, which is
+        closed: deserialize's whole-round path, for a round it replayed
+        through the methods above."""
+        last = len(self._rounds) - 1
+        self._rounds.extend(itertools.repeat(self._rounds[last], copies))
+        if self._insecure[-1:] == [last]:
+            self._insecure.extend(range(last + 1, last + 1 + copies))
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
         """Each round's sample event and sum queries, in id order, the
@@ -513,17 +513,13 @@ def deserialize(data: bytes) -> Ledger:
     id of the sample line above it. All rounds are closed at end of input.
     Errors carry 1-based line numbers.
 
-    A round enters the ledger in one of two ways. The candidate for round
-    K runs from where round K must start to the next "sample round=K+1 "
-    line, or to the end of input. If a round this parse has replayed,
-    written at id K, is exactly those bytes, the candidate is that round.
-    Otherwise its lines are replayed through the Ledger methods, each
-    checked in full, so a missing round, a wrong id or a bad field is
-    refused at its line; the closed round is then kept by its id-free
-    wire form, "".join(parts), unless it is insecure. After either, if
-    the round's bytes at id K+1 follow, the rounds after it are read as
-    whole copies of it while their bytes match (_copies); a round with no
-    run does not pay for that call.
+    A round enters the ledger in one of two ways. Each line is replayed
+    through the Ledger methods and checked in full, so a missing round, a
+    wrong id or a bad field is refused at its line. When the next id's
+    sample line follows a replayed round, the round is closed and the
+    rounds after it are read as whole copies of it while their bytes
+    match what serialize writes for it at their ids (_copies); where the
+    copies stop, line replay goes on.
     """
     if not isinstance(data, bytes):
         raise TypeError("deserialize expects bytes")
@@ -540,33 +536,23 @@ def deserialize(data: bytes) -> Ledger:
         except UnicodeDecodeError as exc:
             raise LedgerParseError(f"not ascii: {exc}") from None
     ledger = Ledger()
-    rounds, interned = ledger._rounds, {}  # id-free wire form -> _Round
     pos, line_no, size = len(_HEADER), 1, len(data)
     while pos < size:
-        round_id = len(rounds)
-        k, k1 = str(round_id), str(round_id + 1)
-        nxt = data.find(f"\nsample round={k1} ".encode("ascii"), pos)
-        end = size if nxt < 0 else nxt + 1
-        text = data[pos:end]
-        rnd = interned.get(text.replace(f"round={k} ".encode("ascii"), b"round= "))
-        if rnd is not None and k.join(rnd.parts).encode("ascii") == text:
-            copies = 1
-        else:
-            for line in text.decode("ascii").split("\n")[:-1]:
-                line_no += 1
-                try:
-                    _replay(ledger, line)
-                except (ValueError, LedgerUsageError) as exc:
-                    raise LedgerParseError(str(exc), line=line_no) from None
+        round_id = ledger.open_round
+        if round_id is not None and data.startswith(b"sample round=%d " % (round_id + 1), pos):
             ledger.close_round()
-            rnd, copies = rounds[-1], 0
-            if ledger._insecure[-1:] != [round_id]:
-                interned["".join(rnd.parts).encode("ascii")] = rnd
-        pos = end
-        if data.startswith(k1.join(rnd.parts).encode("ascii"), pos):
-            run, pos = _copies(data, pos, rnd.parts, round_id + 1)
-            copies += run
-        if copies:
-            ledger._repeat(rnd, copies)
-            line_no += copies * (len(rnd.parts) - 1)  # lines per round
+            parts = ledger._rounds[-1].parts
+            copies, pos = _copies(data, pos, parts, round_id + 1)
+            if copies:
+                ledger._repeat_last_round(copies)
+                line_no += copies * (len(parts) - 1)  # lines per round
+                continue
+        start, pos = pos, data.index(b"\n", pos) + 1
+        line_no += 1
+        try:
+            _replay(ledger, data[start : pos - 1].decode("ascii"))
+        except (ValueError, LedgerUsageError) as exc:
+            raise LedgerParseError(str(exc), line=line_no) from None
+    if ledger.open_round is not None:
+        ledger.close_round()
     return ledger

@@ -5,18 +5,19 @@ from memory and from file; a file with a whole round cut out of its middle
 must be refused at the line where the round is missing. Ledgers drawn from
 a small pool of events repeat their line texts, as a fixed-hyperparameter
 run does; a repeated line with its round id or line ending spoiled must be
-refused at that line. Runs of identical whole rounds, and cycles through a
-few distinct rounds, take the parser's interned-round path; in a round
-that repeats an earlier one, a dropped, duplicated or swapped sum line, or
-a changed hex digit, must parse exactly as a line-by-line reference parser
-written out here does, and so must every line prefix and sampled byte
-prefixes of a fixed-hyperparameter and a periodic ledger. An alternating
-ledger replays only its two distinct rounds. formal_ledger's count table
-must match a per-round reduction written out here.
+refused at that line. Runs of identical whole rounds take the parser's
+whole-copy path, and cycles through a few distinct rounds, whose
+serializations may share a head, move between it and line replay; in a
+round that repeats an earlier one, a dropped, duplicated or swapped sum
+line, or a changed hex digit, must parse exactly as a line-by-line
+reference parser written out here does, and so must every line prefix and
+sampled byte prefixes of a fixed-hyperparameter and a periodic ledger. A
+refusal early in a long ledger stops at its line. formal_ledger's count
+table must match a per-round reduction written out here.
 """
 
-import collections
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -96,10 +97,9 @@ _RUN_ROUNDS = _run_rounds().filter(lambda rounds: len(rounds) >= 3)
 @st.composite
 def _periodic_rounds(draw):
     """2 to 4 distinct rounds written in turn, as a run writes them when
-    (q, sigma) follows a cycle or a metric is queried every k-th round.
-    Some rounds have one query more than the round before them in the
-    cycle, so that their serializations share a head. The cycle's first
-    round is written at least twice."""
+    (q, sigma) follows a cycle. Some rounds have one query more than the
+    round before them in the cycle, so that their serializations share a
+    head. The cycle's first round is written at least twice."""
     samples = draw(
         st.lists(st.tuples(_Q, st.integers(1, 10**12), _POLICIES), min_size=1, max_size=2)
     )
@@ -415,26 +415,23 @@ def test_byte_prefixes_parse_as_the_reference_does(name, data):
     assert _parsed(deserialize, prefix) == _parsed(_reference_deserialize, prefix)
 
 
-def test_alternating_ledger_is_parsed_per_distinct_round(monkeypatch):
-    # 20k rounds alternating between two 3-group rounds: each distinct
-    # round is replayed once, and every later round is found among the
-    # interned ones. A parse that checks each line against the rounds
-    # just before it replays all 60,000 sum lines.
-    data = _cyclic_ledger(20_000, [(0.01, (100.0,) * 3), (0.02, (101.0,) * 3)])
-    want = _reference_deserialize(data).rounds()
-    calls = collections.Counter()
-    record_sum_query = Ledger.record_sum_query
-
-    def counted(*args, **kwargs):
-        calls["record_sum_query"] += 1
-        return record_sum_query(*args, **kwargs)
-
-    monkeypatch.setattr(Ledger, "record_sum_query", counted)
-    back = deserialize(data)
-    monkeypatch.undo()
-    assert calls["record_sum_query"] <= 6
-    assert back.rounds() == want
-    assert serialize(back) == data
+def test_refusal_early_in_a_long_ledger_stops_at_its_line():
+    # Round 1's sample line (line 6) is cut out of a 20k-round ledger, so
+    # its first sum line is refused there. The parse must not decode, copy
+    # or split the rest of the input on its way to that refusal.
+    lines = _cyclic_ledger(20_000, [(0.01, (100.0,) * 3), (0.02, (101.0,) * 3)])
+    lines = lines.split(b"\n")
+    assert lines.pop(5).startswith(b"sample round=1 ")
+    data = b"\n".join(lines)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LedgerParseError) as info:
+            deserialize(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.line == 6
+    assert peak < len(data) // 100
 
 
 def _per_round_keys(rounds):
