@@ -18,14 +18,12 @@ importing the package, or the core alone, loads nothing else.
 import importlib
 
 _MODULE_OF = {
-    "AccountingSupport": "accountant",
     "OrderGrid": "accountant",
     "PrivacyGuarantee": "accountant",
     "RdpProfile": "accountant",
     "account_ledger": "accountant",
     "compose_rdp": "accountant",
     "epsilon_at_delta": "accountant",
-    "policy_accounting_support": "accountant",
     "rdp_step": "accountant",
     "AllocationRequest": "allocation",
     "AllocationStrategy": "allocation",

@@ -34,14 +34,16 @@ Everything is deterministic: the same ledger, grid, and delta give
 bit-identical epsilon, whether the ledger came from memory or a file.
 
 With ledger, this is the trusted core; it imports only ledger and errors,
-and of third-party code only numpy. It decides which policies it can
-account; calibration is in allocation.
+and of third-party code only numpy. The analysis above is for Poisson
+subsampling, so that is the one policy it accounts: a ledger with a round
+under any other policy, or with a zero-noise round, is refused, never
+given a caveated or vacuous epsilon. Calibration is in allocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,83 +282,36 @@ def epsilon_at_delta(profile: RdpProfile, delta: float) -> PrivacyGuarantee:
     )
 
 
-@dataclass(frozen=True)
-class AccountingSupport:
-    """Whether rounds under a policy can be fed to the accountant, and how."""
-
-    supported: bool
-    caveat: str | None = None
-    reason: str | None = None
-
-
-_WOR_CAVEAT = (
-    "fixed-size sampling without replacement is accounted as Poisson at "
-    "q = batch_size / n; this is a heuristic, not a proven equivalence"
-)
-
-
-def policy_accounting_support(
-    policy: SamplingPolicy | str, *, wor_as_poisson: bool = True
-) -> AccountingSupport:
-    """Accounting stance for a policy tag as found in a ledger."""
-    tag = policy.value if isinstance(policy, SamplingPolicy) else str(policy)
-    if tag == SamplingPolicy.POISSON_IID.value:
-        return AccountingSupport(supported=True)
-    if tag == SamplingPolicy.FIXED_SIZE_WOR.value:
-        if wor_as_poisson:
-            return AccountingSupport(supported=True, caveat=_WOR_CAVEAT)
-        return AccountingSupport(
-            supported=False, reason="poisson-style accounting for fixed-size "
-            "sampling was disabled by configuration"
-        )
-    if tag == SamplingPolicy.DISJOINT_PARTITION.value:
-        return AccountingSupport(
-            supported=False,
-            reason="no supported analysis for disjoint-partition sampling; "
-            "the accountant refuses rather than guessing",
-        )
-    return AccountingSupport(supported=False, reason=f"unknown policy tag {tag!r}")
-
-
-_INSECURE_CAVEAT = (
-    "zero-noise round(s) present: the guarantee is vacuous (epsilon = inf)"
-)
+# Why each known policy other than Poisson is refused.
+_UNSUPPORTED = {
+    SamplingPolicy.FIXED_SIZE_WOR.value: "fixed-size sampling goes with "
+    "replace-one neighbours, which the Poisson analysis does not cover",
+    SamplingPolicy.DISJOINT_PARTITION.value: "no supported analysis for "
+    "disjoint-partition sampling",
+}
 
 
 def account_ledger(
-    ledger: Ledger,
-    delta: float,
-    *,
-    grid: OrderGrid | None = None,
-    allow_insecure: bool = False,
-    wor_as_poisson: bool = True,
+    ledger: Ledger, delta: float, *, grid: OrderGrid | None = None
 ) -> PrivacyGuarantee:
     """Recompute the end-to-end guarantee from a ledger's events alone.
 
     formal_ledger counts the usable rounds by (policy, q, z = 1/S*) in
     first-seen order; each row's RDP profile is taken once and composed
-    its count times, then converted at delta. Policies the accountant
-    cannot analyze raise UnsupportedPolicyError, naming their first round,
-    instead of returning a number that means nothing.
+    its count times, then converted at delta. Only Poisson-subsampled
+    rounds have an analysis here: any other policy raises
+    UnsupportedPolicyError naming its first round, instead of returning a
+    number that means nothing.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     grid = grid or OrderGrid.default()
-    caveats: list[str] = []
     profiles: list[RdpProfile] = []
-    for row in formal_ledger(ledger, allow_insecure=allow_insecure):
-        support = policy_accounting_support(row.policy_tag, wor_as_poisson=wor_as_poisson)
-        if not support.supported:
+    for row in formal_ledger(ledger):
+        if row.policy_tag != SamplingPolicy.POISSON_IID.value:
+            reason = _UNSUPPORTED.get(row.policy_tag, "unknown policy tag")
             raise UnsupportedPolicyError(
-                f"round {row.first_round} used policy {row.policy_tag!r}: {support.reason}"
+                f"round {row.first_round} used policy {row.policy_tag!r}: {reason}"
             )
-        if support.caveat and support.caveat not in caveats:
-            caveats.append(support.caveat)
-        if row.z is None:
-            profiles.append(RdpProfile.diverged(grid))
-            if _INSECURE_CAVEAT not in caveats:
-                caveats.append(_INSECURE_CAVEAT)
-        else:
-            profiles.append(rdp_step(row.q, row.z, grid).repeated(row.rounds))
-    guarantee = epsilon_at_delta(compose_rdp(profiles, grid), delta)
-    return replace(guarantee, caveats=tuple(caveats) + guarantee.caveats)
+        profiles.append(rdp_step(row.q, row.z, grid).repeated(row.rounds))
+    return epsilon_at_delta(compose_rdp(profiles, grid), delta)

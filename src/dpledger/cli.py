@@ -3,9 +3,9 @@
 Every subcommand that touches a guarantee requires an explicit --delta;
 there is deliberately no default failure probability. Exit codes: 0 on
 success, 1 when the accountant or calibrator refuses (insecure rounds,
-unsupported policy, infeasible target, unreadable ledger), 2 for usage
-errors (argparse's convention), which include a --delta outside the open
-interval (0, 1).
+a policy other than Poisson, infeasible target, unreadable ledger) or
+train cannot write its output, 2 for usage errors (argparse's
+convention), which include a --delta outside the open interval (0, 1).
 """
 
 from __future__ import annotations
@@ -78,13 +78,7 @@ def _cmd_account(args) -> int:
         print(f"error: {args.ledger}: {exc}", file=sys.stderr)
         return 1
     try:
-        guarantee = account_ledger(
-            ledger,
-            args.delta,
-            grid=args.orders,
-            allow_insecure=args.allow_insecure,
-            wor_as_poisson=not args.no_wor_as_poisson,
-        )
+        guarantee = account_ledger(ledger, args.delta, grid=args.orders)
     except (AccountingRefusal, LedgerUsageError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
@@ -168,7 +162,6 @@ def _cmd_train(args) -> int:
             sigma_bias=sigmas[1],
             sigma_metrics=sigmas[2],
         )
-        os.makedirs(args.out_dir, exist_ok=True)
         ledger_path = os.path.join(args.out_dir, "ledger.txt")
         cfg = TrainConfig(
             n=args.n,
@@ -189,25 +182,31 @@ def _cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report = dp_sgd_train(cfg)
-
-    summary = {
-        "holdout_accuracy_nonprivate": report.holdout_accuracy,
-        "metric_estimates": list(report.metric_estimates),
-        "ledger_path": report.ledger_path,
-        "epsilon": None if report.guarantee is None else repr(report.guarantee.epsilon),
-        "delta": None if report.guarantee is None else repr(report.guarantee.delta),
-        "achieving_order": None
-        if report.guarantee is None
-        else report.guarantee.achieving_order,
-        "caveats": [] if report.guarantee is None else list(report.guarantee.caveats),
-        "refusal": report.refusal,
-        "seed": seed,
-    }
-    report_path = os.path.join(args.out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        report = dp_sgd_train(cfg)
+        summary = {
+            "holdout_accuracy_nonprivate": report.holdout_accuracy,
+            "metric_estimates": list(report.metric_estimates),
+            "ledger_path": report.ledger_path,
+            "epsilon": None
+            if report.guarantee is None
+            else repr(report.guarantee.epsilon),
+            "delta": None if report.guarantee is None else repr(report.guarantee.delta),
+            "achieving_order": None
+            if report.guarantee is None
+            else report.guarantee.achieving_order,
+            "caveats": [] if report.guarantee is None else list(report.guarantee.caveats),
+            "refusal": report.refusal,
+            "seed": seed,
+        }
+        report_path = os.path.join(args.out_dir, "report.json")
+        with open(report_path, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
     print(f"holdout accuracy (non-private measurement): {report.holdout_accuracy:.4f}")
     print(f"ledger: {report.ledger_path}")
@@ -239,16 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_orders,
         default=None,
         help="comma-separated integer Renyi orders ≥ 2 (default: built-in grid)",
-    )
-    p_account.add_argument(
-        "--allow-insecure",
-        action="store_true",
-        help="inspect ledgers containing zero-noise rounds (guarantee is vacuous)",
-    )
-    p_account.add_argument(
-        "--no-wor-as-poisson",
-        action="store_true",
-        help="refuse fixed-size sampling instead of accounting it at q = b/n",
     )
     p_account.set_defaults(func=_cmd_account)
 

@@ -174,7 +174,7 @@ class SumQueryEvent(NamedTuple):
     sum-level noise std.
 
     sigma_sum = 0 is recordable (insecure test runs still get logged) but
-    poisons the round; the accountant refuses such ledgers by default.
+    poisons the round; the accountant refuses such ledgers.
     """
 
     clip_s: float
@@ -185,12 +185,12 @@ class SumQueryEvent(NamedTuple):
 
 class FormalRow(NamedTuple):
     """Every usable round at one (policy, q, z): how many there are and
-    the id of the first. z is None for zero-noise rounds, whose equivalent
-    sensitivity is unbounded."""
+    the id of the first. z = 1/S* is a positive finite float, since
+    formal_ledger refuses zero-noise rounds and an S* out of range."""
 
     policy_tag: str
     q: float
-    z: float | None
+    z: float
     rounds: int
     first_round: int
 
@@ -360,15 +360,15 @@ class Ledger:
         return tuple(self._insecure)
 
 
-def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[FormalRow]:
+def formal_ledger(ledger: Ledger) -> list[FormalRow]:
     """Reduce a fully closed ledger to its count table: one FormalRow per
     distinct (policy, q, z) of its usable rounds, in first-seen order.
 
     Rounds with no sum queries carry no privacy cost; they are dropped with
-    a warning (an empty round usually means a crashed producer). Rounds
-    containing a zero-noise query are refused outright unless
-    allow_insecure is set, in which case they count at z = None so the
-    accountant can mark the guarantee vacuous instead of wrong. A round
+    a warning (an empty round usually means a crashed producer). A ledger
+    with any zero-noise query is refused first, with InsecureLedgerError
+    naming how many rounds have one and the first ids: such a round's
+    equivalent sensitivity is unbounded, so no epsilon exists. A round
     whose clip and noise values put S* out of float range is refused with
     SensitivityRangeError naming the round. The work is per distinct
     round: rounds are counted per interned round, and each distinct round
@@ -380,12 +380,11 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Forma
             f"cannot be accounted"
         )
     insecure = ledger.insecure_rounds()
-    if insecure and not allow_insecure:
+    if insecure:
         ids = ", ".join(map(str, insecure[:5])) + (", ..." if len(insecure) > 5 else "")
         raise InsecureLedgerError(
             f"ledger contains {len(insecure)} zero-noise round(s) (ids {ids}); "
-            f"these provide no privacy. Pass allow_insecure=True only to "
-            f"inspect test-mode ledgers"
+            f"these provide no privacy"
         )
     rounds = ledger._rounds
     counts = Counter(rounds)  # distinct rounds, in first-seen order
@@ -395,14 +394,12 @@ def formal_ledger(ledger: Ledger, *, allow_insecure: bool = False) -> list[Forma
     for rnd, count in counts.items():
         if not rnd.queries:
             continue
-        z = None
-        if all(ev.sigma_sum != 0.0 for ev in rnd.queries):
-            try:
-                z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
-            except ValueError as exc:
-                end = first[rnd]
-                refusal = SensitivityRangeError(f"round {end}: {exc}")
-                break
+        try:
+            z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
+        except ValueError as exc:
+            end = first[rnd]
+            refusal = SensitivityRangeError(f"round {end}: {exc}")
+            break
         key = (rnd.sample.policy_tag, rnd.sample.q, z)
         tally.setdefault(key, [0, first[rnd]])[0] += count
     if not all(rnd.queries for rnd in counts):  # warn in id order, up to a refusal

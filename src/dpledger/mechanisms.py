@@ -227,24 +227,16 @@ def joint_group_query(
     return _group_query(records, spec, ctx, rng, member_dims)
 
 
-def microbatch_reduce(
-    batch, size: int, remainder: str = "drop"
-) -> dict[str, np.ndarray]:
+def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray]:
     """Average consecutive runs of `size` rows into one row each.
 
     batch maps names to (m x d) blocks with one row per example; the result
-    maps the same names to (m // size x d) blocks, or one row more under
-    "pad_with_mean". Chunking is deterministic by position, never
-    randomized; randomness belongs to the sampler that picks which records
-    participate. remainder handles a final short run: "drop" discards it,
-    "error" refuses, and "pad_with_mean" pads it to full size with its own
-    mean, which leaves the chunk average unchanged, so the short run is
-    simply averaged.
+    maps the same names to (m // size x d) blocks, and a final short run is
+    dropped. Chunking is deterministic by position, never randomized;
+    randomness belongs to the sampler that picks which records participate.
     """
     if size < 1:
         raise ValueError(f"microbatch size must be at least 1, got {size}")
-    if remainder not in ("drop", "error", "pad_with_mean"):
-        raise ValueError(f"unknown remainder policy {remainder!r}")
     if not isinstance(batch, Mapping):
         raise TypeError("microbatch_reduce expects a mapping of names to blocks")
     blocks = {name: np.asarray(b, dtype=np.float64) for name, b in batch.items()}
@@ -253,17 +245,10 @@ def microbatch_reduce(
         # Chunks of one average to themselves.
         return blocks
     full = m - m % size
-    if full < m and remainder == "error":
-        raise ValueError(
-            f"{m} examples leave a short chunk of {m - full} at microbatch size {size}"
-        )
-    out = {}
-    for name, block in blocks.items():
-        means = block[:full].reshape(full // size, size, block.shape[1]).mean(axis=1)
-        if full < m and remainder == "pad_with_mean":
-            means = np.concatenate([means, block[full:].mean(axis=0, keepdims=True)])
-        out[name] = means
-    return out
+    return {
+        name: block[:full].reshape(full // size, size, block.shape[1]).mean(axis=1)
+        for name, block in blocks.items()
+    }
 
 
 def run_partitioned_round(

@@ -88,8 +88,10 @@ class SamplerConfig:
 
     @property
     def rate(self) -> float:
-        """The sampling rate each round records and is accounted at: q, or
-        batch_size / n for the fixed-size and partition policies."""
+        """The sampling rate each round records: q, accounted at that
+        rate; or batch_size / n for the fixed-size and partition
+        policies, recorded but not accounted, since the accountant
+        refuses every policy but Poisson."""
         if self.policy is SamplingPolicy.POISSON_IID:
             return self.q
         return self.batch_size / self.n

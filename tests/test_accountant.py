@@ -332,13 +332,10 @@ def test_account_epsilon_grows_with_rounds():
     assert ten.epsilon > one.epsilon
 
 
-def test_account_insecure_round_refused_then_overridden():
+def test_account_insecure_round_refused():
     led = _ledger_of_rounds([(0.5, [(1.0, 0.0)])])
     with pytest.raises(InsecureLedgerError):
         account_ledger(led, DELTA)
-    got = account_ledger(led, DELTA, allow_insecure=True)
-    assert got.epsilon == math.inf
-    assert any("zero-noise" in c for c in got.caveats)
 
 
 def test_account_composes_repeated_rounds_by_count():
@@ -386,31 +383,37 @@ def test_account_refusal_names_first_round_of_the_policy():
         account_ledger(led, DELTA)
 
 
-def test_account_caveats_keep_ledger_order():
-    wor, insecure = ("fixed_size_wor", 0.01, 100.0), ("poisson_iid", 0.01, 0.0)
-    first, second = (
-        account_ledger(_mixed_ledger(rounds), DELTA, allow_insecure=True)
-        for rounds in ([wor, insecure, wor], [insecure, wor, wor])
-    )
-    assert first.epsilon == second.epsilon == math.inf
-    assert len(first.caveats) == 3  # policy, insecure, no finite order
-    assert first.caveats[:2] == second.caveats[1::-1]
-    assert "fixed-size" in first.caveats[0]
-
-
 def test_account_refuses_unsupported_policy():
     led = _ledger_of_rounds([(0.1, [(1.0, 5.0)])], policy="disjoint_partition")
     with pytest.raises(UnsupportedPolicyError):
         account_ledger(led, DELTA)
 
 
-def test_account_wor_policy_caveated_and_disableable():
-    led = _ledger_of_rounds([(0.01, [(1.0, 110.0)])], policy="fixed_size_wor")
-    got = account_ledger(led, DELTA)
-    assert math.isfinite(got.epsilon)
-    assert got.caveats
-    with pytest.raises(UnsupportedPolicyError):
-        account_ledger(led, DELTA, wor_as_poisson=False)
+_REFUSED_POLICIES = {
+    "fixed_size_wor": "fixed-size sampling goes with replace-one neighbours",
+    "disjoint_partition": "no supported analysis for disjoint-partition",
+    "made_up_policy": "unknown policy tag",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_REFUSED_POLICIES))
+def test_account_refuses_every_policy_but_poisson(tag):
+    # only Poisson rounds have a proof; the refusal names the tag's first
+    # round, after Poisson rounds and before a later round of the same tag
+    led = _mixed_ledger(
+        [
+            ("poisson_iid", 0.01, 100.0),
+            ("poisson_iid", 0.02, 100.0),
+            (tag, 0.01, 100.0),
+            ("poisson_iid", 0.01, 100.0),
+            (tag, 0.02, 100.0),
+        ]
+    )
+    with pytest.raises(
+        UnsupportedPolicyError,
+        match=rf"^round 2 used policy '{tag}': {_REFUSED_POLICIES[tag]}",
+    ):
+        account_ledger(led, DELTA)
 
 
 def test_account_delta_required_valid():

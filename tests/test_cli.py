@@ -209,17 +209,6 @@ def test_insecure_train_refused_by_account(tmp_path, capsys):
     assert code == 1
     assert "refused" in captured.err
 
-    code = main(
-        [
-            "account", "--ledger", str(out / "ledger.txt"),
-            "--delta", "1e-5", "--allow-insecure",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 1  # vacuous guarantees never exit 0
-    assert "epsilon = inf" in captured.out
-    assert "caveat:" in captured.out
-
 
 def test_insecure_refusal_names_a_count_not_every_round(tmp_path, capsys):
     # The refusal names a count and a few ids, so its size does not grow
@@ -281,7 +270,7 @@ def test_fixed_policy_requires_batch_size(tmp_path, capsys):
     assert "--batch-size" in capsys.readouterr().err
 
 
-def test_fixed_policy_account_is_caveated(tmp_path, capsys):
+def test_fixed_policy_account_is_refused(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
         [
@@ -296,18 +285,34 @@ def test_fixed_policy_account_is_caveated(tmp_path, capsys):
     capsys.readouterr()
     code = main(["account", "--ledger", str(out / "ledger.txt"), "--delta", "1e-5"])
     captured = capsys.readouterr()
-    assert code == 0
-    assert "caveat:" in captured.out
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("refused: round 0 used policy 'fixed_size_wor'")
+    assert "Traceback" not in captured.err
 
+
+@pytest.mark.parametrize("blocked", ["afile/sub", "ledger.txt/", "report.json/"])
+def test_train_unwritable_output_is_refused_without_traceback(
+    blocked, tmp_path, capsys
+):
+    # a regular file where the output directory should be, or a directory
+    # where the ledger or the report should be written
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "out"
+    if blocked.endswith("/"):
+        (out / blocked).mkdir(parents=True)
+    else:
+        out = tmp_path / blocked
     code = main(
         [
-            "account", "--ledger", str(out / "ledger.txt"),
-            "--delta", "1e-5", "--no-wor-as-poisson",
+            "train", "--n", "200", "--rounds", "3", "--q", "0.1",
+            "--holdout-n", "100", "--delta", "1e-5", "--out-dir", str(out),
         ]
     )
-    captured = capsys.readouterr()
     assert code == 1
-    assert "refused" in captured.err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------- calibrate

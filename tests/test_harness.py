@@ -295,21 +295,21 @@ def test_training_deterministic_and_ledger_seed_free(tmp_path):
     assert r3.guarantee.epsilon == r1.guarantee.epsilon
 
 
-def test_disjoint_policy_runs_but_is_refused():
-    sampler = SamplerConfig(
-        policy=SamplingPolicy.DISJOINT_PARTITION, n=200, seed=SEED, batch_size=50
+@pytest.mark.parametrize(
+    "policy, batch_size",
+    [
+        (SamplingPolicy.DISJOINT_PARTITION, 50),
+        (SamplingPolicy.FIXED_SIZE_WOR, 20),
+    ],
+    ids=["disjoint", "fixed"],
+)
+def test_disjoint_policy_runs_but_is_refused(policy, batch_size):
+    # the run completes and its rounds are recorded at b/n, but only
+    # Poisson rounds are accounted
+    sampler = SamplerConfig(policy=policy, n=200, seed=SEED, batch_size=batch_size)
+    report = dp_sgd_train(
+        _config(SEED, n=200, rounds=8, z=1.5, q=batch_size / 200, sampler=sampler)
     )
-    report = dp_sgd_train(_config(SEED, n=200, rounds=8, z=1.5, q=0.25, sampler=sampler))
     assert report.guarantee is None
-    assert "disjoint" in report.refusal
+    assert report.refusal.startswith(f"round 0 used policy '{policy.value}'")
     assert len(report.metric_estimates) == 8
-
-
-def test_fixed_size_sampler_accounted_with_caveat():
-    sampler = SamplerConfig(
-        policy=SamplingPolicy.FIXED_SIZE_WOR, n=200, seed=SEED, batch_size=20
-    )
-    report = dp_sgd_train(_config(SEED, n=200, rounds=8, z=1.5, q=0.1, sampler=sampler))
-    assert report.guarantee is not None
-    assert math.isfinite(report.guarantee.epsilon)
-    assert report.guarantee.caveats

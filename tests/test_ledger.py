@@ -164,8 +164,6 @@ def test_formal_refuses_insecure_by_default():
     led.close_round()
     with pytest.raises(InsecureLedgerError):
         formal_ledger(led)
-    rows = formal_ledger(led, allow_insecure=True)
-    assert rows == [FormalRow("poisson_iid", 0.5, None, rounds=1, first_round=0)]
 
 
 def test_formal_keeps_policy_tag_for_later_refusal():

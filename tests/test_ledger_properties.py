@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from dpledger import (
     AccountingRefusal,
+    InsecureLedgerError,
     Ledger,
     LedgerParseError,
     LedgerUsageError,
@@ -121,24 +122,33 @@ def _periodic_rounds(draw):
 
 _PERIODIC_ROUNDS = _periodic_rounds()
 
-# Few distinct values, zero noise included, so that (policy, q, z) keys
-# repeat and rounds whose queries differ can still share a z.
-_SMALL_POOL_ROUNDS = st.lists(
-    st.tuples(
-        st.sampled_from([0.25, 0.5, 1.0]),
-        st.sampled_from([10, 20]),
-        _POLICIES,
-        st.lists(
-            st.tuples(
-                st.sampled_from(["a", "b"]),
-                st.sampled_from([0.5, 1.0, 2.0]),
-                st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+
+def _small_pool_rounds(sigmas):
+    """Ledgers of few distinct values, their noise drawn from sigmas."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from([0.25, 0.5, 1.0]),
+            st.sampled_from([10, 20]),
+            _POLICIES,
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a", "b"]),
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    st.sampled_from(sigmas),
+                ),
+                max_size=3,
             ),
-            max_size=3,
         ),
-    ),
-    min_size=1,
-    max_size=30,
+        min_size=1,
+        max_size=30,
+    )
+
+
+# Few distinct values, so that (policy, q, z) keys repeat and rounds whose
+# queries differ can still share a z. With zero noise in the pool nearly
+# every ledger is refused as insecure; without it, count tables are built.
+_SMALL_POOL_ROUNDS = st.one_of(
+    _small_pool_rounds([0.0, 1.0, 2.0, 4.0]), _small_pool_rounds([1.0, 2.0, 4.0])
 )
 # a short grid keeps each cold rdp_step cheap; the property is about inputs
 _GRID = OrderGrid((2.0, 3.0, 8.0, 32.0))
@@ -156,11 +166,12 @@ def _build(rounds) -> Ledger:
 
 def _outcome(led: Ledger):
     """The guarantee's bits, or the typed refusal (most random clip/sigma
-    pairs put S* out of float range; zero noise makes epsilon inf)."""
+    pairs put S* out of float range; zero noise and policies other than
+    Poisson are refused)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            g = account_ledger(led, 1e-5, grid=_GRID, allow_insecure=True)
+            g = account_ledger(led, 1e-5, grid=_GRID)
         except AccountingRefusal as exc:
             return type(exc).__name__, str(exc)
     return g.epsilon.hex(), g.achieving_order, g.caveats
@@ -308,8 +319,8 @@ def _parsed(parse, data: bytes):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            table = formal_ledger(led, allow_insecure=True)
-        except SensitivityRangeError as exc:
+            table = formal_ledger(led)
+        except AccountingRefusal as exc:
             table = type(exc), str(exc)
     messages = [str(w.message) for w in caught]
     return serialize(led), led.rounds(), led.insecure_rounds(), table, messages
@@ -436,18 +447,28 @@ def test_refusal_early_in_a_long_ledger_stops_at_its_line():
 
 def _per_round_keys(rounds):
     """(round id, (policy, q, z)) for each round with a query, one round at
-    a time; z is None for a round with a zero-noise query. Raises
-    SensitivityRangeError naming the first round whose S* is out of range."""
+    a time. Raises InsecureLedgerError, naming the count and the first ids,
+    if any round has a zero-noise query; else SensitivityRangeError naming
+    the first round whose S* is out of range."""
+    insecure = [
+        round_id
+        for round_id, (*_, queries) in enumerate(rounds)
+        if any(sigma == 0.0 for _, _, sigma in queries)
+    ]
+    if insecure:
+        ids = ", ".join(map(str, insecure[:5])) + (", ..." if len(insecure) > 5 else "")
+        raise InsecureLedgerError(
+            f"ledger contains {len(insecure)} zero-noise round(s) (ids {ids}); "
+            f"these provide no privacy"
+        )
     keys = []
     for round_id, (q, _, policy, queries) in enumerate(rounds):
         if not queries:
             continue
-        z = None
-        if all(sigma != 0.0 for _, _, sigma in queries):
-            try:
-                z = effective_z([(clip, sigma) for _, clip, sigma in queries])
-            except ValueError as exc:
-                raise SensitivityRangeError(f"round {round_id}: {exc}") from None
+        try:
+            z = effective_z([(clip, sigma) for _, clip, sigma in queries])
+        except ValueError as exc:
+            raise SensitivityRangeError(f"round {round_id}: {exc}") from None
         keys.append((round_id, (policy, q, z)))
     return keys
 
@@ -460,19 +481,22 @@ def test_formal_ledger_is_the_per_round_count_table(rounds):
     empty = [round_id for round_id, (*_, queries) in enumerate(rounds) if not queries]
     try:
         keys = _per_round_keys(rounds)
-    except SensitivityRangeError as exc:
-        with pytest.raises(SensitivityRangeError) as got, warnings.catch_warnings(
+    except AccountingRefusal as exc:
+        with pytest.raises(type(exc)) as got, warnings.catch_warnings(
             record=True
         ) as caught:
             warnings.simplefilter("always")
-            formal_ledger(led, allow_insecure=True)
+            formal_ledger(led)
         assert str(got.value) == str(exc)
-        refused = int(str(exc).split(":")[0].removeprefix("round "))
-        empty = [round_id for round_id in empty if round_id < refused]
+        if isinstance(exc, InsecureLedgerError):
+            empty = []  # refused before any round is looked at
+        else:
+            refused = int(str(exc).split(":")[0].removeprefix("round "))
+            empty = [round_id for round_id in empty if round_id < refused]
     else:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = formal_ledger(led, allow_insecure=True)
+            rows = formal_ledger(led)
         assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
         assert sum(row.rounds for row in rows) == len(keys)
         for row in rows:

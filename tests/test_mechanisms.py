@@ -301,24 +301,9 @@ def test_microbatch_remainder_drop_is_default():
     assert np.array_equal(out["x"][1], [2.5])
 
 
-def test_microbatch_remainder_error():
-    with pytest.raises(ValueError):
-        microbatch_reduce(_batch(*(float(i) for i in range(5))), 2, remainder="error")
-
-
-def test_microbatch_remainder_pad_with_mean():
-    out = microbatch_reduce(
-        _batch(*(float(i) for i in range(5))), 2, remainder="pad_with_mean"
-    )
-    assert out["x"].shape[0] == 3
-    assert np.array_equal(out["x"][2], [4.0])  # mean of the lone leftover
-
-
 def test_microbatch_validation():
     with pytest.raises(ValueError):
         microbatch_reduce(_batch(1.0), 0)
-    with pytest.raises(ValueError):
-        microbatch_reduce(_batch(1.0), 2, remainder="bogus")
     with pytest.raises(TypeError):
         microbatch_reduce([[1.0]], 2)
     with pytest.raises(ValueError):
@@ -327,21 +312,16 @@ def test_microbatch_validation():
         microbatch_reduce({"x": [1.0, 2.0]}, 2)  # not an (m x d) block
 
 
-@pytest.mark.parametrize("remainder", ["drop", "error", "pad_with_mean"])
 @pytest.mark.parametrize("m", [0, 3, 8, 11])
-def test_microbatch_batch_matches_chunk_loop(remainder, m):
+def test_microbatch_batch_matches_chunk_loop(m):
     # reference: average each run of `size` rows with its own np.mean
     rng = np.random.default_rng(m)
     batch = {"w": rng.normal(size=(m, 3)), "b": rng.normal(size=(m, 1))}
     size = 4
-    if m % size and remainder == "error":
-        with pytest.raises(ValueError):
-            microbatch_reduce(batch, size, remainder=remainder)
-        return
-    out = microbatch_reduce(batch, size, remainder=remainder)
+    out = microbatch_reduce(batch, size)
     for name, block in batch.items():
         chunks = [block[i : i + size] for i in range(0, m, size)]
-        if chunks and len(chunks[-1]) < size and remainder == "drop":
+        if chunks and len(chunks[-1]) < size:
             chunks.pop()
         want = [np.mean(chunk, axis=0) for chunk in chunks]
         assert out[name].shape == (len(want), block.shape[1])

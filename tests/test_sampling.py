@@ -12,7 +12,6 @@ from dpledger import (
     fixed_size_sample,
     partition_epoch,
     poisson_sample,
-    policy_accounting_support,
 )
 
 SEED = b"sampling-tests-0"
@@ -274,34 +273,3 @@ def test_draw_sample_dispatch():
     with pytest.raises(ValueError):
         draw_sample(_disjoint(10, 3), 4)
 
-
-# ------------------------------------------------------ accounting support
-
-
-def test_support_poisson():
-    sup = policy_accounting_support("poisson_iid")
-    assert sup.supported
-    assert sup.caveat is None
-
-
-def test_support_fixed_wor_caveated():
-    sup = policy_accounting_support(SamplingPolicy.FIXED_SIZE_WOR)
-    assert sup.supported
-    assert sup.caveat  # approximation flagged, not silent
-
-
-def test_support_fixed_wor_can_be_disabled():
-    sup = policy_accounting_support(SamplingPolicy.FIXED_SIZE_WOR, wor_as_poisson=False)
-    assert not sup.supported
-    assert sup.reason
-
-
-def test_support_disjoint_refused():
-    sup = policy_accounting_support(SamplingPolicy.DISJOINT_PARTITION)
-    assert not sup.supported
-    assert "disjoint" in sup.reason
-
-
-def test_support_unknown_tag():
-    sup = policy_accounting_support("made_up_policy")
-    assert not sup.supported
