@@ -182,8 +182,14 @@ def _cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    report_path = os.path.join(args.out_dir, "report.json")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
+        # Create both outputs before round 0, so an unwritable path is
+        # refused before any compute. An empty ledger left by a failed run
+        # has no header, so it is refused, never accounted short.
+        for path in (ledger_path, report_path):
+            open(path, "wb").close()
         report = dp_sgd_train(cfg)
         summary = {
             "holdout_accuracy_nonprivate": report.holdout_accuracy,
@@ -200,7 +206,6 @@ def _cmd_train(args) -> int:
             "refusal": report.refusal,
             "seed": seed,
         }
-        report_path = os.path.join(args.out_dir, "report.json")
         with open(report_path, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

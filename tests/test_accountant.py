@@ -1,8 +1,11 @@
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpledger import (
     CalibrationError,
@@ -162,6 +165,74 @@ def test_rdp_step_chunks_do_not_change_values():
         assert got[lam] == rdp_step(0.01, 1.5, OrderGrid((lam,))).values[0]
 
 
+_RATES = st.one_of(
+    st.floats(1e-7, 1.0),
+    st.floats(5e-7, 2e-6),
+    st.floats(0.999, 1.0),
+    st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53]),
+)
+_MULTIPLIERS = st.one_of(st.sampled_from([0.7, 1.1, 3.0, 1e-200]), st.floats(0.05, 100.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_RATES, _MULTIPLIERS), min_size=1, max_size=12))
+@example([(0.01, 1.1), (1.0, 1.1), (0.5, 1e-200), (1e-6, 1.1), (1.0 - 1e-9, 3.0)])
+def test_count_table_rows_are_bit_identical_to_rdp_step(rows):
+    # the count table's pass evaluates rows together, in chunks of rows and
+    # blocks of orders. With 200 terms a chunk, the default grid's orders
+    # straddle blocks; with 2**14, chunks of 5 rows straddle the rows. Each
+    # row must still be rdp_step's alone, at the default chunk size.
+    grid = OrderGrid.default()
+    want = [[v.hex() for v in rdp_step(q, z, grid).values] for q, z in rows]
+    for chunk in (200, 2**14):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(accountant, "_CHUNK_TERMS", chunk)
+            batch = accountant._rdp_rows([q for q, _ in rows], [z for _, z in rows], grid)
+        assert [[v.hex() for v in row] for row in batch.tolist()] == want
+
+
+def _schedule_ledger(seed=2, rates=200, step=10):
+    """3 groups, q redrawn every `step` rounds: `rates` distinct rows."""
+    rng = random.Random(seed)
+    queries = [(rng.uniform(0.1, 2.0), rng.uniform(1.0, 6.0)) for _ in range(3)]
+    led = Ledger()
+    for _ in range(rates):
+        q = 10 ** rng.uniform(-3.0, -1.3)
+        for _ in range(step):
+            rid = led.record_sample(q=q, n=60_000, policy_tag="poisson_iid")
+            for g, (clip, sigma) in enumerate(queries):
+                led.record_sum_query(rid, clip_s=clip, sigma_sum=sigma, group_name=f"g{g}")
+            led.close_round()
+    return led
+
+
+def _mixed_z_ledger():
+    """35 distinct (q, z) rows over 150 rounds, q = 1 among them."""
+    led = Ledger()
+    for i in range(150):
+        q = (0.004, 0.01, 0.02, 0.05, 1.0)[i % 5]
+        rid = led.record_sample(q=q, n=60_000, policy_tag="poisson_iid")
+        sigma = (2.0, 3.5, 5.0, 8.0, 12.0, 30.0, 3.5)[i % 7]
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
+        led.close_round()
+    return led
+
+
+@pytest.mark.parametrize(
+    "build, want_hex, want_order",
+    [
+        (_schedule_ledger, "0x1.2ee052db7a0bfp+1", 11.0),
+        (_mixed_z_ledger, "0x1.f0ae67dd1fc98p+2", 4.0),
+    ],
+)
+def test_multi_row_ledger_epsilon_bits_are_pinned(build, want_hex, want_order):
+    # computed with one rdp_step per row and compose_rdp over the rows'
+    # repeated profiles; accounting all rows in one pass changes no bit
+    got = account_ledger(build(), DELTA)
+    assert got.epsilon.hex() == want_hex
+    assert got.achieving_order == want_order
+
+
 def test_log_factorial_table_grows_with_the_same_bits():
     # rdp_step reads one table per process, grown to the largest order
     # asked for; growing it must not change an entry already there.
@@ -262,7 +333,8 @@ def test_epsilon_skips_diverged_orders():
 
 
 def test_epsilon_all_diverged():
-    guarantee = epsilon_at_delta(RdpProfile.diverged(OrderGrid.default()), DELTA)
+    grid = OrderGrid.default()
+    guarantee = epsilon_at_delta(RdpProfile(grid, (math.inf,) * len(grid)), DELTA)
     assert guarantee.epsilon == math.inf
     assert guarantee.achieving_order is None
 

@@ -17,6 +17,7 @@ from dpledger import (
     rdp_step,
     serialize,
 )
+from dpledger import harness
 from dpledger.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger.txt"
@@ -293,10 +294,14 @@ def test_fixed_policy_account_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocked", ["afile/sub", "ledger.txt/", "report.json/"])
 def test_train_unwritable_output_is_refused_without_traceback(
-    blocked, tmp_path, capsys
+    blocked, tmp_path, capsys, monkeypatch
 ):
     # a regular file where the output directory should be, or a directory
-    # where the ledger or the report should be written
+    # where the ledger or the report should be written: refused before
+    # round 0 draws its sample
+    draws = []
+    draw = harness.draw_sample
+    monkeypatch.setattr(harness, "draw_sample", lambda *a: draws.append(a) or draw(*a))
     (tmp_path / "afile").write_text("")
     out = tmp_path / "out"
     if blocked.endswith("/"):
@@ -313,6 +318,7 @@ def test_train_unwritable_output_is_refused_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ")
     assert "Traceback" not in err
+    assert draws == []
 
 
 # ----------------------------------------------------------------- calibrate
