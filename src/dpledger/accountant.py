@@ -138,10 +138,6 @@ class RdpProfile:
                 raise ValueError(f"RDP values must be nonnegative, got {v}")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def zero(cls, grid: OrderGrid) -> "RdpProfile":
-        return cls(grid=grid, values=(0.0,) * len(grid))
-
     def repeated(self, rounds: int) -> "RdpProfile":
         """Cost of `rounds` rounds at this cost: each order times rounds."""
         return RdpProfile(

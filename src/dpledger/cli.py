@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
 
 from .accountant import OrderGrid, account_ledger
@@ -32,6 +31,7 @@ from .harness import (
     sigmas_for_target_z,
 )
 from .ledger import SamplingPolicy, deserialize
+from .prng import new_seed
 from .sampling import SamplerConfig
 
 _TUNING_NOTE = (
@@ -127,7 +127,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = args.seed if args.seed is not None else secrets.token_bytes(16).hex()
+    seed = args.seed if args.seed is not None else new_seed().hex()
     policy = {
         "poisson": SamplingPolicy.POISSON_IID,
         "fixed": SamplingPolicy.FIXED_SIZE_WOR,

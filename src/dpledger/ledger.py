@@ -17,12 +17,13 @@ Storage is interned. A Ledger keeps one list with an entry per closed
 round, and each entry refers to a round record: the round's sample, the
 tuple of its queries and its wire form split at the round id. Each
 distinct checked (policy, q, n) and (group, clip, sigma_sum) is one
-shared object, carrying its serialized text, and each distinct round of
-shared events is one shared record, so a run with fixed hyperparameters
-holds G + 1 event objects and one round record however many rounds it
-records. The SampleEvent and SumQueryEvent views, round ids included, are
-built only when rounds() is called. formal_ledger counts the entries per
-round record, so its work follows the distinct rounds, not all of them.
+shared object, carrying its serialized text, and rounds equal in value
+share one record, so a run with fixed hyperparameters holds G + 1 event
+objects and one round record however many rounds it records. The
+SampleEvent and SumQueryEvent views, round ids included, are built only
+when rounds() is called. formal_ledger counts the entries per round
+record, and tests each distinct record for a zero-noise query, so its
+work follows the distinct rounds, not all of them.
 
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
@@ -219,7 +220,7 @@ class _Query(NamedTuple):
 class _Round:
     """A closed round: its sample, its queries and its wire form split at
     the round id, so that str(k).join(parts) is the round's serialization
-    at id k. A round of interned events is itself interned."""
+    at id k. Rounds equal in value share one record."""
 
     sample: _Sample
     queries: tuple[_Query, ...]
@@ -235,23 +236,23 @@ class Ledger:
     or querying with none open, is a usage error. deserialize replays a
     file through these methods, treating each sample line as closing the
     round before it, and appends the whole copies of a replayed round that
-    follow it through _repeat_last_round.
+    follow it to the closed rounds.
 
     An event is checked when its values are first recorded; recording
-    equal values again appends the interned event, and closing a round of
-    the same interned events appends the interned round. A zero-noise
-    query is never interned, so -0.0 and 0.0 stay distinct; its round is
-    noted as insecure instead, and is not interned either.
+    equal values again appends the interned event, and closing a round
+    equal in value to one closed before appends the interned round. A
+    zero-noise query is not interned, as its value key cannot tell -0.0
+    from 0.0, but its round is: a query's text is part of its value.
+    Which rounds are zero-noise is read off the round records.
     """
 
     def __init__(self):
         self._rounds: list[_Round] = []  # closed rounds, in id order
         self._sample: _Sample | None = None  # the open round's, if any
         self._queries: list[_Query] = []  # the open round's
-        self._insecure: list[int] = []  # rounds with a zero-noise query
         self._sample_pool: dict[tuple, _Sample] = {}
         self._query_pool: dict[tuple, _Query] = {}
-        self._round_pool: dict[tuple[int, ...], _Round] = {}  # by event ids
+        self._round_pool: dict[tuple, _Round] = {}  # by (sample, queries)
 
     @property
     def open_round(self) -> int | None:
@@ -304,17 +305,13 @@ class Ledger:
             )
             if sigma_sum:
                 query = self._query_pool.setdefault(query[:3], query)
-            elif self._insecure[-1:] != [open_round]:
-                self._insecure.append(open_round)
         self._queries.append(query)
 
     def close_round(self) -> None:
         if self._sample is None:
             raise LedgerUsageError("no open round to close")
         sample, queries = self._sample, tuple(self._queries)
-        # The pools keep every interned event alive, so their ids are keys.
-        key = (id(sample), *map(id, queries))
-        rnd = self._round_pool.get(key)
+        rnd = self._round_pool.get((sample, queries))
         if rnd is None:
             texts = [sample.text, *(ev.text for ev in queries)]
             parts = (
@@ -322,21 +319,10 @@ class Ledger:
                 *(f" {t}sum round=" for t in texts[:-1]),
                 f" {texts[-1]}",
             )
-            rnd = _Round(sample, queries, parts)
-            if self._insecure[-1:] != [len(self._rounds)]:
-                self._round_pool[key] = rnd
+            rnd = self._round_pool[sample, queries] = _Round(sample, queries, parts)
         self._rounds.append(rnd)
         self._sample = None
         self._queries.clear()
-
-    def _repeat_last_round(self, copies: int) -> None:
-        """Append copies more rounds equal to the last round, which is
-        closed: deserialize's whole-round path, for a round it replayed
-        through the methods above."""
-        last = len(self._rounds) - 1
-        self._rounds.extend(itertools.repeat(self._rounds[last], copies))
-        if self._insecure[-1:] == [last]:
-            self._insecure.extend(range(last + 1, last + 1 + copies))
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
         """Each round's sample event and sum queries, in id order, the
@@ -356,8 +342,17 @@ class Ledger:
         ]
 
     def insecure_rounds(self) -> tuple[int, ...]:
-        """Ids of rounds with any zero-noise sum query, in id order."""
-        return tuple(self._insecure)
+        """Ids of rounds with any zero-noise sum query, in id order, the
+        open round included; each distinct round record is tested once."""
+        insecure = {rnd for rnd in set(self._rounds) if _zero_noise(rnd.queries)}
+        ids = [k for k, rnd in enumerate(self._rounds) if rnd in insecure]
+        if self._sample is not None and _zero_noise(self._queries):
+            ids.append(len(self._rounds))
+        return tuple(ids)
+
+
+def _zero_noise(queries) -> bool:
+    return any(ev.sigma_sum == 0.0 for ev in queries)
 
 
 def formal_ledger(ledger: Ledger) -> list[FormalRow]:
@@ -379,15 +374,15 @@ def formal_ledger(ledger: Ledger) -> list[FormalRow]:
             f"round {ledger.open_round} is still open; a partial round "
             f"cannot be accounted"
         )
-    insecure = ledger.insecure_rounds()
-    if insecure:
+    rounds = ledger._rounds
+    counts = Counter(rounds)  # distinct rounds, in first-seen order
+    if any(_zero_noise(rnd.queries) for rnd in counts):
+        insecure = ledger.insecure_rounds()
         ids = ", ".join(map(str, insecure[:5])) + (", ..." if len(insecure) > 5 else "")
         raise InsecureLedgerError(
             f"ledger contains {len(insecure)} zero-noise round(s) (ids {ids}); "
             f"these provide no privacy"
         )
-    rounds = ledger._rounds
-    counts = Counter(rounds)  # distinct rounds, in first-seen order
     first = dict(zip(reversed(rounds), range(len(rounds) - 1, -1, -1)))
     tally: dict[tuple, list[int]] = {}  # (policy, q, z) -> [rounds, first round]
     refusal, end = None, len(rounds)
@@ -541,7 +536,7 @@ def deserialize(data: bytes) -> Ledger:
             parts = ledger._rounds[-1].parts
             copies, pos = _copies(data, pos, parts, round_id + 1)
             if copies:
-                ledger._repeat_last_round(copies)
+                ledger._rounds.extend(itertools.repeat(ledger._rounds[-1], copies))
                 line_no += copies * (len(parts) - 1)  # lines per round
                 continue
         start, pos = pos, data.index(b"\n", pos) + 1

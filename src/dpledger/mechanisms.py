@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ledger import PrivacyTuple, _check_round
+from .ledger import Ledger, PrivacyTuple, _check_round
 from .prng import SecureStream
 from .vectors import (
     GroupPartition,
@@ -257,32 +257,29 @@ def run_partitioned_round(
     ctx: RoundContext,
     seed: bytes,
     member_dims: dict[str, tuple[int, ...]] | None = None,
-    ledger=None,
+    *,
+    ledger: Ledger,
 ) -> dict[str, GroupEstimate]:
-    """Run every group's query for one round and optionally record it.
+    """Run every group's query for one round and record it.
 
     records is a batch (member name to (m x d) block) or a sequence of
     records; see _group_block. Each group draws from its own keyed noise
     stream ("noise/<group>", round_id), so group order cannot entangle the
     randomness. member_dims maps group name to per-member dims and is
-    required if records may be an empty sequence. When a ledger is given,
-    one sum-query event per group is appended; the caller records the
-    sample event (it knows the sampler).
+    required if records may be an empty sequence. One sum-query event per
+    group is appended to ledger, whose open round must be ctx.round_id;
+    the caller records the sample event (it knows the sampler). No
+    estimate is returned that the ledger does not hold.
     """
     estimates: dict[str, GroupEstimate] = {}
     for spec in partition.groups:
         rng = SecureStream(seed, f"noise/{spec.name}", ctx.round_id)
         dims = None if member_dims is None else member_dims.get(spec.name)
-        if spec.mechanism is Mechanism.SEPARATE:
-            est = separate_group_query(records, spec, ctx, rng, member_dims=dims)
-        else:
-            est = joint_group_query(records, spec, ctx, rng, member_dims=dims)
-        estimates[spec.name] = est
-        if ledger is not None:
-            ledger.record_sum_query(
-                ctx.round_id,
-                clip_s=est.emitted.clip_s,
-                sigma_sum=est.emitted.sigma_sum,
-                group_name=spec.name,
-            )
+        est = estimates[spec.name] = _group_query(records, spec, ctx, rng, dims)
+        ledger.record_sum_query(
+            ctx.round_id,
+            clip_s=est.emitted.clip_s,
+            sigma_sum=est.emitted.sigma_sum,
+            group_name=spec.name,
+        )
     return estimates

@@ -89,16 +89,6 @@ class SecureStream:
         raw = self.take_bytes(8 * count)
         return np.frombuffer(raw, dtype=">u8").astype(np.uint64)
 
-    def uniform_halfopen(self, count: int) -> np.ndarray:
-        """Uniforms on [0, 1) with 53-bit resolution."""
-        bits = self.uint64(count) >> _DROP
-        return bits.astype(np.float64) * _TWO_POW_MINUS_53
-
-    def uniform_open(self, count: int) -> np.ndarray:
-        """Uniforms on (0, 1] with 53-bit resolution (safe under log)."""
-        bits = (self.uint64(count) >> _DROP) + _ONE
-        return bits.astype(np.float64) * _TWO_POW_MINUS_53
-
     def standard_normal(self, count: int) -> np.ndarray:
         """Next `count` i.i.d. N(0, 1) variates via Box-Muller."""
         if count < 0:
@@ -106,14 +96,14 @@ class SecureStream:
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
-        # One keystream read for both halves (the same bytes as reading
-        # them one after the other), then steps in place, which keep each
-        # variate's bits: the same integer and float operations as
-        # uniform_open / uniform_halfopen and the Box-Muller formula, with
-        # only the operands of * swapped.
+        # One keystream read for both halves, then steps in place. Each
+        # 64-bit word keeps its top 53 bits; the first half adds 1 and the
+        # second does not, and both are scaled by 2**-53, giving uniforms
+        # on (0, 1] (safe under log) for the radius and on [0, 1) for the
+        # angle of the Box-Muller formula.
         bits = self.uint64(2 * pairs)
         bits >>= _DROP
-        bits[:pairs] += _ONE  # the first half on (0, 1], safe under log
+        bits[:pairs] += _ONE
         u = bits.astype(np.float64)
         del bits
         u *= _TWO_POW_MINUS_53
@@ -127,9 +117,10 @@ class SecureStream:
         return out.reshape(-1)[:count]
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound) by rejection (no modulo bias); one
+        draw is 8 bytes, so bound is at most 2**64."""
+        if not 0 < bound <= 2**64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (2**64 // bound) * bound
         while True:
             x = int.from_bytes(self.take_bytes(8), "big")

@@ -93,6 +93,8 @@ class GroupSpec:
             _check_name(m, "member name")
         object.__setattr__(self, "member_names", members)
         PrivacyTuple.check(self.clip_s, self.noise_sigma)
+        if not isinstance(self.mechanism, Mechanism):
+            raise ValueError(f"mechanism must be a Mechanism, got {self.mechanism!r}")
         if self.mechanism is Mechanism.JOINT:
             if self.joint_scales is None:
                 raise ValueError("joint mechanism requires joint_scales")

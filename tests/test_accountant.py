@@ -302,8 +302,9 @@ def test_compose_propagates_divergence():
 
 
 def test_epsilon_of_zero_profile():
-    guarantee = epsilon_at_delta(RdpProfile.zero(OrderGrid.default()), DELTA)
-    lam_max = OrderGrid.default().orders[-1]
+    grid = OrderGrid.default()
+    guarantee = epsilon_at_delta(RdpProfile(grid, (0.0,) * len(grid)), DELTA)
+    lam_max = grid.orders[-1]
     assert guarantee.epsilon == pytest.approx(
         math.log(1.0 / DELTA) / (lam_max - 1.0), rel=1e-15
     )
@@ -351,7 +352,8 @@ def test_epsilon_monotone_in_delta():
 
 
 def test_epsilon_delta_validation():
-    profile = RdpProfile.zero(OrderGrid.default())
+    grid = OrderGrid.default()
+    profile = RdpProfile(grid, (0.0,) * len(grid))
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             epsilon_at_delta(profile, bad)
@@ -362,7 +364,8 @@ def test_epsilon_delta_validation():
 
 def test_account_empty_ledger():
     got = account_ledger(Ledger(), DELTA)
-    want = epsilon_at_delta(RdpProfile.zero(OrderGrid.default()), DELTA)
+    grid = OrderGrid.default()
+    want = epsilon_at_delta(RdpProfile(grid, (0.0,) * len(grid)), DELTA)
     assert got.epsilon == want.epsilon
     assert got.achieving_order == want.achieving_order
 

@@ -408,6 +408,17 @@ def test_insecure_rounds_first_seen_order_without_repeats():
     assert led.insecure_rounds() == (1, 2, 3)
 
 
+def test_insecure_rounds_include_the_open_round():
+    led = _one_round()
+    rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
+    led.record_sum_query(rid, clip_s=1.0, sigma_sum=1.0, group_name="g0")
+    assert led.insecure_rounds() == ()
+    led.record_sum_query(rid, clip_s=1.0, sigma_sum=0.0, group_name="g1")
+    assert led.insecure_rounds() == (rid,)
+    led.close_round()
+    assert led.insecure_rounds() == (rid,)
+
+
 def test_formal_refuses_sensitivity_out_of_range():
     # a nonzero sigma_sum so small that S* = clip / sigma_sum overflows
     led = _one_round(sigma=2.0**-1074)
@@ -522,6 +533,25 @@ def test_fixed_hyperparameter_ledger_parses_into_shared_events(fixed_hyperparame
     gc.collect()
     assert len(gc.get_objects()) - before <= 40
     assert serialize(back) == data
+
+
+def test_zero_noise_rounds_recorded_live_share_one_record():
+    # 20k rounds of the same 3 zero-noise queries: the zero-noise queries
+    # are not interned as events, but their equal rounds share one record,
+    # so the ledger adds a few GC-tracked objects, not several per round.
+    gc.collect()
+    before = len(gc.get_objects())
+    led = Ledger()
+    for _ in range(20_000):
+        rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+        for g in range(3):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=0.0, group_name=f"g{g}")
+        led.close_round()
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 40
+    assert led.insecure_rounds() == tuple(range(20_000))
+    with pytest.raises(InsecureLedgerError, match="20000 zero-noise round"):
+        formal_ledger(led)
 
 
 def test_fixed_hyperparameter_ledger_is_accounted_per_distinct_round(

@@ -10,6 +10,7 @@ from dpledger import (
     GroupSpec,
     InfiniteSensitivityError,
     Ledger,
+    LedgerUsageError,
     Mechanism,
     PrivacyTuple,
     RecordVectors,
@@ -496,6 +497,33 @@ def coerce16(prefix: bytes) -> bytes:
     return prefix.ljust(16, b"\0")
 
 
+def _open_ledger(ctx):
+    """A ledger whose open round is ctx.round_id, the rounds before it
+    closed with no queries."""
+    led = Ledger()
+    for _ in range(ctx.round_id):
+        led.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
+        led.close_round()
+    led.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
+    return led
+
+
+def test_run_partitioned_round_records_in_the_open_round_or_refuses():
+    recs = [RecordVectors([("w", [0.1, 0.2]), ("m", [1.0])])]
+    ctx = RoundContext(q=0.5, n=4, round_id=1)
+    seed = coerce16(b"ledger-seed")
+    with pytest.raises(TypeError):
+        run_partitioned_round(recs, _partition(), ctx, seed)
+    closed = _open_ledger(ctx)
+    closed.close_round()
+    for led in (Ledger(), _open_ledger(RoundContext(q=0.5, n=4, round_id=0)), closed):
+        out = None
+        with pytest.raises(LedgerUsageError):
+            out = run_partitioned_round(recs, _partition(), ctx, seed, ledger=led)
+        assert out is None
+        assert not any(sums for _, sums in led.rounds())
+
+
 def test_run_partitioned_round_noise_keyed_by_group_name():
     # same seed, same round: each group's noise depends on its name, not
     # its position, so reordering the partition cannot change results
@@ -504,8 +532,8 @@ def test_run_partitioned_round_noise_keyed_by_group_name():
     part = _partition()
     flipped = GroupPartition(groups=tuple(reversed(part.groups)))
     seed = coerce16(b"order-seed")
-    a = run_partitioned_round(recs, part, ctx, seed)
-    b = run_partitioned_round(recs, flipped, ctx, seed)
+    a = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
+    b = run_partitioned_round(recs, flipped, ctx, seed, ledger=_open_ledger(ctx))
     for name in ("weights", "metrics"):
         for member in a[name].member_names:
             assert np.array_equal(a[name].get(member), b[name].get(member))
@@ -516,11 +544,11 @@ def test_run_partitioned_round_deterministic():
     ctx = RoundContext(q=0.5, n=4, round_id=7)
     part = _partition()
     seed = coerce16(b"det-seed")
-    a = run_partitioned_round(recs, part, ctx, seed)
-    b = run_partitioned_round(recs, part, ctx, seed)
+    a = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
+    b = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
     assert np.array_equal(a["weights"].get("w"), b["weights"].get("w"))
     ctx2 = RoundContext(q=0.5, n=4, round_id=8)
-    c = run_partitioned_round(recs, part, ctx2, seed)
+    c = run_partitioned_round(recs, part, ctx2, seed, ledger=_open_ledger(ctx2))
     assert not np.array_equal(a["weights"].get("w"), c["weights"].get("w"))
 
 
@@ -560,8 +588,12 @@ def test_batch_and_record_list_give_identical_estimates():
     ]
     ctx = RoundContext(q=0.5, n=12, round_id=2)
     seed = coerce16(b"stack-seed")
-    from_batch = run_partitioned_round(batch, _batch_partition(), ctx, seed)
-    from_records = run_partitioned_round(records, _batch_partition(), ctx, seed)
+    from_batch = run_partitioned_round(
+        batch, _batch_partition(), ctx, seed, ledger=_open_ledger(ctx)
+    )
+    from_records = run_partitioned_round(
+        records, _batch_partition(), ctx, seed, ledger=_open_ledger(ctx)
+    )
     for name in ("weights", "joint"):
         for member in from_batch[name].member_names:
             assert np.array_equal(
@@ -575,7 +607,7 @@ def test_batch_noise_replays_from_group_stream():
     ctx = RoundContext(q=0.25, n=100, round_id=9)
     seed = coerce16(b"replay-seed")
     part = _batch_partition()
-    out = run_partitioned_round(batch, part, ctx, seed)
+    out = run_partitioned_round(batch, part, ctx, seed, ledger=_open_ledger(ctx))
     for spec in part.groups:
         est = out[spec.name]
         dims = [batch[m].shape[1] for m in spec.member_names]
@@ -619,12 +651,16 @@ def test_group_block_rejects_bad_batches():
     seed = coerce16(b"bad-seed")
     good = _random_batch(4)
     with pytest.raises(ValueError):  # row counts disagree
-        run_partitioned_round({**good, "b": good["b"][:3]}, part, ctx, seed)
+        run_partitioned_round(
+            {**good, "b": good["b"][:3]}, part, ctx, seed, ledger=_open_ledger(ctx)
+        )
     with pytest.raises(ValueError):  # non-finite entry
         bad = {**good, "w": good["w"].copy()}
         bad["w"][1, 2] = math.inf
-        run_partitioned_round(bad, part, ctx, seed)
+        run_partitioned_round(bad, part, ctx, seed, ledger=_open_ledger(ctx))
     with pytest.raises(ValueError):  # member_dims disagree with the blocks
-        run_partitioned_round(good, part, ctx, seed, member_dims={"weights": (2,)})
+        run_partitioned_round(
+            good, part, ctx, seed, member_dims={"weights": (2,)}, ledger=_open_ledger(ctx)
+        )
     with pytest.raises(KeyError):  # a member is missing
-        run_partitioned_round({"w": good["w"]}, part, ctx, seed)
+        run_partitioned_round({"w": good["w"]}, part, ctx, seed, ledger=_open_ledger(ctx))

@@ -29,14 +29,6 @@ def test_prefix_purposes_do_not_alias():
     assert a != b and a != c and b != c
 
 
-def test_uniform_ranges():
-    s = SecureStream(2, "test", 0)
-    half = s.uniform_halfopen(10_000)
-    assert np.all(half >= 0.0) and np.all(half < 1.0)
-    open_ = s.uniform_open(10_000)
-    assert np.all(open_ > 0.0) and np.all(open_ < 1.0)
-
-
 def test_standard_normal_moments():
     # fixed stream, so these are frozen observations, not a flaky monte carlo
     s = SecureStream(3, "test", 0)
@@ -68,8 +60,10 @@ def test_randbelow_bounds_and_spread():
 def test_randbelow_one_is_zero():
     s = SecureStream(6, "test", 0)
     assert s.randbelow(1) == 0
-    with pytest.raises(ValueError):
-        s.randbelow(0)
+    assert 0 <= s.randbelow(2**64) < 2**64
+    for bad in (0, 2**64 + 1):  # above 2**64 no 8-byte draw would be accepted
+        with pytest.raises(ValueError):
+            s.randbelow(bad)
 
 
 def test_uint64_shape_and_determinism():

@@ -174,6 +174,8 @@ def test_group_spec_defaults_and_validation():
         GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=0.0, noise_sigma=1.0)
     with pytest.raises(ValueError):
         GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=-1.0)
+    with pytest.raises(ValueError):  # the mechanism decides how a group is noised
+        GroupSpec(member_names=("w",), mechanism="separate", clip_s=1.0, noise_sigma=1.0)
 
 
 def test_joint_spec_scale_rules():
