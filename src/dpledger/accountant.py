@@ -37,8 +37,9 @@ bit-identical epsilon, whether the ledger came from memory or a file.
 With ledger, this is the trusted core; it imports only ledger and errors,
 and of third-party code only numpy. The analysis above is for Poisson
 subsampling, so that is the one policy it accounts: a ledger with a round
-under any other policy, or with a zero-noise round, is refused, never
-given a caveated or vacuous epsilon. Calibration is in allocation.
+under any other policy, a zero-noise or empty round, or no finite epsilon
+at any order of the grid is refused, never given a caveated or vacuous
+epsilon. Calibration is in allocation.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedPolicyError
+from .errors import SensitivityRangeError, UnsupportedPolicyError
 from .ledger import Ledger, SamplingPolicy, formal_ledger
 
 _DEFAULT_ORDERS = tuple(float(k) for k in range(2, 65)) + (
@@ -140,9 +141,7 @@ class RdpProfile:
 
     def repeated(self, rounds: int) -> "RdpProfile":
         """Cost of `rounds` rounds at this cost: each order times rounds."""
-        return RdpProfile(
-            grid=self.grid, values=tuple(rounds * v for v in self.values)
-        )
+        return _compose(self.grid, [rounds], np.array([self.values]))
 
 
 @dataclass(frozen=True)
@@ -324,12 +323,13 @@ def account_ledger(
 ) -> PrivacyGuarantee:
     """Recompute the end-to-end guarantee from a ledger's events alone.
 
-    formal_ledger counts the usable rounds by (policy, q, z = 1/S*) in
-    first-seen order; all rows' RDP profiles are taken in one pass, composed
-    as the sum of count times profile and converted at delta. Only
+    formal_ledger counts the rounds by (policy, q, z = 1/S*) in first-seen
+    order; all rows' RDP profiles are taken in one pass, composed as the
+    sum of count times profile and converted at delta. Only
     Poisson-subsampled rounds have an analysis here: any other policy raises
     UnsupportedPolicyError naming its first round, instead of returning a
-    number that means nothing.
+    number that means nothing. A profile that diverges at every order of
+    the grid raises SensitivityRangeError, as no finite epsilon exists.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -343,4 +343,9 @@ def account_ledger(
             )
     values = _rdp_rows([row.q for row in rows], [row.z for row in rows], grid)
     profile = _compose(grid, [row.rounds for row in rows], values)
-    return epsilon_at_delta(profile, delta)
+    guarantee = epsilon_at_delta(profile, delta)
+    if guarantee.achieving_order is None:
+        raise SensitivityRangeError(
+            "every order of the grid diverged; no finite epsilon exists"
+        )
+    return guarantee

@@ -126,6 +126,11 @@ class Knob(enum.Enum):
     NOISE_MULTIPLIER = "noise_multiplier"
 
 
+# Bisection steps before calibrate gives up: 60 halvings narrow a bracket
+# by 2**60, past the 53 bits of a float when its bounds are of one scale.
+_MAX_BISECTIONS = 60
+
+
 def _total_epsilon(
     q: float, z: float, rounds: int, delta: float, grid: OrderGrid
 ) -> float:
@@ -144,7 +149,6 @@ def calibrate(
     bounds: tuple[float, float],
     tolerance: float = 1e-3,
     grid: OrderGrid | None = None,
-    max_iterations: int = 60,
 ) -> float:
     """Bisect the chosen knob until `rounds` identical rounds cost at
     most target_epsilon at delta, and at least target_epsilon - tolerance.
@@ -206,7 +210,7 @@ def calibrate(
             f"reach eps({lo}) = {eps_lo} and eps({hi}) = {eps_hi}",
             bracket=(eps_lo, eps_hi),
         )
-    for _ in range(max_iterations):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         eps_mid = evaluate(mid)
         if within(eps_mid):
@@ -217,6 +221,6 @@ def calibrate(
             hi = mid
     raise CalibrationError(
         f"no knob value within tolerance {tolerance} below epsilon "
-        f"{target_epsilon} after {max_iterations} bisection steps",
+        f"{target_epsilon} after {_MAX_BISECTIONS} bisection steps",
         bracket=(eps_lo, eps_hi),
     )

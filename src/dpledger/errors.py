@@ -35,9 +35,10 @@ class InsecureLedgerError(AccountingRefusal):
 
 
 class SensitivityRangeError(AccountingRefusal):
-    """A round's recorded clip and noise values give an equivalent
-    sensitivity S* that is not a positive finite float (for example a
-    nonzero sigma_sum so small that S* overflows to inf)."""
+    """No finite epsilon follows from the ledger's values: a round's
+    equivalent sensitivity S* is not a positive finite float (S* = 0 for
+    a round with no sum queries, or a nonzero sigma_sum so small that S*
+    overflows to inf), or every order of the grid diverged."""
 
 
 class UnsupportedPolicyError(AccountingRefusal):

@@ -48,10 +48,6 @@ class SyntheticDataset:
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on n")
 
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[0])
-
 
 def generate_synthetic(
     n: int, dim: int, separation: float, seed, *, stream_index: int = 0

@@ -10,8 +10,10 @@ With accountant, this is the trusted core; it imports only errors. It
 holds what an event is checked or read against: the name, (q, n, round)
 and (clip, sigma) checks, the policy tags, and effective_z, the one S*.
 formal_ledger is the one reduction the accountant reads: a count table
-with one row per distinct (policy, q, z) of the usable rounds, giving how
-many rounds it covers and the id of the first.
+with one row per distinct (policy, q, z) of the rounds, giving how many
+rounds it covers and the id of the first. A round it cannot give a finite
+positive z (zero noise, no sum queries, S* out of float range) is refused
+by a typed AccountingRefusal, never dropped.
 
 Storage is interned. A Ledger keeps one list with an entry per closed
 round, and each entry refers to a round record: the round's sample, the
@@ -47,7 +49,6 @@ import itertools
 import math
 import numbers
 import re
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -125,12 +126,12 @@ def effective_z(tuples) -> float:
     tuple is a PrivacyTuple, used as already checked, or a plain (clip_s,
     sigma_sum) pair, checked here. A zero sigma_sum would make S* infinite
     and raises InfiniteSensitivityError; an S* that is not a positive
-    finite float (a sum that overflowed to inf or underflowed to 0) is
-    refused rather than represented.
+    finite float (no tuples at all, or a sum that overflowed to inf or
+    underflowed to 0) raises ValueError rather than being represented.
     """
     tuples = list(tuples)
     if not tuples:
-        raise ValueError("effective_z needs at least one query tuple")
+        raise ValueError("no sum queries recorded (S* = 0)")
     acc = 0.0
     for t in tuples:
         if not isinstance(t, PrivacyTuple):
@@ -185,9 +186,9 @@ class SumQueryEvent(NamedTuple):
 
 
 class FormalRow(NamedTuple):
-    """Every usable round at one (policy, q, z): how many there are and
-    the id of the first. z = 1/S* is a positive finite float, since
-    formal_ledger refuses zero-noise rounds and an S* out of range."""
+    """Every round at one (policy, q, z): how many there are and the id
+    of the first. z = 1/S* is a positive finite float, since formal_ledger
+    refuses zero-noise rounds, empty rounds and an S* out of range."""
 
     policy_tag: str
     q: float
@@ -357,17 +358,18 @@ def _zero_noise(queries) -> bool:
 
 def formal_ledger(ledger: Ledger) -> list[FormalRow]:
     """Reduce a fully closed ledger to its count table: one FormalRow per
-    distinct (policy, q, z) of its usable rounds, in first-seen order.
+    distinct (policy, q, z) of its rounds, in first-seen order.
 
-    Rounds with no sum queries carry no privacy cost; they are dropped with
-    a warning (an empty round usually means a crashed producer). A ledger
-    with any zero-noise query is refused first, with InsecureLedgerError
-    naming how many rounds have one and the first ids: such a round's
-    equivalent sensitivity is unbounded, so no epsilon exists. A round
-    whose clip and noise values put S* out of float range is refused with
-    SensitivityRangeError naming the round. The work is per distinct
-    round: rounds are counted per interned round, and each distinct round
-    is composed and keyed once, at its first id.
+    A ledger with any zero-noise query is refused first, with
+    InsecureLedgerError naming how many rounds have one and the first ids:
+    such a round's equivalent sensitivity is unbounded, so no epsilon
+    exists. A round whose S* is not a positive finite float is refused
+    with SensitivityRangeError naming the round: one with no sum queries
+    (S* = 0; an empty round usually means a crashed producer, so it is
+    never accounted short), or one whose clip and noise values put S* out
+    of float range. The work is per distinct round: rounds are counted per
+    interned round, and each distinct round is composed and keyed once, at
+    its first id, so a refusal names the first offending round.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
@@ -385,27 +387,13 @@ def formal_ledger(ledger: Ledger) -> list[FormalRow]:
         )
     first = dict(zip(reversed(rounds), range(len(rounds) - 1, -1, -1)))
     tally: dict[tuple, list[int]] = {}  # (policy, q, z) -> [rounds, first round]
-    refusal, end = None, len(rounds)
     for rnd, count in counts.items():
-        if not rnd.queries:
-            continue
         try:
             z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
         except ValueError as exc:
-            end = first[rnd]
-            refusal = SensitivityRangeError(f"round {end}: {exc}")
-            break
+            raise SensitivityRangeError(f"round {first[rnd]}: {exc}") from None
         key = (rnd.sample.policy_tag, rnd.sample.q, z)
         tally.setdefault(key, [0, first[rnd]])[0] += count
-    if not all(rnd.queries for rnd in counts):  # warn in id order, up to a refusal
-        for round_id, rnd in enumerate(rounds[:end]):
-            if not rnd.queries:
-                warnings.warn(
-                    f"round {round_id} recorded no sum queries; dropping it",
-                    stacklevel=2,
-                )
-    if refusal is not None:
-        raise refusal
     return [FormalRow(*key, *row) for key, row in tally.items()]
 
 

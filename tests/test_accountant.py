@@ -14,6 +14,7 @@ from dpledger import (
     Ledger,
     OrderGrid,
     RdpProfile,
+    SensitivityRangeError,
     UnsupportedPolicyError,
     account_ledger,
     calibrate,
@@ -368,6 +369,14 @@ def test_account_empty_ledger():
     want = epsilon_at_delta(RdpProfile(grid, (0.0,) * len(grid)), DELTA)
     assert got.epsilon == want.epsilon
     assert got.achieving_order == want.achieving_order
+
+
+def test_account_refuses_when_every_order_diverges():
+    # S* = 1.2e154: order 2 is finite, every term from k = 3 on overflows
+    led = _ledger_of_rounds([(0.5, [(1.2e154, 1.0)])])
+    assert math.isfinite(account_ledger(led, DELTA, grid=OrderGrid((2.0, 3.0))).epsilon)
+    with pytest.raises(SensitivityRangeError, match="every order of the grid diverged"):
+        account_ledger(led, DELTA, grid=OrderGrid((3.0, 4.0)))
 
 
 def test_account_single_round_pipeline_identity():

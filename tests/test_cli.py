@@ -196,6 +196,70 @@ def test_account_refuses_ledger_with_a_round_deleted(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _three_round_ledger() -> bytes:
+    """3 rounds of 3 groups at q = 0.01, 0.02, 0.03, clip 1, sigma_sum 100."""
+    led = Ledger()
+    for q in (0.01, 0.02, 0.03):
+        rid = led.record_sample(q=q, n=10_000, policy_tag="poisson_iid")
+        for g in range(3):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=f"g{g}")
+        led.close_round()
+    return serialize(led)
+
+
+def _env() -> dict:
+    """The environment of a child `python -m dpledger`: this dpledger first."""
+    src = str(pathlib.Path(dpledger.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def test_account_refuses_an_empty_round_without_a_warning(tmp_path):
+    # A file cut after round 2's sample line, and one with round 1's sum
+    # lines deleted: each leaves a round with no sum queries, which is
+    # refused, never dropped and accounted short. Run as a child process,
+    # so that a warning would reach stderr as it does for a user.
+    lines = _three_round_ledger().splitlines(keepends=True)
+    assert lines[9].startswith(b"sample round=2 ")
+    cut = b"".join(lines[:10])
+    no_sums = b"".join(ln for ln in lines if not ln.startswith(b"sum round=1 "))
+    for data, refused in ((cut, 2), (no_sums, 1)):
+        path = tmp_path / f"empty-round-{refused}.txt"
+        path.write_bytes(data)
+        done = subprocess.run(
+            [sys.executable, "-m", "dpledger", "account", "--ledger", str(path),
+             "--delta", "1e-5"],
+            capture_output=True,
+            env=_env(),
+            timeout=120,
+        )  # fmt: skip
+        err = done.stderr.decode()
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert err.startswith(f"refused: round {refused}: ")
+        assert err.count("\n") == 1
+        assert "Warning" not in err and "Traceback" not in err
+
+
+def test_account_refuses_when_every_order_diverges(tmp_path, capsys):
+    # S* = 1.2e154 puts 2 z^2 near the smallest normal float, so every
+    # term from k = 3 on overflows: orders 3 and 4 both diverge.
+    led = Ledger()
+    rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
+    led.record_sum_query(rid, clip_s=1.2e154, sigma_sum=1.0, group_name="g")
+    led.close_round()
+    path = tmp_path / "diverged.txt"
+    path.write_bytes(serialize(led))
+    argv = ["account", "--ledger", str(path), "--delta", "1e-5", "--orders", "3,4"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: every order of the grid diverged; no finite epsilon exists\n"
+    )
+
+
 def test_insecure_train_refused_by_account(tmp_path, capsys):
     code, out = _train(tmp_path, "--insecure-no-noise")
     assert code == 0
@@ -359,9 +423,6 @@ def test_calibrate_q_then_verify(capsys):
 def test_calibrate_into_a_closed_pipe_exits_1_without_traceback():
     # `dpledger calibrate ... | head -1`, where the reader is gone before
     # the output is written: every write to stdout fails with EPIPE.
-    src = str(pathlib.Path(dpledger.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -373,7 +434,7 @@ def test_calibrate_into_a_closed_pipe_exits_1_without_traceback():
             ],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_env(),
             timeout=120,
         )  # fmt: skip
     finally:

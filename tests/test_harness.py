@@ -91,7 +91,7 @@ def test_synthetic_deterministic_bytes():
 def test_synthetic_labels_alternate_and_balance():
     data = generate_synthetic(10, 2, 4.0, SEED)
     assert list(data.labels) == [0, 1] * 5
-    assert data.n == 10
+    assert len(data.labels) == 10
 
 
 def test_synthetic_two_points_widely_separable():

@@ -145,16 +145,38 @@ def test_formal_requires_closed_rounds():
         formal_ledger(led)
 
 
-def test_formal_drops_empty_rounds_with_warning():
+def _ledger_of(sigmas):
+    """One round per entry: None is a round with no sum queries, else one
+    query at clip 1 and that sigma_sum."""
     led = Ledger()
-    led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
-    led.close_round()
-    rid = led.record_sample(q=0.25, n=10, policy_tag="poisson_iid")
-    led.record_sum_query(rid, clip_s=1.0, sigma_sum=2.0, group_name="g")
-    led.close_round()
-    with pytest.warns(UserWarning):
-        rows = formal_ledger(led)
-    assert rows == [FormalRow("poisson_iid", 0.25, 2.0, rounds=1, first_round=1)]
+    for sigma in sigmas:
+        rid = led.record_sample(q=0.25, n=10, policy_tag="poisson_iid")
+        if sigma is not None:
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
+        led.close_round()
+    return led
+
+
+@pytest.mark.parametrize(
+    "sigmas, refused",
+    [
+        ((None, 2.0, 2.0), 0),  # empty first round
+        ((2.0, None, 2.0), 1),  # empty middle round
+        ((2.0, 2.0, None), 2),  # empty last round, as a cut file leaves it
+        ((2.0, None, 2.0, 2.0**-1074), 1),  # empty before S* out of range
+        ((2.0, 2.0**-1074, None, 2.0), 1),  # S* out of range before empty
+    ],
+)
+def test_formal_refuses_empty_rounds(sigmas, refused):
+    led = _ledger_of(sigmas)
+    for ledger in (led, deserialize(serialize(led))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SensitivityRangeError) as exc:
+                formal_ledger(ledger)
+        assert str(exc.value).startswith(f"round {refused}: ")
+    if sigmas[refused] is None:
+        assert str(exc.value) == f"round {refused}: no sum queries recorded (S* = 0)"
 
 
 def test_formal_refuses_insecure_by_default():

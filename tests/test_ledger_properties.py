@@ -166,14 +166,12 @@ def _build(rounds) -> Ledger:
 
 def _outcome(led: Ledger):
     """The guarantee's bits, or the typed refusal (most random clip/sigma
-    pairs put S* out of float range; zero noise and policies other than
-    Poisson are refused)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            g = account_ledger(led, 1e-5, grid=_GRID)
-        except AccountingRefusal as exc:
-            return type(exc).__name__, str(exc)
+    pairs put S* out of float range; zero noise, empty rounds and policies
+    other than Poisson are refused)."""
+    try:
+        g = account_ledger(led, 1e-5, grid=_GRID)
+    except AccountingRefusal as exc:
+        return type(exc).__name__, str(exc)
     return g.epsilon.hex(), g.achieving_order, g.caveats
 
 
@@ -310,20 +308,17 @@ def _reference_deserialize(data: bytes) -> Ledger:
 
 def _parsed(parse, data: bytes):
     """What parse makes of data: its refusal (type, message, line), or the
-    parsed ledger's bytes, rounds, insecure rounds, count table (or its
-    refusal) and formal_ledger's warnings."""
+    parsed ledger's bytes, rounds, insecure rounds and count table (or its
+    refusal)."""
     try:
         led = parse(data)
     except LedgerParseError as exc:
         return type(exc), str(exc), exc.line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            table = formal_ledger(led)
-        except AccountingRefusal as exc:
-            table = type(exc), str(exc)
-    messages = [str(w.message) for w in caught]
-    return serialize(led), led.rounds(), led.insecure_rounds(), table, messages
+    try:
+        table = formal_ledger(led)
+    except AccountingRefusal as exc:
+        table = type(exc), str(exc)
+    return serialize(led), led.rounds(), led.insecure_rounds(), table
 
 
 def _spoil_run(lines, spoiler, i, data):
@@ -446,10 +441,10 @@ def test_refusal_early_in_a_long_ledger_stops_at_its_line():
 
 
 def _per_round_keys(rounds):
-    """(round id, (policy, q, z)) for each round with a query, one round at
-    a time. Raises InsecureLedgerError, naming the count and the first ids,
-    if any round has a zero-noise query; else SensitivityRangeError naming
-    the first round whose S* is out of range."""
+    """(round id, (policy, q, z)) for each round, one round at a time.
+    Raises InsecureLedgerError, naming the count and the first ids, if any
+    round has a zero-noise query; else SensitivityRangeError naming the
+    first round with no query or whose S* is out of range."""
     insecure = [
         round_id
         for round_id, (*_, queries) in enumerate(rounds)
@@ -463,8 +458,6 @@ def _per_round_keys(rounds):
         )
     keys = []
     for round_id, (q, _, policy, queries) in enumerate(rounds):
-        if not queries:
-            continue
         try:
             z = effective_z([(clip, sigma) for _, clip, sigma in queries])
         except ValueError as exc:
@@ -477,31 +470,18 @@ def _per_round_keys(rounds):
 @given(st.one_of(_ROUNDS, _SMALL_POOL_ROUNDS))
 def test_formal_ledger_is_the_per_round_count_table(rounds):
     led = _build(rounds)
-    # one warning per empty round, in id order, up to a refused round
-    empty = [round_id for round_id, (*_, queries) in enumerate(rounds) if not queries]
-    try:
-        keys = _per_round_keys(rounds)
-    except AccountingRefusal as exc:
-        with pytest.raises(type(exc)) as got, warnings.catch_warnings(
-            record=True
-        ) as caught:
-            warnings.simplefilter("always")
-            formal_ledger(led)
-        assert str(got.value) == str(exc)
-        if isinstance(exc, InsecureLedgerError):
-            empty = []  # refused before any round is looked at
-        else:
-            refused = int(str(exc).split(":")[0].removeprefix("round "))
-            empty = [round_id for round_id in empty if round_id < refused]
-    else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rows = formal_ledger(led)
-        assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
-        assert sum(row.rounds for row in rows) == len(keys)
-        for row in rows:
-            ids = [round_id for round_id, key in keys if key == row[:3]]
-            assert (row.rounds, row.first_round) == (len(ids), min(ids))
-    assert [str(w.message) for w in caught] == [
-        f"round {round_id} recorded no sum queries; dropping it" for round_id in empty
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal or a table, never a warning
+        try:
+            keys = _per_round_keys(rounds)
+        except AccountingRefusal as exc:
+            with pytest.raises(type(exc)) as got:
+                formal_ledger(led)
+            assert str(got.value) == str(exc)
+            return
+        rows = formal_ledger(led)
+    assert [row[:3] for row in rows] == list(dict.fromkeys(k for _, k in keys))
+    assert sum(row.rounds for row in rows) == len(keys)
+    for row in rows:
+        ids = [round_id for round_id, key in keys if key == row[:3]]
+        assert (row.rounds, row.first_round) == (len(ids), min(ids))
