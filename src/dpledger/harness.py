@@ -78,9 +78,12 @@ def generate_synthetic(
         direction = direction / norm
     stream = SecureStream(seed, "synthetic-data", stream_index)
     labels = np.arange(n, dtype=np.int64) % 2
-    noise = stream.standard_normal(n * dim).reshape(n, dim)
-    signs = np.where(labels == 1, 1.0, -1.0)
-    features = noise + np.outer(signs * (separation / 2.0), direction)
+    # The noise draw becomes the features in place: label-0 (even) rows
+    # move by -offset, label-1 (odd) rows by +offset.
+    features = stream.standard_normal(n * dim).reshape(n, dim)
+    offset = (separation / 2.0) * direction
+    features[0::2] -= offset
+    features[1::2] += offset
     return SyntheticDataset(features=features, labels=labels)
 
 

@@ -107,7 +107,10 @@ def gaussian_sum(
             "sigma_sum = 0 adds no noise and gives no privacy; "
             "requires insecure_test_mode=True"
         )
-    return block.sum(axis=0) + sigma_sum * rng.standard_normal(d)
+    noise = rng.standard_normal(d)
+    noise *= sigma_sum
+    noise += block.sum(axis=0)
+    return noise
 
 
 def _batch_rows(blocks) -> int:

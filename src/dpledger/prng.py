@@ -14,12 +14,17 @@ Gaussian variates use the Box-Muller transform over 53-bit uniforms taken
 from the keystream. Note this is an exact transform of the uniforms, not a
 floating-point-exact DP mechanism; noise values may differ in the last ulp
 across math libraries even though the underlying keystream is identical.
+
+Every draw works in place: the cipher encrypts zeros into one fresh
+buffer, and that same memory becomes the 64-bit words, then the uniforms,
+then the Gaussians. A draw holds about 1x its output at its peak.
 """
 
 from __future__ import annotations
 
 import hashlib
 import secrets
+import sys
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -30,6 +35,9 @@ _KEY_DOMAIN = b"dpledger.stream.v1"
 _TWO_POW_MINUS_53 = 2.0**-53
 _DROP = np.uint64(11)  # a uniform keeps the top 53 bits of a 64-bit word
 _ONE = np.uint64(1)
+# Box-Muller pairs turned into Gaussians per step; the one temporary a
+# normal draw holds is a block of this many floats.
+_PAIR_BLOCK = 2**16
 
 
 def new_seed() -> bytes:
@@ -80,41 +88,58 @@ class SecureStream:
             algorithms.ChaCha20(digest, nonce), mode=None
         ).encryptor()
 
-    def take_bytes(self, n: int) -> bytes:
-        """Read the next n keystream bytes."""
-        return self._encryptor.update(bytes(n))
+    def take_bytes(self, n: int) -> bytearray:
+        """Read the next n keystream bytes: zeros encrypted in place into
+        a fresh, writable buffer, which the caller owns."""
+        buf = bytearray(n)
+        self._encryptor.update_into(buf, buf)
+        return buf
 
     def uint64(self, count: int) -> np.ndarray:
-        """Next `count` independent 64-bit unsigned integers."""
-        raw = self.take_bytes(8 * count)
-        return np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+        """Next `count` independent 64-bit unsigned integers, read
+        big-endian from the keystream. The array is the keystream buffer
+        itself, byte-swapped in place into native words."""
+        words = np.frombuffer(self.take_bytes(8 * count), dtype=np.uint64)
+        if sys.byteorder == "little":
+            words.byteswap(inplace=True)
+        return words
 
     def standard_normal(self, count: int) -> np.ndarray:
-        """Next `count` i.i.d. N(0, 1) variates via Box-Muller."""
+        """Next `count` i.i.d. N(0, 1) variates via Box-Muller, computed in
+        the keystream buffer itself."""
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
-        # One keystream read for both halves, then steps in place. Each
-        # 64-bit word keeps its top 53 bits; the first half adds 1 and the
-        # second does not, and both are scaled by 2**-53, giving uniforms
-        # on (0, 1] (safe under log) for the radius and on [0, 1) for the
-        # angle of the Box-Muller formula.
-        bits = self.uint64(2 * pairs)
-        bits >>= _DROP
-        bits[:pairs] += _ONE
-        u = bits.astype(np.float64)
-        del bits
+        # Each 64-bit word keeps its top 53 bits; the first half adds 1 and
+        # the second does not, and both are scaled by 2**-53, giving
+        # uniforms on (0, 1] (safe under log) for the radius and on [0, 1)
+        # for the angle of the Box-Muller formula. The words become floats
+        # in the same memory: element i is read before it is written.
+        words = self.uint64(2 * pairs)
+        words >>= _DROP
+        words[:pairs] += _ONE
+        u = words.view(np.float64)
+        np.copyto(u, words, casting="unsafe")
         u *= _TWO_POW_MINUS_53
-        u1, angle = u.reshape(2, pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
+        radius, angle = u.reshape(2, pairs)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
         angle *= 2.0 * np.pi
-        out = np.empty((2, pairs))
-        np.cos(angle, out[0])
-        np.sin(angle, out[1])
-        out *= radius
-        return out.reshape(-1)[:count]
+        # The first half becomes cos(angle) * radius and the second
+        # sin(angle) * radius, one block of pairs at a time.
+        block = np.empty(min(pairs, _PAIR_BLOCK))
+        for lo in range(0, pairs, _PAIR_BLOCK):
+            r = radius[lo : lo + _PAIR_BLOCK]
+            a = angle[lo : lo + _PAIR_BLOCK]
+            cos_r = np.cos(a, out=block[: len(a)])
+            cos_r *= r
+            np.sin(a, out=a)
+            a *= r
+            r[...] = cos_r
+        return u[:count]
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias); one

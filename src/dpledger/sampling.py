@@ -106,7 +106,8 @@ def poisson_sample(cfg: SamplerConfig, round_id: int) -> Sample:
     # a pure exponent shift, never rounded): integer selection, identical
     # on every platform. q = 1 makes every index pass.
     threshold = math.ceil(cfg.q * 2.0**53)
-    bits = stream.uint64(cfg.n) >> np.uint64(11)
+    bits = stream.uint64(cfg.n)
+    bits >>= np.uint64(11)
     return Sample(
         indices=np.flatnonzero(bits < threshold).astype(np.int64, copy=False),
         round_id=round_id,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dpledger import (
     Ledger,
     SamplerConfig,
     SamplingPolicy,
+    SecureStream,
     TrainConfig,
     account_ledger,
     deserialize,
@@ -109,6 +111,30 @@ def test_synthetic_stream_index_gives_disjoint_noise_same_geometry():
         return gap / np.linalg.norm(gap)
 
     assert float(np.dot(axis(train), axis(holdout))) > 0.95
+
+
+@pytest.mark.parametrize("separation", [0.0, 4.0])
+@pytest.mark.parametrize("n, dim", [(2, 1), (7, 3), (64, 5)])
+def test_synthetic_features_are_noise_plus_the_signed_offset(n, dim, separation):
+    # the out-of-place formula: one noise array plus an n x dim outer product
+    direction = SecureStream(SEED, "synthetic-axis", 0).standard_normal(dim)
+    direction = direction / float(np.sqrt(np.dot(direction, direction)))
+    noise = SecureStream(SEED, "synthetic-data", 0).standard_normal(n * dim)
+    signs = np.where(np.arange(n) % 2 == 1, 1.0, -1.0)
+    want = noise.reshape(n, dim) + np.outer(signs * (separation / 2.0), direction)
+    got = generate_synthetic(n, dim, separation, SEED).features
+    assert got.shape == (n, dim)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_synthetic_peak_memory_is_about_its_features():
+    tracemalloc.start()
+    try:
+        data = generate_synthetic(20_000, 100, 4.0, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * data.features.nbytes, peak / data.features.nbytes
 
 
 def test_synthetic_validation():

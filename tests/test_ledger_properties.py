@@ -123,8 +123,9 @@ def _periodic_rounds(draw):
 _PERIODIC_ROUNDS = _periodic_rounds()
 
 
-def _small_pool_rounds(sigmas):
-    """Ledgers of few distinct values, their noise drawn from sigmas."""
+def _small_pool_rounds(sigmas, min_queries=0):
+    """Ledgers of few distinct values, their noise drawn from sigmas, with
+    at least min_queries queries in each round."""
     return st.lists(
         st.tuples(
             st.sampled_from([0.25, 0.5, 1.0]),
@@ -136,6 +137,7 @@ def _small_pool_rounds(sigmas):
                     st.sampled_from([0.5, 1.0, 2.0]),
                     st.sampled_from(sigmas),
                 ),
+                min_size=min_queries,
                 max_size=3,
             ),
         ),
@@ -146,10 +148,13 @@ def _small_pool_rounds(sigmas):
 
 # Few distinct values, so that (policy, q, z) keys repeat and rounds whose
 # queries differ can still share a z. With zero noise in the pool nearly
-# every ledger is refused as insecure; without it, count tables are built.
+# every ledger is refused as insecure; without it, most ledgers still hold
+# an empty round and are refused for it.
 _SMALL_POOL_ROUNDS = st.one_of(
     _small_pool_rounds([0.0, 1.0, 2.0, 4.0]), _small_pool_rounds([1.0, 2.0, 4.0])
 )
+# Every round holds a query and none is noiseless, so a count table is built.
+_FILLED_POOL_ROUNDS = _small_pool_rounds([1.0, 2.0, 4.0], min_queries=1)
 # a short grid keeps each cold rdp_step cheap; the property is about inputs
 _GRID = OrderGrid((2.0, 3.0, 8.0, 32.0))
 
@@ -467,7 +472,7 @@ def _per_round_keys(rounds):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_ROUNDS, _SMALL_POOL_ROUNDS))
+@given(st.one_of(_ROUNDS, _SMALL_POOL_ROUNDS, _FILLED_POOL_ROUNDS))
 def test_formal_ledger_is_the_per_round_count_table(rounds):
     led = _build(rounds)
     with warnings.catch_warnings():

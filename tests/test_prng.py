@@ -1,9 +1,88 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from dpledger import SecureStream, coerce_seed, new_seed
+
+
+class _OutOfPlaceStream:
+    """The keyed stream rebuilt from its definition, drawn out of place:
+    each read encrypts a fresh zero bytes object, words are an astype copy
+    of the big-endian view, and Box-Muller allocates a result per step."""
+
+    def __init__(self, seed: bytes, purpose: str, round_id: int):
+        raw = purpose.encode("utf-8")
+        key = hashlib.sha256(
+            b"dpledger.stream.v1" + len(raw).to_bytes(4, "big") + raw + seed
+        ).digest()
+        nonce = round_id.to_bytes(16, "big")
+        self._enc = Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor()
+
+    def take_bytes(self, n):
+        return self._enc.update(bytes(n))
+
+    def uint64(self, count):
+        return np.frombuffer(self.take_bytes(8 * count), ">u8").astype(np.uint64)
+
+    def standard_normal(self, count):
+        pairs = (count + 1) // 2
+        bits = self.uint64(2 * pairs) >> np.uint64(11)
+        bits[:pairs] += np.uint64(1)
+        u = bits.astype(np.float64) * 2.0**-53
+        u1, u2 = u[:pairs], u[pairs:]
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = 2.0 * np.pi * u2
+        out = np.concatenate([np.cos(angle) * radius, np.sin(angle) * radius])
+        return out[:count]
+
+
+_SEED = b"in-place-draws-0"
+# odd and even counts around 2**16 variates, and around the Box-Muller
+# block of 2**16 pairs: one full block, then one and two pairs past it
+_COUNTS = (1, 2, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, 2**17 + 3)
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_standard_normal_is_the_out_of_place_box_muller(count):
+    got = SecureStream(_SEED, "noise/w", 7).standard_normal(count)
+    want = _OutOfPlaceStream(_SEED, "noise/w", 7).standard_normal(count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_successive_draws_match_the_out_of_place_stream():
+    stream = SecureStream(_SEED, "noise/b", 2)
+    ref = _OutOfPlaceStream(_SEED, "noise/b", 2)
+    for count in _COUNTS:
+        got, want = stream.standard_normal(count), ref.standard_normal(count)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(stream.uint64(count), ref.uint64(count))
+        assert stream.take_bytes(count) == ref.take_bytes(count)
+
+
+def test_words_and_bytes_match_the_out_of_place_reads():
+    for n in (0, 1, 8, 13, 4096):
+        got = SecureStream(_SEED, "sample", 3).take_bytes(n)
+        assert isinstance(got, bytearray)
+        assert got == _OutOfPlaceStream(_SEED, "sample", 3).take_bytes(n)
+        words = SecureStream(_SEED, "sample", 3).uint64(n)
+        assert words.dtype == np.uint64 and words.dtype.isnative
+        assert np.array_equal(words, _OutOfPlaceStream(_SEED, "sample", 3).uint64(n))
+
+
+def test_standard_normal_peak_memory_is_about_its_output():
+    stream = SecureStream(_SEED, "noise/w", 0)
+    tracemalloc.start()
+    try:
+        x = stream.standard_normal(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes, peak / x.nbytes
 
 
 def test_same_key_same_stream():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ def test_poisson_q_one_takes_everything():
     for r in range(5):
         s = poisson_sample(_poisson(37, 1.0), r)
         assert np.array_equal(s.indices, np.arange(37))
+
+
+def test_poisson_peak_memory_is_about_its_words():
+    # one 8-byte keystream word per record, shifted in place, plus the
+    # mask and the ~q * n chosen indices
+    n = 20_000
+    cfg = _poisson(n, 0.05)
+    tracemalloc.start()
+    try:
+        poisson_sample(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n, peak / (8 * n)
 
 
 def test_poisson_mean_size():
