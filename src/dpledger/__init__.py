@@ -5,11 +5,20 @@ The trusted core is two modules, ledger and accountant, which import
 nothing else from the package but errors: ledger bytes -> epsilon reads no
 other code. Mechanisms emit (clip bound, noise std) tuples, the ledger
 records them next to the sampling facts, and the accountant recomputes the
-guarantee from the ledger alone. Strategy code (sampling, mechanisms,
-allocation, calibration, the training harness) imports from the core,
-never the reverse, and can be arbitrarily wrong without making the
-reported epsilon wrong, because it only influences what gets recorded,
-never how records are interpreted.
+guarantee from the ledger alone. Strategy code imports from the core,
+never the reverse.
+
+The reported epsilon holds for the rounds that ran only if the recorded
+facts are true of them, and two steps outside the core are trusted to
+make them true. The sampler must include each record independently at
+the recorded rate q. mechanisms.group_query must keep each record's
+effect on each group's pre-noise sum within the recorded clip, and add
+Gaussian noise of the recorded sigma_sum. Allocation and calibration only
+choose the values that get recorded, so a mistake there changes the
+guarantee without making it wrong. The known break is microbatch_reduce
+at size k > 1: each row it hands group_query averages several records
+picked by their position in the sample, so one added record moves a
+group's sum by far more than its clip (ROADMAP item 1).
 
 Each exported name is imported from its submodule on first access, so
 importing the package, or the core alone, loads nothing else.
@@ -63,10 +72,9 @@ _MODULE_OF = {
     "GroupEstimate": "mechanisms",
     "RoundContext": "mechanisms",
     "gaussian_sum": "mechanisms",
-    "joint_group_query": "mechanisms",
+    "group_query": "mechanisms",
     "microbatch_reduce": "mechanisms",
     "run_partitioned_round": "mechanisms",
-    "separate_group_query": "mechanisms",
     "SecureStream": "prng",
     "coerce_seed": "prng",
     "new_seed": "prng",
@@ -79,7 +87,6 @@ _MODULE_OF = {
     "GroupPartition": "vectors",
     "GroupSpec": "vectors",
     "Mechanism": "vectors",
-    "RecordVectors": "vectors",
     "clip_rows": "vectors",
     "clip_to_norm": "vectors",
 }

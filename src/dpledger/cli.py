@@ -120,25 +120,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else new_seed().hex()
-    policy = {
-        "poisson": SamplingPolicy.POISSON_IID,
-        "fixed": SamplingPolicy.FIXED_SIZE_WOR,
-        "disjoint": SamplingPolicy.DISJOINT_PARTITION,
-    }[args.policy]
     try:
-        if policy is SamplingPolicy.POISSON_IID:
-            sampler = SamplerConfig(policy=policy, n=args.n, seed=seed, q=args.q)
-        else:
-            if args.batch_size is None:
-                print(
-                    f"error: --policy {args.policy} requires --batch-size",
-                    file=sys.stderr,
-                )
-                return 1
-            sampler = SamplerConfig(
-                policy=policy, n=args.n, seed=seed, batch_size=args.batch_size
-            )
-
+        sampler = SamplerConfig(
+            policy=SamplingPolicy.POISSON_IID, n=args.n, seed=seed, q=args.q
+        )
         clips = (args.clip_weights, args.clip_bias, 1.0)
         if args.insecure_no_noise:
             sigmas = (0.0, 0.0, 0.0)
@@ -261,10 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--dim", type=int, default=2)
     p_train.add_argument("--rounds", type=int, default=200)
     p_train.add_argument(
-        "--policy", choices=("poisson", "fixed", "disjoint"), default="poisson"
+        "--policy",
+        choices=("poisson",),
+        default="poisson",
+        help="Poisson, the one sampling policy the accountant accepts",
     )
     p_train.add_argument("--q", type=float, default=0.01)
-    p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--noise-multiplier", type=float, default=1.1)
     p_train.add_argument("--clip-weights", type=float, default=1.0)
     p_train.add_argument("--clip-bias", type=float, default=0.5)

@@ -31,7 +31,7 @@ from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, _check_round, serialize
 from .mechanisms import RoundContext, microbatch_reduce, run_partitioned_round
 from .prng import SecureStream, coerce_seed
-from .sampling import SamplerConfig, draw_sample, partition_epoch
+from .sampling import SamplerConfig, draw_sample
 from .vectors import GroupPartition, GroupSpec, Mechanism
 
 
@@ -174,6 +174,11 @@ class TrainConfig:
         object.__setattr__(self, "seed", coerce_seed(self.seed))
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
+        if self.sampler.policy is not SamplingPolicy.POISSON_IID:
+            raise ValueError(
+                f"training samples by {SamplingPolicy.POISSON_IID.value} only, the "
+                f"one policy the accountant accepts; got {self.sampler.policy.value}"
+            )
         if self.n != self.sampler.n:
             raise ValueError(
                 f"config n={self.n} disagrees with sampler n={self.sampler.n}"
@@ -232,9 +237,9 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     correctness indicator at the current parameters, reduce microbatches,
     answer each group's noisy average query, step the parameters by the
     noisy gradient estimate, and append the round's events to the ledger.
-    If the accountant refuses the finished ledger (unsupported policy,
-    zero-noise rounds) the report carries the refusal text instead of a
-    number pretending to be a guarantee.
+    If the accountant refuses the finished ledger (zero-noise rounds) the
+    report carries the refusal text instead of a number pretending to be a
+    guarantee.
     """
     data = generate_synthetic(cfg.n, cfg.dim, cfg.separation, cfg.seed)
     holdout = generate_synthetic(
@@ -246,19 +251,10 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     b = 0.0
     ledger = Ledger()
     metric_estimates: list[float] = []
-    epoch_batches: list = []
-    batches_per_epoch = 0
-    if cfg.sampler.policy is SamplingPolicy.DISJOINT_PARTITION:
-        batches_per_epoch = cfg.n // cfg.sampler.batch_size
 
     for t in range(cfg.rounds):
         round_id = ledger.record_sample(q, cfg.n, cfg.sampler.policy.value)
-        if cfg.sampler.policy is SamplingPolicy.DISJOINT_PARTITION:
-            if t % batches_per_epoch == 0:
-                epoch_batches = partition_epoch(cfg.sampler, t // batches_per_epoch)
-            sample = epoch_batches[t % batches_per_epoch]
-        else:
-            sample = draw_sample(cfg.sampler, t)
+        sample = draw_sample(cfg.sampler, t)
         xs = data.features[sample.indices]
         ys = data.labels[sample.indices].astype(np.float64)
         grad_w, grad_b = per_example_gradients(xs, ys, w, b)

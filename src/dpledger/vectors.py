@@ -1,10 +1,10 @@
-"""Records, vector groups, and the clipping/scaling primitives.
+"""Vector groups and the clipping primitives.
 
-A record is the unit of privacy: an ordered, named collection of dense
-float64 vectors. Groups partition those vectors and carry the mechanism
-configuration (clip bound, noise level, optional per-vector scales for the
-joint mechanism). Everything here is an immutable value; all operations are
-pure functions.
+A round's records reach the mechanisms as a batch: a mapping from member
+name to a float64 (m x d) block, one row per record. Groups partition the
+member names and carry the mechanism configuration (clip bound, noise
+level, optional per-member scales for the joint mechanism). Specs are
+immutable values; clip_rows and clip_to_norm are pure functions.
 """
 
 from __future__ import annotations
@@ -18,52 +18,11 @@ import numpy as np
 from .ledger import PrivacyTuple, _check_name
 
 
-def _as_vector(value, what: str = "vector") -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{what} must be 1-dimensional with at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains NaN or Inf")
-    out = arr.copy()
-    out.flags.writeable = False
-    return out
-
-
 class Mechanism(enum.Enum):
     """How a group of vectors is clipped and noised."""
 
     SEPARATE = "separate"
     JOINT = "joint"
-
-
-@dataclass(frozen=True)
-class RecordVectors:
-    """One record's named vectors, in a fixed order.
-
-    Names are unique and every vector is finite; both are enforced at
-    construction so a bad gradient cannot silently corrupt a privatized sum.
-    """
-
-    entries: tuple[tuple[str, np.ndarray], ...]
-
-    def __init__(self, entries):
-        items = []
-        seen = set()
-        for name, vec in entries:
-            _check_name(name, "vector name")
-            if name in seen:
-                raise ValueError(f"duplicate vector name {name!r}")
-            seen.add(name)
-            items.append((name, _as_vector(vec, f"vector {name!r}")))
-        if not items:
-            raise ValueError("a record must contain at least one vector")
-        object.__setattr__(self, "entries", tuple(items))
-
-    def get(self, name: str) -> np.ndarray:
-        for entry_name, vec in self.entries:
-            if entry_name == name:
-                return vec
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -207,6 +166,10 @@ def clip_to_norm(v, s: float) -> np.ndarray:
     Returns v unchanged (bitwise) when its norm is at most s; the zero
     vector is its own projection. The result is read-only.
     """
-    out = clip_rows(_as_vector(v)[None, :], s)[0]
+    # A copy, so that making the result read-only leaves v writable.
+    vec = np.array(v, dtype=np.float64)
+    if vec.ndim != 1 or vec.size < 1:
+        raise ValueError("vector must be 1-dimensional with at least one entry")
+    out = clip_rows(vec[None, :], s)[0]
     out.flags.writeable = False
     return out

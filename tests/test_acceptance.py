@@ -20,7 +20,6 @@ from dpledger import (
     Ledger,
     Mechanism,
     OrderGrid,
-    RecordVectors,
     RoundContext,
     SamplerConfig,
     SamplingPolicy,
@@ -34,12 +33,11 @@ from dpledger import (
     dp_sgd_train,
     epsilon_at_delta,
     gaussian_sum,
-    joint_group_query,
+    group_query,
     make_sgd_partition,
     partition_epoch,
     poisson_sample,
     rdp_step,
-    separate_group_query,
     serialize,
     sigmas_for_target_z,
     split_clip_budget,
@@ -81,15 +79,14 @@ def test_criterion_01_single_query_equivalence():
                     dims[f"g{g}"] = tuple(int(rng.integers(2, 5)) for _ in range(k))
                 total_dim = sum(sum(d) for d in dims.values())
                 records = [
-                    RecordVectors(
-                        [
-                            (m, rng.normal(size=dims[s.name][j]))
-                            for s in specs
-                            for j, m in enumerate(s.member_names)
-                        ]
-                    )
+                    {
+                        m: rng.normal(size=dims[s.name][j])
+                        for s in specs
+                        for j, m in enumerate(s.member_names)
+                    }
                     for _ in range(3)
                 ]
+                batch = {m: np.array([rec[m] for rec in records]) for m in records[0]}
                 master = SecureStream(
                     1000 + gi, f"acceptance-eq/{g_count}/{k}", 0
                 ).standard_normal(total_dim)
@@ -98,8 +95,8 @@ def test_criterion_01_single_query_equivalence():
                 per_group = {}
                 for spec in specs:
                     d = sum(dims[spec.name])
-                    per_group[spec.name] = separate_group_query(
-                        records, spec, ctx, ReplayStream(master[at : at + d])
+                    per_group[spec.name] = group_query(
+                        batch, spec, ctx, ReplayStream(master[at : at + d])
                     )
                     at += d
 
@@ -108,12 +105,13 @@ def test_criterion_01_single_query_equivalence():
                 for rec in records:
                     parts = []
                     for spec in specs:
-                        v = np.concatenate([rec.get(m) for m in spec.member_names])
+                        v = np.concatenate([rec[m] for m in spec.member_names])
                         parts.append(clip_to_norm(v, spec.clip_s) / sigma_sums[spec.name])
                     scaled_rows.append(np.concatenate(parts))
                 combined = gaussian_sum(
-                    scaled_rows, 1.0, ReplayStream(master), dim=total_dim
+                    np.array(scaled_rows), 1.0, ReplayStream(master)
                 )
+                assert combined.shape == (total_dim,)
 
                 at = 0
                 for spec in specs:
@@ -143,8 +141,9 @@ def test_criterion_02_joint_clip_noise_scales():
         reps = 100_000
         first = np.empty(reps)
         second = np.empty(reps)
+        empty = {"a": np.empty((0, 1)), "b": np.empty((0, 1))}
         for i in range(reps):
-            est = joint_group_query([], spec, ctx, stream, member_dims=(1, 1))
+            est = group_query(empty, spec, ctx, stream)
             first[i] = est.estimates[0][0]
             second[i] = est.estimates[1][0]
         assert abs(first.std() / 0.01 - 1.0) <= 0.02
@@ -156,30 +155,28 @@ def test_criterion_02_joint_clip_noise_scales():
 def test_criterion_03_flat_and_per_layer_recovery():
     with criterion(3, "flat and per-layer clipping recovered exactly"):
         rng = np.random.default_rng(3)
-        member_dims = {"l1": 3, "l2": 2, "l3": 4}
-        names = tuple(member_dims)
-        total_dim = sum(member_dims.values())
+        layer_dims = {"l1": 3, "l2": 2, "l3": 4}
+        names = tuple(layer_dims)
+        total_dim = sum(layer_dims.values())
         q, n = 0.5, 4
         ctx = RoundContext(q=q, n=n, round_id=0)
         sigma = 0.25
         sigma_sum = q * n * sigma
-        records = [
-            RecordVectors([(m, rng.normal(size=member_dims[m])) for m in names])
-            for _ in range(2)
-        ]
+        records = [{m: rng.normal(size=layer_dims[m]) for m in names} for _ in range(2)]
+        batch = {m: np.array([rec[m] for rec in records]) for m in names}
         total_s = 2.0
 
         # flat: the whole parameter vector is one group with the whole budget
-        (flat_s,) = split_clip_budget(total_s, member_dims.values(), ClipSplit.FLAT)
+        (flat_s,) = split_clip_budget(total_s, layer_dims.values(), ClipSplit.FLAT)
         noise = SecureStream(b"acceptance-c3-00", "flat", 0).standard_normal(total_dim)
         spec = GroupSpec(
             member_names=names, mechanism=Mechanism.SEPARATE,
             clip_s=flat_s, noise_sigma=sigma, name="all",
         )
-        est = separate_group_query(records, spec, ctx, ReplayStream(noise))
+        est = group_query(batch, spec, ctx, ReplayStream(noise))
         got = np.concatenate([est.get(m) for m in names])
         clipped = [
-            clip_to_norm(np.concatenate([r.get(m) for m in names]), flat_s)
+            clip_to_norm(np.concatenate([r[m] for m in names]), flat_s)
             for r in records
         ]
         manual = (clipped[0] + clipped[1] + sigma_sum * noise) / (q * n)
@@ -187,22 +184,22 @@ def test_criterion_03_flat_and_per_layer_recovery():
 
         # per-layer: one group per member, each holding total_s / sqrt(m)
         bounds = split_clip_budget(
-            total_s, [member_dims[m] for m in names], ClipSplit.PER_LAYER
+            total_s, [layer_dims[m] for m in names], ClipSplit.PER_LAYER
         )
         assert all(b == total_s / math.sqrt(len(names)) for b in bounds)
         at = 0
         for m, bound in zip(names, bounds):
-            d = member_dims[m]
+            d = layer_dims[m]
             layer_noise = noise[at : at + d]
             at += d
             spec = GroupSpec(
                 member_names=(m,), mechanism=Mechanism.SEPARATE,
                 clip_s=bound, noise_sigma=sigma,
             )
-            est = separate_group_query(records, spec, ctx, ReplayStream(layer_noise))
+            est = group_query(batch, spec, ctx, ReplayStream(layer_noise))
             manual = (
-                clip_to_norm(records[0].get(m), bound)
-                + clip_to_norm(records[1].get(m), bound)
+                clip_to_norm(records[0][m], bound)
+                + clip_to_norm(records[1][m], bound)
                 + sigma_sum * layer_noise
             ) / (q * n)
             assert np.array_equal(est.get(m), manual)

@@ -292,26 +292,6 @@ def test_insecure_refusal_names_a_count_not_every_round(tmp_path, capsys):
     assert "20000 zero-noise round(s) (ids 0, 1," in err
 
 
-def test_disjoint_train_runs_account_refuses(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        [
-            "train", "--n", "200", "--dim", "2", "--rounds", "4",
-            "--policy", "disjoint", "--batch-size", "50",
-            "--noise-multiplier", "1.5", "--learning-rate", "0.5",
-            "--holdout-n", "100", "--delta", "1e-5",
-            "--seed", SEED_HEX, "--out-dir", str(out),
-        ]
-    )
-    assert code == 0
-    assert "accounting refused" in capsys.readouterr().out
-
-    code = main(["account", "--ledger", str(out / "ledger.txt"), "--delta", "1e-5"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "disjoint" in captured.err
-
-
 @pytest.mark.parametrize("separation", ["nan", "-1", "inf"])
 def test_train_bad_separation_is_refused_without_traceback(
     separation, tmp_path, capsys
@@ -324,36 +304,31 @@ def test_train_bad_separation_is_refused_without_traceback(
     assert not (out / "ledger.txt").exists()
 
 
-def test_fixed_policy_requires_batch_size(tmp_path, capsys):
-    code = main(
-        [
-            "train", "--n", "200", "--policy", "fixed", "--delta", "1e-5",
-            "--out-dir", str(tmp_path / "out"),
-        ]
-    )
-    assert code == 1
-    assert "--batch-size" in capsys.readouterr().err
-
-
-def test_fixed_policy_account_is_refused(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(
-        [
-            "train", "--n", "200", "--dim", "2", "--rounds", "4",
-            "--policy", "fixed", "--batch-size", "20",
-            "--noise-multiplier", "1.5", "--learning-rate", "0.5",
-            "--holdout-n", "100", "--delta", "1e-5",
-            "--seed", SEED_HEX, "--out-dir", str(out),
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    code = main(["account", "--ledger", str(out / "ledger.txt"), "--delta", "1e-5"])
+@pytest.mark.parametrize("policy", ["fixed_size_wor", "disjoint_partition"])
+def test_account_refuses_a_hand_written_ledger_of_another_policy(
+    policy, tmp_path, capsys
+):
+    led = Ledger()
+    for q in (0.01, 0.02, 0.03):
+        rid = led.record_sample(q=q, n=10_000, policy_tag=policy)
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name="g")
+        led.close_round()
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(serialize(led))
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("refused: round 0 used policy 'fixed_size_wor'")
+    assert captured.err.startswith(f"refused: round 0 used policy '{policy}'")
     assert "Traceback" not in captured.err
+
+
+def test_train_policy_fixed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _train(tmp_path, "--policy", "fixed")
+    assert exc.value.code == 2
+    assert "--policy" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("blocked", ["afile/sub", "ledger.txt/", "report.json/"])

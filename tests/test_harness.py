@@ -329,13 +329,9 @@ def test_training_deterministic_and_ledger_seed_free(tmp_path):
     ],
     ids=["disjoint", "fixed"],
 )
-def test_disjoint_policy_runs_but_is_refused(policy, batch_size):
-    # the run completes and its rounds are recorded at b/n, but only
-    # Poisson rounds are accounted
+def test_train_config_refuses_every_policy_but_poisson(policy, batch_size):
+    # the accountant refuses every round of these policies, so a training
+    # run with them is refused before it starts
     sampler = SamplerConfig(policy=policy, n=200, seed=SEED, batch_size=batch_size)
-    report = dp_sgd_train(
+    with pytest.raises(ValueError, match=f"got {policy.value}$"):
         _config(SEED, n=200, rounds=8, z=1.5, q=batch_size / 200, sampler=sampler)
-    )
-    assert report.guarantee is None
-    assert report.refusal.startswith(f"round 0 used policy '{policy.value}'")
-    assert len(report.metric_estimates) == 8

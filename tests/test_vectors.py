@@ -8,11 +8,10 @@ from dpledger import (
     GroupSpec,
     Mechanism,
     PrivacyTuple,
-    RecordVectors,
     RoundContext,
     SecureStream,
     clip_to_norm,
-    joint_group_query,
+    group_query,
 )
 
 
@@ -96,7 +95,7 @@ def _joint_estimates(vs, scales, clip_s):
     ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     stream = SecureStream(b"vectors-tests-00", "noise", 0)
     batch = {name: np.asarray(v)[None, :] for name, v in zip(names, vs)}
-    return joint_group_query(batch, spec, ctx, stream).estimates
+    return group_query(batch, spec, ctx, stream).estimates
 
 
 def test_scale_then_clip_norm_at_most_sqrt_k():
@@ -119,40 +118,6 @@ def test_scale_unscale_roundtrip():
     back = _joint_estimates(vs, [2.0, 0.25], 1.0)
     for v, b in zip(vs, back):
         assert np.allclose(v, b, rtol=1e-15)
-
-
-# ------------------------------------------------------------ record type
-
-
-def test_record_vectors_basics():
-    rec = RecordVectors([("w", [1.0, 2.0]), ("b", [3.0])])
-    assert np.array_equal(rec.get("w"), [1.0, 2.0])
-    with pytest.raises(KeyError):
-        rec.get("missing")
-
-
-def test_record_vectors_entries_frozen():
-    rec = RecordVectors([("w", [1.0, 2.0])])
-    with pytest.raises(ValueError):
-        rec.get("w")[0] = 9.0
-
-
-def test_record_vectors_copies_input():
-    src = np.array([1.0, 2.0])
-    rec = RecordVectors([("w", src)])
-    src[0] = 99.0
-    assert rec.get("w")[0] == 1.0
-
-
-def test_record_vectors_rejects_duplicates_and_bad_values():
-    with pytest.raises(ValueError):
-        RecordVectors([("w", [1.0]), ("w", [2.0])])
-    with pytest.raises(ValueError):
-        RecordVectors([("w", [math.nan])])
-    with pytest.raises(ValueError):
-        RecordVectors([("bad name", [1.0])])
-    with pytest.raises(ValueError):
-        RecordVectors([("w", [[1.0]])])
 
 
 # ---------------------------------------------------------- specs and parts
