@@ -9,18 +9,26 @@ so its clip bound of 1 is a prior fact about the query, not a data-derived
 choice. Averages always divide by q * n, never by the realized sample
 size, and the true (non-noisy) metric never reaches any report.
 
-No round loops over its records: the sampled examples' gradients
-(m x dim), bias gradients and indicators (m x 1 each) are checked for
-finiteness once and pass through microbatch_reduce and the group queries
-as one batch of blocks.
+No round loops over its records: one forward pass gives the sampled
+examples' probabilities, from which come their gradients (m x dim,
+written over the gathered features), bias gradients and indicators
+(m x 1 each); these are checked for finiteness once and pass through
+microbatch_reduce and the group queries as one batch of blocks.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
+It holds although rounds are sampled ahead: while the main thread draws
+the dataset and the holdout, one worker thread draws rounds 0, 1, ... in
+order, and the loop draws any round after those itself. A round's sample
+is a function of (seed, round) alone, so which thread draws it changes
+no bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +39,7 @@ from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, _check_round, serialize
 from .mechanisms import RoundContext, microbatch_reduce, run_partitioned_round
 from .prng import SecureStream, coerce_seed
-from .sampling import SamplerConfig, draw_sample
+from .sampling import Sample, SamplerConfig, draw_sample
 from .vectors import GroupPartition, GroupSpec, Mechanism
 
 
@@ -94,11 +102,17 @@ def forward_probabilities(features: np.ndarray, w: np.ndarray, b: float) -> np.n
 
 
 def per_example_gradients(
-    features: np.ndarray, labels: np.ndarray, w: np.ndarray, b: float
+    features: np.ndarray,
+    labels: np.ndarray,
+    probabilities: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """d loss / d(w, b) for every example: ((p - y) x, (p - y))."""
-    residual = forward_probabilities(features, w, b) - labels
-    return residual[:, None] * features, residual
+    """d loss / d(w, b) for every example, from its P(label = 1 | x) at
+    the current parameters: ((p - y) x, (p - y)). The weight gradients are
+    written to out if given, which may be features itself."""
+    residual = probabilities - labels
+    return np.multiply(features, residual[:, None], out=out), residual
 
 
 def make_sgd_partition(
@@ -216,6 +230,21 @@ class TrainConfig:
             )
 
 
+def _sample_ahead(
+    sampler: SamplerConfig, rounds: int, ahead: deque[Sample], stop: threading.Event
+) -> None:
+    """Draw rounds 0, 1, ... into ahead until stop is set or every round is
+    drawn. A failure ends the look-ahead quietly: the loop then draws the
+    missing round itself, and raises there."""
+    for t in range(rounds):
+        if stop.is_set():
+            return
+        try:
+            ahead.append(draw_sample(sampler, t))
+        except Exception:
+            return
+
+
 @dataclass(frozen=True)
 class TrainReport:
     """Training outcome. holdout_accuracy is a non-private test-harness
@@ -241,10 +270,24 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     report carries the refusal text instead of a number pretending to be a
     guarantee.
     """
-    data = generate_synthetic(cfg.n, cfg.dim, cfg.separation, cfg.seed)
-    holdout = generate_synthetic(
-        cfg.holdout_n, cfg.dim, cfg.separation, cfg.seed, stream_index=1
+    # Sampling does not depend on the model, so rounds are drawn ahead on
+    # a worker thread while this one draws the data.
+    ahead: deque[Sample] = deque()
+    stop = threading.Event()
+    sampler = threading.Thread(
+        target=_sample_ahead,
+        args=(cfg.sampler, cfg.rounds, ahead, stop),
+        name="dpledger-sample-ahead",
     )
+    sampler.start()
+    try:
+        data = generate_synthetic(cfg.n, cfg.dim, cfg.separation, cfg.seed)
+        holdout = generate_synthetic(
+            cfg.holdout_n, cfg.dim, cfg.separation, cfg.seed, stream_index=1
+        )
+    finally:
+        stop.set()
+        sampler.join()
     q = cfg.sampler.rate
 
     w = np.zeros(cfg.dim)
@@ -254,12 +297,12 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
 
     for t in range(cfg.rounds):
         round_id = ledger.record_sample(q, cfg.n, cfg.sampler.policy.value)
-        sample = draw_sample(cfg.sampler, t)
+        sample = ahead.popleft() if ahead else draw_sample(cfg.sampler, t)
         xs = data.features[sample.indices]
         ys = data.labels[sample.indices].astype(np.float64)
-        grad_w, grad_b = per_example_gradients(xs, ys, w, b)
-        preds = forward_probabilities(xs, w, b) >= 0.5
-        correct = (preds == (ys == 1.0)).astype(np.float64)
+        probs = forward_probabilities(xs, w, b)
+        correct = ((probs >= 0.5) == (ys == 1.0)).astype(np.float64)
+        grad_w, grad_b = per_example_gradients(xs, ys, probs, out=xs)
         if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
             raise ValueError(f"non-finite gradients in round {round_id}")
         batch = microbatch_reduce(

@@ -17,7 +17,13 @@ across math libraries even though the underlying keystream is identical.
 
 Every draw works in place: the cipher encrypts zeros into one fresh
 buffer, and that same memory becomes the 64-bit words, then the uniforms,
-then the Gaussians. A draw holds about 1x its output at its peak.
+then the Gaussians. A draw of several Box-Muller blocks (a dataset, not a
+round's noise) shares the steps after the cipher between the calling
+thread and one worker thread, block by block; numpy's ufuncs release the
+GIL, so the two run on two cores, and each element goes through the same
+ufuncs on the same input, so the bits do not depend on which thread took
+which block. A draw holds about 1x its output at its peak, plus one block
+per thread.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import hashlib
 import secrets
 import sys
+import threading
+from collections.abc import Callable
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -36,7 +44,7 @@ _TWO_POW_MINUS_53 = 2.0**-53
 _DROP = np.uint64(11)  # a uniform keeps the top 53 bits of a 64-bit word
 _ONE = np.uint64(1)
 # Box-Muller pairs turned into Gaussians per step; the one temporary a
-# normal draw holds is a block of this many floats.
+# normal draw holds per thread is a block of this many floats.
 _PAIR_BLOCK = 2**16
 
 
@@ -106,40 +114,49 @@ class SecureStream:
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Next `count` i.i.d. N(0, 1) variates via Box-Muller, computed in
-        the keystream buffer itself."""
+        the keystream buffer itself.
+
+        A draw of two or more blocks of _PAIR_BLOCK pairs is transformed by
+        two threads, the caller and one worker, each taking the next block
+        no thread has taken until none is left, so a thread slowed by other
+        work takes fewer; a smaller draw stays on the caller. The bits are
+        the same either way. A failure on either thread is raised here, and
+        no partly transformed array is returned. The peak is the output
+        plus one block of floats per thread: 1.125x for 2**20 variates.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:
             return np.zeros(0)
         pairs = (count + 1) // 2
-        # Each 64-bit word keeps its top 53 bits; the first half adds 1 and
-        # the second does not, and both are scaled by 2**-53, giving
-        # uniforms on (0, 1] (safe under log) for the radius and on [0, 1)
-        # for the angle of the Box-Muller formula. The words become floats
-        # in the same memory: element i is read before it is written.
         words = self.uint64(2 * pairs)
-        words >>= _DROP
-        words[:pairs] += _ONE
-        u = words.view(np.float64)
-        np.copyto(u, words, casting="unsafe")
-        u *= _TWO_POW_MINUS_53
-        radius, angle = u.reshape(2, pairs)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle *= 2.0 * np.pi
-        # The first half becomes cos(angle) * radius and the second
-        # sin(angle) * radius, one block of pairs at a time.
-        block = np.empty(min(pairs, _PAIR_BLOCK))
-        for lo in range(0, pairs, _PAIR_BLOCK):
-            r = radius[lo : lo + _PAIR_BLOCK]
-            a = angle[lo : lo + _PAIR_BLOCK]
-            cos_r = np.cos(a, out=block[: len(a)])
-            cos_r *= r
-            np.sin(a, out=a)
-            a *= r
-            r[...] = cos_r
-        return u[:count]
+        starts = iter(range(0, pairs, _PAIR_BLOCK))
+        lock = threading.Lock()
+
+        def take() -> int | None:
+            with lock:
+                return next(starts, None)
+
+        if pairs <= _PAIR_BLOCK:
+            _box_muller(words, pairs, take)
+        else:
+            failure: list[BaseException] = []
+
+            def work():
+                try:
+                    _box_muller(words, pairs, take)
+                except BaseException as exc:
+                    failure.append(exc)
+
+            worker = threading.Thread(target=work, name="dpledger-box-muller")
+            worker.start()
+            try:
+                _box_muller(words, pairs, take)
+            finally:
+                worker.join()
+            if failure:
+                raise failure[0]
+        return words.view(np.float64)[:count]
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (no modulo bias); one
@@ -151,3 +168,43 @@ class SecureStream:
             x = int.from_bytes(self.take_bytes(8), "big")
             if x < limit:
                 return x % bound
+
+
+def _box_muller(words: np.ndarray, pairs: int, take: Callable[[], int | None]) -> None:
+    """Turn a draw's 2 * pairs keystream words into Gaussians in place, one
+    block of _PAIR_BLOCK pairs at a time, for each block start take() gives,
+    until it gives None.
+
+    Word i < pairs is the radius half of pair i and word pairs + i its
+    angle half. Each word keeps its top 53 bits; the radius half adds 1
+    and the angle half does not, and both are scaled by 2**-53, giving
+    uniforms on (0, 1] (safe under log) for the radius and on [0, 1) for
+    the angle. The words become floats in the same memory: element i is
+    read before it is written. Pair i then becomes cos(angle) * radius at
+    word i and sin(angle) * radius at word pairs + i. Every step is
+    elementwise, so a block's bits do not depend on the other blocks.
+    """
+    as_float = words.view(np.float64)
+    block = np.empty(min(pairs, _PAIR_BLOCK))
+    while (lo := take()) is not None:
+        hi = min(lo + _PAIR_BLOCK, pairs)
+        radius_bits = words[lo:hi]
+        angle_bits = words[pairs + lo : pairs + hi]
+        radius_bits >>= _DROP
+        radius_bits += _ONE
+        angle_bits >>= _DROP
+        r = as_float[lo:hi]
+        a = as_float[pairs + lo : pairs + hi]
+        np.copyto(r, radius_bits, casting="unsafe")
+        np.copyto(a, angle_bits, casting="unsafe")
+        r *= _TWO_POW_MINUS_53
+        a *= _TWO_POW_MINUS_53
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        a *= 2.0 * np.pi
+        cos_r = np.cos(a, out=block[: hi - lo])
+        cos_r *= r
+        np.sin(a, out=a)
+        a *= r
+        r[...] = cos_r

@@ -113,8 +113,9 @@ class GroupPartition:
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
     # One (1 x d) @ (d x 1) product per row: the same dot product, and the
-    # same bits, as np.dot on the row alone.
-    with np.errstate(over="ignore"):
+    # same bits, as np.dot on the row alone. A row with a non-finite entry
+    # gets a non-finite norm.
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
         big = np.isinf(norms)
         if big.any():
@@ -136,27 +137,36 @@ def clip_rows(block, s: float) -> np.ndarray:
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"clip bound must be positive and finite, got {s}")
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or not np.isfinite(block).all():
+    if block.ndim != 2:
         raise ValueError("clip_rows expects a finite (m x d) block")
     if block.shape[0] == 0:
         return block
     norms = _row_norms(block)
-    if np.isinf(norms).any():
+    if not np.isfinite(norms).all():
+        # Only then is the block itself scanned, to say which refusal.
+        if not np.isfinite(block).all():
+            raise ValueError("clip_rows expects a finite (m x d) block")
         raise ValueError("clip_rows: a row's L2 norm exceeds the float range")
     over = norms > s
     if not over.any():
         return block
-    out = block.copy()
-    rows = out[over] * (s / norms[over])[:, None]
+    # One product makes the result. A row at most s is multiplied by 1.0,
+    # which leaves it bitwise unchanged, so the re-shrink never picks it.
+    factor = np.ones_like(norms)
+    factor[over] = s / norms[over]
+    out = block * factor[:, None]
+    # Re-measure every row, then only the rows just re-shrunk: a row
+    # measured at most s is not changed again.
+    rows = None
     for _ in range(4):
-        norms = _row_norms(rows)
+        norms = _row_norms(out if rows is None else out[rows])
         high = norms > s
         if not high.any():
             break
+        rows = np.flatnonzero(high) if rows is None else rows[high]
         factor = s / norms[high]
         factor[factor >= 1.0] = 1.0 - 2.0**-52
-        rows[high] *= factor[:, None]
-    out[over] = rows
+        out[rows] *= factor[:, None]
     return out
 
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +21,7 @@ from dpledger import (
     serialize,
     sigmas_for_target_z,
 )
+from dpledger import harness
 from dpledger.allocation import effective_z
 from dpledger.harness import forward_probabilities, per_example_gradients
 
@@ -174,7 +178,8 @@ def test_gradients_match_central_differences():
         y = int(rng.integers(0, 2))
         w = rng.normal(size=dim)
         b = float(rng.normal())
-        grad_w, grad_b = per_example_gradients(x[None, :], np.array([float(y)]), w, b)
+        probs = forward_probabilities(x[None, :], w, b)
+        grad_w, grad_b = per_example_gradients(x[None, :], np.array([float(y)]), probs)
         fd_w = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
@@ -335,3 +340,109 @@ def test_train_config_refuses_every_policy_but_poisson(policy, batch_size):
     sampler = SamplerConfig(policy=policy, n=200, seed=SEED, batch_size=batch_size)
     with pytest.raises(ValueError, match=f"got {policy.value}$"):
         _config(SEED, n=200, rounds=8, z=1.5, q=batch_size / 200, sampler=sampler)
+
+
+# -------------------------------------------------------- sampling ahead
+
+
+def _run_with_look_ahead(monkeypatch, case, rounds):
+    """Train once with rounds sampled ahead as `case` says; return the
+    report and, per completed draw, (round, drawn on the main thread)."""
+    real_draw, real_data = harness.draw_sample, harness.generate_synthetic
+    drawn = []
+    ready = threading.Event()  # the data may be returned
+    ahead_target = {"none": 0, "some": 4, "all": rounds, "fails": 2}[case]
+
+    def draw(sampler, t):
+        on_main = threading.current_thread() is threading.main_thread()
+        if not on_main and case == "fails" and t == ahead_target:
+            ready.set()
+            raise RuntimeError("look-ahead draw failed")
+        if not on_main and case == "some" and t >= ahead_target:
+            time.sleep(0.2)  # time for the main thread to stop the worker
+        sample = real_draw(sampler, t)
+        drawn.append((t, on_main))
+        if not on_main and t == ahead_target - 1 and case != "fails":
+            ready.set()
+        return sample
+
+    def data(n, dim, separation, seed, *, stream_index=0):
+        if stream_index == 0 and case != "none":
+            assert ready.wait(10), "the look-ahead never reached its target round"
+        return real_data(n, dim, separation, seed, stream_index=stream_index)
+
+    monkeypatch.setattr(harness, "draw_sample", draw)
+    monkeypatch.setattr(harness, "generate_synthetic", data)
+    if case == "none":
+        monkeypatch.setattr(harness, "_sample_ahead", lambda *args: None)
+    try:
+        report = dp_sgd_train(_config(SEED, rounds=rounds, q=0.5, z=1.5))
+    finally:
+        monkeypatch.undo()
+    return report, drawn
+
+
+@pytest.mark.parametrize("case", ["none", "some", "all", "fails"])
+def test_rounds_sampled_ahead_change_no_bit(monkeypatch, capfd, case):
+    rounds = 12
+    want, inline = _run_with_look_ahead(monkeypatch, "none", rounds)
+    assert inline == [(t, True) for t in range(rounds)]
+    got, drawn = _run_with_look_ahead(monkeypatch, case, rounds)
+    # every round is drawn exactly once, on one thread or the other
+    assert sorted(t for t, _ in drawn) == list(range(rounds))
+    ahead = sorted(t for t, on_main in drawn if not on_main)
+    assert ahead == list(range(len(ahead)))  # a prefix of the rounds
+    if case == "some":
+        assert 4 <= len(ahead) < rounds
+    else:
+        assert len(ahead) == {"none": 0, "all": rounds, "fails": 2}[case]
+    assert serialize(got.ledger) == serialize(want.ledger)
+    assert got.metric_estimates == want.metric_estimates
+    assert got.holdout_accuracy == want.holdout_accuracy
+    assert got.guarantee.epsilon == want.guarantee.epsilon
+    assert capfd.readouterr().err == ""  # the worker prints nothing
+
+
+def test_concurrent_trainings_sample_ahead_without_losing_a_round(monkeypatch):
+    # three runs at once, each with its sampler and Box-Muller threads,
+    # switching often; each must match the same run with every round
+    # drawn inline
+    def config(seed):
+        return _config(seed, n=20_000, dim=20, rounds=30, q=0.05, z=1.5)
+
+    seeds = [b"harness-tests-%02d" % k for k in range(3)]
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "_sample_ahead", lambda *args: None)
+        want = {seed: dp_sgd_train(config(seed)) for seed in seeds}
+    got = {}
+
+    def train(seed):
+        got[seed] = dp_sgd_train(config(seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=train, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed in seeds:
+        assert serialize(got[seed].ledger) == serialize(want[seed].ledger)
+        assert got[seed].metric_estimates == want[seed].metric_estimates
+        assert got[seed].holdout_accuracy == want[seed].holdout_accuracy
+
+
+def test_a_failing_data_draw_stops_the_look_ahead(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no data")
+
+    monkeypatch.setattr(harness, "generate_synthetic", broken)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="no data"):
+        dp_sgd_train(_config(SEED, rounds=500, q=0.5, z=1.5))
+    assert threading.active_count() == before
+

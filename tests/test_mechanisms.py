@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,6 +354,66 @@ def test_clip_rows_validation():
     with pytest.raises(ValueError):
         clip_rows(np.array([[1.7e308, 1.7e308]]), 1.0)  # norm beyond float range
     assert clip_rows(np.empty((0, 4)), 1.0).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clip_rows_refuses_a_non_finite_entry_as_a_non_finite_block(bad):
+    block = np.ones((3, 4))
+    block[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finite_block = r"^clip_rows expects a finite \(m x d\) block$"
+        with pytest.raises(ValueError, match=finite_block):
+            clip_rows(block, 1.0)
+    block[1, 1:3] = 1.7e308  # finite, but the row's norm is not
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        clip_rows(block, 1.0)
+
+
+def _gathered_clip_rows(block, s):
+    """clip_rows as an out-of-place sequence: copy the block, gather the
+    rows above s, rescale and re-shrink them, and scatter them back."""
+    norms = np.array([math.sqrt(np.dot(row, row)) for row in block])
+    over = norms > s
+    out = block.copy()
+    rows = out[over] * (s / norms[over])[:, None]
+    for _ in range(4):
+        norms = np.array([math.sqrt(np.dot(row, row)) for row in rows])
+        high = norms > s
+        if not high.any():
+            break
+        factor = s / norms[high]
+        factor[factor >= 1.0] = 1.0 - 2.0**-52
+        rows[high] *= factor[:, None]
+    out[over] = rows
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 32])
+def test_clip_rows_is_the_gathered_out_of_place_clip(seed):
+    # rows on both sides of s, at scales where the first rescale often
+    # lands a hair above s and is re-shrunk; at seeds 7 and 32 some rows
+    # are re-shrunk twice
+    rng = np.random.default_rng(seed)
+    m, d = 300, (1, 7, 100)[seed % 3]
+    block = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    block[::7] = 0.0
+    s = float(10.0 ** rng.uniform(-1, 1))
+    got = clip_rows(block, s)
+    assert got.tobytes() == _gathered_clip_rows(block, s).tobytes()
+
+
+def test_clip_rows_peak_memory_when_every_row_is_clipped():
+    # the result, and at most a gather of the rows that are re-shrunk
+    block = np.random.default_rng(5).normal(size=(1000, 100)) + 1.0
+    tracemalloc.start()
+    try:
+        out = clip_rows(block, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.array_equal(out[0], block[0])  # every row was clipped
+    assert peak <= 2.25 * block.nbytes, peak / block.nbytes
 
 
 # ----------------------------------------------- composition equivalence

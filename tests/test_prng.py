@@ -1,12 +1,14 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
-from dpledger import SecureStream, coerce_seed, new_seed
+from dpledger import SecureStream, coerce_seed, new_seed, prng
 
 
 class _OutOfPlaceStream:
@@ -42,8 +44,12 @@ class _OutOfPlaceStream:
 
 _SEED = b"in-place-draws-0"
 # odd and even counts around 2**16 variates, and around the Box-Muller
-# block of 2**16 pairs: one full block, then one and two pairs past it
-_COUNTS = (1, 2, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, 2**17 + 3)
+# block of 2**16 pairs: one full block, then one and two pairs past it; the
+# last two are split between two threads, an odd and an even block count
+_COUNTS = (
+    1, 2, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, 2**17 + 3,
+    2**19 + 1, 2**20 + 3,
+)  # fmt: skip
 
 
 @pytest.mark.parametrize("count", _COUNTS)
@@ -83,6 +89,57 @@ def test_standard_normal_peak_memory_is_about_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("count", [3, 2**20 + 3])
+def test_a_failing_box_muller_thread_fails_the_draw(monkeypatch, count):
+    # a worker that raises on its share of the blocks may leave a block
+    # untransformed, so the draw must raise rather than return it
+    box_muller = prng._box_muller
+    threads = []
+
+    def failing_off_the_caller(words, pairs, take):
+        threads.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            take()
+            raise RuntimeError("worker half failed")
+        box_muller(words, pairs, take)
+
+    monkeypatch.setattr(prng, "_box_muller", failing_off_the_caller)
+    stream = SecureStream(_SEED, "noise/w", 1)
+    if count < 2 * prng._PAIR_BLOCK:
+        # one block: the caller does it all, and nothing fails
+        assert stream.standard_normal(count).shape == (count,)
+        assert threads == [threading.main_thread()]
+        return
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        stream.standard_normal(count)
+    assert len(threads) == 2 and threading.main_thread() in threads
+
+
+def test_concurrent_two_thread_draws_keep_their_bits():
+    # more drawing threads than cores, switching often: each split draw
+    # still writes only its own buffer, every block exactly once
+    count = 2**18 + 5
+    got = {}
+
+    def draw(r):
+        got[r] = SecureStream(_SEED, "noise/w", r).standard_normal(count)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(r,)) for r in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in range(4):
+        want = _OutOfPlaceStream(_SEED, "noise/w", r).standard_normal(count)
+        assert got[r].tobytes() == want.tobytes()
 
 
 def test_same_key_same_stream():
