@@ -13,7 +13,10 @@ facts are true of them, and two steps outside the core are trusted to
 make them true. The sampler must include each record independently at
 the recorded rate q. mechanisms.group_query must keep each record's
 effect on each group's pre-noise sum within the recorded clip, and add
-Gaussian noise of the recorded sigma_sum. Allocation and calibration only
+the recorded sigma_sum times the row of unit Gaussians it is given. Those
+rows must be independent: mechanisms.draw_round_noise draws each group's
+row for each round from its own keyed stream, and the harness must hand
+each round its own rows and reuse none. Allocation and calibration only
 choose the values that get recorded, so a mistake there changes the
 guarantee without making it wrong. The known break is microbatch_reduce
 at size k > 1: each row it hands group_query averages several records
@@ -71,6 +74,7 @@ _MODULE_OF = {
     "serialize": "ledger",
     "GroupEstimate": "mechanisms",
     "RoundContext": "mechanisms",
+    "draw_round_noise": "mechanisms",
     "gaussian_sum": "mechanisms",
     "group_query": "mechanisms",
     "microbatch_reduce": "mechanisms",

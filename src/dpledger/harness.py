@@ -21,7 +21,9 @@ It holds although rounds are sampled ahead: while the main thread draws
 the dataset and the holdout, one worker thread draws rounds 0, 1, ... in
 order, and the loop draws any round after those itself. A round's sample
 is a function of (seed, round) alone, so which thread draws it changes
-no bit.
+no bit. Likewise a round's noise is a function of (seed, group, round)
+alone, so the loop draws it for a batch of rounds at a time, and the
+batch size changes no bit either.
 """
 
 from __future__ import annotations
@@ -37,10 +39,21 @@ from .accountant import PrivacyGuarantee, account_ledger
 from .allocation import AllocationRequest, AllocationStrategy, allocate
 from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, _check_round, serialize
-from .mechanisms import RoundContext, microbatch_reduce, run_partitioned_round
-from .prng import SecureStream, coerce_seed
+from .mechanisms import (
+    RoundContext,
+    draw_round_noise,
+    microbatch_reduce,
+    run_partitioned_round,
+)
+from .prng import _PAIR_BLOCK, SecureStream, coerce_seed
 from .sampling import Sample, SamplerConfig, draw_sample
 from .vectors import GroupPartition, GroupSpec, Mechanism
+
+# Rounds whose noise one draw_round_noise call draws: enough to spread a
+# Box-Muller pass's per-call cost over many rounds. dp_sgd_train takes
+# fewer when a group's batch would exceed one _PAIR_BLOCK of pairs (but
+# never fewer than one round), so a batch's memory stays bounded.
+_NOISE_BATCH_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,11 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         sampler.join()
     q = cfg.sampler.rate
 
+    labels = data.labels.astype(np.float64)
+    widths = {"weights": cfg.dim, "bias": 1, "metrics": 1}
+    # No group is wider than all members together.
+    widest_pairs = (sum(widths.values()) + 1) // 2
+    batch_rounds = max(1, min(_NOISE_BATCH_ROUNDS, _PAIR_BLOCK // widest_pairs))
     w = np.zeros(cfg.dim)
     b = 0.0
     ledger = Ledger()
@@ -297,9 +315,12 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
 
     for t in range(cfg.rounds):
         round_id = ledger.record_sample(q, cfg.n, cfg.sampler.policy.value)
+        if t % batch_rounds == 0:
+            noise_rounds = range(t, min(t + batch_rounds, cfg.rounds))
+            noise = draw_round_noise(cfg.seed, cfg.partition, widths, noise_rounds)
         sample = ahead.popleft() if ahead else draw_sample(cfg.sampler, t)
-        xs = data.features[sample.indices]
-        ys = data.labels[sample.indices].astype(np.float64)
+        xs = data.features.take(sample.indices, axis=0)
+        ys = labels.take(sample.indices)
         probs = forward_probabilities(xs, w, b)
         correct = ((probs >= 0.5) == (ys == 1.0)).astype(np.float64)
         grad_w, grad_b = per_example_gradients(xs, ys, probs, out=xs)
@@ -312,8 +333,9 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         ctx = RoundContext(
             q=q, n=cfg.n, round_id=round_id, insecure_test_mode=cfg.insecure_test_mode
         )
+        round_noise = {name: rows[t % batch_rounds] for name, rows in noise.items()}
         estimates = run_partitioned_round(
-            batch, cfg.partition, ctx, cfg.seed, ledger=ledger
+            batch, cfg.partition, ctx, round_noise, ledger=ledger
         )
         ledger.close_round()
 

@@ -2,8 +2,16 @@
 
 A batch is the one record format: a mapping from member name to a float64
 (m x d) block with one row per record. group_query clips the rows of a
-group's (m x D_g) block, sums its columns and adds one Gaussian draw; a
-microbatch is a reshape and a mean.
+group's (m x D_g) block, sums its columns and adds sigma_sum times the
+group's row of D_g unit Gaussians for the round; a microbatch is a
+reshape and a mean.
+
+A group's noise depends on (seed, group name, round) alone, never on the
+data or the model, so draw_round_noise draws every group's rows for a
+batch of rounds at once, and each round hands its rows to
+run_partitioned_round. A row must be used in its round and nowhere else:
+noise reused across rounds or groups is not independent, and the
+accountant assumes it is.
 
 The spec's mechanism picks how a group is privatized. The separate
 mechanism clips each record's concatenation of the group's members to
@@ -28,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .ledger import Ledger, PrivacyTuple, _check_round
-from .prng import SecureStream
+from .prng import standard_normal_rows
 from .vectors import GroupPartition, GroupSpec, clip_rows
 
 
@@ -73,21 +81,27 @@ class GroupEstimate:
 def gaussian_sum(
     block: np.ndarray,
     sigma_sum: float,
-    rng: SecureStream,
+    noise: np.ndarray,
     *,
     insecure_test_mode: bool = False,
 ) -> np.ndarray:
-    """Column-sum an (m x d) block and add isotropic Gaussian noise of std
-    sigma_sum.
+    """Column-sum an (m x d) block and add sigma_sum times noise, a row of
+    d unit Gaussians: isotropic Gaussian noise of std sigma_sum.
 
     m may be 0, as a Poisson sample can be empty: the sum is then zero and
-    the noise still has the block's d entries. Noise is always drawn, even
-    at sigma_sum = 0, so replay alignment of the keyed stream does not
-    depend on the noise level.
+    the noise still has the block's d entries. A noise row of any other
+    shape is refused, never broadcast: one value added to every column
+    would be one draw, not d. The row is read, never written.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise ValueError("a sum takes an (m x d) block with d >= 1")
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != (block.shape[1],):
+        raise ValueError(
+            f"a sum of {block.shape[1]} columns takes a noise row of as many "
+            f"entries, got shape {noise.shape}"
+        )
     if not (math.isfinite(sigma_sum) and sigma_sum >= 0.0):
         raise ValueError(f"sigma_sum must be nonnegative and finite, got {sigma_sum}")
     if sigma_sum == 0.0 and not insecure_test_mode:
@@ -95,10 +109,9 @@ def gaussian_sum(
             "sigma_sum = 0 adds no noise and gives no privacy; "
             "requires insecure_test_mode=True"
         )
-    noise = rng.standard_normal(block.shape[1])
-    noise *= sigma_sum
-    noise += block.sum(axis=0)
-    return noise
+    total = noise * sigma_sum
+    total += block.sum(axis=0)
+    return total
 
 
 def _batch_rows(blocks) -> int:
@@ -124,7 +137,7 @@ def group_query(
     batch: Mapping[str, np.ndarray],
     spec: GroupSpec,
     ctx: RoundContext,
-    rng: SecureStream,
+    noise: np.ndarray,
 ) -> GroupEstimate:
     """One group's noisy average over a batch, under either mechanism.
 
@@ -132,7 +145,8 @@ def group_query(
     record; an empty sample is a batch of (0 x d) blocks. The group's
     members sit side by side as one (m x D_g) block. A joint group's columns
     are divided by their member's scale; then the rows are clipped to
-    clip_s, column-summed, noised with N(0, sigma_sum^2 I), divided by
+    clip_s, column-summed, noised with sigma_sum * noise, where noise is
+    the group's row of D_g unit Gaussians for this round, divided by
     q * n, and a joint group's scales are multiplied back. Emits
     (clip_s, sigma_sum = q * n * noise_sigma).
 
@@ -157,7 +171,7 @@ def group_query(
     total = gaussian_sum(
         clip_rows(block, spec.clip_s),
         sigma_sum,
-        rng,
+        noise,
         insecure_test_mode=ctx.insecure_test_mode,
     )
     estimate = total / ctx.qn
@@ -195,26 +209,51 @@ def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray]:
     }
 
 
+def draw_round_noise(
+    seed: bytes,
+    partition: GroupPartition,
+    widths: Mapping[str, int],
+    rounds: range,
+) -> dict[str, np.ndarray]:
+    """Every group's unit-Gaussian noise for each round in rounds.
+
+    Group g's noise in round t comes from its own keyed stream
+    ("noise/<g>", t), so group order cannot entangle the randomness and
+    any round's noise can be replayed from (seed, group name, round)
+    alone. widths maps each member name to its column count; a group's
+    width D_g is its members' sum. Returns group name -> a
+    (len(rounds) x D_g) array whose row i is round rounds[i]'s noise.
+    """
+    return {
+        spec.name: standard_normal_rows(
+            seed,
+            f"noise/{spec.name}",
+            rounds,
+            sum(widths[name] for name in spec.member_names),
+        )
+        for spec in partition.groups
+    }
+
+
 def run_partitioned_round(
     batch: Mapping[str, np.ndarray],
     partition: GroupPartition,
     ctx: RoundContext,
-    seed: bytes,
+    noise: Mapping[str, np.ndarray],
     *,
     ledger: Ledger,
 ) -> dict[str, GroupEstimate]:
     """Run every group's query on one batch and record it.
 
-    Each group draws from its own keyed noise stream ("noise/<group>",
-    round_id), so group order cannot entangle the randomness. One
-    sum-query event per group is appended to ledger, whose open round must
-    be ctx.round_id; the caller records the sample event (it knows the
-    sampler). No estimate is returned that the ledger does not hold.
+    noise maps each group's name to its row of unit Gaussians for round
+    ctx.round_id, as draw_round_noise gives it. One sum-query event per
+    group is appended to ledger, whose open round must be ctx.round_id;
+    the caller records the sample event (it knows the sampler). No
+    estimate is returned that the ledger does not hold.
     """
     estimates: dict[str, GroupEstimate] = {}
     for spec in partition.groups:
-        rng = SecureStream(seed, f"noise/{spec.name}", ctx.round_id)
-        est = estimates[spec.name] = group_query(batch, spec, ctx, rng)
+        est = estimates[spec.name] = group_query(batch, spec, ctx, noise[spec.name])
         ledger.record_sum_query(
             ctx.round_id,
             clip_s=est.emitted.clip_s,

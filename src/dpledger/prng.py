@@ -17,13 +17,18 @@ across math libraries even though the underlying keystream is identical.
 
 Every draw works in place: the cipher encrypts zeros into one fresh
 buffer, and that same memory becomes the 64-bit words, then the uniforms,
-then the Gaussians. A draw of several Box-Muller blocks (a dataset, not a
-round's noise) shares the steps after the cipher between the calling
-thread and one worker thread, block by block; numpy's ufuncs release the
-GIL, so the two run on two cores, and each element goes through the same
-ufuncs on the same input, so the bits do not depend on which thread took
-which block. A draw holds about 1x its output at its peak, plus one block
-per thread.
+then the Gaussians. A draw of several Box-Muller blocks (a dataset) shares
+the steps after the cipher between the calling thread and one worker
+thread, block by block; numpy's ufuncs release the GIL, so the two run on
+two cores, and each element goes through the same ufuncs on the same
+input, so the bits do not depend on which thread took which block. A draw
+holds about 1x its output at its peak, plus one block per thread.
+
+A round's noise is small (one value per column of each group), and one
+Box-Muller pass per round would be mostly per-call overhead, so
+standard_normal_rows draws one purpose's Gaussians for a batch of rounds
+at once: each round still reads its own stream, and each row has the
+bits that round's own standard_normal draw would give it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import hashlib
 import secrets
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -114,15 +119,11 @@ class SecureStream:
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Next `count` i.i.d. N(0, 1) variates via Box-Muller, computed in
-        the keystream buffer itself.
-
-        A draw of two or more blocks of _PAIR_BLOCK pairs is transformed by
-        two threads, the caller and one worker, each taking the next block
-        no thread has taken until none is left, so a thread slowed by other
-        work takes fewer; a smaller draw stays on the caller. The bits are
-        the same either way. A failure on either thread is raised here, and
-        no partly transformed array is returned. The peak is the output
-        plus one block of floats per thread: 1.125x for 2**20 variates.
+        the keystream buffer itself, on two threads if the draw spans two
+        or more blocks of _PAIR_BLOCK pairs (see _transform). A failure on
+        either thread is raised here, and no partly transformed array is
+        returned. The peak is the output plus one block of floats per
+        thread: 1.125x for 2**20 variates.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
@@ -130,32 +131,7 @@ class SecureStream:
             return np.zeros(0)
         pairs = (count + 1) // 2
         words = self.uint64(2 * pairs)
-        starts = iter(range(0, pairs, _PAIR_BLOCK))
-        lock = threading.Lock()
-
-        def take() -> int | None:
-            with lock:
-                return next(starts, None)
-
-        if pairs <= _PAIR_BLOCK:
-            _box_muller(words, pairs, take)
-        else:
-            failure: list[BaseException] = []
-
-            def work():
-                try:
-                    _box_muller(words, pairs, take)
-                except BaseException as exc:
-                    failure.append(exc)
-
-            worker = threading.Thread(target=work, name="dpledger-box-muller")
-            worker.start()
-            try:
-                _box_muller(words, pairs, take)
-            finally:
-                worker.join()
-            if failure:
-                raise failure[0]
+        _transform(words, pairs)
         return words.view(np.float64)[:count]
 
     def randbelow(self, bound: int) -> int:
@@ -168,6 +144,75 @@ class SecureStream:
             x = int.from_bytes(self.take_bytes(8), "big")
             if x < limit:
                 return x % bound
+
+
+def standard_normal_rows(
+    seed: int | str | bytes, purpose: str, rounds: Sequence[int], count: int
+) -> np.ndarray:
+    """A (len(rounds) x count) array whose row r is, bit for bit,
+    SecureStream(seed, purpose, rounds[r]).standard_normal(count).
+
+    Each round's stream reads its 2 * ceil(count / 2) words through
+    take_bytes, radius half then angle half, as its own draw would. The
+    rows' radius halves are laid out one after another, then their angle
+    halves, so the batch is one draw of len(rounds) * ceil(count / 2)
+    pairs, in which round r's pair j is pair r * ceil(count / 2) + j.
+    One Box-Muller pass transforms it; every step is elementwise, so
+    each pair gets the bits of its round's own draw. The peak is about
+    twice the output (the words, then the rows gathered from them), plus
+    one block of floats per Box-Muller thread.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    pairs = (count + 1) // 2
+    words = np.empty(2 * len(rounds) * pairs, dtype=np.uint64)
+    halves = words.reshape(2, len(rounds), pairs)
+    for r, round_id in enumerate(rounds):
+        # The round's keystream buffer is freed as soon as it is copied.
+        halves[:, r] = np.frombuffer(
+            SecureStream(seed, purpose, round_id).take_bytes(16 * pairs), dtype=">u8"
+        ).reshape(2, pairs)
+    _transform(words, len(rounds) * pairs)
+    gaussians = halves.view(np.float64)
+    return np.concatenate((gaussians[0], gaussians[1]), axis=1)[:, :count]
+
+
+def _transform(words: np.ndarray, pairs: int) -> None:
+    """Box-Muller over a draw's 2 * pairs words, in place.
+
+    A draw of two or more blocks of _PAIR_BLOCK pairs is transformed by
+    two threads, the caller and one worker, each taking the next block no
+    thread has taken until none is left, so a thread slowed by other work
+    takes fewer; a smaller draw stays on the caller. The bits are the
+    same either way. A failure on either thread is raised here, after
+    both threads are done.
+    """
+    starts = iter(range(0, pairs, _PAIR_BLOCK))
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(starts, None)
+
+    if pairs <= _PAIR_BLOCK:
+        _box_muller(words, pairs, take)
+        return
+    failure: list[BaseException] = []
+
+    def work():
+        try:
+            _box_muller(words, pairs, take)
+        except BaseException as exc:
+            failure.append(exc)
+
+    worker = threading.Thread(target=work, name="dpledger-box-muller")
+    worker.start()
+    try:
+        _box_muller(words, pairs, take)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
 
 
 def _box_muller(words: np.ndarray, pairs: int, take: Callable[[], int | None]) -> None:

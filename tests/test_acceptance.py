@@ -50,7 +50,6 @@ from dpledger.allocation import (
 )
 from dpledger.cli import main
 from dpledger.sampling import fixed_size_sample
-from test_mechanisms import ReplayStream
 
 DELTA = 1e-5
 
@@ -96,7 +95,7 @@ def test_criterion_01_single_query_equivalence():
                 for spec in specs:
                     d = sum(dims[spec.name])
                     per_group[spec.name] = group_query(
-                        batch, spec, ctx, ReplayStream(master[at : at + d])
+                        batch, spec, ctx, master[at : at + d]
                     )
                     at += d
 
@@ -108,9 +107,7 @@ def test_criterion_01_single_query_equivalence():
                         v = np.concatenate([rec[m] for m in spec.member_names])
                         parts.append(clip_to_norm(v, spec.clip_s) / sigma_sums[spec.name])
                     scaled_rows.append(np.concatenate(parts))
-                combined = gaussian_sum(
-                    np.array(scaled_rows), 1.0, ReplayStream(master)
-                )
+                combined = gaussian_sum(np.array(scaled_rows), 1.0, master)
                 assert combined.shape == (total_dim,)
 
                 at = 0
@@ -143,7 +140,7 @@ def test_criterion_02_joint_clip_noise_scales():
         second = np.empty(reps)
         empty = {"a": np.empty((0, 1)), "b": np.empty((0, 1))}
         for i in range(reps):
-            est = group_query(empty, spec, ctx, stream)
+            est = group_query(empty, spec, ctx, stream.standard_normal(2))
             first[i] = est.estimates[0][0]
             second[i] = est.estimates[1][0]
         assert abs(first.std() / 0.01 - 1.0) <= 0.02
@@ -173,7 +170,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
             member_names=names, mechanism=Mechanism.SEPARATE,
             clip_s=flat_s, noise_sigma=sigma, name="all",
         )
-        est = group_query(batch, spec, ctx, ReplayStream(noise))
+        est = group_query(batch, spec, ctx, noise)
         got = np.concatenate([est.get(m) for m in names])
         clipped = [
             clip_to_norm(np.concatenate([r[m] for m in names]), flat_s)
@@ -196,7 +193,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
                 member_names=(m,), mechanism=Mechanism.SEPARATE,
                 clip_s=bound, noise_sigma=sigma,
             )
-            est = group_query(batch, spec, ctx, ReplayStream(layer_noise))
+            est = group_query(batch, spec, ctx, layer_noise)
             manual = (
                 clip_to_norm(records[0][m], bound)
                 + clip_to_norm(records[1][m], bound)

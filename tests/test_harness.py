@@ -345,13 +345,37 @@ def test_train_config_refuses_every_policy_but_poisson(policy, batch_size):
 # -------------------------------------------------------- sampling ahead
 
 
-def _run_with_look_ahead(monkeypatch, case, rounds):
-    """Train once with rounds sampled ahead as `case` says; return the
-    report and, per completed draw, (round, drawn on the main thread)."""
+def _per_round_noise(seed, partition, widths, rounds):
+    """draw_round_noise as one SecureStream draw per group and round."""
+    return {
+        spec.name: np.array(
+            [
+                SecureStream(seed, f"noise/{spec.name}", t).standard_normal(
+                    sum(widths[m] for m in spec.member_names)
+                )
+                for t in rounds
+            ]
+        )
+        for spec in partition.groups
+    }
+
+
+def _run_with_look_ahead(monkeypatch, case, rounds, per_round_noise=False):
+    """Train once with rounds sampled ahead as `case` says, and with each
+    round's noise drawn on its own by _per_round_noise if per_round_noise;
+    return the report, per completed draw (round, drawn on the main
+    thread), and the rounds of each noise draw."""
     real_draw, real_data = harness.draw_sample, harness.generate_synthetic
+    real_noise = _per_round_noise if per_round_noise else harness.draw_round_noise
     drawn = []
+    noise_rounds = []
     ready = threading.Event()  # the data may be returned
-    ahead_target = {"none": 0, "some": 4, "all": rounds, "fails": 2}[case]
+    ahead_target = {
+        "none": 0,
+        "some": 4,
+        "all": rounds,
+        "fails": min(2, rounds - 1),
+    }[case]
 
     def draw(sampler, t):
         on_main = threading.current_thread() is threading.main_thread()
@@ -371,23 +395,45 @@ def _run_with_look_ahead(monkeypatch, case, rounds):
             assert ready.wait(10), "the look-ahead never reached its target round"
         return real_data(n, dim, separation, seed, stream_index=stream_index)
 
+    def draw_noise(seed, partition, widths, rounds):
+        noise_rounds.append(rounds)
+        return real_noise(seed, partition, widths, rounds)
+
     monkeypatch.setattr(harness, "draw_sample", draw)
     monkeypatch.setattr(harness, "generate_synthetic", data)
+    monkeypatch.setattr(harness, "draw_round_noise", draw_noise)
+    if per_round_noise:
+        monkeypatch.setattr(harness, "_NOISE_BATCH_ROUNDS", 1)
     if case == "none":
         monkeypatch.setattr(harness, "_sample_ahead", lambda *args: None)
     try:
         report = dp_sgd_train(_config(SEED, rounds=rounds, q=0.5, z=1.5))
     finally:
         monkeypatch.undo()
-    return report, drawn
+    return report, drawn, noise_rounds
+
+
+_B = harness._NOISE_BATCH_ROUNDS
 
 
 @pytest.mark.parametrize("case", ["none", "some", "all", "fails"])
 def test_rounds_sampled_ahead_change_no_bit(monkeypatch, capfd, case):
-    rounds = 12
-    want, inline = _run_with_look_ahead(monkeypatch, "none", rounds)
+    for rounds in (1, _B - 1, _B, _B + 1, 2 * _B + 3):
+        if case == "some" and rounds == 1:
+            continue  # one round leaves none to sample ahead of the loop
+        _check_look_ahead_and_noise_batches(monkeypatch, capfd, case, rounds)
+
+
+def _check_look_ahead_and_noise_batches(monkeypatch, capfd, case, rounds):
+    # the reference draws every round inline and each group's noise for
+    # each round from its own SecureStream.standard_normal call
+    want, inline, per_round = _run_with_look_ahead(
+        monkeypatch, "none", rounds, per_round_noise=True
+    )
     assert inline == [(t, True) for t in range(rounds)]
-    got, drawn = _run_with_look_ahead(monkeypatch, case, rounds)
+    assert per_round == [range(t, t + 1) for t in range(rounds)]
+    got, drawn, batches = _run_with_look_ahead(monkeypatch, case, rounds)
+    assert batches == [range(t, min(t + _B, rounds)) for t in range(0, rounds, _B)]
     # every round is drawn exactly once, on one thread or the other
     assert sorted(t for t, _ in drawn) == list(range(rounds))
     ahead = sorted(t for t, on_main in drawn if not on_main)
@@ -395,12 +441,28 @@ def test_rounds_sampled_ahead_change_no_bit(monkeypatch, capfd, case):
     if case == "some":
         assert 4 <= len(ahead) < rounds
     else:
-        assert len(ahead) == {"none": 0, "all": rounds, "fails": 2}[case]
+        fails = min(2, rounds - 1)
+        assert len(ahead) == {"none": 0, "all": rounds, "fails": fails}[case]
     assert serialize(got.ledger) == serialize(want.ledger)
     assert got.metric_estimates == want.metric_estimates
     assert got.holdout_accuracy == want.holdout_accuracy
     assert got.guarantee.epsilon == want.guarantee.epsilon
     assert capfd.readouterr().err == ""  # the worker prints nothing
+
+
+def test_a_wide_model_draws_fewer_rounds_of_noise_at_once(monkeypatch):
+    # 3000 weights, a bias and a metric: no group passes 1501 pairs a
+    # round, so 43 rounds of noise fill at most one Box-Muller block
+    real = harness.draw_round_noise
+    batches = []
+
+    def draw_noise(seed, partition, widths, rounds):
+        batches.append(rounds)
+        return real(seed, partition, widths, rounds)
+
+    monkeypatch.setattr(harness, "draw_round_noise", draw_noise)
+    dp_sgd_train(_config(SEED, n=20, dim=3000, rounds=45, q=0.5, z=1.5))
+    assert batches == [range(0, 43), range(43, 45)]
 
 
 def test_concurrent_trainings_sample_ahead_without_losing_a_round(monkeypatch):

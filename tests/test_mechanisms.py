@@ -20,6 +20,7 @@ from dpledger import (
     SecureStream,
     clip_rows,
     clip_to_norm,
+    draw_round_noise,
     effective_z,
     gaussian_sum,
     group_query,
@@ -27,25 +28,6 @@ from dpledger import (
     poisson_sample,
     run_partitioned_round,
 )
-
-
-class ReplayStream:
-    """Serves a pre-drawn noise array in order.
-
-    Stands in for a SecureStream so the same normal draws can be fed to two
-    different computation paths and compared.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self._values = np.asarray(values, dtype=np.float64)
-        self._at = 0
-
-    def standard_normal(self, count: int) -> np.ndarray:
-        out = self._values[self._at : self._at + count]
-        if out.size != count:
-            raise RuntimeError("replay stream exhausted")
-        self._at += count
-        return out.copy()
 
 
 def _sep(members, clip_s, sigma, name=None):
@@ -62,30 +44,47 @@ def _sep(members, clip_s, sigma, name=None):
 
 
 def test_gaussian_sum_noiseless_sum():
-    ctx_stream = SecureStream(1, "t", 0)
+    noise = SecureStream(1, "t", 0).standard_normal(2)
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = gaussian_sum(block, 0.0, ctx_stream, insecure_test_mode=True)
+    out = gaussian_sum(block, 0.0, noise, insecure_test_mode=True)
     assert np.array_equal(out, [4.0, 6.0])
 
 
 def test_gaussian_sum_empty_sample():
     empty = np.empty((0, 3))
-    out = gaussian_sum(empty, 0.0, SecureStream(1, "t", 0), insecure_test_mode=True)
+    noise = SecureStream(1, "t", 0).standard_normal(3)
+    out = gaussian_sum(empty, 0.0, noise, insecure_test_mode=True)
     assert np.array_equal(out, np.zeros(3))
 
 
 def test_gaussian_sum_zero_sigma_needs_flag():
     with pytest.raises(ConfigurationError):
-        gaussian_sum(np.ones((1, 1)), 0.0, SecureStream(1, "t", 0))
+        gaussian_sum(np.ones((1, 1)), 0.0, SecureStream(1, "t", 0).standard_normal(1))
 
 
 def test_gaussian_sum_shape_mismatch():
     with pytest.raises(ValueError):
-        gaussian_sum([[1.0, 2.0], [3.0]], 1.0, SecureStream(1, "t", 0))
+        gaussian_sum([[1.0, 2.0], [3.0]], 1.0, np.zeros(2))
     with pytest.raises(ValueError):  # a vector, not an (m x d) block
-        gaussian_sum(np.ones(2), 1.0, SecureStream(1, "t", 0))
+        gaussian_sum(np.ones(2), 1.0, np.zeros(2))
     with pytest.raises(ValueError):  # no columns to noise
-        gaussian_sum(np.empty((2, 0)), 1.0, SecureStream(1, "t", 0))
+        gaussian_sum(np.empty((2, 0)), 1.0, np.zeros(0))
+
+
+@pytest.mark.parametrize("shape", [(1,), (99,), (101,), (1, 100), (100, 1)])
+def test_gaussian_sum_refuses_a_noise_row_of_another_shape(shape):
+    # a length-1 row would broadcast one Gaussian value onto all 100 sums
+    with pytest.raises(ValueError, match="noise row"):
+        gaussian_sum(np.ones((3, 100)), 1.0, np.ones(shape))
+
+
+def test_gaussian_sum_never_writes_its_noise_row():
+    noise = SecureStream(1, "t", 0).standard_normal(3)
+    before = noise.copy()
+    noise.setflags(write=False)
+    out = gaussian_sum(np.ones((2, 3)), 2.5, noise)
+    assert noise.tobytes() == before.tobytes()
+    assert out.tobytes() == (before * 2.5 + 2.0).tobytes()
 
 
 def test_gaussian_sum_noise_distribution():
@@ -96,7 +95,7 @@ def test_gaussian_sum_noise_distribution():
     reps = 100_000
     draws = np.empty(reps)
     for i in range(reps):
-        draws[i] = gaussian_sum(zero, 1.0, s)[0]
+        draws[i] = gaussian_sum(zero, 1.0, s.standard_normal(1))[0]
     assert abs(draws.mean()) < 4.0 / math.sqrt(reps)
     assert abs(draws.std() - 1.0) < 0.02
 
@@ -107,7 +106,8 @@ def test_gaussian_sum_noise_distribution():
 def test_separate_no_clip_no_noise():
     ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _sep(["v"], clip_s=5.0, sigma=0.0)
-    est = group_query({"v": np.array([[3.0, 4.0]])}, spec, ctx, SecureStream(3, "t", 0))
+    noise = SecureStream(3, "t", 0).standard_normal(2)
+    est = group_query({"v": np.array([[3.0, 4.0]])}, spec, ctx, noise)
     assert np.array_equal(est.get("v"), [3.0, 4.0])
     assert est.emitted == PrivacyTuple(clip_s=5.0, sigma_sum=0.0)
 
@@ -117,7 +117,7 @@ def test_separate_two_records_fixed_denominator():
     ctx = RoundContext(q=0.5, n=4, round_id=0, insecure_test_mode=True)
     spec = _sep(["v"], clip_s=1.0, sigma=0.0)
     batch = {"v": np.array([[1.0, 0.0], [0.0, 1.0]])}
-    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0))
+    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(2))
     assert np.allclose(est.get("v"), [0.5, 0.5], rtol=1e-15)
     assert est.emitted.clip_s == 1.0
     assert est.emitted.sigma_sum == 0.0
@@ -129,7 +129,7 @@ def test_separate_clips_the_member_concatenation():
     spec = _sep(["a", "b"], clip_s=1.0, sigma=0.0)
     rec = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     batch = {"a": rec[0][None, :], "b": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0))
+    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(4))
     manual = clip_to_norm(np.concatenate(rec), 1.0)
     assert np.array_equal(est.get("a"), manual[:2])
     assert np.array_equal(est.get("b"), manual[2:])
@@ -139,16 +139,18 @@ def test_separate_empty_sample_needs_dims():
     ctx = RoundContext(q=0.5, n=10, round_id=0, insecure_test_mode=True)
     spec = _sep(["v"], clip_s=1.0, sigma=0.0)
     # an empty sample is a (0 x d) block, which carries its own d
-    est = group_query({"v": np.empty((0, 2))}, spec, ctx, SecureStream(3, "t", 0))
+    noise = SecureStream(3, "t", 0).standard_normal(2)
+    est = group_query({"v": np.empty((0, 2))}, spec, ctx, noise)
     assert np.array_equal(est.get("v"), [0.0, 0.0])
     with pytest.raises(ValueError):
-        group_query({"v": np.empty((0, 0))}, spec, ctx, SecureStream(3, "t", 0))
+        group_query({"v": np.empty((0, 0))}, spec, ctx, noise)
 
 
 def test_emitted_sigma_is_exactly_qn_sigma():
     ctx = RoundContext(q=0.01, n=10_000, round_id=0)
     spec = _sep(["v"], clip_s=1.0, sigma=0.013)
-    est = group_query({"v": np.array([[0.5]])}, spec, ctx, SecureStream(3, "t", 0))
+    noise = SecureStream(3, "t", 0).standard_normal(1)
+    est = group_query({"v": np.array([[0.5]])}, spec, ctx, noise)
     assert est.emitted.sigma_sum == 0.01 * 10_000 * 0.013
 
 
@@ -171,7 +173,7 @@ def test_joint_identity_when_no_clipping():
     rec = [np.array([0.3, 0.4]), np.array([20.0, 30.0])]
     # scaled concat is (0.3, 0.4, 0.2, 0.3): norm < 1, no clipping
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0))
+    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(4))
     assert np.allclose(est.get("v1"), rec[0], rtol=1e-12)
     assert np.allclose(est.get("v2"), rec[1], rtol=1e-12)
 
@@ -180,7 +182,7 @@ def test_joint_preserves_zero_component():
     ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(1.0, 100.0))
     batch = {"v1": np.array([[1.0]]), "v2": np.array([[0.0]])}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0))
+    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(2))
     assert np.allclose(est.get("v1"), [1.0], rtol=1e-12)
     assert np.array_equal(est.get("v2"), [0.0])
 
@@ -190,7 +192,7 @@ def test_joint_clipping_route_matches_manual():
     spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(2.0, 5.0))
     rec = [np.array([4.0, 0.0]), np.array([0.0, 10.0])]
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0))
+    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(4))
     scaled = np.concatenate([rec[0] / 2.0, rec[1] / 5.0])
     clipped = clip_to_norm(scaled, 1.0)
     assert np.allclose(est.get("v1"), 2.0 * clipped[:2], rtol=1e-12)
@@ -203,14 +205,21 @@ def test_joint_noise_scales_linearly_in_alpha():
     ctx = RoundContext(q=1.0, n=1, round_id=0)
     noise = SecureStream(5, "alpha", 0).standard_normal(2)
     empty = {"x": np.empty((0, 1)), "y": np.empty((0, 1))}
-    a = group_query(
-        empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 3.0)), ctx, ReplayStream(noise)
-    )
-    b = group_query(
-        empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 6.0)), ctx, ReplayStream(noise)
-    )
+    a = group_query(empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 3.0)), ctx, noise)
+    b = group_query(empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 6.0)), ctx, noise)
     assert np.array_equal(b.get("x"), a.get("x"))
     assert np.allclose(b.get("y"), 2.0 * a.get("y"), rtol=1e-15)
+
+
+def test_group_query_refuses_a_noise_row_that_is_not_the_group_width():
+    # members of widths 1 and 2 make a 3-wide group sum
+    ctx = RoundContext(q=0.5, n=4, round_id=0)
+    batch = {"a": np.ones((2, 1)), "b": np.ones((2, 2))}
+    for spec in (_sep(["a", "b"], 1.0, 0.5), _joint(["a", "b"], 1.0, 0.5, (1.0, 2.0))):
+        assert len(group_query(batch, spec, ctx, np.zeros(3)).estimates) == 2
+        for bad in (np.zeros(1), np.zeros(2), np.zeros(4), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="noise row"):
+                group_query(batch, spec, ctx, bad)
 
 
 def test_k1_separate_and_joint_coincide():
@@ -218,10 +227,8 @@ def test_k1_separate_and_joint_coincide():
     ctx = RoundContext(q=0.5, n=4, round_id=0)
     batch = {"v": np.array([[3.0, 1.0], [-0.2, 0.9]])}
     noise = SecureStream(6, "k1", 0).standard_normal(2)
-    sep = group_query(batch, _sep(["v"], 0.8, 0.4), ctx, ReplayStream(noise))
-    joint = group_query(
-        batch, _joint(["v"], 0.8, 0.4, scales=(1.0,)), ctx, ReplayStream(noise)
-    )
+    sep = group_query(batch, _sep(["v"], 0.8, 0.4), ctx, noise)
+    joint = group_query(batch, _joint(["v"], 0.8, 0.4, scales=(1.0,)), ctx, noise)
     assert np.array_equal(sep.get("v"), joint.get("v"))
     assert sep.emitted == joint.emitted
 
@@ -443,9 +450,7 @@ def test_equivalence_with_single_normalized_query():
     at = 0
     for spec in specs:
         d = sum(dims[spec.name])
-        outs[spec.name] = group_query(
-            batch, spec, ctx, ReplayStream(master[at : at + d])
-        )
+        outs[spec.name] = group_query(batch, spec, ctx, master[at : at + d])
         at += d
 
     # path B: one sigma=1 sum query over the (clip/sigma)-scaled concat,
@@ -458,7 +463,7 @@ def test_equivalence_with_single_normalized_query():
             v = np.concatenate([rec[m] for m in spec.member_names])
             parts.append(clip_to_norm(v, spec.clip_s) / sigma_sums[spec.name])
         scaled_rows.append(np.concatenate(parts))
-    combined = gaussian_sum(np.array(scaled_rows), 1.0, ReplayStream(master))
+    combined = gaussian_sum(np.array(scaled_rows), 1.0, master)
     assert combined.shape == (total_dim,)
 
     at = 0
@@ -488,7 +493,8 @@ def test_unbiasedness_under_sampling_and_noise():
         sample = poisson_sample(cfg, t)
         picked = {"x": values[sample.indices][:, None]}
         ctx = RoundContext(q=q, n=n, round_id=t)
-        est = group_query(picked, spec, ctx, SecureStream(8, "unbias-noise", t))
+        noise = SecureStream(8, "unbias-noise", t).standard_normal(1)
+        est = group_query(picked, spec, ctx, noise)
         ests[t] = est.get("x")[0]
     true_avg = values.sum() / n
     se = ests.std() / math.sqrt(trials)
@@ -517,7 +523,8 @@ def test_run_partitioned_round_records_events():
     ctx = RoundContext(q=0.5, n=4, round_id=0)
     led = Ledger()
     rid = led.record_sample(q=0.5, n=4, policy_tag="poisson_iid")
-    out = run_partitioned_round(recs, part, ctx, coerce16(b"round-seed"), ledger=led)
+    noise = _round_noise(coerce16(b"round-seed"), part, recs, ctx)
+    out = run_partitioned_round(recs, part, ctx, noise, ledger=led)
     led.close_round()
     assert set(out) == {"weights", "metrics"}
     rounds = led.rounds()
@@ -534,6 +541,15 @@ def coerce16(prefix: bytes) -> bytes:
     return prefix.ljust(16, b"\0")
 
 
+def _round_noise(seed, partition, batch, ctx):
+    """Each group's noise row for round ctx.round_id, as dp_sgd_train
+    hands it to run_partitioned_round."""
+    widths = {name: block.shape[1] for name, block in batch.items()}
+    rounds = range(ctx.round_id, ctx.round_id + 1)
+    noise = draw_round_noise(seed, partition, widths, rounds)
+    return {name: rows[0] for name, rows in noise.items()}
+
+
 def _open_ledger(ctx):
     """A ledger whose open round is ctx.round_id, the rounds before it
     closed with no queries."""
@@ -548,15 +564,15 @@ def _open_ledger(ctx):
 def test_run_partitioned_round_records_in_the_open_round_or_refuses():
     recs = _one_record()
     ctx = RoundContext(q=0.5, n=4, round_id=1)
-    seed = coerce16(b"ledger-seed")
+    noise = _round_noise(coerce16(b"ledger-seed"), _partition(), recs, ctx)
     with pytest.raises(TypeError):
-        run_partitioned_round(recs, _partition(), ctx, seed)
+        run_partitioned_round(recs, _partition(), ctx, noise)
     closed = _open_ledger(ctx)
     closed.close_round()
     for led in (Ledger(), _open_ledger(RoundContext(q=0.5, n=4, round_id=0)), closed):
         out = None
         with pytest.raises(LedgerUsageError):
-            out = run_partitioned_round(recs, _partition(), ctx, seed, ledger=led)
+            out = run_partitioned_round(recs, _partition(), ctx, noise, ledger=led)
         assert out is None
         assert not any(sums for _, sums in led.rounds())
 
@@ -569,8 +585,12 @@ def test_run_partitioned_round_noise_keyed_by_group_name():
     part = _partition()
     flipped = GroupPartition(groups=tuple(reversed(part.groups)))
     seed = coerce16(b"order-seed")
-    a = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
-    b = run_partitioned_round(recs, flipped, ctx, seed, ledger=_open_ledger(ctx))
+    a = run_partitioned_round(
+        recs, part, ctx, _round_noise(seed, part, recs, ctx), ledger=_open_ledger(ctx)
+    )
+    b = run_partitioned_round(
+        recs, flipped, ctx, _round_noise(seed, flipped, recs, ctx), ledger=_open_ledger(ctx)
+    )
     for name in ("weights", "metrics"):
         for member in a[name].member_names:
             assert np.array_equal(a[name].get(member), b[name].get(member))
@@ -581,11 +601,16 @@ def test_run_partitioned_round_deterministic():
     ctx = RoundContext(q=0.5, n=4, round_id=7)
     part = _partition()
     seed = coerce16(b"det-seed")
-    a = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
-    b = run_partitioned_round(recs, part, ctx, seed, ledger=_open_ledger(ctx))
+    a, b = (
+        run_partitioned_round(
+            recs, part, ctx, _round_noise(seed, part, recs, ctx), ledger=_open_ledger(ctx)
+        )
+        for _ in range(2)
+    )
     assert np.array_equal(a["weights"].get("w"), b["weights"].get("w"))
     ctx2 = RoundContext(q=0.5, n=4, round_id=8)
-    c = run_partitioned_round(recs, part, ctx2, seed, ledger=_open_ledger(ctx2))
+    noise2 = _round_noise(seed, part, recs, ctx2)
+    c = run_partitioned_round(recs, part, ctx2, noise2, ledger=_open_ledger(ctx2))
     assert not np.array_equal(a["weights"].get("w"), c["weights"].get("w"))
 
 
@@ -623,7 +648,8 @@ def test_batch_noise_replays_from_group_stream():
     ctx = RoundContext(q=0.25, n=100, round_id=9)
     seed = coerce16(b"replay-seed")
     part = _batch_partition()
-    out = run_partitioned_round(batch, part, ctx, seed, ledger=_open_ledger(ctx))
+    noise = _round_noise(seed, part, batch, ctx)
+    out = run_partitioned_round(batch, part, ctx, noise, ledger=_open_ledger(ctx))
     for spec in part.groups:
         est = out[spec.name]
         dims = [batch[m].shape[1] for m in spec.member_names]
@@ -639,6 +665,22 @@ def test_batch_noise_replays_from_group_stream():
         assert np.any(np.sqrt(np.einsum("ij,ij->i", block, block)) > spec.clip_s)
 
 
+def test_round_noise_rows_are_each_groups_per_round_stream():
+    seed = coerce16(b"rows-seed")
+    part = _batch_partition()
+    widths = {"w": 3, "a": 1, "b": 2}
+    rounds = range(3, 10)
+    rows = draw_round_noise(seed, part, widths, rounds)
+    assert {name: r.shape for name, r in rows.items()} == {
+        "weights": (7, 3),
+        "joint": (7, 3),
+    }
+    for spec in part.groups:
+        for row, t in zip(rows[spec.name], rounds):
+            want = SecureStream(seed, f"noise/{spec.name}", t).standard_normal(3)
+            assert row.tobytes() == want.tobytes()
+
+
 def test_empty_batch_still_draws_full_noise_and_records():
     part = _batch_partition()
     ctx = RoundContext(q=0.25, n=100, round_id=0)
@@ -647,7 +689,8 @@ def test_empty_batch_still_draws_full_noise_and_records():
     empty_batch = {"w": np.empty((0, 3)), "a": np.empty((0, 1)), "b": np.empty((0, 2))}
     led = Ledger()
     led.record_sample(q=0.25, n=100, policy_tag="poisson_iid")
-    out = run_partitioned_round(empty_batch, part, ctx, seed, ledger=led)
+    noise = _round_noise(seed, part, empty_batch, ctx)
+    out = run_partitioned_round(empty_batch, part, ctx, noise, ledger=led)
     led.close_round()
     assert [e.group_name for e in led.rounds()[0][1]] == ["weights", "joint"]
     for spec in part.groups:
@@ -661,18 +704,18 @@ def test_empty_batch_still_draws_full_noise_and_records():
 def test_group_block_rejects_bad_batches():
     part = _batch_partition()
     ctx = RoundContext(q=0.25, n=100, round_id=0)
-    seed = coerce16(b"bad-seed")
     good = _random_batch(4)
+    noise = _round_noise(coerce16(b"bad-seed"), part, good, ctx)
     with pytest.raises(ValueError):  # row counts disagree
         run_partitioned_round(
-            {**good, "b": good["b"][:3]}, part, ctx, seed, ledger=_open_ledger(ctx)
+            {**good, "b": good["b"][:3]}, part, ctx, noise, ledger=_open_ledger(ctx)
         )
     with pytest.raises(ValueError):  # non-finite entry
         bad = {**good, "w": good["w"].copy()}
         bad["w"][1, 2] = math.inf
-        run_partitioned_round(bad, part, ctx, seed, ledger=_open_ledger(ctx))
+        run_partitioned_round(bad, part, ctx, noise, ledger=_open_ledger(ctx))
     with pytest.raises(KeyError):  # a member is missing
-        run_partitioned_round({"w": good["w"]}, part, ctx, seed, ledger=_open_ledger(ctx))
+        run_partitioned_round({"w": good["w"]}, part, ctx, noise, ledger=_open_ledger(ctx))
 
 
 # ------------------------------------------------------- neighbour batches
@@ -702,8 +745,9 @@ def _largest_move_over_clip(reduce):
     worst = 0.0
     for at in (0, 100):
         base, plus = _neighbour_batches(at)
+        noise = _round_noise(seed, part, base, ctx)
         est, est2 = (
-            run_partitioned_round(reduce(b), part, ctx, seed, ledger=_open_ledger(ctx))
+            run_partitioned_round(reduce(b), part, ctx, noise, ledger=_open_ledger(ctx))
             for b in (base, plus)
         )
         for spec in part.groups:

@@ -142,6 +142,53 @@ def test_concurrent_two_thread_draws_keep_their_bits():
         assert got[r].tobytes() == want.tobytes()
 
 
+# ------------------------------------------------ a batch of rounds' draws
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+@pytest.mark.parametrize(
+    "rounds",
+    [range(0, 1), range(0, 50), range(2**40, 2**40 + 3)],
+    ids=["one", "fifty", "far"],
+)
+def test_standard_normal_rows_are_the_per_round_draws(count, rounds):
+    got = prng.standard_normal_rows(_SEED, "noise/w", rounds, count)
+    assert got.dtype == np.float64 and got.shape == (len(rounds), count)
+    for row, r in zip(got, rounds):
+        want = SecureStream(_SEED, "noise/w", r).standard_normal(count)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_standard_normal_rows_past_one_block_split_between_two_threads(monkeypatch):
+    # three rounds of 2**15 + 1 pairs each: no round's own draw passes one
+    # block, but the batch does, so the caller and a worker share it
+    box_muller = prng._box_muller
+    threads = set()
+
+    def spy(words, pairs, take):
+        threads.add(threading.current_thread())
+        box_muller(words, pairs, take)
+
+    monkeypatch.setattr(prng, "_box_muller", spy)
+    count, rounds = 2**16 + 1, range(5, 8)
+    got = prng.standard_normal_rows(_SEED, "noise/b", rounds, count)
+    assert len(threads) == 2 and threading.main_thread() in threads
+    for row, r in zip(got, rounds):
+        want = _OutOfPlaceStream(_SEED, "noise/b", r).standard_normal(count)
+        assert row.tobytes() == want.tobytes()
+
+
+def test_standard_normal_rows_peak_memory_is_about_twice_its_output():
+    # the words, then the rows gathered from them, plus a block per thread
+    tracemalloc.start()
+    try:
+        rows = prng.standard_normal_rows(_SEED, "noise/w", range(4), 2**17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * rows.nbytes, peak / rows.nbytes
+
+
 def test_same_key_same_stream():
     a = SecureStream(b"seed-bytes-00000", "noise/w", 3)
     b = SecureStream(b"seed-bytes-00000", "noise/w", 3)

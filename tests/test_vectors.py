@@ -93,9 +93,10 @@ def _joint_estimates(vs, scales, clip_s):
         joint_scales=tuple(scales),
     )
     ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
-    stream = SecureStream(b"vectors-tests-00", "noise", 0)
     batch = {name: np.asarray(v)[None, :] for name, v in zip(names, vs)}
-    return group_query(batch, spec, ctx, stream).estimates
+    width = sum(block.shape[1] for block in batch.values())
+    noise = SecureStream(b"vectors-tests-00", "noise", 0).standard_normal(width)
+    return group_query(batch, spec, ctx, noise).estimates
 
 
 def test_scale_then_clip_norm_at_most_sqrt_k():
