@@ -11,17 +11,20 @@ never the reverse.
 The reported epsilon holds for the rounds that ran only if the recorded
 facts are true of them, and two steps outside the core are trusted to
 make them true. The sampler must include each record independently at
-the recorded rate q. mechanisms.group_query must keep each record's
-effect on each group's pre-noise sum within the recorded clip, and add
-the recorded sigma_sum times the row of unit Gaussians it is given. Those
-rows must be independent: mechanisms.draw_round_noise draws each group's
-row for each round from its own keyed stream, and the harness must hand
-each round its own rows and reuse none. Allocation and calibration only
-choose the values that get recorded, so a mistake there changes the
-guarantee without making it wrong. The known break is microbatch_reduce
-at size k > 1: each row it hands group_query averages several records
-picked by their position in the sample, so one added record moves a
-group's sum by far more than its clip (ROADMAP item 1).
+exactly the recorded rate q: the harness records the q of the one
+sampling.SamplerConfig it draws with, a multiple of 2^-64, and
+sampling.draw_sample includes each record at exactly that q.
+mechanisms.group_query must keep each record's effect on each group's
+pre-noise sum within the recorded clip, and add the recorded sigma_sum
+times the row of unit Gaussians it is given. Those rows must be
+independent: mechanisms.draw_round_noise draws each group's row for each
+round from its own keyed stream, and the harness must hand each round
+its own rows and reuse none. Allocation and calibration only choose the
+values that get recorded, so a mistake there changes the guarantee
+without making it wrong. The known break is microbatch_reduce at size
+k > 1: each row it hands group_query averages several records picked by
+their position in the sample, so one added record moves a group's sum by
+far more than its clip (ROADMAP item 1).
 
 Each exported name is imported from its submodule on first access, so
 importing the package, or the core alone, loads nothing else.
@@ -87,7 +90,6 @@ _MODULE_OF = {
     "draw_sample": "sampling",
     "fixed_size_sample": "sampling",
     "partition_epoch": "sampling",
-    "poisson_sample": "sampling",
     "GroupPartition": "vectors",
     "GroupSpec": "vectors",
     "Mechanism": "vectors",

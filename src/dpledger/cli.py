@@ -4,9 +4,9 @@ Every subcommand that touches a guarantee requires an explicit --delta;
 there is deliberately no default failure probability. Exit codes: 0 on
 success, 1 when the accountant or calibrator refuses (insecure or empty
 rounds, a policy other than Poisson, no finite epsilon, infeasible
-target, unreadable ledger) or train cannot write its output, 2 for usage
-errors (argparse's convention), which include a --delta outside the open
-interval (0, 1).
+target, unreadable ledger), train refuses its configuration or cannot
+write its output, 2 for usage errors (argparse's convention), which
+include a --delta outside the open interval (0, 1).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .harness import (
     make_sgd_partition,
     sigmas_for_target_z,
 )
-from .ledger import SamplingPolicy, deserialize
+from .ledger import deserialize
 from .prng import new_seed
-from .sampling import SamplerConfig
 
 _TUNING_NOTE = (
     "note: if this target or configuration was chosen by measuring utility "
@@ -121,18 +120,12 @@ def _cmd_calibrate(args) -> int:
 def _cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else new_seed().hex()
     try:
-        sampler = SamplerConfig(
-            policy=SamplingPolicy.POISSON_IID, n=args.n, seed=seed, q=args.q
-        )
         clips = (args.clip_weights, args.clip_bias, 1.0)
         if args.insecure_no_noise:
             sigmas = (0.0, 0.0, 0.0)
         else:
-            sigmas = sigmas_for_target_z(
-                args.noise_multiplier, clips, sampler.rate, args.n
-            )
+            sigmas = sigmas_for_target_z(args.noise_multiplier, clips, args.q, args.n)
         partition = make_sgd_partition(
-            args.dim,
             clip_weights=args.clip_weights,
             clip_bias=args.clip_bias,
             sigma_weights=sigmas[0],
@@ -144,7 +137,7 @@ def _cmd_train(args) -> int:
             n=args.n,
             dim=args.dim,
             rounds=args.rounds,
-            sampler=sampler,
+            q=args.q,
             microbatch_size=args.microbatch_size,
             partition=partition,
             learning_rate=args.learning_rate,
@@ -181,13 +174,15 @@ def _cmd_train(args) -> int:
             else report.guarantee.achieving_order,
             "caveats": [] if report.guarantee is None else list(report.guarantee.caveats),
             "refusal": report.refusal,
-            "seed": seed,
         }
         with open(report_path, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # such as a q below 2**-64, which no sampler runs
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
     print(f"holdout accuracy (non-private measurement): {report.holdout_accuracy:.4f}")

@@ -9,6 +9,11 @@ so its clip bound of 1 is a prior fact about the query, not a data-derived
 choice. Averages always divide by q * n, never by the realized sample
 size, and the true (non-noisy) metric never reaches any report.
 
+A run states its sampling rate once, as TrainConfig.q. dp_sgd_train
+makes it the one Poisson SamplerConfig of the run, and every round
+records and divides by that config's q, the rate at which the sampler
+includes each record, exactly.
+
 No round loops over its records: one forward pass gives the sampled
 examples' probabilities, from which come their gradients (m x dim,
 written over the gathered features), bias gradients and indicators
@@ -129,7 +134,6 @@ def per_example_gradients(
 
 
 def make_sgd_partition(
-    dim: int,
     *,
     clip_weights: float,
     clip_bias: float,
@@ -139,7 +143,7 @@ def make_sgd_partition(
 ) -> GroupPartition:
     """Weights, bias, and the correctness-indicator metric as three
     separate-mechanism groups. Sigmas are per-average noise stds. Groups
-    carry no dimensions (the blocks do), so dim is not read."""
+    carry no dimensions; the blocks do."""
     groups = (
         GroupSpec(
             member_names=("weights",),
@@ -186,7 +190,7 @@ class TrainConfig:
     n: int
     dim: int
     rounds: int
-    sampler: SamplerConfig
+    q: float
     microbatch_size: int
     partition: GroupPartition
     learning_rate: float
@@ -199,17 +203,9 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", coerce_seed(self.seed))
+        _check_round(self.q, self.n)
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.sampler.policy is not SamplingPolicy.POISSON_IID:
-            raise ValueError(
-                f"training samples by {SamplingPolicy.POISSON_IID.value} only, the "
-                f"one policy the accountant accepts; got {self.sampler.policy.value}"
-            )
-        if self.n != self.sampler.n:
-            raise ValueError(
-                f"config n={self.n} disagrees with sampler n={self.sampler.n}"
-            )
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
         if self.rounds < 1:
@@ -283,16 +279,17 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     report carries the refusal text instead of a number pretending to be a
     guarantee.
     """
+    sampler = SamplerConfig(SamplingPolicy.POISSON_IID, cfg.n, cfg.seed, q=cfg.q)
     # Sampling does not depend on the model, so rounds are drawn ahead on
     # a worker thread while this one draws the data.
     ahead: deque[Sample] = deque()
     stop = threading.Event()
-    sampler = threading.Thread(
+    worker = threading.Thread(
         target=_sample_ahead,
-        args=(cfg.sampler, cfg.rounds, ahead, stop),
+        args=(sampler, cfg.rounds, ahead, stop),
         name="dpledger-sample-ahead",
     )
-    sampler.start()
+    worker.start()
     try:
         data = generate_synthetic(cfg.n, cfg.dim, cfg.separation, cfg.seed)
         holdout = generate_synthetic(
@@ -300,8 +297,7 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         )
     finally:
         stop.set()
-        sampler.join()
-    q = cfg.sampler.rate
+        worker.join()
 
     labels = data.labels.astype(np.float64)
     widths = {"weights": cfg.dim, "bias": 1, "metrics": 1}
@@ -314,11 +310,11 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     metric_estimates: list[float] = []
 
     for t in range(cfg.rounds):
-        round_id = ledger.record_sample(q, cfg.n, cfg.sampler.policy.value)
+        round_id = ledger.record_sample(sampler.q, cfg.n, sampler.policy.value)
         if t % batch_rounds == 0:
             noise_rounds = range(t, min(t + batch_rounds, cfg.rounds))
             noise = draw_round_noise(cfg.seed, cfg.partition, widths, noise_rounds)
-        sample = ahead.popleft() if ahead else draw_sample(cfg.sampler, t)
+        sample = ahead.popleft() if ahead else draw_sample(sampler, t)
         xs = data.features.take(sample.indices, axis=0)
         ys = labels.take(sample.indices)
         probs = forward_probabilities(xs, w, b)
@@ -331,7 +327,10 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
             cfg.microbatch_size,
         )
         ctx = RoundContext(
-            q=q, n=cfg.n, round_id=round_id, insecure_test_mode=cfg.insecure_test_mode
+            q=sampler.q,
+            n=cfg.n,
+            round_id=round_id,
+            insecure_test_mode=cfg.insecure_test_mode,
         )
         round_noise = {name: rows[t % batch_rounds] for name, rows in noise.items()}
         estimates = run_partitioned_round(

@@ -13,6 +13,12 @@ treated as confidential: repr hides it, and callers that need it must say
 so explicitly. Fixed-size and partition batch sizes are configuration,
 not secrets. The policy tags and the (q, n, round) check are the
 ledger's; what each tag means for accounting is the accountant's.
+
+The Poisson sampler includes each record at exactly the q of its config,
+so that q is the rate a round records: SamplerConfig rounds a q below
+2^-12 down to a multiple of 2^-64 (every larger float is one already),
+and draw_sample keeps index i when its 64-bit keystream word lies below
+q * 2^64.
 """
 
 from __future__ import annotations
@@ -77,6 +83,12 @@ class SamplerConfig:
                 raise ValueError("poisson sampling needs q")
             if self.batch_size is not None:
                 raise ValueError("poisson sampling takes q, not batch_size")
+            _check_round(self.q, self.n)
+            # Down to a multiple of 2^-64, the rate draw_sample runs.
+            q = math.ldexp(math.floor(math.ldexp(self.q, 64)), -64)
+            if q == 0.0:
+                raise ValueError(f"q must be at least 2**-64, got {self.q}")
+            object.__setattr__(self, "q", q)
         else:
             if self.batch_size is None or not (1 <= self.batch_size <= self.n):
                 raise ValueError(
@@ -84,32 +96,26 @@ class SamplerConfig:
                 )
             if self.q is not None:
                 raise ValueError(f"{self.policy.value} takes batch_size, not q")
-        _check_round(self.rate, self.n)
-
-    @property
-    def rate(self) -> float:
-        """The sampling rate each round records: q, accounted at that
-        rate; or batch_size / n for the fixed-size and partition
-        policies, recorded but not accounted, since the accountant
-        refuses every policy but Poisson."""
-        if self.policy is SamplingPolicy.POISSON_IID:
-            return self.q
-        return self.batch_size / self.n
+            _check_round(self.batch_size / self.n, self.n)
 
 
-def poisson_sample(cfg: SamplerConfig, round_id: int) -> Sample:
-    """Include each index independently with probability q."""
+def draw_sample(cfg: SamplerConfig, round_id: int) -> Sample:
+    """The Poisson sampler: include each index independently with
+    probability q."""
     if cfg.policy is not SamplingPolicy.POISSON_IID:
         raise ValueError(f"config is for {cfg.policy.value}, not poisson_iid")
-    stream = SecureStream(cfg.seed, "sample", round_id)
-    # bits < ceil(q * 2^53) is exactly "53-bit uniform < q" (the product is
-    # a pure exponent shift, never rounded): integer selection, identical
-    # on every platform. q = 1 makes every index pass.
-    threshold = math.ceil(cfg.q * 2.0**53)
-    bits = stream.uint64(cfg.n)
-    bits >>= np.uint64(11)
+    if cfg.q == 1.0:
+        indices = np.arange(cfg.n, dtype=np.int64)
+    else:
+        # Index i is kept when its 64-bit word is below q * 2^64, an
+        # integer because SamplerConfig makes q a multiple of 2^-64: so
+        # with probability exactly q, by integer comparisons alone,
+        # identical on every platform.
+        threshold = np.uint64(math.ldexp(cfg.q, 64))
+        words = SecureStream(cfg.seed, "sample", round_id).uint64(cfg.n)
+        indices = np.flatnonzero(words < threshold).astype(np.int64, copy=False)
     return Sample(
-        indices=np.flatnonzero(bits < threshold).astype(np.int64, copy=False),
+        indices=indices,
         round_id=round_id,
         policy=cfg.policy,
         size_confidential=True,
@@ -162,15 +168,3 @@ def partition_epoch(cfg: SamplerConfig, epoch_id: int) -> list[Sample]:
             )
         )
     return batches
-
-
-def draw_sample(cfg: SamplerConfig, round_id: int) -> Sample:
-    """Dispatch to the policy's per-round sampler (not valid for the
-    epoch-structured partition policy)."""
-    if cfg.policy is SamplingPolicy.POISSON_IID:
-        return poisson_sample(cfg, round_id)
-    if cfg.policy is SamplingPolicy.FIXED_SIZE_WOR:
-        return fixed_size_sample(cfg, round_id)
-    raise ValueError(
-        "disjoint_partition is sampled per epoch; use partition_epoch"
-    )

@@ -31,12 +31,12 @@ from dpledger import (
     compose_rdp,
     deserialize,
     dp_sgd_train,
+    draw_sample,
     epsilon_at_delta,
     gaussian_sum,
     group_query,
     make_sgd_partition,
     partition_epoch,
-    poisson_sample,
     rdp_step,
     serialize,
     sigmas_for_target_z,
@@ -313,7 +313,7 @@ def test_criterion_09_sampler_statistics():
         cfg = SamplerConfig(
             policy=SamplingPolicy.POISSON_IID, n=n, seed=b"acceptance-c9-p0", q=q
         )
-        sizes = [len(poisson_sample(cfg, t).indices) for t in range(trials)]
+        sizes = [len(draw_sample(cfg, t).indices) for t in range(trials)]
         se = math.sqrt(n * q * (1.0 - q) / trials)
         assert abs(float(np.mean(sizes)) - n * q) <= 3.0 * se
 
@@ -353,15 +353,11 @@ def test_criterion_10_harness_sanity():
     with criterion(10, "test-mode learns (>= 0.99); private run epsilon finite and reproducible"):
         start = time.perf_counter()
         part = make_sgd_partition(
-            5, clip_weights=4.0, clip_bias=1.0,
+            clip_weights=4.0, clip_bias=1.0,
             sigma_weights=0.0, sigma_bias=0.0, sigma_metrics=0.0,
         )
         cfg = TrainConfig(
-            n=400, dim=5, rounds=200,
-            sampler=SamplerConfig(
-                policy=SamplingPolicy.POISSON_IID, n=400, seed=b"acceptance-c10a0",
-                q=1.0,
-            ),
+            n=400, dim=5, rounds=200, q=1.0,
             microbatch_size=1, partition=part, learning_rate=0.5,
             seed=b"acceptance-c10a0", delta=DELTA, separation=8.0,
             insecure_test_mode=True,
@@ -371,15 +367,11 @@ def test_criterion_10_harness_sanity():
 
         sigmas = sigmas_for_target_z(1.1, (1.0, 0.5, 1.0), 0.01, 10_000)
         part = make_sgd_partition(
-            2, clip_weights=1.0, clip_bias=0.5,
+            clip_weights=1.0, clip_bias=0.5,
             sigma_weights=sigmas[0], sigma_bias=sigmas[1], sigma_metrics=sigmas[2],
         )
         cfg = TrainConfig(
-            n=10_000, dim=2, rounds=1000,
-            sampler=SamplerConfig(
-                policy=SamplingPolicy.POISSON_IID, n=10_000, seed=b"acceptance-c10b0",
-                q=0.01,
-            ),
+            n=10_000, dim=2, rounds=1000, q=0.01,
             microbatch_size=1, partition=part, learning_rate=1.0,
             seed=b"acceptance-c10b0", delta=DELTA,
         )

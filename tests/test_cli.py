@@ -17,7 +17,7 @@ from dpledger import (
     rdp_step,
     serialize,
 )
-from dpledger import harness
+from dpledger import cli, harness
 from dpledger.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger.txt"
@@ -31,7 +31,8 @@ GOLDEN_ORDER = 9.0
 SEED_HEX = "00112233445566778899aabbccddeeff"
 
 
-def _train(tmp_path, *extra):
+def _train(tmp_path, *extra, seed=SEED_HEX):
+    """Run a small train into tmp_path / "out"; seed None omits --seed."""
     out = tmp_path / "out"
     argv = [
         "train",
@@ -43,7 +44,7 @@ def _train(tmp_path, *extra):
         "--learning-rate", "0.5",
         "--holdout-n", "100",
         "--delta", "1e-5",
-        "--seed", SEED_HEX,
+        *(() if seed is None else ("--seed", seed)),
         "--out-dir", str(out),
         *extra,
     ]
@@ -162,6 +163,52 @@ def test_train_deterministic_given_seed(tmp_path, capsys):
     r2 = json.loads((out2 / "report.json").read_text())
     r1.pop("ledger_path"), r2.pop("ledger_path")
     assert r1 == r2
+
+
+def test_train_without_seed_publishes_no_key(tmp_path, capfdbinary, monkeypatch):
+    # A run without --seed is keyed by a fresh new_seed(), which keys the
+    # data, every sample and every noise draw. No byte the run writes
+    # (stdout, stderr, the report, the ledger) carries that key, raw or as
+    # hex in either case.
+    key = bytes.fromhex("5eed0badc0ffee15deadbeef0a1b2c3d")
+    calls = []
+    monkeypatch.setattr(cli, "new_seed", lambda: calls.append(1) or key)
+    code, out = _train(tmp_path / "fresh", seed=None)
+    assert code == 0 and calls == [1]
+    captured = capfdbinary.readouterr()
+    outputs = [captured.out, captured.err]
+    outputs += [path.read_bytes() for path in sorted(out.iterdir())]
+    assert [path.name for path in sorted(out.iterdir())] == ["ledger.txt", "report.json"]
+    for blob in outputs:
+        for spelling in (key, key.hex().encode(), key.hex().upper().encode()):
+            assert spelling not in blob
+    # the patched key is the one the run used: --seed with it gives the
+    # same report
+    _, again = _train(tmp_path / "given", seed=key.hex())
+    fresh, given = (json.loads((d / "report.json").read_text()) for d in (out, again))
+    fresh.pop("ledger_path"), given.pop("ledger_path")
+    assert fresh == given
+
+
+# Every field report.json carries, and what it is. No other field may
+# appear: key material least of all.
+REPORT_FIELDS = {
+    "achieving_order": "ledger fact: the order the accountant's epsilon is taken at",
+    "caveats": "ledger fact: the accountant's caveats",
+    "delta": "configuration",
+    "epsilon": "ledger fact: the epsilon accounted from the ledger",
+    "holdout_accuracy_nonprivate": "labelled non-private measurement",
+    "ledger_path": "configuration",
+    "metric_estimates": "privatized output",
+    "refusal": "ledger fact: the accountant's refusal",
+}
+
+
+@pytest.mark.parametrize("extra", [(), ("--insecure-no-noise",)])
+def test_train_report_fields_are_an_allowlist(extra, tmp_path, capsys):
+    code, out = _train(tmp_path, *extra)
+    assert code == 0
+    assert set(json.loads((out / "report.json").read_text())) == set(REPORT_FIELDS)
 
 
 def test_account_refuses_sensitivity_overflow(tmp_path, capsys):
@@ -321,6 +368,17 @@ def test_account_refuses_a_hand_written_ledger_of_another_policy(
     assert captured.out == ""
     assert captured.err.startswith(f"refused: round 0 used policy '{policy}'")
     assert "Traceback" not in captured.err
+
+
+def test_train_q_below_2_to_the_minus_64_is_refused_without_traceback(
+    tmp_path, capsys
+):
+    # the sampler runs at multiples of 2^-64, so it cannot run this rate
+    code, out = _train(tmp_path, "--q", "1e-25")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: q must be at least 2**-64, got 1e-25\n"
+    assert (out / "ledger.txt").read_bytes() == b""
 
 
 def test_train_policy_fixed_is_a_usage_error(tmp_path, capsys):

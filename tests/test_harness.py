@@ -9,8 +9,6 @@ import pytest
 
 from dpledger import (
     Ledger,
-    SamplerConfig,
-    SamplingPolicy,
     SecureStream,
     TrainConfig,
     account_ledger,
@@ -28,10 +26,6 @@ from dpledger.harness import forward_probabilities, per_example_gradients
 SEED = b"harness-tests-00"
 
 
-def _poisson(n, q, seed):
-    return SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=n, seed=seed, q=q)
-
-
 def _config(
     seed,
     *,
@@ -45,7 +39,6 @@ def _config(
     sigma_metrics=None,
     insecure=False,
     ledger_path=None,
-    sampler=None,
     clip_weights=4.0,
 ):
     clips = (clip_weights, 1.0, 1.0)
@@ -57,20 +50,17 @@ def _config(
         if sigma_metrics is not None:
             sm = sigma_metrics
     partition = make_sgd_partition(
-        dim,
         clip_weights=clips[0],
         clip_bias=clips[1],
         sigma_weights=sw,
         sigma_bias=sb,
         sigma_metrics=sm,
     )
-    if sampler is None:
-        sampler = _poisson(n, q, seed)
     return TrainConfig(
         n=n,
         dim=dim,
         rounds=rounds,
-        sampler=sampler,
+        q=q,
         microbatch_size=1,
         partition=partition,
         learning_rate=lr,
@@ -192,7 +182,7 @@ def test_gradients_match_central_differences():
 
 def test_partition_shape():
     part = make_sgd_partition(
-        10, clip_weights=2.0, clip_bias=1.0, sigma_weights=0.1,
+        clip_weights=2.0, clip_bias=1.0, sigma_weights=0.1,
         sigma_bias=0.1, sigma_metrics=0.1,
     )
     by_name = {g.name: g for g in part.groups}
@@ -224,8 +214,6 @@ def test_sigmas_for_target_z_checks_q_and_n(q, n):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _config(SEED, n=200, sampler=_poisson(100, 1.0, SEED))  # n mismatch
     with pytest.raises(ValueError):
         _config(SEED, z=None, insecure=False)  # zero noise needs the flag
     with pytest.raises(ValueError):
@@ -327,19 +315,42 @@ def test_training_deterministic_and_ledger_seed_free(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "policy, batch_size",
+    "q, n, match",
     [
-        (SamplingPolicy.DISJOINT_PARTITION, 50),
-        (SamplingPolicy.FIXED_SIZE_WOR, 20),
+        (0.0, 200, "q must be in"),
+        (-0.5, 200, "q must be in"),
+        (1.5, 200, "q must be in"),
+        (math.nan, 200, "q must be in"),
+        (0.5, 200.0, "n must be an integer"),
+        (0.5, 200.5, "n must be an integer"),
+        (0.5, True, "n must be an integer"),
     ],
-    ids=["disjoint", "fixed"],
 )
-def test_train_config_refuses_every_policy_but_poisson(policy, batch_size):
-    # the accountant refuses every round of these policies, so a training
-    # run with them is refused before it starts
-    sampler = SamplerConfig(policy=policy, n=200, seed=SEED, batch_size=batch_size)
-    with pytest.raises(ValueError, match=f"got {policy.value}$"):
-        _config(SEED, n=200, rounds=8, z=1.5, q=batch_size / 200, sampler=sampler)
+def test_train_config_refuses_q_outside_unit_interval_and_non_integer_n(q, n, match):
+    cfg = _config(SEED, z=1.1, q=0.5)
+    with pytest.raises(ValueError, match=match):
+        TrainConfig(**{**cfg.__dict__, "q": q, "n": n})
+
+
+@pytest.mark.parametrize("q", [0.05, 3e-5])
+def test_each_round_records_the_rate_its_sampler_ran(q, monkeypatch):
+    # 3e-5 is below 2^-12, so the sampler runs at it rounded down to a
+    # multiple of 2^-64; every round records that rate, bit for bit.
+    real_draw = harness.draw_sample
+    seen = {}
+
+    def draw(sampler, t):
+        seen[t] = sampler
+        return real_draw(sampler, t)
+
+    monkeypatch.setattr(harness, "draw_sample", draw)
+    report = dp_sgd_train(_config(SEED, n=400, rounds=30, q=q, z=1.5))
+    rounds = report.ledger.rounds()
+    assert sorted(seen) == list(range(30)) and len(rounds) == 30
+    for sample, _ in rounds:
+        assert sample.q.hex() == seen[sample.round_id].q.hex()
+    ran = seen[0].q
+    assert (ran == q) == (q >= 2.0**-12)
 
 
 # -------------------------------------------------------- sampling ahead

@@ -21,11 +21,11 @@ from dpledger import (
     clip_rows,
     clip_to_norm,
     draw_round_noise,
+    draw_sample,
     effective_z,
     gaussian_sum,
     group_query,
     microbatch_reduce,
-    poisson_sample,
     run_partitioned_round,
 )
 
@@ -490,7 +490,7 @@ def test_unbiasedness_under_sampling_and_noise():
     trials = 100_000
     ests = np.empty(trials)
     for t in range(trials):
-        sample = poisson_sample(cfg, t)
+        sample = draw_sample(cfg, t)
         picked = {"x": values[sample.indices][:, None]}
         ctx = RoundContext(q=q, n=n, round_id=t)
         noise = SecureStream(8, "unbias-noise", t).standard_normal(1)

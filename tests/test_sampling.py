@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from dpledger import (
     draw_sample,
     fixed_size_sample,
     partition_epoch,
-    poisson_sample,
+    sampling,
 )
 
 SEED = b"sampling-tests-0"
@@ -56,15 +58,9 @@ def test_config_rejects_bad_knobs():
         _poisson(0, 0.5)
 
 
-def test_config_rate_is_q_or_batch_fraction():
-    assert _poisson(10, 0.25).rate == 0.25
-    assert _fixed(10_000, 100).rate == pytest.approx(0.01, rel=1e-15)
-    assert _disjoint(40, 10).rate == 0.25
-
-
 def test_policy_mismatch_rejected():
     with pytest.raises(ValueError):
-        poisson_sample(_fixed(10, 2), 0)
+        draw_sample(_fixed(10, 2), 0)
     with pytest.raises(ValueError):
         fixed_size_sample(_poisson(10, 0.5), 0)
     with pytest.raises(ValueError):
@@ -76,18 +72,18 @@ def test_policy_mismatch_rejected():
 
 def test_poisson_q_one_takes_everything():
     for r in range(5):
-        s = poisson_sample(_poisson(37, 1.0), r)
+        s = draw_sample(_poisson(37, 1.0), r)
         assert np.array_equal(s.indices, np.arange(37))
 
 
 def test_poisson_peak_memory_is_about_its_words():
-    # one 8-byte keystream word per record, shifted in place, plus the
-    # mask and the ~q * n chosen indices
+    # one 8-byte keystream word per record, plus the mask and the ~q * n
+    # chosen indices
     n = 20_000
     cfg = _poisson(n, 0.05)
     tracemalloc.start()
     try:
-        poisson_sample(cfg, 0)
+        draw_sample(cfg, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -99,7 +95,7 @@ def test_poisson_mean_size():
     n, q, trials = 10_000, 0.01, 1_000
     cfg = _poisson(n, q)
     sizes = np.array(
-        [len(poisson_sample(cfg, r).indices) for r in range(trials)], dtype=float
+        [len(draw_sample(cfg, r).indices) for r in range(trials)], dtype=float
     )
     bound = 3.0 * math.sqrt(n * q * (1.0 - q) / trials)
     assert abs(sizes.mean() - n * q) <= bound
@@ -112,7 +108,7 @@ def test_poisson_membership_pairwise_uncorrelated():
     cfg = _poisson(n, q)
     hits = np.zeros((trials, n))
     for r in range(trials):
-        hits[r, list(poisson_sample(cfg, r).indices)] = 1.0
+        hits[r, list(draw_sample(cfg, r).indices)] = 1.0
     centered = hits - hits.mean(axis=0)
     # standard error of an empirical covariance of two q-Bernoullis
     se = q * (1.0 - q) / math.sqrt(trials)
@@ -122,12 +118,62 @@ def test_poisson_membership_pairwise_uncorrelated():
 
 
 def test_poisson_size_confidential():
-    s = poisson_sample(_poisson(100, 0.5), 0)
+    s = draw_sample(_poisson(100, 0.5), 0)
     with pytest.raises(ValueError):
         s.size()
     assert s.size(reveal=True) == len(s.indices)
     assert "<confidential>" in repr(s)
     assert str(len(s.indices)) not in repr(s).split("round_id")[1]
+
+
+def test_poisson_rate_recorded_is_the_rate_that_runs(monkeypatch):
+    # For edge rates and 200 log-uniform ones down to 1e-19: the recorded
+    # q is a multiple of 2^-64, at most 2^-64 below the q asked for and
+    # unchanged from 2^-12 up, and the sampler keeps a word exactly when
+    # it lies below q * 2^64.
+    rng = random.Random(12)
+    edges = [1.0, 0.05, 1.0 - 2.0**-53, 2.0**-12, math.nextafter(2.0**-12, 0), 2.0**-64]
+    rates = edges + [10.0 ** rng.uniform(-19.0, 0.0) for _ in range(200)]
+    for q in rates:
+        cfg = _poisson(2, q)
+        threshold = Fraction(cfg.q) * 2**64
+        assert threshold.denominator == 1, q
+        assert Fraction(threshold, 2**64) == Fraction(cfg.q)
+        assert 0 <= Fraction(q) - Fraction(cfg.q) < Fraction(1, 2**64), q
+        if q >= 2.0**-12:
+            assert cfg.q == q
+        with monkeypatch.context() as patch:
+            if q < 1.0:
+                cut = int(threshold)
+                patch.setattr(
+                    sampling.SecureStream,
+                    "uint64",
+                    lambda self, count: np.array([cut - 1, cut], dtype=np.uint64),
+                )
+            kept = draw_sample(cfg, 0).indices.tolist()
+        assert kept == ([0, 1] if q == 1.0 else [0]), q
+
+
+@pytest.mark.parametrize("q", [2.0**-65, 1e-30, 5e-324])
+def test_poisson_rate_below_2_to_the_minus_64_refused(q):
+    with pytest.raises(ValueError, match="q must be at least 2\\*\\*-64"):
+        _poisson(10, q)
+
+
+def _reference_poisson(seed, n, q, round_id):
+    """Index i is kept when word i of the round's keystream, read
+    big-endian as a Python int, lies below q * 2^64 as a Fraction."""
+    buf = bytes(sampling.SecureStream(seed, "sample", round_id).take_bytes(8 * n))
+    cut = Fraction(q) * 2**64
+    return [i for i in range(n) if int.from_bytes(buf[8 * i : 8 * i + 8], "big") < cut]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 1.0 - 2.0**-53, 3e-5, 2.0**-64])
+def test_poisson_matches_a_big_integer_reference(q):
+    cfg = _poisson(300, q)
+    for r in range(3):
+        want = _reference_poisson(SEED, 300, cfg.q, r)
+        assert draw_sample(cfg, r).indices.tolist() == want
 
 
 # -------------------------------------------------------------- fixed size
@@ -222,17 +268,20 @@ def test_partition_epochs_independent():
 
 
 def test_same_seed_same_sample():
-    for cfg in (_poisson(64, 0.25), _fixed(64, 9)):
-        a = draw_sample(cfg, 5)
-        b = draw_sample(cfg, 5)
+    for draw, cfg in (
+        (draw_sample, _poisson(64, 0.25)),
+        (fixed_size_sample, _fixed(64, 9)),
+    ):
+        a = draw(cfg, 5)
+        b = draw(cfg, 5)
         assert np.array_equal(a.indices, b.indices)
-        c = draw_sample(cfg, 6)
+        c = draw(cfg, 6)
         assert not np.array_equal(a.indices, c.indices)
 
 
 def test_different_seed_different_sample():
-    a = poisson_sample(_poisson(64, 0.25, seed=b"sampling-seed-0a"), 0)
-    b = poisson_sample(_poisson(64, 0.25, seed=b"sampling-seed-0b"), 0)
+    a = draw_sample(_poisson(64, 0.25, seed=b"sampling-seed-0a"), 0)
+    b = draw_sample(_poisson(64, 0.25, seed=b"sampling-seed-0b"), 0)
     assert not np.array_equal(a.indices, b.indices)
 
 
@@ -246,7 +295,8 @@ def _index_digest(samples) -> str:
 def test_samplers_known_answers():
     # sha256 of the little-endian int64 index bytes, round after round:
     # the same seed must give the same samples on every platform and
-    # every later version of the samplers.
+    # every later version of the samplers. The Poisson digest is also that
+    # of _reference_poisson at the same seed, n and q.
     seed = b"known-answer-smp"
     poisson = SamplerConfig(
         policy=SamplingPolicy.POISSON_IID, n=1000, seed=seed, q=0.05
@@ -257,7 +307,7 @@ def test_samplers_known_answers():
     disjoint = SamplerConfig(
         policy=SamplingPolicy.DISJOINT_PARTITION, n=103, seed=seed, batch_size=20
     )
-    assert _index_digest(poisson_sample(poisson, r) for r in range(3)) == (
+    assert _index_digest(draw_sample(poisson, r) for r in range(3)) == (
         "bc50ff84751e7684e51d54bab488c07d48c474b4f7499e3ddec9186fac294114"
     )
     assert _index_digest(fixed_size_sample(fixed, r) for r in range(3)) == (
@@ -271,7 +321,7 @@ def test_samplers_known_answers():
 
 def test_indices_are_read_only_int64():
     for sample in (
-        poisson_sample(_poisson(64, 0.25), 0),
+        draw_sample(_poisson(64, 0.25), 0),
         fixed_size_sample(_fixed(64, 9), 0),
         partition_epoch(_disjoint(64, 9), 0)[0],
     ):
@@ -283,8 +333,7 @@ def test_indices_are_read_only_int64():
 
 def test_draw_sample_dispatch():
     assert draw_sample(_poisson(10, 0.5), 0).policy is SamplingPolicy.POISSON_IID
-    assert draw_sample(_fixed(10, 3), 0).policy is SamplingPolicy.FIXED_SIZE_WOR
-    # the partition policy is epoch-structured; per-round dispatch refuses
+    # the partition policy is epoch-structured; the Poisson sampler refuses it
     with pytest.raises(ValueError):
         draw_sample(_disjoint(10, 3), 4)
 
