@@ -16,7 +16,10 @@ sampling.SamplerConfig it draws with, a multiple of 2^-64, and
 sampling.draw_sample includes each record at exactly that q.
 mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
-times the row of unit Gaussians it is given. Those rows must be
+times the row of unit Gaussians it is given. A member given in factored
+form (vectors.ScaledRows) is measured there too, from its scalars and
+rows, never from a norm the caller supplies, and clipped with a written
+margin (kappa_d) that covers float rounding. Those rows must be
 independent: mechanisms.draw_round_noise draws each group's row for each
 round from its own keyed stream, and the harness must hand each round
 its own rows and reuse none. Allocation and calibration only choose the
@@ -93,7 +96,9 @@ _MODULE_OF = {
     "GroupPartition": "vectors",
     "GroupSpec": "vectors",
     "Mechanism": "vectors",
+    "ScaledRows": "vectors",
     "clip_rows": "vectors",
+    "clipped_scalars": "vectors",
     "clip_to_norm": "vectors",
 }
 

@@ -15,10 +15,15 @@ records and divides by that config's q, the rate at which the sampler
 includes each record, exactly.
 
 No round loops over its records: one forward pass gives the sampled
-examples' probabilities, from which come their gradients (m x dim,
-written over the gathered features), bias gradients and indicators
-(m x 1 each); these are checked for finiteness once and pass through
-microbatch_reduce and the group queries as one batch of blocks.
+examples' probabilities p, and with them the residuals r = p - y. Record
+i's weight gradient is r_i times its features, so the weight gradients
+reach the mechanisms in factored form, ScaledRows(r, gathered features),
+and no (m x dim) gradient block is written; the bias gradients r and the
+indicators are (m x 1) blocks. The residuals are checked for finiteness
+once, and the three members pass through microbatch_reduce and the group
+queries as one batch. The weights group clips that factored member
+itself (mechanisms.group_query); at microbatch size k > 1,
+microbatch_reduce averages it into a block of m / k rows.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
@@ -52,7 +57,7 @@ from .mechanisms import (
 )
 from .prng import _PAIR_BLOCK, SecureStream, coerce_seed
 from .sampling import Sample, SamplerConfig, draw_sample
-from .vectors import GroupPartition, GroupSpec, Mechanism
+from .vectors import GroupPartition, GroupSpec, Mechanism, ScaledRows
 
 # Rounds whose noise one draw_round_noise call draws: enough to spread a
 # Box-Muller pass's per-call cost over many rounds. dp_sgd_train takes
@@ -120,17 +125,14 @@ def forward_probabilities(features: np.ndarray, w: np.ndarray, b: float) -> np.n
 
 
 def per_example_gradients(
-    features: np.ndarray,
-    labels: np.ndarray,
-    probabilities: np.ndarray,
-    *,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    features: np.ndarray, labels: np.ndarray, probabilities: np.ndarray
+) -> tuple[ScaledRows, np.ndarray]:
     """d loss / d(w, b) for every example, from its P(label = 1 | x) at
-    the current parameters: ((p - y) x, (p - y)). The weight gradients are
-    written to out if given, which may be features itself."""
+    the current parameters: ((p - y) x, (p - y)). The weight gradients
+    are factored, ScaledRows(p - y, features), and share the features'
+    memory; materialize() builds their (m x dim) block."""
     residual = probabilities - labels
-    return np.multiply(features, residual[:, None], out=out), residual
+    return ScaledRows(residual, features), residual
 
 
 def make_sgd_partition(
@@ -172,7 +174,8 @@ def sigmas_for_target_z(
 ) -> tuple[float, ...]:
     """Per-average sigmas that make one round's effective multiplier
     exactly target_z: the proportional allocation's sum-level sigmas
-    z * sqrt(G) * S_g, divided by q * n."""
+    z * sqrt(G) * S_g, divided by q * n. Pass the q the sampler runs
+    (sampling.poisson_rate), which the mechanisms multiply back."""
     _check_round(q, n)
     # Proportional allocation does not read the dimensions; 1 stands in.
     req = AllocationRequest(
@@ -319,8 +322,10 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
         ys = labels.take(sample.indices)
         probs = forward_probabilities(xs, w, b)
         correct = ((probs >= 0.5) == (ys == 1.0)).astype(np.float64)
-        grad_w, grad_b = per_example_gradients(xs, ys, probs, out=xs)
-        if not (np.isfinite(grad_w).all() and np.isfinite(grad_b).all()):
+        grad_w, grad_b = per_example_gradients(xs, ys, probs)
+        # The features are finite draws and |p - y| <= 1, so the gradients
+        # are finite exactly when the residuals are.
+        if not np.isfinite(grad_b).all():
             raise ValueError(f"non-finite gradients in round {round_id}")
         batch = microbatch_reduce(
             {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]},

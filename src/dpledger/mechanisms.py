@@ -1,10 +1,19 @@
 """Noisy group queries over a batch of records and their round-level algebra.
 
 A batch is the one record format: a mapping from member name to a float64
-(m x d) block with one row per record. group_query clips the rows of a
-group's (m x D_g) block, sums its columns and adds sigma_sum times the
-group's row of D_g unit Gaussians for the round; a microbatch is a
-reshape and a mean.
+(m x d) block with one row per record, or to a ScaledRows, the same block
+in factored form. group_query clips the rows of a group's (m x D_g)
+block, sums its columns and adds sigma_sum times the group's row of D_g
+unit Gaussians for the round; a microbatch is a reshape and a mean.
+
+A one-member separate group whose member is factored never builds its
+block: vectors.clipped_scalars gives one weight w_i per record, and the
+clipped sum is one matrix-vector product, rows.T @ w. That is the
+rank-one case of per-example gradient norms (Goodfellow 2015, arXiv
+1510.01799): a linear model's weight gradient row is a residual times a
+data row. Every other group lowers a factored member to its block
+first, and microbatch_reduce at size k > 1 averages its runs into a
+block of m / k rows.
 
 A group's noise depends on (seed, group name, round) alone, never on the
 data or the model, so draw_round_noise draws every group's rows for a
@@ -37,7 +46,14 @@ import numpy as np
 from .errors import ConfigurationError
 from .ledger import Ledger, PrivacyTuple, _check_round
 from .prng import standard_normal_rows
-from .vectors import GroupPartition, GroupSpec, clip_rows
+from .vectors import (
+    GroupPartition,
+    GroupSpec,
+    Mechanism,
+    ScaledRows,
+    clip_rows,
+    clipped_scalars,
+)
 
 
 @dataclass(frozen=True)
@@ -96,10 +112,17 @@ def gaussian_sum(
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] < 1:
         raise ValueError("a sum takes an (m x d) block with d >= 1")
+    return _noised(block.sum(axis=0), sigma_sum, noise, insecure_test_mode)
+
+
+def _noised(
+    column_sum: np.ndarray, sigma_sum: float, noise, insecure_test_mode: bool
+) -> np.ndarray:
+    """column_sum + sigma_sum * noise, with gaussian_sum's checks."""
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (block.shape[1],):
+    if noise.shape != column_sum.shape:
         raise ValueError(
-            f"a sum of {block.shape[1]} columns takes a noise row of as many "
+            f"a sum of {column_sum.shape[0]} columns takes a noise row of as many "
             f"entries, got shape {noise.shape}"
         )
     if not (math.isfinite(sigma_sum) and sigma_sum >= 0.0):
@@ -110,7 +133,7 @@ def gaussian_sum(
             "requires insecure_test_mode=True"
         )
     total = noise * sigma_sum
-    total += block.sum(axis=0)
+    total += column_sum
     return total
 
 
@@ -128,6 +151,13 @@ def _batch_rows(blocks) -> int:
     return rows
 
 
+def _block(member) -> np.ndarray:
+    """A member as its float64 (m x d) block, built if it is factored."""
+    if isinstance(member, ScaledRows):
+        return member.materialize()
+    return np.asarray(member, dtype=np.float64)
+
+
 def _split(concat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     ends = tuple(itertools.accumulate(dims))
     return tuple(concat[end - d : end] for d, end in zip(dims, ends))
@@ -142,13 +172,21 @@ def group_query(
     """One group's noisy average over a batch, under either mechanism.
 
     batch maps each member name to a float64 (m x d) block with one row per
-    record; an empty sample is a batch of (0 x d) blocks. The group's
-    members sit side by side as one (m x D_g) block. A joint group's columns
-    are divided by their member's scale; then the rows are clipped to
-    clip_s, column-summed, noised with sigma_sum * noise, where noise is
-    the group's row of D_g unit Gaussians for this round, divided by
-    q * n, and a joint group's scales are multiplied back. Emits
-    (clip_s, sigma_sum = q * n * noise_sigma).
+    record, or to a ScaledRows; an empty sample is a batch of (0 x d)
+    blocks. The group's members sit side by side as one (m x D_g) block. A
+    joint group's columns are divided by their member's scale; then the
+    rows are clipped to clip_s, column-summed, noised with sigma_sum *
+    noise, where noise is the group's row of D_g unit Gaussians for this
+    round, divided by q * n, and a joint group's scales are multiplied
+    back. Emits (clip_s, sigma_sum = q * n * noise_sigma).
+
+    A one-member separate group whose member is a ScaledRows is clipped in
+    factored form: vectors.clipped_scalars measures each row itself, from
+    the scalars and the rows, and gives weights w whose rows w_i * rows[i]
+    each have exact norm at most clip_s, by a written margin (kappa_d)
+    that covers the float rounding; the pre-noise sum is rows.T @ w. Any
+    other group materializes a factored member and clips its block with
+    clip_rows.
 
     The accountant trusts this step to make the recorded clip true: it
     reads clip_s as the most that adding or removing one record moves
@@ -158,22 +196,28 @@ def group_query(
     records by their position in the sample, so one added record shifts
     every later row (ROADMAP item 1).
     """
-    parts = [np.asarray(batch[name], dtype=np.float64) for name in spec.member_names]
+    members = [batch[name] for name in spec.member_names]
+    factored = (
+        spec.k == 1
+        and spec.mechanism is Mechanism.SEPARATE
+        and isinstance(members[0], ScaledRows)
+    )
+    parts = members if factored else [_block(member) for member in members]
     _batch_rows(parts)
     dims = tuple(part.shape[1] for part in parts)
     if min(dims) < 1:
         raise ValueError(f"member dims {dims} must be positive")
-    block = parts[0] if spec.k == 1 else np.concatenate(parts, axis=1)
-    scales = None if spec.joint_scales is None else np.array(spec.joint_scales).repeat(dims)
-    if scales is not None:
-        block = block / scales
+    scales = None
+    if factored:
+        column_sum = parts[0].rows.T @ clipped_scalars(parts[0], spec.clip_s)
+    else:
+        block = parts[0] if spec.k == 1 else np.concatenate(parts, axis=1)
+        if spec.joint_scales is not None:
+            scales = np.array(spec.joint_scales).repeat(dims)
+            block = block / scales
+        column_sum = clip_rows(block, spec.clip_s).sum(axis=0)
     sigma_sum = ctx.qn * spec.noise_sigma
-    total = gaussian_sum(
-        clip_rows(block, spec.clip_s),
-        sigma_sum,
-        noise,
-        insecure_test_mode=ctx.insecure_test_mode,
-    )
+    total = _noised(column_sum, sigma_sum, noise, ctx.insecure_test_mode)
     estimate = total / ctx.qn
     if scales is not None:
         estimate = scales * estimate
@@ -188,25 +232,48 @@ def group_query(
 def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray]:
     """Average consecutive runs of `size` rows into one row each.
 
-    batch maps names to (m x d) blocks with one row per example; the result
-    maps the same names to (m // size x d) blocks, and a final short run is
-    dropped. Chunking is deterministic by position, never randomized;
-    randomness belongs to the sampler that picks which records participate.
+    batch maps names to (m x d) blocks, or ScaledRows, with one row per
+    example; the result maps the same names to (m // size x d) blocks, and
+    a final short run is dropped. At size 1 every chunk averages to itself,
+    so a factored member passes through as it is; at a larger size its
+    runs are averaged without building its block. Chunking is
+    deterministic by position, never randomized; randomness belongs to the
+    sampler that picks which records participate.
     """
     if size < 1:
         raise ValueError(f"microbatch size must be at least 1, got {size}")
     if not isinstance(batch, Mapping):
         raise TypeError("microbatch_reduce expects a mapping of names to blocks")
-    blocks = {name: np.asarray(b, dtype=np.float64) for name, b in batch.items()}
+    blocks = {
+        name: b if isinstance(b, ScaledRows) else np.asarray(b, dtype=np.float64)
+        for name, b in batch.items()
+    }
     m = _batch_rows(blocks.values())
     if size == 1:
-        # Chunks of one average to themselves.
         return blocks
     full = m - m % size
     return {
-        name: block[:full].reshape(full // size, size, block.shape[1]).mean(axis=1)
+        name: _run_means(block, size, full)
+        if isinstance(block, ScaledRows)
+        else block[:full].reshape(full // size, size, block.shape[1]).mean(axis=1)
         for name, block in blocks.items()
     }
+
+
+def _run_means(member: ScaledRows, size: int, full: int) -> np.ndarray:
+    """The means of a factored member's runs of size rows, in its first
+    full rows, without building its (m x d) block: the products of each
+    position in a run, one (full // size x d) array at a time, added in
+    order and divided by size. For d > 1 that is the block's mean, bit
+    for bit; numpy sums a one-column block's runs of 8 or more pairwise."""
+    rows = member.rows[:full].reshape(full // size, size, member.shape[1])
+    scalars = member.scalars[:full].reshape(full // size, size, 1)
+    total = rows[:, 0] * scalars[:, 0]
+    part = np.empty_like(total)
+    for j in range(1, size):
+        total += np.multiply(rows[:, j], scalars[:, j], out=part)
+    total /= size
+    return total
 
 
 def draw_round_noise(

@@ -18,7 +18,8 @@ The Poisson sampler includes each record at exactly the q of its config,
 so that q is the rate a round records: SamplerConfig rounds a q below
 2^-12 down to a multiple of 2^-64 (every larger float is one already),
 and draw_sample keeps index i when its 64-bit keystream word lies below
-q * 2^64.
+q * 2^64. poisson_rate is that rounding, the one rule the sampler and
+the noise calibration share.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ class Sample:
         )
 
 
+def poisson_rate(q: float, n: int) -> float:
+    """The rate the Poisson sampler runs for a configured q: q rounded down
+    to a multiple of 2^-64, which leaves every float q >= 2^-12 as it is.
+    A q below 2^-64 gives 0.0, which SamplerConfig refuses."""
+    _check_round(q, n)
+    return math.ldexp(math.floor(math.ldexp(q, 64)), -64)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Population size, policy, and the policy's knob (q or batch_size)."""
@@ -83,9 +92,7 @@ class SamplerConfig:
                 raise ValueError("poisson sampling needs q")
             if self.batch_size is not None:
                 raise ValueError("poisson sampling takes q, not batch_size")
-            _check_round(self.q, self.n)
-            # Down to a multiple of 2^-64, the rate draw_sample runs.
-            q = math.ldexp(math.floor(math.ldexp(self.q, 64)), -64)
+            q = poisson_rate(self.q, self.n)
             if q == 0.0:
                 raise ValueError(f"q must be at least 2**-64, got {self.q}")
             object.__setattr__(self, "q", q)

@@ -381,6 +381,26 @@ def test_train_q_below_2_to_the_minus_64_is_refused_without_traceback(
     assert (out / "ledger.txt").read_bytes() == b""
 
 
+def test_train_at_a_rate_the_sampler_rounds_records_the_asked_noise_multiplier(
+    tmp_path,
+):
+    # the sampler runs 1e-15 rounded down to a multiple of 2^-64, and the
+    # sigmas are calibrated at that rate, not at the one typed
+    out = tmp_path / "out"
+    code = main(
+        [
+            "train", "--n", "2000", "--dim", "5", "--q", "1e-15", "--rounds", "3",
+            "--noise-multiplier", "1.5", "--delta", "1e-5", "--seed", SEED_HEX,
+            "--out-dir", str(out),
+        ]
+    )  # fmt: skip
+    assert code == 0
+    (row,) = dpledger.formal_ledger(deserialize((out / "ledger.txt").read_bytes()))
+    assert row.rounds == 3
+    assert row.q < 1e-15
+    assert abs(row.z - 1.5) <= 1e-12 * 1.5
+
+
 def test_train_policy_fixed_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         _train(tmp_path, "--policy", "fixed")

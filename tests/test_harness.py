@@ -9,13 +9,20 @@ import pytest
 
 from dpledger import (
     Ledger,
+    RoundContext,
+    SamplerConfig,
+    SamplingPolicy,
     SecureStream,
     TrainConfig,
     account_ledger,
     deserialize,
     dp_sgd_train,
+    draw_round_noise,
+    draw_sample,
     generate_synthetic,
     make_sgd_partition,
+    microbatch_reduce,
+    run_partitioned_round,
     serialize,
     sigmas_for_target_z,
 )
@@ -131,6 +138,43 @@ def test_synthetic_peak_memory_is_about_its_features():
     assert peak <= 1.25 * data.features.nbytes, peak / data.features.nbytes
 
 
+@pytest.mark.parametrize("k, bound", [(1, 0.5), (4, 1.0)])
+def test_a_round_allocates_less_than_its_gathered_block(k, bound):
+    # one perfbench-shaped round: at microbatch size 1 the weights group is
+    # clipped and summed without an (m x dim) gradient block, and at size 4
+    # the microbatch means are made without one
+    n, dim, q = 20_000, 100, 0.05
+    data = generate_synthetic(n, dim, 4.0, SEED)
+    sampler = SamplerConfig(SamplingPolicy.POISSON_IID, n, SEED, q=q)
+    indices = draw_sample(sampler, 0).indices
+    xs = data.features.take(indices, axis=0)
+    ys = data.labels.take(indices).astype(np.float64)
+    w = SecureStream(SEED, "test-weights", 0).standard_normal(dim) * 0.1
+    probs = forward_probabilities(xs, w, 0.0)
+    correct = ((probs >= 0.5) == (ys == 1.0)).astype(np.float64)
+    grad_w, grad_b = per_example_gradients(xs, ys, probs)
+    batch = {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]}
+    partition = make_sgd_partition(
+        clip_weights=1.0, clip_bias=0.5,
+        sigma_weights=0.01, sigma_bias=0.01, sigma_metrics=0.01,
+    )  # fmt: skip
+    widths = {"weights": dim, "bias": 1, "metrics": 1}
+    rows = draw_round_noise(SEED, partition, widths, range(1))
+    noise = {group: row for group, (row,) in rows.items()}
+    ctx = RoundContext(q=sampler.q, n=n, round_id=0)
+    ledger = Ledger()
+    ledger.record_sample(sampler.q, n, sampler.policy.value)
+    tracemalloc.start()
+    try:
+        batch = microbatch_reduce(batch, k)
+        run_partitioned_round(batch, partition, ctx, noise, ledger=ledger)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(indices) > 900
+    assert peak < bound * xs.nbytes, peak / xs.nbytes
+
+
 def test_synthetic_validation():
     with pytest.raises(ValueError):
         generate_synthetic(1, 2, 1.0, SEED)
@@ -176,7 +220,7 @@ def test_gradients_match_central_differences():
             e[j] = h
             fd_w[j] = (example_loss(x, y, w + e, b) - example_loss(x, y, w - e, b)) / (2 * h)
         fd_b = (example_loss(x, y, w, b + h) - example_loss(x, y, w, b - h)) / (2 * h)
-        np.testing.assert_allclose(grad_w[0], fd_w, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(grad_w.materialize()[0], fd_w, rtol=1e-6, atol=1e-9)
         assert float(grad_b[0]) == pytest.approx(fd_b, rel=1e-6, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from dpledger import (
     RoundContext,
     SamplerConfig,
     SamplingPolicy,
+    ScaledRows,
     SecureStream,
     clip_rows,
     clip_to_norm,
+    clipped_scalars,
     draw_round_noise,
     draw_sample,
     effective_z,
@@ -377,6 +380,30 @@ def test_clip_rows_refuses_a_non_finite_entry_as_a_non_finite_block(bad):
         clip_rows(block, 1.0)
 
 
+def test_clip_rows_measures_a_row_whose_squares_underflow():
+    # each square is below the smallest float, so a plain dot product
+    # measures the row as 0 and would keep it
+    block = np.array([[3e-170, -4e-170], [0.0, 0.0]])
+    s = 1e-171
+    out = clip_rows(block, s)
+    assert np.array_equal(out[1], block[1])
+    assert abs(math.hypot(*out[0]) - s) <= 2**-50 * s
+
+
+def test_one_entry_rows_measure_as_the_root_of_their_square():
+    # |x| for a one-entry row is the same float as sqrt(x * x) wherever the
+    # square neither overflows nor underflows, which clip_rows relies on
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=200_000) * 2.0 ** rng.integers(-500, 500, size=200_000)
+    x[:4096] = 1.0 + np.arange(4096) * 2.0**-52  # mantissas just above 1
+    x[4096:8192] = 2.0 - np.arange(1, 4097) * 2.0**-52  # and just below 2
+    out = clip_rows(x[:, None], 2.0**600)  # nothing is clipped
+    assert np.array_equal(out[:, 0], x)
+    kept = clip_rows(x[:, None], 0.5)[:, 0]
+    want = np.where(np.abs(x) > 0.5, x * (0.5 / np.sqrt(x * x)), x)
+    assert kept.tobytes() == want.tobytes()
+
+
 def _gathered_clip_rows(block, s):
     """clip_rows as an out-of-place sequence: copy the block, gather the
     rows above s, rescale and re-shrink them, and scatter them back."""
@@ -421,6 +448,151 @@ def test_clip_rows_peak_memory_when_every_row_is_clipped():
         tracemalloc.stop()
     assert not np.array_equal(out[0], block[0])  # every row was clipped
     assert peak <= 2.25 * block.nbytes, peak / block.nbytes
+
+
+# ------------------------------------------------- factored members
+# A factored member's row i is scalars[i] * rows[i]. clipped_scalars
+# measures it as |scalars[i]| * ||rows[i]|| and clips it with the margin
+# kappa_d; the exact norm of every row it returns must be at most the clip.
+
+
+def _exact_sq_norm(row) -> Fraction:
+    """The sum of squares of a float row, in exact rational arithmetic."""
+    ratios = [v.as_integer_ratio() for v in row.tolist()]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    return Fraction(sum((num * (den // d)) ** 2 for num, d in ratios), den * den)
+
+
+def _wide_range_member(rng, m, d, clip):
+    """m records of d entries, rows and scalars at magnitudes 1e-150 to
+    1e150; every tenth row at 1e+-160 to 1e+-300, where its squares
+    overflow or underflow, with a scalar that brings it near the clip;
+    and every third record within a few ulps of the clip."""
+    rows = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-150, 150, size=(m, 1))
+    scalars = rng.choice([-1.0, 1.0], size=m) * 10.0 ** rng.uniform(-150, 150, size=m)
+    far = np.arange(0, m, 10)
+    exps = rng.choice([-1, 1], size=far.size) * rng.uniform(160, 300, size=far.size)
+    rows[far] = rng.normal(size=(far.size, d)) * 10.0 ** exps[:, None]
+    scalars[far] = 10.0 ** (-exps + rng.uniform(-3, 3, size=far.size))
+    near = np.arange(1, m, 3)
+    top = np.abs(rows[near]).max(axis=1)
+    scaled = rows[near] / top[:, None]
+    sizes = top * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    ulps = rng.integers(-4, 5, size=near.size)
+    scalars[near] = np.sign(scalars[near]) * clip * (1 + ulps * 2.0**-52) / sizes
+    return ScaledRows(scalars, rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 100, 4096])
+def test_factored_clip_keeps_every_exact_row_norm_within_the_clip(d):
+    rng = np.random.default_rng(d)
+    m = 60 if d == 4096 else 300
+    for clip in (1.0, 0.37, 12.5):
+        member = _wide_range_member(rng, m, d, clip)
+        weights = clipped_scalars(member, clip)
+        kept = weights == member.scalars
+        assert kept.any() and not kept.all()
+        bound = Fraction(clip) ** 2
+        for w, row in zip(weights.tolist(), member.rows):
+            assert Fraction(w) ** 2 * _exact_sq_norm(row) <= bound
+
+
+@pytest.mark.parametrize("d", [1, 7, 100])
+def test_factored_sum_matches_the_clipped_block_sum(d):
+    rng = np.random.default_rng(40 + d)
+    m, clip = 500, 0.8
+    rows = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1))
+    scalars = rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2, size=m)
+    member = ScaledRows(scalars, rows)
+    got = rows.T @ clipped_scalars(member, clip)
+    want = clip_rows(member.materialize(), clip).sum(axis=0)
+    # Each clipped row moves by at most (kappa_d + 8 ulps) of the clip, and
+    # each of the two sums of m rows of norm <= clip rounds by at most
+    # m * clip * m ulps.
+    tolerance = m * clip * (d + 16 + 2 * m) * 2.0**-53
+    assert np.abs(got - want).max() <= tolerance
+    assert not np.array_equal(got, want)  # the margin moves the last bits
+
+
+def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
+    rng = np.random.default_rng(8)
+    m = 50
+    member = ScaledRows(rng.normal(size=m) * 3.0, rng.normal(size=(m, 4)))
+    a = rng.normal(size=(m, 2))
+    ctx = RoundContext(q=0.25, n=400, round_id=0)
+    spec = _sep(["w"], clip_s=1.0, sigma=0.5)
+    noise = rng.normal(size=4)
+    est = group_query({"w": member}, spec, ctx, noise)
+    total = noise * est.emitted.sigma_sum
+    total += member.rows.T @ clipped_scalars(member, 1.0)
+    assert est.get("w").tobytes() == (total / ctx.qn).tobytes()
+    assert est.emitted == PrivacyTuple(clip_s=1.0, sigma_sum=ctx.qn * 0.5)
+    # joint and multi-member groups take the block path on the product
+    block = member.materialize()
+    assert block.tobytes() == (member.rows * member.scalars[:, None]).tobytes()
+    joint = GroupSpec(
+        member_names=("w",),
+        mechanism=Mechanism.JOINT,
+        clip_s=1.0,
+        noise_sigma=0.5,
+        joint_scales=(2.0,),
+    )
+    for spec, extra, width in ((joint, {}, 4), (_sep(["w", "a"], 1.0, 0.5), {"a": a}, 6)):
+        noise = rng.normal(size=width)
+        got = group_query({"w": member, **extra}, spec, ctx, noise)
+        want = group_query({"w": block, **extra}, spec, ctx, noise)
+        for x, y in zip(got.estimates, want.estimates):
+            assert x.tobytes() == y.tobytes()
+    # size 1 passes the factored member through; a larger size averages
+    # its runs to the block's means, bit for bit
+    assert microbatch_reduce({"w": member, "a": a}, 1)["w"] is member
+    for size in (2, 3, 4, 7):
+        got = microbatch_reduce({"w": member, "a": a}, size)
+        want = microbatch_reduce({"w": block, "a": a}, size)
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in got)
+
+
+def test_empty_factored_member_sums_to_zero():
+    member = ScaledRows(np.empty(0), np.empty((0, 3)))
+    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    noise = np.array([1.0, -2.0, 0.5])
+    est = group_query({"w": member}, _sep(["w"], 1.0, 0.5), ctx, noise)
+    assert np.array_equal(est.get("w"), noise * est.emitted.sigma_sum / ctx.qn)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_factored_member_refuses_non_finite_input_as_clip_rows_does(bad):
+    finite_block = r"^clip_rows expects a finite \(m x d\) block$"
+    for where in ("scalars", "rows"):
+        scalars, rows = np.ones(3), np.ones((3, 4))
+        (scalars if where == "scalars" else rows)[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=finite_block):
+                clipped_scalars(ScaledRows(scalars, rows), 1.0)
+    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    scalars = np.array([1.0, 1e300, 1.0])  # finite, but its row's norm is not
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        group_query(
+            {"w": ScaledRows(scalars, np.full((3, 4), 1e10))},
+            _sep(["w"], 1.0, 0.5),
+            ctx,
+            np.zeros(4),
+        )
+
+
+def test_scaled_rows_validation():
+    with pytest.raises(ValueError):
+        ScaledRows(np.ones(3), np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        ScaledRows(np.ones((3, 1)), np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        ScaledRows(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        clipped_scalars(ScaledRows(np.ones(2), np.ones((2, 2))), 0.0)
+    member = ScaledRows([1, 2], [[1, 2, 3], [4, 5, 6]])
+    assert member.shape == (2, 3) and member.rows.dtype == np.float64
 
 
 # ----------------------------------------------- composition equivalence
@@ -762,6 +934,19 @@ def _largest_move_over_clip(reduce):
 
 def test_one_added_record_moves_each_group_sum_by_at_most_its_clip():
     worst = _largest_move_over_clip(lambda batch: batch)
+    assert 0.5 < worst <= 1.0 + 1e-9
+
+
+def _factored(batch):
+    """The batch with member w factored: row i as its first entry times row
+    i divided by it, a rule of the row alone, so the two neighbours factor
+    their shared rows alike."""
+    w = batch["w"]
+    return {**batch, "w": ScaledRows(w[:, 0], w / w[:, :1])}
+
+
+def test_one_added_record_moves_a_factored_group_sum_by_at_most_its_clip():
+    worst = _largest_move_over_clip(_factored)
     assert 0.5 < worst <= 1.0 + 1e-9
 
 
