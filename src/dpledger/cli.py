@@ -27,7 +27,6 @@ from .harness import (
 )
 from .ledger import deserialize
 from .prng import new_seed
-from .sampling import poisson_rate
 
 _TUNING_NOTE = (
     "note: if this target or configuration was chosen by measuring utility "
@@ -125,11 +124,7 @@ def _cmd_train(args) -> int:
         if args.insecure_no_noise:
             sigmas = (0.0, 0.0, 0.0)
         else:
-            # Calibrated at the rate the sampler runs, so that the recorded
-            # z is the one asked for. A q that rounds to 0 is refused when
-            # the run builds its sampler.
-            rate = poisson_rate(args.q, args.n) or args.q
-            sigmas = sigmas_for_target_z(args.noise_multiplier, clips, rate, args.n)
+            sigmas = sigmas_for_target_z(args.noise_multiplier, clips, args.q, args.n)
         partition = make_sgd_partition(
             clip_weights=args.clip_weights,
             clip_bias=args.clip_bias,

@@ -56,7 +56,7 @@ from .mechanisms import (
     run_partitioned_round,
 )
 from .prng import _PAIR_BLOCK, SecureStream, coerce_seed
-from .sampling import Sample, SamplerConfig, draw_sample
+from .sampling import Sample, SamplerConfig, draw_sample, poisson_rate
 from .vectors import GroupPartition, GroupSpec, Mechanism, ScaledRows
 
 # Rounds whose noise one draw_round_noise call draws: enough to spread a
@@ -174,16 +174,18 @@ def sigmas_for_target_z(
 ) -> tuple[float, ...]:
     """Per-average sigmas that make one round's effective multiplier
     exactly target_z: the proportional allocation's sum-level sigmas
-    z * sqrt(G) * S_g, divided by q * n. Pass the q the sampler runs
-    (sampling.poisson_rate), which the mechanisms multiply back."""
-    _check_round(q, n)
+    z * sqrt(G) * S_g, divided by q' * n, where q' = poisson_rate(q, n) is
+    the rate a run configured with q samples at and the mechanisms
+    multiply back. A q below 2^-64, which rounds to 0, is divided by as
+    it is: no run samples at it, and the run's sampler refuses it."""
+    rate = poisson_rate(q, n) or q
     # Proportional allocation does not read the dimensions; 1 stands in.
     req = AllocationRequest(
         target_z=target_z,
         group_bounds=tuple((s, 1) for s in clip_bounds),
         strategy=AllocationStrategy.PROPORTIONAL,
     )
-    return tuple(sigma / (q * n) for sigma in allocate(req))
+    return tuple(sigma / (rate * n) for sigma in allocate(req))
 
 
 @dataclass(frozen=True)

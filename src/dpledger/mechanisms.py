@@ -138,11 +138,11 @@ def _noised(
 
 
 def _batch_rows(blocks) -> int:
-    """Row count shared by a batch's (m x d) arrays, of which there is at
-    least one."""
+    """Row count shared by a batch's (m x d) arrays and ScaledRows, of
+    which there is at least one."""
     rows = None
     for block in blocks:
-        if block.ndim != 2 or (rows is not None and block.shape[0] != rows):
+        if len(block.shape) != 2 or (rows is not None and block.shape[0] != rows):
             rows = None
             break
         rows = block.shape[0]
@@ -164,7 +164,7 @@ def _split(concat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 def group_query(
-    batch: Mapping[str, np.ndarray],
+    batch: Mapping[str, np.ndarray | ScaledRows],
     spec: GroupSpec,
     ctx: RoundContext,
     noise: np.ndarray,
@@ -229,7 +229,7 @@ def group_query(
     )
 
 
-def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray]:
+def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray | ScaledRows]:
     """Average consecutive runs of `size` rows into one row each.
 
     batch maps names to (m x d) blocks, or ScaledRows, with one row per
@@ -303,7 +303,7 @@ def draw_round_noise(
 
 
 def run_partitioned_round(
-    batch: Mapping[str, np.ndarray],
+    batch: Mapping[str, np.ndarray | ScaledRows],
     partition: GroupPartition,
     ctx: RoundContext,
     noise: Mapping[str, np.ndarray],

@@ -135,13 +135,18 @@ class ScaledRows:
     scalars: np.ndarray
     rows: np.ndarray
 
-    ndim = 2  # with shape, a batch's row count reads it like a block
-
     def __post_init__(self):
         scalars = np.asarray(self.scalars, dtype=np.float64)
         rows = np.asarray(self.rows, dtype=np.float64)
-        if scalars.ndim != 1 or rows.ndim != 2 or scalars.shape[0] != rows.shape[0]:
-            raise ValueError("a factored member is m scalars and an (m x d) block")
+        if (
+            scalars.ndim != 1
+            or rows.ndim != 2
+            or scalars.shape[0] != rows.shape[0]
+            or rows.shape[1] < 1
+        ):
+            raise ValueError(
+                "a factored member is m scalars and an (m x d) block, d >= 1"
+            )
         object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "rows", rows)
 
@@ -161,6 +166,8 @@ _SMALL_NORM = 2.0**-450
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
+    if block.shape[1] == 0:
+        return np.zeros(block.shape[0])
     if block.shape[1] == 1:
         # In binary floating point sqrt(x * x) rounds to |x| wherever x * x
         # neither overflows nor underflows: the same bits as below, and
@@ -200,7 +207,8 @@ def clip_rows(block, s: float) -> np.ndarray:
 
     Rows whose norm is at most s come back bitwise unchanged; the others are
     rescaled, and re-shrunk if float rounding lands a hair above s. The
-    input is never written to. An empty block (m = 0) is its own projection.
+    input is never written to. An empty block (m = 0) is its own
+    projection, and so is a block of no columns (d = 0).
     A row whose norm exceeds the float range is refused.
     """
     _check_clip(s)
@@ -218,17 +226,13 @@ def clip_rows(block, s: float) -> np.ndarray:
         return block
     # One product makes the result. A row at most s is multiplied by 1.0,
     # which leaves it bitwise unchanged, so only the rescaled rows are
-    # measured again, and after that only the rows just re-shrunk. Gathering
-    # rows costs about what measuring them does, so when most rows were
-    # rescaled the whole result is measured instead.
+    # measured again, and after that only the rows just re-shrunk.
     factor = np.ones_like(norms)
     factor[over] = s / norms[over]
     out = block * factor[:, None]
     rows = np.flatnonzero(over)
-    norms = _row_norms(out)[rows] if 2 * rows.size > len(out) else None
     for _ in range(4):
-        if norms is None:
-            norms = _row_norms(out[rows])
+        norms = _row_norms(out[rows])
         high = norms > s
         if not high.any():
             break
@@ -236,7 +240,6 @@ def clip_rows(block, s: float) -> np.ndarray:
         factor = s / norms[high]
         factor[factor >= 1.0] = 1.0 - 2.0**-52
         out[rows] *= factor[:, None]
-        norms = None
     return out
 
 

@@ -248,6 +248,21 @@ def test_sigmas_for_target_z_round_trip():
         sigmas_for_target_z(1.0, (), 0.05, 400)
 
 
+def test_sigmas_for_target_z_calibrates_at_the_rate_the_sampler_runs():
+    # 1e-15 is not a multiple of 2^-64; the sampler runs it rounded down
+    q, n = 1e-15, 2000
+    rate = SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=n, seed=SEED, q=q).q
+    assert rate < q
+    clips = (4.0, 1.0, 1.0)
+    sigmas = sigmas_for_target_z(1.5, clips, q, n)
+    got = effective_z([(c, rate * n * sig) for c, sig in zip(clips, sigmas)])
+    assert got == pytest.approx(1.5, rel=1e-12)
+    # a rate the sampler runs as it is calibrates as before
+    assert sigmas_for_target_z(1.5, clips, 0.05, n) == tuple(
+        sig / (0.05 * n) for sig in sigmas_for_target_z(1.5, clips, 1.0, 1)
+    )
+
+
 @pytest.mark.parametrize("q, n", [(0.0, 400), (0.05, 0), (-0.5, 400), (1.5, 400)])
 def test_sigmas_for_target_z_checks_q_and_n(q, n):
     with pytest.raises(ValueError):

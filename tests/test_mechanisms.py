@@ -364,6 +364,9 @@ def test_clip_rows_validation():
     with pytest.raises(ValueError):
         clip_rows(np.array([[1.7e308, 1.7e308]]), 1.0)  # norm beyond float range
     assert clip_rows(np.empty((0, 4)), 1.0).shape == (0, 4)
+    # every row of an (m x 0) block has norm 0, so none is rescaled
+    no_columns = np.zeros((2, 0))
+    assert clip_rows(no_columns, 1.0) is no_columns
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -589,6 +592,8 @@ def test_scaled_rows_validation():
         ScaledRows(np.ones((3, 1)), np.ones((3, 4)))
     with pytest.raises(ValueError):
         ScaledRows(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        ScaledRows(np.ones(2), np.ones((2, 0)))
     with pytest.raises(ValueError):
         clipped_scalars(ScaledRows(np.ones(2), np.ones((2, 2))), 0.0)
     member = ScaledRows([1, 2], [[1, 2, 3], [4, 5, 6]])
