@@ -63,7 +63,7 @@ def _print_guarantee(guarantee) -> None:
 def _cmd_account(args) -> int:
     try:
         with open(args.ledger, "rb") as fh:
-            ledger = deserialize(fh.read())
+            ledger = deserialize(fh)  # block by block, never the whole file
     except OSError as exc:
         print(f"error: cannot read ledger: {exc}", file=sys.stderr)
         return 1

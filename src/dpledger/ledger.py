@@ -40,6 +40,14 @@ line by line through the Ledger methods, each line checked in full
 round bracketing as a live run, and errors and their line numbers do not
 depend on what came before. Appending events to a ledger appends lines to
 its serialization, so the old file is always a byte prefix of the new.
+
+deserialize takes bytes or a binary file. A file is read in blocks of
+_BLOCK_BYTES (1 MiB) into one reused buffer, by the same parse that takes
+bytes as a single block; only what a block ends in, a partial line or a
+copy that the next block must confirm, is carried into the next. So
+reading a file holds one block, its largest round and the parsed ledger,
+whose rounds are one list slot each: its memory follows the distinct
+rounds and the round count, not the file's size.
 """
 
 from __future__ import annotations
@@ -444,54 +452,169 @@ def _replay(ledger: Ledger, line: str) -> None:
         )
 
 
+# A file is read in blocks of this many bytes (256 KiB parsed no faster),
+# into one buffer that every block reuses; only the undecided part of a
+# block's last round is carried over.
+_BLOCK_BYTES = 1 << 20
+
 # The most expected bytes one whole-round comparison builds, so that a
-# long run of copies costs little memory beyond the input.
-_BLOCK_BYTES = 1 << 16
+# long run of copies costs little memory beyond the block.
+_BATCH_BYTES = 1 << 16
+
+_NON_ASCII = re.compile(rb"[\x80-\xff]")
 
 
 def _copies(
-    data: bytes, pos: int, parts: tuple[str, ...], round_id: int
+    data, pos: int, parts: tuple[str, ...], round_id: int, at_end: bool
 ) -> tuple[int, int]:
     """How many whole copies of a round data holds from pos on, at ids
     round_id, round_id + 1, ..., and the position after them.
 
-    A copy is what serialize writes for the round at its id. Blocks of
-    copies are compared at once, doubling up to about _BLOCK_BYTES; the
-    first block that does not match is then compared copy by copy. The
-    last copy counts only when the end of data or the next id's sample
-    line follows it; otherwise it may be the head of a longer round.
+    A copy is what serialize writes for the round at its id. Batches of
+    copies are compared at once, doubling up to about _BATCH_BYTES or
+    what is left of data; the first batch that does not match is then
+    compared copy by copy. The last copy counts only when the next id's
+    sample line follows it, or the end of the input (at_end: data is the
+    input's last block); otherwise it may be the head of a longer round,
+    or the block may stop before what follows it.
     """
-    copies, block = 0, 1
-    cap = max(1, _BLOCK_BYTES // len(str(round_id).join(parts)))
+    copies, batch = 0, 1
+    size = len(str(round_id).join(parts))  # the shortest copy: ids only grow
     while True:
-        ids = range(round_id + copies, round_id + copies + block)
+        ids = range(round_id + copies, round_id + copies + batch)
         pieces = [str(k).join(parts) for k in ids]
         expected = "".join(pieces).encode("ascii")
         if not data.startswith(expected, pos):
             break
         pos += len(expected)
-        copies += block
-        block = min(2 * block, cap)
+        copies += batch
+        batch = max(1, min(2 * batch, _BATCH_BYTES // size, (len(data) - pos) // size))
     for piece in pieces:
         if not data.startswith(piece.encode("ascii"), pos):
             break
         pos += len(piece)
         copies += 1
     follows = b"sample round=%d " % (round_id + copies)
-    if copies and pos < len(data) and not data.startswith(follows, pos):
+    if copies and not (at_end and pos == len(data)) and not data.startswith(follows, pos):
         copies -= 1
         pos -= len(str(round_id + copies).join(parts))
     return copies, pos
 
 
-def deserialize(data: bytes) -> Ledger:
-    """Decode bytes produced by serialize back into an appendable Ledger.
+def _undecided(data, pos: int, parts: tuple[str, ...], round_id: int) -> bool:
+    """Whether data from pos on is all a proper prefix of the round's copy
+    at round_id and the next id's sample line: too short to tell a copy
+    from the head of a longer round, or from a round that differs later."""
+    head = (str(round_id).join(parts) + f"sample round={round_id + 1} ").encode("ascii")
+    return len(data) - pos < len(head) and head.startswith(data[pos:])
+
+
+def _parse(ledger: Ledger, data, pos: int, line_no: int, at_end: bool):
+    """Read data from pos on into ledger; line_no is the number of the
+    line before pos. Returns the position where the next block must go
+    on, the number of the line before it, and the refusal of a bad line,
+    which stops the read, or None.
+
+    Where the next id's sample line follows a closed round, or closes the
+    open one, the rounds from there on are read as whole copies of the
+    last closed round (_copies). Every other line is replayed through the
+    Ledger methods. A partial line, and a copy the block ends in, are
+    left for the next block: what follows such a copy decides whether it
+    is one.
+    """
+    while True:
+        next_id = len(ledger._rounds) + (ledger.open_round is not None)
+        if next_id and data.startswith(b"sample round=%d " % next_id, pos):
+            if ledger.open_round is not None:
+                ledger.close_round()
+            parts = ledger._rounds[-1].parts
+            copies, pos = _copies(data, pos, parts, next_id, at_end)
+            ledger._rounds.extend(itertools.repeat(ledger._rounds[-1], copies))
+            line_no += copies * (len(parts) - 1)  # lines per round
+            if not at_end and _undecided(data, pos, parts, next_id + copies):
+                return pos, line_no, None
+            if copies:
+                continue
+        end = data.find(b"\n", pos) + 1
+        if not end:
+            return pos, line_no, None
+        line_no += 1
+        try:
+            _replay(ledger, data[pos : end - 1].decode("ascii"))
+        except (ValueError, LedgerUsageError) as exc:
+            return end, line_no, LedgerParseError(str(exc), line=line_no)
+        pos = end
+
+
+class _Blocks:
+    """The input, one block at a time, and what its refusals need to know
+    of it: the input offset of the block's first byte, the last byte read
+    so far, and whether the block is the input's last.
+
+    bytes input is one block, the last. A binary file is read with
+    readinto, _BLOCK_BYTES at a time, into one bytearray: next(pos) moves
+    the bytes from pos on, which the parse has not used, to its front and
+    reads the next block in after them.
+    """
+
+    def __init__(self, source):
+        self.offset = 0
+        if isinstance(source, bytes):
+            self.buf, self.at_end, self.last = source, True, source[-1:]
+        elif hasattr(source, "readinto"):
+            self.buf, self.at_end, self.last = bytearray(_BLOCK_BYTES), False, b""
+            self._file = source
+            self._read(0)
+        else:
+            raise TypeError("deserialize expects bytes or a binary file")
+
+    def next(self, pos: int):
+        buf = self.buf
+        tail = len(buf) - pos
+        if pos:
+            buf[:tail] = buf[pos:]
+        self.offset += pos
+        if len(buf) < tail + _BLOCK_BYTES:  # room for a block after the tail
+            buf.extend(bytes(tail + _BLOCK_BYTES - len(buf)))
+        self._read(tail)
+        return buf
+
+    def _read(self, tail: int) -> None:
+        """Fill the buffer after its first tail bytes with the next block,
+        or with what is left of the file."""
+        buf, size, stop = self.buf, tail, tail + _BLOCK_BYTES
+        while size < stop:
+            with memoryview(buf)[size:stop] as free:
+                read = self._file.readinto(free)
+            if not read:
+                self.at_end = True
+                break
+            size += read
+        del buf[size:]
+        if size > tail:
+            self.last = buf[-1:]
+
+
+def _not_ascii(data, offset: int) -> LedgerParseError:
+    """The refusal of data's first non-ascii byte, at its input offset."""
+    at = _NON_ASCII.search(data).start()
+    return LedgerParseError(
+        f"not ascii: 'ascii' codec can't decode byte {data[at]:#04x} in "
+        f"position {offset + at}: ordinal not in range(128)"
+    )
+
+
+def deserialize(source) -> Ledger:
+    """Decode what serialize wrote, as bytes or a binary file open for
+    reading, back into an appendable Ledger.
 
     Lines end in "\\n" only, and the last one too: a stream that stops
     mid-line is reported as truncation rather than silently loaded short.
     Round ids run 0, 1, 2, ... with no gaps, and each sum line carries the
     id of the sample line above it. All rounds are closed at end of input.
-    Errors carry 1-based line numbers.
+    Errors carry 1-based line numbers. Of several faults, the refusal
+    names the first of: a missing header, a missing final newline, the
+    first non-ascii byte (at its offset in the input), the first bad line.
 
     A round enters the ledger in one of two ways. Each line is replayed
     through the Ledger methods and checked in full, so a missing round, a
@@ -500,39 +623,43 @@ def deserialize(data: bytes) -> Ledger:
     rounds after it are read as whole copies of it while their bytes
     match what serialize writes for it at their ids (_copies); where the
     copies stop, line replay goes on.
+
+    A file is read in blocks of _BLOCK_BYTES (1 MiB) by one pass of that
+    parse, which bytes input takes as a single block. Only a partial line,
+    or a copy the block ends in (which may be the head of a longer round,
+    so the next block decides), moves to the next block. So the parse
+    holds one block, the largest round and the ledger, whose rounds are
+    one list slot each: its memory does not follow the file's size.
+    After a bad line the rest of the file is still read, and dropped, to
+    look for the refusals that come first.
     """
-    if not isinstance(data, bytes):
-        raise TypeError("deserialize expects bytes")
-    if not data.startswith(_HEADER):
+    blocks = _Blocks(source)
+    buf = blocks.buf
+    while len(buf) < len(_HEADER) and not blocks.at_end:
+        buf = blocks.next(0)
+    if not buf.startswith(_HEADER):
         raise LedgerParseError("missing or unrecognized header", line=1)
-    if not data.endswith(b"\n"):
-        raise LedgerParseError(
-            "input does not end with a newline; file is truncated",
-            line=data.count(b"\n") + 1,
-        )
-    if not data.isascii():
-        try:
-            data.decode("ascii")  # raises, naming the first non-ascii byte
-        except UnicodeDecodeError as exc:
-            raise LedgerParseError(f"not ascii: {exc}") from None
     ledger = Ledger()
-    pos, line_no, size = len(_HEADER), 1, len(data)
-    while pos < size:
-        round_id = ledger.open_round
-        if round_id is not None and data.startswith(b"sample round=%d " % (round_id + 1), pos):
-            ledger.close_round()
-            parts = ledger._rounds[-1].parts
-            copies, pos = _copies(data, pos, parts, round_id + 1)
-            if copies:
-                ledger._rounds.extend(itertools.repeat(ledger._rounds[-1], copies))
-                line_no += copies * (len(parts) - 1)  # lines per round
-                continue
-        start, pos = pos, data.index(b"\n", pos) + 1
-        line_no += 1
-        try:
-            _replay(ledger, data[start : pos - 1].decode("ascii"))
-        except (ValueError, LedgerUsageError) as exc:
-            raise LedgerParseError(str(exc), line=line_no) from None
+    pos, line_no = len(_HEADER), 1  # line_no: the newlines before pos
+    not_ascii = bad_line = None
+    while True:
+        if blocks.at_end and blocks.last != b"\n":
+            raise LedgerParseError(
+                "input does not end with a newline; file is truncated",
+                line=line_no + buf.count(b"\n", pos) + 1,
+            )
+        if not_ascii is None and not buf.isascii():
+            not_ascii = _not_ascii(buf, blocks.offset)
+        if not_ascii is None and bad_line is None:
+            pos, line_no, bad_line = _parse(ledger, buf, pos, line_no, blocks.at_end)
+        if blocks.at_end:
+            break
+        if not_ascii or bad_line:  # read on, keeping nothing
+            line_no += buf.count(b"\n", pos)
+            pos = len(buf)
+        buf, pos = blocks.next(pos), 0
+    if not_ascii or bad_line:
+        raise not_ascii or bad_line
     if ledger.open_round is not None:
         ledger.close_round()
     return ledger

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -122,6 +123,59 @@ def test_account_custom_orders(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert f"epsilon = {GOLDEN_EPSILON!r}" in out  # optimum sits at order 9
+
+
+def _rounds_ledger(rounds: int) -> bytes:
+    led = Ledger()
+    for k in range(rounds):
+        q = (0.01, 0.02)[k // 1000 % 2]
+        rid = led.record_sample(q=q, n=60_000, policy_tag="poisson_iid")
+        for g in range(3):
+            led.record_sum_query(rid, clip_s=1.0, sigma_sum=5.0, group_name=f"g{g}")
+        led.close_round()
+    return serialize(led)
+
+
+def test_account_reads_a_ledger_of_many_blocks_as_bytes(tmp_path, capsys, monkeypatch):
+    data = _rounds_ledger(5_000)
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(dpledger.ledger, "_BLOCK_BYTES", 4096)
+    assert len(data) > 100 * 4096
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    assert code == 0
+    want = account_ledger(deserialize(data), 1e-5).epsilon
+    assert f"epsilon = {want!r}\n" in capsys.readouterr().out
+
+
+def test_account_read_error_after_the_first_block_is_refused(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(_rounds_ledger(5_000))
+    monkeypatch.setattr(dpledger.ledger, "_BLOCK_BYTES", 4096)
+
+    class FailingFile(io.BufferedReader):
+        """Reads one block, then fails as a disk or network file can."""
+
+        reads = 0
+
+        def readinto(self, buffer):
+            self.reads += 1
+            if self.reads > 1:
+                raise OSError(5, "Input/output error")
+            return super().readinto(buffer)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        assert mode == "rb"
+        return FailingFile(io.FileIO(file, "r"))
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read ledger: ")
+    assert "Input/output error" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_account_bad_orders_is_usage_error(capsys):

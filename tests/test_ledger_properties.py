@@ -12,10 +12,15 @@ round that repeats an earlier one, a dropped, duplicated or swapped sum
 line, or a changed hex digit, must parse exactly as a line-by-line
 reference parser written out here does, and so must every line prefix and
 sampled byte prefixes of a fixed-hyperparameter and a periodic ledger. A
-refusal early in a long ledger stops at its line. formal_ledger's count
-table must match a per-round reduction written out here.
+refusal early in a long ledger stops at its line. Read as a file, through
+an io.BytesIO and from disk, in blocks of 1 to 4096 bytes or the default,
+each of these inputs must parse exactly as its bytes do, refusals and
+which fault they name first included, and accounting a file must hold a
+block, not the file. formal_ledger's count table must match a per-round
+reduction written out here.
 """
 
+import io
 import re
 import tracemalloc
 import warnings
@@ -24,6 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dpledger.ledger
 from dpledger import (
     AccountingRefusal,
     InsecureLedgerError,
@@ -311,7 +317,7 @@ def _reference_deserialize(data: bytes) -> Ledger:
     return led
 
 
-def _parsed(parse, data: bytes):
+def _parsed(parse, data):
     """What parse makes of data: its refusal (type, message, line), or the
     parsed ledger's bytes, rounds, insecure rounds and count table (or its
     refusal)."""
@@ -324,6 +330,29 @@ def _parsed(parse, data: bytes):
     except AccountingRefusal as exc:
         table = type(exc), str(exc)
     return serialize(led), led.rounds(), led.insecure_rounds(), table
+
+
+# Sizes a file is read in: one byte, a few, part of a line, lines, and
+# the default (None).
+_BLOCK_SIZES = (1, 2, 3, 7, 64, 4096, None)
+
+
+@pytest.fixture(scope="module")
+def ledger_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ledger") / "ledger.txt"
+
+
+def _parsed_from_files(data: bytes, block, path):
+    """_parsed of data read as a file in blocks of block bytes, through
+    an io.BytesIO and from path; both must agree."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(dpledger.ledger, "_BLOCK_BYTES", block)
+        from_memory = _parsed(deserialize, io.BytesIO(data))
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            assert _parsed(deserialize, fh) == from_memory
+    return from_memory
 
 
 def _spoil_run(lines, spoiler, i, data):
@@ -360,7 +389,7 @@ def _spoil_run(lines, spoiler, i, data):
     st.sampled_from(["drop", "duplicate", "swap", "hex"]),
     st.data(),
 )
-def test_spoiled_run_parses_as_the_reference_does(rounds, spoiler, data):
+def test_spoiled_run_parses_as_the_reference_does(ledger_path, rounds, spoiler, data):
     # A dropped, duplicated or in-round swapped sum line, or a new mantissa
     # digit, can leave a well-formed ledger: v1 does not record how many
     # queries a round has. So the round must be read as written, never as
@@ -382,6 +411,8 @@ def test_spoiled_run_parses_as_the_reference_does(rounds, spoiler, data):
     assert got == _parsed(_reference_deserialize, spoiled)
     if got[0] is LedgerParseError:
         assert got[2] == first + 1
+    block = data.draw(st.sampled_from(_BLOCK_SIZES), label="block")
+    assert _parsed_from_files(spoiled, block, ledger_path) == got
 
 
 def _cyclic_ledger(rounds: int, cycle) -> bytes:
@@ -420,10 +451,13 @@ def test_every_line_prefix_parses_as_the_reference_does(name):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_FIXED)), st.data())
-def test_byte_prefixes_parse_as_the_reference_does(name, data):
+def test_byte_prefixes_parse_as_the_reference_does(ledger_path, name, data):
     whole = _FIXED[name]
     prefix = whole[: data.draw(st.integers(0, len(whole)), label="prefix length")]
-    assert _parsed(deserialize, prefix) == _parsed(_reference_deserialize, prefix)
+    got = _parsed(deserialize, prefix)
+    assert got == _parsed(_reference_deserialize, prefix)
+    block = data.draw(st.sampled_from(_BLOCK_SIZES), label="block")
+    assert _parsed_from_files(prefix, block, ledger_path) == got
 
 
 def test_refusal_early_in_a_long_ledger_stops_at_its_line():
@@ -443,6 +477,146 @@ def test_refusal_early_in_a_long_ledger_stops_at_its_line():
         tracemalloc.stop()
     assert info.value.line == 6
     assert peak < len(data) // 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        _ROUNDS,
+        _POOLED_ROUNDS,
+        _RUN_ROUNDS,
+        _PERIODIC_ROUNDS,
+        _SMALL_POOL_ROUNDS,
+        _FILLED_POOL_ROUNDS,
+    ),
+    st.sampled_from(_BLOCK_SIZES),
+)
+def test_a_ledger_read_from_a_file_parses_as_its_bytes(ledger_path, rounds, block):
+    data = serialize(_build(rounds))
+    assert _parsed_from_files(data, block, ledger_path) == _parsed(deserialize, data)
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED))
+def test_line_prefixes_read_from_a_file_parse_as_their_bytes(ledger_path, name):
+    # The first 40 line prefixes, then every 23rd and the last 3 in blocks
+    # of 64 bytes or more: each prefix at each block size would take
+    # minutes, as a parse costs a few microseconds per block.
+    data = _FIXED[name]
+    ends = [0, *(k + 1 for k, byte in enumerate(data) if byte == ord("\n"))]
+    for i, end in enumerate(ends[:40] + ends[40::23] + ends[-3:]):
+        want = _parsed(deserialize, data[:end])
+        for block in _BLOCK_SIZES:
+            if block is not None and block < 64 and 40 <= i and end < len(data):
+                continue
+            assert _parsed_from_files(data[:end], block, ledger_path) == want, (end, block)
+
+
+def _spoil_line_6(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    lines[5] = b"sum round=1 not an event"
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("block", _BLOCK_SIZES)
+def test_a_file_is_refused_as_its_bytes_are_whatever_the_blocks(ledger_path, block):
+    # Which refusal wins does not depend on where the blocks fall: the
+    # header, then a missing final newline, then the first non-ascii byte,
+    # then the first bad line, even when the bad line is read blocks
+    # before what outranks it.
+    bad = _spoil_line_6(_FIXED["secure"])
+    far = len(bad) - 30
+    cases = {
+        "bad line": (bad, 6, "not a sample or sum event line"),
+        "non-ascii after it": (
+            bad[:far] + b"\xe9" + bad[far + 1 :],
+            None,
+            f"byte 0xe9 in position {far}:",
+        ),
+        "no final newline after it": (
+            bad[:-1],
+            bad.count(b"\n"),
+            "does not end with a newline",
+        ),
+        "both after it": (
+            bad[:far] + b"\xe9" + bad[far + 1 : -1],
+            bad.count(b"\n"),
+            "does not end with a newline",
+        ),
+        "no header": (b"dpledger ledger v2\n" + bad[19:-1], 1, "header"),
+    }
+    for name, (data, line, words) in cases.items():
+        got = _parsed(deserialize, data)
+        assert got[0] is LedgerParseError and got[2] == line, name
+        assert words in got[1], (name, got)
+        assert _parsed_from_files(data, block, ledger_path) == got, name
+
+
+def test_copies_that_straddle_a_block_edge_parse_as_their_bytes(ledger_path):
+    # Block edges one byte before, at and one byte after the end of a
+    # round in a run of equal rounds, the end of the file among them; and
+    # around the end of the head of a round with one query more, which is
+    # a whole copy of the round before it up to the edge.
+    data = _FIXED["secure"]
+    starts = [k + 1 for k, byte in enumerate(data) if data.startswith(b"sample", k + 1)]
+    edges = [(data, end) for end in (starts[2], starts[3], starts[57], len(data))]
+    queries = [("g0", 1.0, 3.0), ("g1", 1.0, 5.0)]
+    run = [(0.01, 60_000, "poisson_iid", queries)] * 10
+    more = [(0.01, 60_000, "poisson_iid", [*queries, ("g2", 1.0, 7.0)])]
+    longer = serialize(_build(run + more + run))
+    edges.append((longer, longer.index(b"sum round=10 group=g2 ")))
+    for data, end in edges:
+        want = _parsed(deserialize, data)
+        for block in (end - 1, end, end + 1):
+            assert _parsed_from_files(data, block, ledger_path) == want, block
+
+
+def _write_copies(path, rounds: int) -> int:
+    """Write, 10k rounds at a time, what serialize writes for rounds
+    equal rounds of three groups; returns the file's size."""
+    led = Ledger()
+    rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
+    for g in range(3):
+        led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=f"g{g}")
+    led.close_round()
+    header, text = serialize(led).split(b"\n", 1)
+    text = text.replace(b" round=0 ", b" round=%d ")
+    with open(path, "wb") as fh:
+        fh.write(header + b"\n")
+        for start in range(0, rounds, 10_000):
+            ids = range(start, min(start + 10_000, rounds))
+            fh.write(b"".join(text % ((k,) * 4) for k in ids))
+        return fh.tell()
+
+
+def test_accounting_a_file_holds_a_block_not_the_file(tmp_path):
+    path = tmp_path / "ledger.txt"
+    _write_copies(path, 3)
+    assert path.read_bytes() == _cyclic_ledger(3, [(0.01, (100.0,) * 3)])
+
+    def peak():
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                assert account_ledger(deserialize(fh), 1e-5, grid=_GRID).epsilon > 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = {}
+    for rounds in (20_000, 200_000):
+        size = _write_copies(path, rounds)
+        peaks[rounds] = peak()
+    assert size > 60_000_000
+    # 20k rounds that alternate between two, read by line replay
+    path.write_bytes(_cyclic_ledger(20_000, [(0.01, (100.0,) * 3), (0.02, (101.0,) * 3)]))
+    peaks["alternating"] = peak()
+    path.unlink()
+    # One block and a few batches of copies, plus the ledger: a list slot
+    # (8 bytes) per round, about 1.6 MB at 200k rounds.
+    bound = 3 * dpledger.ledger._BLOCK_BYTES + 1_000_000
+    assert max(peaks.values()) < bound, peaks
+    per_round = (peaks[200_000] - peaks[20_000]) / 180_000
+    assert per_round < 16, peaks  # the file grows by 317 bytes a round
 
 
 def _per_round_keys(rounds):
