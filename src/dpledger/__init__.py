@@ -16,15 +16,16 @@ sampling.SamplerConfig it draws with, a multiple of 2^-64, and
 sampling.draw_sample includes each record at exactly that q.
 mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
-times the row of unit Gaussians it is given. A member given in factored
-form (vectors.ScaledRows) is measured there too, from its scalars and
-rows, never from a norm the caller supplies, and clipped with a written
-margin (kappa_d) that covers float rounding. Those rows must be
-independent: mechanisms.draw_round_noise draws each group's row for each
-round from its own keyed stream, and the harness must hand each round
-its own rows and reuse none. Allocation and calibration only choose the
-values that get recorded, so a mistake there changes the guarantee
-without making it wrong. The known break is microbatch_reduce at size
+times the row of unit Gaussians it is given. It measures every row
+itself, a factored member (vectors.ScaledRows) from its scalars and rows,
+never from a norm the caller supplies, and clips blocks and factored
+members by one rule, with a written margin (kappa_d) that covers float
+rounding. The noise rows must be independent:
+mechanisms.draw_round_noise draws each group's row for each round from
+its own keyed stream, and the harness must hand each round its own rows
+and reuse none. Allocation and calibration only choose the values that
+get recorded, so a mistake there changes the guarantee without making it
+wrong. The known break is microbatch_reduce at size
 k > 1: each row it hands group_query averages several records picked by
 their position in the sample, so one added record moves a group's sum by
 far more than its clip (ROADMAP item 1).

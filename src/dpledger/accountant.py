@@ -275,13 +275,19 @@ _EDGE_CAVEAT = (
 )
 
 
+def _check_delta(delta: float) -> None:
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+
+
 def epsilon_at_delta(profile: RdpProfile, delta: float) -> PrivacyGuarantee:
     """Classic conversion: eps = min over orders of
     RDP(lam) + log(1/delta) / (lam - 1). delta has no default anywhere;
     the caller must commit to one."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    log_inv_delta = math.log(1.0 / delta)
+    _check_delta(delta)
+    # 1 / delta overflows below about 5.6e-309; -log(delta) does not.
+    inverse = 1.0 / delta
+    log_inv_delta = math.log(inverse) if inverse < math.inf else -math.log(delta)
     best = math.inf
     best_idx: int | None = None
     for i, (lam, value) in enumerate(zip(profile.grid.orders, profile.values)):
@@ -331,8 +337,7 @@ def account_ledger(
     number that means nothing. A profile that diverges at every order of
     the grid raises SensitivityRangeError, as no finite epsilon exists.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     grid = grid or OrderGrid.default()
     rows = formal_ledger(ledger)
     for row in rows:

@@ -25,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .accountant import OrderGrid, epsilon_at_delta, rdp_step
+from .accountant import OrderGrid, _check_delta, epsilon_at_delta, rdp_step
 from .errors import CalibrationError
 from .ledger import effective_z  # noqa: F401  (re-exported)
 
@@ -162,8 +162,7 @@ def calibrate(
     """
     if not (math.isfinite(target_epsilon) and target_epsilon > 0.0):
         raise ValueError(f"target epsilon must be positive, got {target_epsilon}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):

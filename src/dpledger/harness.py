@@ -6,8 +6,10 @@ The model is binary logistic regression with two parameter groups
 correctness indicator, so every round answers heterogeneous queries: two
 gradient averages and one metric average. The indicator lives in [0, 1],
 so its clip bound of 1 is a prior fact about the query, not a data-derived
-choice. Averages always divide by q * n, never by the realized sample
-size, and the true (non-noisy) metric never reaches any report.
+choice; a one-entry row is measured exactly, so the clip keeps every
+indicator bitwise. Averages always divide by q * n, never by the
+realized sample size, and the true (non-noisy) metric never reaches any
+report.
 
 A run states its sampling rate once, as TrainConfig.q. dp_sgd_train
 makes it the one Poisson SamplerConfig of the run, and every round
@@ -22,8 +24,9 @@ and no (m x dim) gradient block is written; the bias gradients r and the
 indicators are (m x 1) blocks. The residuals are checked for finiteness
 once, and the three members pass through microbatch_reduce and the group
 queries as one batch. The weights group clips that factored member
-itself (mechanisms.group_query); at microbatch size k > 1,
-microbatch_reduce averages it into a block of m / k rows.
+itself (mechanisms.group_query), by the rule every block is clipped by;
+at microbatch size k > 1, microbatch_reduce averages it into a block of
+m / k rows.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import PrivacyGuarantee, account_ledger
+from .accountant import PrivacyGuarantee, _check_delta, account_ledger
 from .allocation import AllocationRequest, AllocationStrategy, allocate
 from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, _check_round, serialize
@@ -223,8 +226,7 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         if self.holdout_n < 2:
             raise ValueError(f"holdout_n must be at least 2, got {self.holdout_n}")
         if not (math.isfinite(self.separation) and self.separation >= 0):

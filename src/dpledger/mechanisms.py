@@ -7,13 +7,13 @@ block, sums its columns and adds sigma_sum times the group's row of D_g
 unit Gaussians for the round; a microbatch is a reshape and a mean.
 
 A one-member separate group whose member is factored never builds its
-block: vectors.clipped_scalars gives one weight w_i per record, and the
-clipped sum is one matrix-vector product, rows.T @ w. That is the
-rank-one case of per-example gradient norms (Goodfellow 2015, arXiv
-1510.01799): a linear model's weight gradient row is a residual times a
-data row. Every other group lowers a factored member to its block
-first, and microbatch_reduce at size k > 1 averages its runs into a
-block of m / k rows.
+block: vectors.clipped_scalars gives one weight w_i per record, by the
+rule clip_rows clips every block by, and the clipped sum is one
+matrix-vector product, rows.T @ w. That is the rank-one case of
+per-example gradient norms (Goodfellow 2015, arXiv 1510.01799): a linear
+model's weight gradient row is a residual times a data row. Every other
+group lowers a factored member to its block first, and microbatch_reduce
+at size k > 1 averages its runs into a block of m / k rows.
 
 A group's noise depends on (seed, group name, round) alone, never on the
 data or the model, so draw_round_noise draws every group's rows for a
@@ -182,11 +182,11 @@ def group_query(
 
     A one-member separate group whose member is a ScaledRows is clipped in
     factored form: vectors.clipped_scalars measures each row itself, from
-    the scalars and the rows, and gives weights w whose rows w_i * rows[i]
-    each have exact norm at most clip_s, by a written margin (kappa_d)
-    that covers the float rounding; the pre-noise sum is rows.T @ w. Any
-    other group materializes a factored member and clips its block with
-    clip_rows.
+    the scalars and the rows, and gives weights w; the pre-noise sum is
+    rows.T @ w. Any other group materializes a factored member and clips
+    its block with clip_rows. Both clip by one rule, with a written margin
+    (kappa_d) that covers the float rounding, so every clipped row has
+    exact norm at most clip_s.
 
     The accountant trusts this step to make the recorded clip true: it
     reads clip_s as the most that adding or removing one record moves

@@ -8,11 +8,11 @@ bound, noise level, optional per-member scales for the joint mechanism).
 Specs are immutable values; clip_rows, clip_to_norm and clipped_scalars
 are pure functions.
 
-clipped_scalars clips a factored member without building its block: it
-measures row i as |scalars[i]| times the norm of rows[i], and returns one
-weight per record. Float rounding makes that measure differ from the
-exact norm by a few ulps, so the clip aims at s(1 - kappa_d), a written
-relative margin below s, and every row's exact norm is at most s.
+All three clip by one rule (_clip_weights), measuring each row from its
+entries; clipped_scalars clips a factored member without building its
+block and returns one weight per record. A measured norm differs from
+the exact one by a few ulps, so the rule keeps a written relative margin
+kappa_d below the clip s, and every row's exact norm is at most s.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ class ScaledRows:
 
 
 # A row norm below this may have lost squares to underflow; it is measured
-# again, rescaled, so that every finite row's norm has the relative error
-# of a d-term sum of squares.
+# again, rescaled by a power of two, so that every finite row's norm has
+# the relative error of a d-term sum of squares.
 _SMALL_NORM = 2.0**-450
 
 
@@ -180,127 +180,119 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
         norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
         if norms.size and not (norms.min() >= _SMALL_NORM and norms.max() < math.inf):
             # A finite row whose squared norm overflows, or whose squares
-            # underflow: measure it divided by its largest |entry|, which
-            # brings the largest square to 1. A zero row stays 0.
+            # underflow: measure it divided by the power of two that brings
+            # its largest |entry| into [1, 2). Dividing and multiplying back
+            # by a power of two are exact. A zero row stays 0, and a row
+            # with a non-finite entry keeps its non-finite norm.
             odd = np.flatnonzero(np.isinf(norms) | (norms < _SMALL_NORM))
-            scale = np.abs(block[odd]).max(axis=1)
-            odd, scale = odd[scale > 0], scale[scale > 0]
+            top = np.abs(block[odd]).max(axis=1)
+            finite = (top > 0) & (top < math.inf)
+            odd, top = odd[finite], top[finite]
             if odd.size:
+                scale = np.ldexp(1.0, np.frexp(top)[1] - 1)
                 norms[odd] = scale * _row_norms(block[odd] / scale[:, None])
     return norms
 
 
-def _check_clip(s: float) -> None:
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"clip bound must be positive and finite, got {s}")
-
-
-def _refuse_non_finite(*parts: np.ndarray) -> None:
-    """Raise the refusal that arrays whose row norms are not all finite earn."""
-    if not all(np.isfinite(part).all() for part in parts):
-        raise ValueError("clip_rows expects a finite (m x d) block")
-    raise ValueError("clip_rows: a row's L2 norm exceeds the float range")
-
-
-def clip_rows(block, s: float) -> np.ndarray:
-    """Project each row of a finite (m x d) block onto the L2 ball of radius s.
-
-    Rows whose norm is at most s come back bitwise unchanged; the others are
-    rescaled, and re-shrunk if float rounding lands a hair above s. The
-    input is never written to. An empty block (m = 0) is its own
-    projection, and so is a block of no columns (d = 0).
-    A row whose norm exceeds the float range is refused.
-    """
-    _check_clip(s)
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2:
-        raise ValueError("clip_rows expects a finite (m x d) block")
-    if block.shape[0] == 0:
-        return block
-    norms = _row_norms(block)
-    if not np.isfinite(norms).all():
-        # Only then is the block itself scanned, to say which refusal.
-        _refuse_non_finite(block)
-    over = norms > s
-    if not over.any():
-        return block
-    # One product makes the result. A row at most s is multiplied by 1.0,
-    # which leaves it bitwise unchanged, so only the rescaled rows are
-    # measured again, and after that only the rows just re-shrunk.
-    factor = np.ones_like(norms)
-    factor[over] = s / norms[over]
-    out = block * factor[:, None]
-    rows = np.flatnonzero(over)
-    for _ in range(4):
-        norms = _row_norms(out[rows])
-        high = norms > s
-        if not high.any():
-            break
-        rows = rows[high]
-        factor = s / norms[high]
-        factor[factor >= 1.0] = 1.0 - 2.0**-52
-        out[rows] *= factor[:, None]
-    return out
-
-
 def _clip_margin(d: int) -> float:
-    """kappa_d = (d + 8) * 2^-53, the relative margin clipped_scalars
-    leaves below the clip for rows of d entries.
+    """kappa_d = (d + 8) * 2^-53, the clip's relative margin for rows of d
+    entries; 1 - kappa_d and 1 - 2 kappa_d are exact floats.
 
-    With u = 2^-53, the computed norm of rows[i] is within a factor
-    sqrt(1 -/+ gamma_d) (1 -/+ u)^3 of the exact one, gamma_d = d u /
-    (1 - d u): the d-term sum of squares in any order, its square root,
-    and the divide and multiply of a rescaled row. The product with
-    |scalars[i]| adds a factor (1 -/+ u); s (1 - kappa_d), the quotient
-    and the final multiply add (1 + u)^3. (1 - kappa_d)(1 + u)^3 <=
-    sqrt(1 - gamma_d)(1 - u)^4 holds with du / 2 + u to spare for any d
-    up to 2^51, so no row's exact norm exceeds s. 1 - kappa_d is an exact
-    float.
+    With u = 2^-53 and g = d u / (1 - d u), _row_norms measures a row within
+    a factor sqrt(1 -/+ g)(1 -/+ u) of its exact norm N (a d-term sum of
+    squares in any order, then its root; its rescale is exact); a factored
+    row's product with |scalars[i]| adds (1 -/+ u). To first order in u:
+    - a kept row measures at most fl(s (1 - kappa_d)), so N <= s (1 -
+      kappa_d)(1 + u) / (sqrt(1 - g)(1 - u)^2) ~ s (1 - (d / 2 + 5) u);
+    - a clipped row's weight scalars[i] * fl(s (1 - 2 kappa_d)) / n rounds
+      three times, a block's entries once more: N <= s (1 - 2 kappa_d)(1 +
+      u)^3 / (sqrt(1 - g)(1 - u)^2) ~ s (1 - (3 d / 2 + 11) u);
+    - measured again, a clipped row reads at most s (1 - 2 kappa_d)(1 +
+      u)^4 sqrt((1 + g) / (1 - g)) / (1 - u) ~ s (1 - kappa_d - 3u), 2u s
+      or more below fl(s (1 - kappa_d)), so clipping is idempotent.
+    Both bounds hold for d up to 2^24, where second-order terms stay below
+    u. Lost squares move a sum of at least 2^-900 by under d 2^-170 of it;
+    a clipped block row's subnormal entries move it by at most sqrt(d)
+    2^-1075, which s kappa_d covers for s >= 2^-1022, and 2u s for s >=
+    sqrt(d) 2^-1022.
     """
     return (d + 8) * 2.0**-53
 
 
-def clipped_scalars(member: ScaledRows, s: float) -> np.ndarray:
-    """Per-record weights w that clip a factored member's rows to s: row i
-    of the clipped block is w[i] * member.rows[i], and its exact L2 norm
-    |w[i]| * ||rows[i]|| is at most s, for every row.
+_TINY = np.finfo(np.float64).tiny
 
-    Row i is measured as n_i = |scalars[i]| * ||rows[i]||, with the norm
-    computed here from the rows, never taken from a caller. A row with
-    n_i <= s (1 - kappa_d) (_clip_margin) keeps w[i] = scalars[i]; any
-    other gets w[i] = scalars[i] * (s (1 - kappa_d) / n_i). Where that
-    quotient or weight falls below the normal float range it would lose
-    the relative accuracy the margin assumes, so w[i] is 0, which lies
-    inside every ball. Non-finite input, and a row whose norm exceeds the
-    float range, are refused as clip_rows refuses them.
+
+def _clip_weights(scalars: np.ndarray | None, rows: np.ndarray, s: float):
+    """The clip rule: weights w such that w[i] * rows[i] is row i of the
+    block scalars[i] * rows[i] clipped to s; scalars None stands for ones,
+    the block rows itself. Returns scalars itself when no row is clipped.
+
+    Row i measures n_i = |scalars[i]| * ||rows[i]||, computed here.
+    w[i] = scalars[i] when n_i <= s (1 - kappa_d) (_clip_margin), or when
+    n_i <= s for a one-entry block row, which is measured exactly; else
+    w[i] = scalars[i] * s (1 - 2 kappa_d) / n_i, or 0 where that quotient
+    or weight is subnormal, too inexact for the margin. Non-finite input,
+    and a row whose norm exceeds the float range, are refused.
     """
-    _check_clip(s)
-    scalars, rows = member.scalars, member.rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.abs(scalars) * _row_norms(rows)
-    if not np.isfinite(norms).all():
-        _refuse_non_finite(scalars, rows)
-    target = s * (1.0 - _clip_margin(rows.shape[1]))
-    tiny = np.finfo(np.float64).tiny
-    if target < tiny:
-        # Below the normal range the product rounds by more than the margin.
-        target = 0.0
-    over = np.flatnonzero(norms > target)
-    if not over.size:
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"clip bound must be positive and finite, got {s}")
+    if not len(rows):
         return scalars
-    weights = scalars.copy()
+    norms = _row_norms(rows)
+    if scalars is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.abs(scalars) * norms
+    if not np.isfinite(norms).all():
+        # Only then are the arrays themselves scanned, to say which refusal.
+        parts = (rows,) if scalars is None else (scalars, rows)
+        if not all(np.isfinite(part).all() for part in parts):
+            raise ValueError("clip_rows expects a finite (m x d) block")
+        raise ValueError("clip_rows: a row's L2 norm exceeds the float range")
+    d = rows.shape[1]
+    margin = _clip_margin(d)
+    target, keep = s * (1.0 - 2.0 * margin), s * (1.0 - margin)
+    if target < _TINY:
+        # Below the normal range the products round by more than the margin.
+        target = keep = 0.0
+    if scalars is None and d == 1:
+        keep = s  # a one-entry row measures as |x|, exactly
+    over = norms > keep
+    if not over.any():
+        return scalars
     quotient = target / norms[over]
-    clipped = scalars[over] * quotient
-    clipped[(quotient < tiny) | (np.abs(clipped) < tiny)] = 0.0
+    clipped = quotient if scalars is None else scalars[over] * quotient
+    clipped[(quotient < _TINY) | (np.abs(clipped) < _TINY)] = 0.0
+    weights = np.where(over, 0.0, 1.0 if scalars is None else scalars)
     weights[over] = clipped
     return weights
 
 
-def clip_to_norm(v, s: float) -> np.ndarray:
-    """Project v onto the L2 ball of radius s: clip_rows on a one-row block.
+def clip_rows(block, s: float) -> np.ndarray:
+    """Clip each row of a finite (m x d) block to L2 norm at most s, by the
+    rule of _clip_weights: a row within the margin comes back bitwise
+    unchanged, and clipping twice is clipping once. The input is never
+    written to; an empty block, or one of no columns, is its own clip. A
+    row whose norm exceeds the float range is refused.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError("clip_rows expects a finite (m x d) block")
+    weights = _clip_weights(None, block, s)
+    return block if weights is None else block * weights[:, None]
 
-    Returns v unchanged (bitwise) when its norm is at most s; the zero
-    vector is its own projection. The result is read-only.
+
+def clipped_scalars(member: ScaledRows, s: float) -> np.ndarray:
+    """Per-record weights w that clip a factored member's rows to s
+    (_clip_weights): row i of the clipped block is w[i] * member.rows[i],
+    of exact L2 norm at most s."""
+    return _clip_weights(member.scalars, member.rows, s)
+
+
+def clip_to_norm(v, s: float) -> np.ndarray:
+    """Clip v to L2 norm at most s: clip_rows on a one-row block.
+
+    Returns v unchanged (bitwise) when it lies within the margin; the zero
+    vector is its own clip. The result is read-only.
     """
     # A copy, so that making the result read-only leaves v writable.
     vec = np.array(v, dtype=np.float64)

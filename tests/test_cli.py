@@ -116,6 +116,17 @@ def test_account_golden_ledger_regression(capsys):
     assert f"achieving_order = {GOLDEN_ORDER}" in out
 
 
+def test_account_takes_a_delta_whose_inverse_overflows(capsys):
+    # 1 / delta overflows below about 5.6e-309; log(1 / delta) does not
+    epsilons = []
+    for delta in ("1e-300", "1e-310", "5e-324"):
+        assert main(["account", "--ledger", str(GOLDEN), "--delta", delta]) == 0
+        out = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in out if line.startswith("epsilon = ")]
+        epsilons.append(float(line.removeprefix("epsilon = ")))
+    assert math.isfinite(epsilons[-1]) and epsilons == sorted(epsilons)
+
+
 def test_account_custom_orders(capsys):
     code = main(
         ["account", "--ledger", str(GOLDEN), "--delta", "1e-5", "--orders", "8,9,10"]

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from clip_cases import wide_range_member
 from dpledger import (
     GroupPartition,
     GroupSpec,
     Mechanism,
     PrivacyTuple,
     RoundContext,
+    ScaledRows,
     SecureStream,
+    clip_rows,
     clip_to_norm,
+    clipped_scalars,
     group_query,
 )
 
@@ -37,6 +41,16 @@ def test_clip_idempotent_bitwise():
         once = clip_to_norm(v, 1.0)
         twice = clip_to_norm(once, 1.0)
         assert np.array_equal(once, twice)
+    # blocks and factored members at every magnitude and near the clip: a
+    # clipped row measures at most s (1 - kappa_d), so it is kept
+    for d in (1, 2, 100, 4096):
+        for clip in (1.0, 0.37, 12.5):
+            member = wide_range_member(rng, 60, d, clip)
+            once = clip_rows(member.materialize(), clip)
+            assert clip_rows(once, clip).tobytes() == once.tobytes()
+            weights = clipped_scalars(member, clip)
+            again = clipped_scalars(ScaledRows(weights, member.rows), clip)
+            assert again.tobytes() == weights.tobytes()
 
 
 def test_clip_norm_bound_randomized():
