@@ -11,18 +11,17 @@ substream, addressed by a purpose label and a round number, so that
     path is integer/compare-only arithmetic on the keystream).
 
 Gaussian variates use the Box-Muller transform over 53-bit uniforms taken
-from the keystream. Note this is an exact transform of the uniforms, not a
-floating-point-exact DP mechanism; noise values may differ in the last ulp
-across math libraries even though the underlying keystream is identical.
+from the keystream, in its half-angle form: one tan of half the angle in
+place of a cos and a sin of the angle (see _box_muller). Note this is an
+exact transform of the uniforms, not a floating-point-exact DP mechanism;
+noise values may differ in the last ulps across math libraries and CPUs
+even though the underlying keystream is identical, since numpy picks its
+log and tan kernels by the SIMD extensions the CPU has.
 
-Every draw works in place: the cipher encrypts zeros into one fresh
-buffer, and that same memory becomes the 64-bit words, then the uniforms,
-then the Gaussians. A draw of several Box-Muller blocks (a dataset) shares
-the steps after the cipher between the calling thread and one worker
-thread, block by block; numpy's ufuncs release the GIL, so the two run on
-two cores, and each element goes through the same ufuncs on the same
-input, so the bits do not depend on which thread took which block. A draw
-holds about 1x its output at its peak, plus one block per thread.
+Every draw works in place, on the calling thread: the cipher encrypts
+zeros into one fresh buffer, and that same memory becomes the 64-bit
+words, then the uniforms, then the Gaussians, one block of pairs at a
+time. A draw holds about 1x its output at its peak, plus one block.
 
 A round's noise is small (one value per column of each group), and one
 Box-Muller pass per round would be mostly per-call overhead, so
@@ -36,8 +35,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 import sys
-import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -46,10 +44,11 @@ SEED_BYTES = 16
 
 _KEY_DOMAIN = b"dpledger.stream.v1"
 _TWO_POW_MINUS_53 = 2.0**-53
+_PI_TWO_POW_MINUS_53 = np.pi * _TWO_POW_MINUS_53  # exact: a power-of-two scale
 _DROP = np.uint64(11)  # a uniform keeps the top 53 bits of a 64-bit word
 _ONE = np.uint64(1)
 # Box-Muller pairs turned into Gaussians per step; the one temporary a
-# normal draw holds per thread is a block of this many floats.
+# normal draw holds is a block of this many floats.
 _PAIR_BLOCK = 2**16
 
 
@@ -119,11 +118,8 @@ class SecureStream:
 
     def standard_normal(self, count: int) -> np.ndarray:
         """Next `count` i.i.d. N(0, 1) variates via Box-Muller, computed in
-        the keystream buffer itself, on two threads if the draw spans two
-        or more blocks of _PAIR_BLOCK pairs (see _transform). A failure on
-        either thread is raised here, and no partly transformed array is
-        returned. The peak is the output plus one block of floats per
-        thread: 1.125x for 2**20 variates.
+        the keystream buffer itself (see _box_muller). The peak is the
+        output plus one block of floats: 1.0625x for 2**20 variates.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
@@ -131,7 +127,7 @@ class SecureStream:
             return np.zeros(0)
         pairs = (count + 1) // 2
         words = self.uint64(2 * pairs)
-        _transform(words, pairs)
+        _box_muller(words, pairs)
         return words.view(np.float64)[:count]
 
     def randbelow(self, bound: int) -> int:
@@ -160,7 +156,7 @@ def standard_normal_rows(
     One Box-Muller pass transforms it; every step is elementwise, so
     each pair gets the bits of its round's own draw. The peak is about
     twice the output (the words, then the rows gathered from them), plus
-    one block of floats per Box-Muller thread.
+    one block of floats.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -172,66 +168,30 @@ def standard_normal_rows(
         halves[:, r] = np.frombuffer(
             SecureStream(seed, purpose, round_id).take_bytes(16 * pairs), dtype=">u8"
         ).reshape(2, pairs)
-    _transform(words, len(rounds) * pairs)
+    _box_muller(words, len(rounds) * pairs)
     gaussians = halves.view(np.float64)
     return np.concatenate((gaussians[0], gaussians[1]), axis=1)[:, :count]
 
 
-def _transform(words: np.ndarray, pairs: int) -> None:
-    """Box-Muller over a draw's 2 * pairs words, in place.
-
-    A draw of two or more blocks of _PAIR_BLOCK pairs is transformed by
-    two threads, the caller and one worker, each taking the next block no
-    thread has taken until none is left, so a thread slowed by other work
-    takes fewer; a smaller draw stays on the caller. The bits are the
-    same either way. A failure on either thread is raised here, after
-    both threads are done.
-    """
-    starts = iter(range(0, pairs, _PAIR_BLOCK))
-    lock = threading.Lock()
-
-    def take() -> int | None:
-        with lock:
-            return next(starts, None)
-
-    if pairs <= _PAIR_BLOCK:
-        _box_muller(words, pairs, take)
-        return
-    failure: list[BaseException] = []
-
-    def work():
-        try:
-            _box_muller(words, pairs, take)
-        except BaseException as exc:
-            failure.append(exc)
-
-    worker = threading.Thread(target=work, name="dpledger-box-muller")
-    worker.start()
-    try:
-        _box_muller(words, pairs, take)
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
-
-
-def _box_muller(words: np.ndarray, pairs: int, take: Callable[[], int | None]) -> None:
+def _box_muller(words: np.ndarray, pairs: int) -> None:
     """Turn a draw's 2 * pairs keystream words into Gaussians in place, one
-    block of _PAIR_BLOCK pairs at a time, for each block start take() gives,
-    until it gives None.
+    block of _PAIR_BLOCK pairs at a time, on the calling thread.
 
     Word i < pairs is the radius half of pair i and word pairs + i its
-    angle half. Each word keeps its top 53 bits; the radius half adds 1
-    and the angle half does not, and both are scaled by 2**-53, giving
-    uniforms on (0, 1] (safe under log) for the radius and on [0, 1) for
-    the angle. The words become floats in the same memory: element i is
-    read before it is written. Pair i then becomes cos(angle) * radius at
-    word i and sin(angle) * radius at word pairs + i. Every step is
-    elementwise, so a block's bits do not depend on the other blocks.
+    angle half. Each word keeps its top 53 bits, v; the radius half takes
+    u = (v + 1) * 2**-53, a uniform on (0, 1] (safe under log), and
+    r = sqrt(-2 log u). The angle half takes t = tan(v * (pi * 2**-53)),
+    the tangent of half the angle 2 pi v 2**-53. With g = 2r / (1 + t**2),
+    pair i becomes g - r = r cos(2 pi v 2**-53) at word i and
+    t * g = r sin(2 pi v 2**-53) at word pairs + i: the half-angle
+    identities, exact in exact arithmetic, with one tan in place of a cos
+    and a sin. The words become floats in the same memory: element i is
+    read before it is written. Every step is elementwise, so a block's
+    bits do not depend on the other blocks.
     """
     as_float = words.view(np.float64)
     block = np.empty(min(pairs, _PAIR_BLOCK))
-    while (lo := take()) is not None:
+    for lo in range(0, pairs, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, pairs)
         radius_bits = words[lo:hi]
         angle_bits = words[pairs + lo : pairs + hi]
@@ -239,17 +199,18 @@ def _box_muller(words: np.ndarray, pairs: int, take: Callable[[], int | None]) -
         radius_bits += _ONE
         angle_bits >>= _DROP
         r = as_float[lo:hi]
-        a = as_float[pairs + lo : pairs + hi]
+        t = as_float[pairs + lo : pairs + hi]
         np.copyto(r, radius_bits, casting="unsafe")
-        np.copyto(a, angle_bits, casting="unsafe")
+        np.copyto(t, angle_bits, casting="unsafe")
         r *= _TWO_POW_MINUS_53
-        a *= _TWO_POW_MINUS_53
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        a *= 2.0 * np.pi
-        cos_r = np.cos(a, out=block[: hi - lo])
-        cos_r *= r
-        np.sin(a, out=a)
-        a *= r
-        r[...] = cos_r
+        t *= _PI_TWO_POW_MINUS_53
+        np.tan(t, out=t)
+        g = np.multiply(t, t, out=block[: hi - lo])
+        g += 1.0
+        np.divide(r, g, out=g)
+        g *= 2.0  # exact, so 2 * (r / x) is (2 * r) / x bit for bit
+        t *= g
+        np.subtract(g, r, out=r)

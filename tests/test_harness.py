@@ -536,9 +536,8 @@ def test_a_wide_model_draws_fewer_rounds_of_noise_at_once(monkeypatch):
 
 
 def test_concurrent_trainings_sample_ahead_without_losing_a_round(monkeypatch):
-    # three runs at once, each with its sampler and Box-Muller threads,
-    # switching often; each must match the same run with every round
-    # drawn inline
+    # three runs at once, each with its sampler thread, switching often;
+    # each must match the same run with every round drawn inline
     def config(seed):
         return _config(seed, n=20_000, dim=20, rounds=30, q=0.05, z=1.5)
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from scipy import stats
 
 from dpledger import SecureStream, coerce_seed, new_seed, prng
 
@@ -31,21 +32,24 @@ class _OutOfPlaceStream:
         return np.frombuffer(self.take_bytes(8 * count), ">u8").astype(np.uint64)
 
     def standard_normal(self, count):
+        # half-angle Box-Muller: with t = tan(pi v 2**-53) and
+        # g = 2r / (1 + t**2), the pair is r cos(2 pi v 2**-53) = g - r and
+        # r sin(2 pi v 2**-53) = t g
         pairs = (count + 1) // 2
         bits = self.uint64(2 * pairs) >> np.uint64(11)
         bits[:pairs] += np.uint64(1)
-        u = bits.astype(np.float64) * 2.0**-53
-        u1, u2 = u[:pairs], u[pairs:]
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        out = np.concatenate([np.cos(angle) * radius, np.sin(angle) * radius])
+        v = bits.astype(np.float64)
+        radius = np.sqrt(-2.0 * np.log(v[:pairs] * 2.0**-53))
+        t = np.tan(v[pairs:] * (np.pi * 2.0**-53))
+        g = 2.0 * radius / (1.0 + t * t)
+        out = np.concatenate([g - radius, t * g])
         return out[:count]
 
 
 _SEED = b"in-place-draws-0"
 # odd and even counts around 2**16 variates, and around the Box-Muller
 # block of 2**16 pairs: one full block, then one and two pairs past it; the
-# last two are split between two threads, an odd and an even block count
+# last two are an odd and an even count of blocks
 _COUNTS = (
     1, 2, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, 2**17 + 3,
     2**19 + 1, 2**20 + 3,
@@ -80,6 +84,36 @@ def test_words_and_bytes_match_the_out_of_place_reads():
         assert np.array_equal(words, _OutOfPlaceStream(_SEED, "sample", 3).uint64(n))
 
 
+def test_half_angle_box_muller_is_within_8_ulps_of_cos_and_sin():
+    # 2**20 keyed pairs, then the angles 0, 1/4, 1/2, 3/4 and 1 - 2**-53 of
+    # a turn: every value is finite and within 8 * 2**-53 * r of r cos and
+    # r sin of the angle, as numpy's cos and sin give them
+    n = 2**20
+    stream = SecureStream(_SEED, "noise/accuracy", 0)
+    edges = np.array([0, 2**51, 2**52, 3 * 2**51, 2**53 - 1], dtype=np.uint64)
+    radius_words = stream.uint64(n + edges.size)
+    angle_words = np.concatenate([stream.uint64(n), edges << np.uint64(11)])
+    pairs = radius_words.size
+    words = np.concatenate([radius_words, angle_words])
+    prng._box_muller(words, pairs)
+    got = words.view(np.float64)
+    assert np.isfinite(got).all()
+    u = ((radius_words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u))
+    angle = 2.0 * np.pi * ((angle_words >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+    bound = 8 * 2.0**-53 * r
+    assert (np.abs(got[:pairs] - r * np.cos(angle)) <= bound).all()
+    assert (np.abs(got[pairs:] - r * np.sin(angle)) <= bound).all()
+
+
+def test_frozen_stream_passes_a_ks_test_against_the_normal():
+    # fixed stream, so the statistics are frozen observations; the cos and
+    # sin halves of the pairs are tested apart and together
+    x = SecureStream(3, "test", 1).standard_normal(2**18)
+    for sample in (x[: 2**17], x[2**17 :], x):
+        assert stats.kstest(sample, stats.norm.cdf).pvalue > 0.01
+
+
 def test_standard_normal_peak_memory_is_about_its_output():
     stream = SecureStream(_SEED, "noise/w", 0)
     tracemalloc.start()
@@ -91,35 +125,10 @@ def test_standard_normal_peak_memory_is_about_its_output():
     assert peak <= 1.25 * x.nbytes, peak / x.nbytes
 
 
-@pytest.mark.parametrize("count", [3, 2**20 + 3])
-def test_a_failing_box_muller_thread_fails_the_draw(monkeypatch, count):
-    # a worker that raises on its share of the blocks may leave a block
-    # untransformed, so the draw must raise rather than return it
-    box_muller = prng._box_muller
-    threads = []
-
-    def failing_off_the_caller(words, pairs, take):
-        threads.append(threading.current_thread())
-        if threading.current_thread() is not threading.main_thread():
-            take()
-            raise RuntimeError("worker half failed")
-        box_muller(words, pairs, take)
-
-    monkeypatch.setattr(prng, "_box_muller", failing_off_the_caller)
-    stream = SecureStream(_SEED, "noise/w", 1)
-    if count < 2 * prng._PAIR_BLOCK:
-        # one block: the caller does it all, and nothing fails
-        assert stream.standard_normal(count).shape == (count,)
-        assert threads == [threading.main_thread()]
-        return
-    with pytest.raises(RuntimeError, match="worker half failed"):
-        stream.standard_normal(count)
-    assert len(threads) == 2 and threading.main_thread() in threads
-
-
 def test_concurrent_two_thread_draws_keep_their_bits():
-    # more drawing threads than cores, switching often: each split draw
-    # still writes only its own buffer, every block exactly once
+    # more caller threads than cores, each drawing several blocks and
+    # switching often: each draw still writes only its own buffer, every
+    # block exactly once
     count = 2**18 + 5
     got = {}
 
@@ -159,27 +168,18 @@ def test_standard_normal_rows_are_the_per_round_draws(count, rounds):
         assert row.tobytes() == want.tobytes()
 
 
-def test_standard_normal_rows_past_one_block_split_between_two_threads(monkeypatch):
+def test_standard_normal_rows_past_one_block_are_the_per_round_draws():
     # three rounds of 2**15 + 1 pairs each: no round's own draw passes one
-    # block, but the batch does, so the caller and a worker share it
-    box_muller = prng._box_muller
-    threads = set()
-
-    def spy(words, pairs, take):
-        threads.add(threading.current_thread())
-        box_muller(words, pairs, take)
-
-    monkeypatch.setattr(prng, "_box_muller", spy)
+    # block, but the batch does
     count, rounds = 2**16 + 1, range(5, 8)
     got = prng.standard_normal_rows(_SEED, "noise/b", rounds, count)
-    assert len(threads) == 2 and threading.main_thread() in threads
     for row, r in zip(got, rounds):
         want = _OutOfPlaceStream(_SEED, "noise/b", r).standard_normal(count)
         assert row.tobytes() == want.tobytes()
 
 
 def test_standard_normal_rows_peak_memory_is_about_twice_its_output():
-    # the words, then the rows gathered from them, plus a block per thread
+    # the words, then the rows gathered from them, plus one block
     tracemalloc.start()
     try:
         rows = prng.standard_normal_rows(_SEED, "noise/w", range(4), 2**17)
