@@ -7,6 +7,13 @@ rounds, a policy other than Poisson, no finite epsilon, infeasible
 target, unreadable ledger), train refuses its configuration or cannot
 write its output, 2 for usage errors (argparse's convention), which
 include a --delta outside the open interval (0, 1).
+
+account and calibrate load numpy and the trusted core alone: ledger,
+accountant, allocation and errors. The training stack (harness,
+mechanisms, sampling, vectors, prng and cryptography) is imported only
+when train runs. new_seed and dp_sgd_train are the names train calls;
+each imports its definition on first call, so it stays one module-level
+name that a caller can replace.
 """
 
 from __future__ import annotations
@@ -19,14 +26,7 @@ import sys
 from .accountant import OrderGrid, account_ledger
 from .allocation import Knob, calibrate
 from .errors import AccountingRefusal, CalibrationError, LedgerParseError
-from .harness import (
-    TrainConfig,
-    dp_sgd_train,
-    make_sgd_partition,
-    sigmas_for_target_z,
-)
 from .ledger import deserialize
-from .prng import new_seed
 
 _TUNING_NOTE = (
     "note: if this target or configuration was chosen by measuring utility "
@@ -117,7 +117,21 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def new_seed() -> bytes:
+    from .prng import new_seed
+
+    return new_seed()
+
+
+def dp_sgd_train(cfg):
+    from .harness import dp_sgd_train
+
+    return dp_sgd_train(cfg)
+
+
 def _cmd_train(args) -> int:
+    from .harness import TrainConfig, make_sgd_partition, sigmas_for_target_z
+
     seed = args.seed if args.seed is not None else new_seed().hex()
     try:
         clips = (args.clip_weights, args.clip_bias, 1.0)

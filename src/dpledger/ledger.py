@@ -15,17 +15,18 @@ rounds it covers and the id of the first. A round it cannot give a finite
 positive z (zero noise, no sum queries, S* out of float range) is refused
 by a typed AccountingRefusal, never dropped.
 
-Storage is interned. A Ledger keeps one list with an entry per closed
-round, and each entry refers to a round record: the round's sample, the
-tuple of its queries and its wire form split at the round id. Each
-distinct checked (policy, q, n) and (group, clip, sigma_sum) is one
-shared object, carrying its serialized text, and rounds equal in value
-share one record, so a run with fixed hyperparameters holds G + 1 event
-objects and one round record however many rounds it records. The
-SampleEvent and SumQueryEvent views, round ids included, are built only
-when rounds() is called. formal_ledger counts the entries per round
-record, and tests each distinct record for a zero-noise query, so its
-work follows the distinct rounds, not all of them.
+Storage is interned and run-length. A Ledger keeps its closed rounds as
+runs: one entry per run of consecutive equal rounds, holding the round
+record and how many rounds the run covers. A round record is the round's
+sample, the tuple of its queries and its wire form split at the round
+id. Each distinct checked (policy, q, n) and (group, clip, sigma_sum) is
+one shared object, carrying its serialized text, and rounds equal in
+value share one record, so a run with fixed hyperparameters holds G + 1
+event objects, one round record and one run entry however many rounds it
+records. The SampleEvent and SumQueryEvent views, round ids included,
+are built only when rounds() is called. formal_ledger, serialize and
+insecure_rounds walk the runs, so their work follows the runs, not the
+rounds.
 
 The wire format is line-delimited text with a version header. Floats are
 written with float.hex() so parsing returns the exact bits that were
@@ -46,18 +47,17 @@ _BLOCK_BYTES (1 MiB) into one reused buffer, by the same parse that takes
 bytes as a single block; only what a block ends in, a partial line or a
 copy that the next block must confirm, is carried into the next. So
 reading a file holds one block, its largest round and the parsed ledger,
-whose rounds are one list slot each: its memory follows the distinct
-rounds and the round count, not the file's size.
+whose memory follows its runs and distinct rounds, not the round count
+or the file's size.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import io
 import math
 import numbers
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -240,23 +240,25 @@ class Ledger:
     """In-memory log of rounds, each a sample event and its sum queries.
 
     This is the one definition of round bracketing: record_sample opens
-    round len(rounds) and returns that id; record_sum_query appends to the
-    open round; close_round seals it. Opening a round while one is open,
-    or querying with none open, is a usage error. deserialize replays a
-    file through these methods, treating each sample line as closing the
-    round before it, and appends the whole copies of a replayed round that
-    follow it to the closed rounds.
+    round k, where k rounds are closed, and returns that id;
+    record_sum_query appends to the open round; close_round seals it.
+    Opening a round while one is open, or querying with none open, is a
+    usage error. deserialize replays a file through these methods,
+    treating each sample line as closing the round before it, and adds the
+    whole copies of a replayed round that follow it to that round's run.
 
     An event is checked when its values are first recorded; recording
     equal values again appends the interned event, and closing a round
-    equal in value to one closed before appends the interned round. A
+    equal in value to one closed before uses the interned round: it adds
+    one to the last run if that run is of this round, or starts a run. A
     zero-noise query is not interned, as its value key cannot tell -0.0
     from 0.0, but its round is: a query's text is part of its value.
     Which rounds are zero-noise is read off the round records.
     """
 
     def __init__(self):
-        self._rounds: list[_Round] = []  # closed rounds, in id order
+        self._runs: list[list] = []  # closed rounds: [round record, count] per run
+        self._closed = 0  # closed rounds, the sum of the run counts
         self._sample: _Sample | None = None  # the open round's, if any
         self._queries: list[_Query] = []  # the open round's
         self._sample_pool: dict[tuple, _Sample] = {}
@@ -265,14 +267,14 @@ class Ledger:
 
     @property
     def open_round(self) -> int | None:
-        return None if self._sample is None else len(self._rounds)
+        return None if self._sample is None else self._closed
 
     def record_sample(self, q: float, n: int, policy_tag: str) -> int:
         if self._sample is not None:
             raise LedgerUsageError(
                 f"round {self.open_round} is still open; close_round() first"
             )
-        round_id = len(self._rounds)
+        round_id = self._closed
         try:
             # 10.0 and True hash as 10 and 1 do; only an int n may match
             sample = self._sample_pool.get((policy_tag, q, n)) if type(n) is int else None
@@ -295,7 +297,7 @@ class Ledger:
                 "no open round; record_sample() first (a sum query before "
                 "any sample, or after close_round(), belongs to no round)"
             )
-        open_round = len(self._rounds)
+        open_round = self._closed
         if round_id != open_round:
             raise LedgerUsageError(f"round {round_id} is not the open round {open_round}")
         try:
@@ -329,14 +331,27 @@ class Ledger:
                 f" {texts[-1]}",
             )
             rnd = self._round_pool[sample, queries] = _Round(sample, queries, parts)
-        self._rounds.append(rnd)
+        self._append(rnd, 1)
         self._sample = None
         self._queries.clear()
+
+    def _append(self, rnd: _Round, count: int) -> None:
+        """Close count more rounds equal to rnd, extending the last run if
+        rnd is its record."""
+        if self._runs and self._runs[-1][0] is rnd:
+            self._runs[-1][1] += count
+        else:
+            self._runs.append([rnd, count])
+        self._closed += count
 
     def rounds(self) -> list[tuple[SampleEvent, list[SumQueryEvent]]]:
         """Each round's sample event and sum queries, in id order, the
         open round included, built from the stored facts on each call."""
-        rounds = [(rnd.sample, rnd.queries) for rnd in self._rounds]
+        rounds = [
+            (rnd.sample, rnd.queries)
+            for rnd, count in self._runs
+            for _ in range(count)
+        ]
         if self._sample is not None:
             rounds.append((self._sample, self._queries))
         return [
@@ -352,11 +367,15 @@ class Ledger:
 
     def insecure_rounds(self) -> tuple[int, ...]:
         """Ids of rounds with any zero-noise sum query, in id order, the
-        open round included; each distinct round record is tested once."""
-        insecure = {rnd for rnd in set(self._rounds) if _zero_noise(rnd.queries)}
-        ids = [k for k, rnd in enumerate(self._rounds) if rnd in insecure]
+        open round included; each run is tested once."""
+        ids: list[int] = []
+        start = 0
+        for rnd, count in self._runs:
+            if _zero_noise(rnd.queries):
+                ids.extend(range(start, start + count))
+            start += count
         if self._sample is not None and _zero_noise(self._queries):
-            ids.append(len(self._rounds))
+            ids.append(start)
         return tuple(ids)
 
 
@@ -375,33 +394,37 @@ def formal_ledger(ledger: Ledger) -> list[FormalRow]:
     with SensitivityRangeError naming the round: one with no sum queries
     (S* = 0; an empty round usually means a crashed producer, so it is
     never accounted short), or one whose clip and noise values put S* out
-    of float range. The work is per distinct round: rounds are counted per
-    interned round, and each distinct round is composed and keyed once, at
-    its first id, so a refusal names the first offending round.
+    of float range. The work is per run of equal rounds, and each distinct
+    round is composed and keyed once, at the start of its first run, so a
+    refusal names the first offending round.
     """
     if ledger.open_round is not None:
         raise LedgerUsageError(
             f"round {ledger.open_round} is still open; a partial round "
             f"cannot be accounted"
         )
-    rounds = ledger._rounds
-    counts = Counter(rounds)  # distinct rounds, in first-seen order
-    if any(_zero_noise(rnd.queries) for rnd in counts):
+    # the pool holds each distinct closed round once
+    if any(_zero_noise(rnd.queries) for rnd in ledger._round_pool.values()):
         insecure = ledger.insecure_rounds()
         ids = ", ".join(map(str, insecure[:5])) + (", ..." if len(insecure) > 5 else "")
         raise InsecureLedgerError(
             f"ledger contains {len(insecure)} zero-noise round(s) (ids {ids}); "
             f"these provide no privacy"
         )
-    first = dict(zip(reversed(rounds), range(len(rounds) - 1, -1, -1)))
     tally: dict[tuple, list[int]] = {}  # (policy, q, z) -> [rounds, first round]
-    for rnd, count in counts.items():
-        try:
-            z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
-        except ValueError as exc:
-            raise SensitivityRangeError(f"round {first[rnd]}: {exc}") from None
-        key = (rnd.sample.policy_tag, rnd.sample.q, z)
-        tally.setdefault(key, [0, first[rnd]])[0] += count
+    rows: dict[_Round, list[int]] = {}  # round record -> its row in tally
+    start = 0
+    for rnd, count in ledger._runs:
+        row = rows.get(rnd)
+        if row is None:
+            try:
+                z = effective_z((ev.clip_s, ev.sigma_sum) for ev in rnd.queries)
+            except ValueError as exc:
+                raise SensitivityRangeError(f"round {start}: {exc}") from None
+            key = (rnd.sample.policy_tag, rnd.sample.q, z)
+            row = rows[rnd] = tally.setdefault(key, [0, start])
+        row[0] += count
+        start += count
     return [FormalRow(*key, *row) for key, row in tally.items()]
 
 
@@ -418,13 +441,19 @@ def _parse_float(text: str, field: str) -> float:
 
 
 def serialize(ledger: Ledger) -> bytes:
-    """Encode a fully closed ledger; see the module docstring for format."""
+    """Encode a fully closed ledger; see the module docstring for format.
+    Each round's bytes, joined from its record's parts, are written to one
+    buffer, so no text or list of pieces of the whole file is held beside
+    the result."""
     if ledger.open_round is not None:
         raise LedgerUsageError(
             f"round {ledger.open_round} is still open; close it before serializing"
         )
-    body = "".join(str(k).join(rnd.parts) for k, rnd in enumerate(ledger._rounds))
-    return _HEADER + body.encode("ascii")
+    out = io.BytesIO()
+    out.write(_HEADER)
+    parts = (rnd.parts for rnd, count in ledger._runs for _ in range(count))
+    out.writelines(str(k).join(p).encode("ascii") for k, p in enumerate(parts))
+    return out.getvalue()
 
 
 def _replay(ledger: Ledger, line: str) -> None:
@@ -523,15 +552,15 @@ def _parse(ledger: Ledger, data, pos: int, line_no: int, at_end: bool):
     is one.
     """
     while True:
-        next_id = len(ledger._rounds) + (ledger.open_round is not None)
+        next_id = ledger._closed + (ledger.open_round is not None)
         if next_id and data.startswith(b"sample round=%d " % next_id, pos):
             if ledger.open_round is not None:
                 ledger.close_round()
-            parts = ledger._rounds[-1].parts
-            copies, pos = _copies(data, pos, parts, next_id, at_end)
-            ledger._rounds.extend(itertools.repeat(ledger._rounds[-1], copies))
-            line_no += copies * (len(parts) - 1)  # lines per round
-            if not at_end and _undecided(data, pos, parts, next_id + copies):
+            last = ledger._runs[-1][0]
+            copies, pos = _copies(data, pos, last.parts, next_id, at_end)
+            ledger._append(last, copies)
+            line_no += copies * (len(last.parts) - 1)  # lines per round
+            if not at_end and _undecided(data, pos, last.parts, next_id + copies):
                 return pos, line_no, None
             if copies:
                 continue
@@ -628,8 +657,8 @@ def deserialize(source) -> Ledger:
     parse, which bytes input takes as a single block. Only a partial line,
     or a copy the block ends in (which may be the head of a longer round,
     so the next block decides), moves to the next block. So the parse
-    holds one block, the largest round and the ledger, whose rounds are
-    one list slot each: its memory does not follow the file's size.
+    holds one block, the largest round and the ledger, whose memory
+    follows its runs: a run of copies is one count, however long.
     After a bad line the rest of the file is still read, and dropped, to
     look for the refusals that come first.
     """

@@ -242,6 +242,54 @@ def test_formal_merges_rounds_whose_queries_differ_only_in_group_name():
     ]
 
 
+def _runs_ledger(secure=True):
+    """Rounds A A B A B B, one group each: A at q 0.25, B at q 0.5 and,
+    unless secure, zero noise."""
+    sigma_b = 2.0 if secure else 0.0
+    return _rounds_ledger(
+        [("poisson_iid", q, 10, [("g", 1.0, sigma)]) for q, sigma in (
+            (0.25, 2.0), (0.25, 2.0), (0.5, sigma_b),
+            (0.25, 2.0), (0.5, sigma_b), (0.5, sigma_b),
+        )]
+    )  # fmt: skip
+
+
+def test_equal_rounds_in_a_row_are_one_run():
+    led = _runs_ledger()
+    assert [count for _, count in led._runs] == [2, 1, 1, 2]
+    assert len({id(rnd) for rnd, _ in led._runs}) == 2  # A and B, interned
+    back = deserialize(serialize(led))
+    assert [count for _, count in back._runs] == [2, 1, 1, 2]
+
+
+def test_formal_rows_count_across_runs_from_the_first_run():
+    assert formal_ledger(_runs_ledger()) == [
+        FormalRow("poisson_iid", 0.25, 2.0, rounds=3, first_round=0),
+        FormalRow("poisson_iid", 0.5, 2.0, rounds=3, first_round=2),
+    ]
+
+
+def test_insecure_rounds_and_round_ids_span_runs():
+    led = _runs_ledger(secure=False)
+    assert led.insecure_rounds() == (2, 4, 5)
+    with pytest.raises(InsecureLedgerError, match=r"3 zero-noise .* \(ids 2, 4, 5\)"):
+        formal_ledger(led)
+    rounds = led.rounds()
+    assert [sample.round_id for sample, _ in rounds] == list(range(6))
+    assert [sums[0].round_id for _, sums in rounds] == list(range(6))
+    assert [sample.q for sample, _ in rounds] == [0.25, 0.25, 0.5, 0.25, 0.5, 0.5]
+
+
+def test_serialize_writes_each_round_of_a_run_at_its_id():
+    led = _runs_ledger()
+    lines = [
+        f"sample round={k} policy=poisson_iid q={q.hex()} n=10\n"
+        f"sum round={k} group=g clip={(1.0).hex()} sigma_sum={(2.0).hex()}\n"
+        for k, q in enumerate((0.25, 0.25, 0.5, 0.25, 0.5, 0.5))
+    ]
+    assert serialize(led) == b"dpledger ledger v1\n" + "".join(lines).encode("ascii")
+
+
 # ------------------------------------------------------------ serialization
 
 

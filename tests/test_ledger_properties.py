@@ -611,8 +611,8 @@ def test_accounting_a_file_holds_a_block_not_the_file(tmp_path):
     path.write_bytes(_cyclic_ledger(20_000, [(0.01, (100.0,) * 3), (0.02, (101.0,) * 3)]))
     peaks["alternating"] = peak()
     path.unlink()
-    # One block and a few batches of copies, plus the ledger: a list slot
-    # (8 bytes) per round, about 1.6 MB at 200k rounds.
+    # One block and a few batches of copies, plus the ledger, which holds
+    # a run of copies as one count.
     bound = 3 * dpledger.ledger._BLOCK_BYTES + 1_000_000
     assert max(peaks.values()) < bound, peaks
     per_round = (peaks[200_000] - peaks[20_000]) / 180_000
@@ -664,3 +664,23 @@ def test_formal_ledger_is_the_per_round_count_table(rounds):
     for row in rows:
         ids = [round_id for round_id, key in keys if key == row[:3]]
         assert (row.rounds, row.first_round) == (len(ids), min(ids))
+
+
+def test_a_parsed_run_of_copies_is_one_count(tmp_path):
+    # A file of 200k equal rounds parses into one run: the ledger it
+    # returns holds what a 3-round file's holds, not a slot per round.
+    path = tmp_path / "ledger.txt"
+    held = {}
+    for rounds in (3, 200_000):
+        _write_copies(path, rounds)
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                led = deserialize(fh)
+            held[rounds] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [count for _, count in led._runs] == [rounds]
+        assert formal_ledger(led)[0].rounds == rounds
+    path.unlink()
+    assert held[200_000] - held[3] < 4096, held
