@@ -16,7 +16,9 @@ sampling.SamplerConfig it draws with, a multiple of 2^-64, and
 sampling.draw_sample includes each record at exactly that q.
 mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
-times the row of unit Gaussians it is given. It measures every row
+times the row of unit Gaussians it is given; it builds the recorded
+(clip, sigma_sum) tuple before it adds any noise, so PrivacyTuple.check
+is the one check of both. It measures every row
 itself, a factored member (vectors.ScaledRows) from its scalars and rows,
 never from a norm the caller supplies, and clips blocks and factored
 members by one rule, with a written margin (kappa_d) that covers float
@@ -44,11 +46,8 @@ _MODULE_OF = {
     "compose_rdp": "accountant",
     "epsilon_at_delta": "accountant",
     "rdp_step": "accountant",
-    "AllocationRequest": "allocation",
-    "AllocationStrategy": "allocation",
     "ClipSplit": "allocation",
     "Knob": "allocation",
-    "allocate": "allocation",
     "calibrate": "allocation",
     "dim_adjusted_allocation": "allocation",
     "proportional_allocation": "allocation",
@@ -82,7 +81,6 @@ _MODULE_OF = {
     "GroupEstimate": "mechanisms",
     "RoundContext": "mechanisms",
     "draw_round_noise": "mechanisms",
-    "gaussian_sum": "mechanisms",
     "group_query": "mechanisms",
     "microbatch_reduce": "mechanisms",
     "run_partitioned_round": "mechanisms",
@@ -100,7 +98,6 @@ _MODULE_OF = {
     "ScaledRows": "vectors",
     "clip_rows": "vectors",
     "clipped_scalars": "vectors",
-    "clip_to_norm": "vectors",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -1,14 +1,15 @@
 """Distributing a target noise multiplier across groups, and splitting a
 clip budget across layers.
 
-Given a target z, an allocation returns per-group sum-level noise stds
-whose round composition, the ledger's effective_z (re-exported here),
-lands exactly back on z: proportional allocation
-spends sqrt(G) per group, dimensionality-adjusted allocation spends
-sqrt(D / d_g) so high-dimensional groups get relatively less noise per
-coordinate. Both are pure functions of bounds and dimensions: they never
-see data, so a bug here can change utility but cannot change what the
-ledger records meaning anything other than what it says.
+Given a target z and the groups' clip bounds, an allocation returns
+per-group sum-level noise stds whose round composition, the ledger's
+effective_z, lands exactly back on z: proportional_allocation spends
+sqrt(G) per group, and dim_adjusted_allocation, which also takes the
+groups' dimensions, spends sqrt(D / d_g) so high-dimensional groups get
+relatively less noise per coordinate. Both are pure functions of bounds
+and dimensions: they never see data, so a bug here can change utility
+but cannot change what the ledger records meaning anything other than
+what it says.
 
 split_clip_budget is the dual knob: dividing a total sensitivity budget
 into per-group clip bounds. Flat keeps one bound, PerLayer divides by
@@ -23,16 +24,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .accountant import OrderGrid, _check_delta, epsilon_at_delta, rdp_step
 from .errors import CalibrationError
-from .ledger import effective_z  # noqa: F401  (re-exported)
-
-
-class AllocationStrategy(enum.Enum):
-    PROPORTIONAL = "proportional"
-    DIMENSIONALITY_ADJUSTED = "dimensionality_adjusted"
 
 
 class ClipSplit(enum.Enum):
@@ -41,55 +35,50 @@ class ClipSplit(enum.Enum):
     DIM_FRACTION = "dim_fraction"
 
 
-@dataclass(frozen=True)
-class AllocationRequest:
-    """Target noise multiplier plus each group's (clip bound, dimension)."""
-
-    target_z: float
-    group_bounds: tuple[tuple[float, int], ...]
-    strategy: AllocationStrategy
-
-    def __post_init__(self):
-        if not (math.isfinite(self.target_z) and self.target_z > 0):
-            raise ValueError(f"target_z must be positive, got {self.target_z}")
-        bounds = tuple((float(s), int(d)) for s, d in self.group_bounds)
-        if not bounds:
-            raise ValueError("group_bounds must be nonempty")
-        for s, d in bounds:
-            if not (math.isfinite(s) and s > 0):
-                raise ValueError(f"clip bounds must be positive, got {s}")
-            if d < 1:
-                raise ValueError(f"dimensions must be at least 1, got {d}")
-        object.__setattr__(self, "group_bounds", bounds)
+def _check_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("group_dims must be nonempty")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"dimensions must be at least 1, got {dims}")
+    return dims
 
 
-def proportional_allocation(req: AllocationRequest) -> tuple[float, ...]:
+def _check_allocation(target_z: float, clips, dims=None):
+    """A target z > 0, a nonempty sequence of positive finite clip bounds
+    as floats and, if given, one dimension of at least 1 per bound, as
+    ints."""
+    if not (math.isfinite(target_z) and target_z > 0):
+        raise ValueError(f"target_z must be positive, got {target_z}")
+    clips = tuple(float(s) for s in clips)
+    if not clips:
+        raise ValueError("clips must be nonempty")
+    for s in clips:
+        if not (math.isfinite(s) and s > 0):
+            raise ValueError(f"clip bounds must be positive, got {s}")
+    if dims is not None:
+        dims = _check_dims(dims)
+        if len(dims) != len(clips):
+            raise ValueError(f"{len(clips)} clip bounds take as many dims, got {dims}")
+    return clips, dims
+
+
+def proportional_allocation(target_z: float, clips) -> tuple[float, ...]:
     """sigma_g = z * sqrt(G) * S_g: every group gets noise proportional to
     its own bound, and the sqrt(G) factor makes the G-term composition
     cancel back to exactly z."""
-    if req.strategy is not AllocationStrategy.PROPORTIONAL:
-        raise ValueError(f"request asks for {req.strategy.value}")
-    g = len(req.group_bounds)
-    root_g = math.sqrt(g)
-    return tuple(req.target_z * root_g * s for s, _ in req.group_bounds)
+    clips, _ = _check_allocation(target_z, clips)
+    root_g = math.sqrt(len(clips))
+    return tuple(target_z * root_g * s for s in clips)
 
 
-def dim_adjusted_allocation(req: AllocationRequest) -> tuple[float, ...]:
+def dim_adjusted_allocation(target_z: float, clips, dims) -> tuple[float, ...]:
     """sigma_g = z * sqrt(D / d_g) * S_g: groups with more coordinates get
     relatively less per-coordinate noise; sum(d_g / D) = 1 makes the
     composition cancel to z just like the proportional rule."""
-    if req.strategy is not AllocationStrategy.DIMENSIONALITY_ADJUSTED:
-        raise ValueError(f"request asks for {req.strategy.value}")
-    total_d = sum(d for _, d in req.group_bounds)
-    return tuple(
-        req.target_z * math.sqrt(total_d / d) * s for s, d in req.group_bounds
-    )
-
-
-def allocate(req: AllocationRequest) -> tuple[float, ...]:
-    if req.strategy is AllocationStrategy.PROPORTIONAL:
-        return proportional_allocation(req)
-    return dim_adjusted_allocation(req)
+    clips, dims = _check_allocation(target_z, clips, dims)
+    total_d = sum(dims)
+    return tuple(target_z * math.sqrt(total_d / d) * s for s, d in zip(clips, dims))
 
 
 def split_clip_budget(
@@ -103,11 +92,7 @@ def split_clip_budget(
     """
     if not (math.isfinite(total_s) and total_s > 0):
         raise ValueError(f"total_s must be positive, got {total_s}")
-    dims = [int(d) for d in group_dims]
-    if not dims:
-        raise ValueError("group_dims must be nonempty")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"dimensions must be at least 1, got {dims}")
+    dims = _check_dims(group_dims)
     if strategy is ClipSplit.FLAT:
         return (total_s,)
     if strategy is ClipSplit.PER_LAYER:

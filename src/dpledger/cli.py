@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .accountant import OrderGrid, account_ledger
+from .accountant import OrderGrid, _check_delta, account_ledger
 from .allocation import Knob, calibrate
 from .errors import AccountingRefusal, CalibrationError, LedgerParseError
 from .ledger import deserialize
@@ -45,10 +45,9 @@ def _parse_orders(text: str) -> OrderGrid:
 def _parse_delta(text: str) -> float:
     try:
         delta = float(text)
+        _check_delta(delta)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not 0.0 < delta < 1.0:
-        raise argparse.ArgumentTypeError(f"delta must be in (0, 1), got {text}")
     return delta
 
 

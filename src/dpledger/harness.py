@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacyGuarantee, _check_delta, account_ledger
-from .allocation import AllocationRequest, AllocationStrategy, allocate
+from .allocation import proportional_allocation
 from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, _check_round, serialize
 from .mechanisms import (
@@ -182,13 +182,9 @@ def sigmas_for_target_z(
     multiply back. A q below 2^-64, which rounds to 0, is divided by as
     it is: no run samples at it, and the run's sampler refuses it."""
     rate = poisson_rate(q, n) or q
-    # Proportional allocation does not read the dimensions; 1 stands in.
-    req = AllocationRequest(
-        target_z=target_z,
-        group_bounds=tuple((s, 1) for s in clip_bounds),
-        strategy=AllocationStrategy.PROPORTIONAL,
+    return tuple(
+        sigma / (rate * n) for sigma in proportional_allocation(target_z, clip_bounds)
     )
-    return tuple(sigma / (rate * n) for sigma in allocate(req))
 
 
 @dataclass(frozen=True)

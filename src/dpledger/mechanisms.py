@@ -29,15 +29,15 @@ the scaled concatenation once, and multiplies the estimate back, so
 member j sees noise of std alpha_j * noise_sigma while the group costs one
 (clip_s, sigma_sum) tuple instead of k. Both emit the tuple the privacy
 ledger exists to record, with sigma_sum = q * n * noise_sigma computed
-here, once, so the ledger sees the identical float. How a round's tuples
-compose into one equivalent query is the ledger's effective_z, not
-decided here.
+here, once, so the ledger sees the identical float. The tuple is built
+before any noise is added, so PrivacyTuple.check is the one clip/sigma
+check a query passes. How a round's tuples compose into one equivalent
+query is the ledger's effective_z, not decided here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -94,49 +94,6 @@ class GroupEstimate:
         raise KeyError(name)
 
 
-def gaussian_sum(
-    block: np.ndarray,
-    sigma_sum: float,
-    noise: np.ndarray,
-    *,
-    insecure_test_mode: bool = False,
-) -> np.ndarray:
-    """Column-sum an (m x d) block and add sigma_sum times noise, a row of
-    d unit Gaussians: isotropic Gaussian noise of std sigma_sum.
-
-    m may be 0, as a Poisson sample can be empty: the sum is then zero and
-    the noise still has the block's d entries. A noise row of any other
-    shape is refused, never broadcast: one value added to every column
-    would be one draw, not d. The row is read, never written.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] < 1:
-        raise ValueError("a sum takes an (m x d) block with d >= 1")
-    return _noised(block.sum(axis=0), sigma_sum, noise, insecure_test_mode)
-
-
-def _noised(
-    column_sum: np.ndarray, sigma_sum: float, noise, insecure_test_mode: bool
-) -> np.ndarray:
-    """column_sum + sigma_sum * noise, with gaussian_sum's checks."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != column_sum.shape:
-        raise ValueError(
-            f"a sum of {column_sum.shape[0]} columns takes a noise row of as many "
-            f"entries, got shape {noise.shape}"
-        )
-    if not (math.isfinite(sigma_sum) and sigma_sum >= 0.0):
-        raise ValueError(f"sigma_sum must be nonnegative and finite, got {sigma_sum}")
-    if sigma_sum == 0.0 and not insecure_test_mode:
-        raise ConfigurationError(
-            "sigma_sum = 0 adds no noise and gives no privacy; "
-            "requires insecure_test_mode=True"
-        )
-    total = noise * sigma_sum
-    total += column_sum
-    return total
-
-
 def _batch_rows(blocks) -> int:
     """Row count shared by a batch's (m x d) arrays and ScaledRows, of
     which there is at least one."""
@@ -178,7 +135,12 @@ def group_query(
     rows are clipped to clip_s, column-summed, noised with sigma_sum *
     noise, where noise is the group's row of D_g unit Gaussians for this
     round, divided by q * n, and a joint group's scales are multiplied
-    back. Emits (clip_s, sigma_sum = q * n * noise_sigma).
+    back. Emits (clip_s, sigma_sum = q * n * noise_sigma), built before
+    any noise is added: a sigma_sum that overflows is refused there, and
+    sigma_sum = 0 needs ctx.insecure_test_mode. m may be 0, as a Poisson
+    sample can be empty: the sum is then zero and the noise still has D_g
+    entries. A noise row of any other shape is refused, never broadcast,
+    and it is read, never written.
 
     A one-member separate group whose member is a ScaledRows is clipped in
     factored form: vectors.clipped_scalars measures each row itself, from
@@ -216,8 +178,20 @@ def group_query(
             scales = np.array(spec.joint_scales).repeat(dims)
             block = block / scales
         column_sum = clip_rows(block, spec.clip_s).sum(axis=0)
-    sigma_sum = ctx.qn * spec.noise_sigma
-    total = _noised(column_sum, sigma_sum, noise, ctx.insecure_test_mode)
+    emitted = PrivacyTuple(clip_s=spec.clip_s, sigma_sum=ctx.qn * spec.noise_sigma)
+    if emitted.sigma_sum == 0.0 and not ctx.insecure_test_mode:
+        raise ConfigurationError(
+            "sigma_sum = 0 adds no noise and gives no privacy; "
+            "requires insecure_test_mode=True"
+        )
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != column_sum.shape:
+        raise ValueError(
+            f"a sum of {column_sum.shape[0]} columns takes a noise row of as many "
+            f"entries, got shape {noise.shape}"
+        )
+    total = noise * emitted.sigma_sum
+    total += column_sum
     estimate = total / ctx.qn
     if scales is not None:
         estimate = scales * estimate
@@ -225,7 +199,7 @@ def group_query(
         group_name=spec.name,
         member_names=spec.member_names,
         estimates=_split(estimate, dims),
-        emitted=PrivacyTuple(clip_s=spec.clip_s, sigma_sum=sigma_sum),
+        emitted=emitted,
     )
 
 

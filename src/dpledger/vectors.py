@@ -5,10 +5,10 @@ name to a float64 (m x d) block, one row per record, or to a ScaledRows,
 the same block in factored form (row i is scalars[i] * rows[i]). Groups
 partition the member names and carry the mechanism configuration (clip
 bound, noise level, optional per-member scales for the joint mechanism).
-Specs are immutable values; clip_rows, clip_to_norm and clipped_scalars
-are pure functions.
+Specs are immutable values; clip_rows and clipped_scalars are pure
+functions.
 
-All three clip by one rule (_clip_weights), measuring each row from its
+Both clip by one rule (_clip_weights), measuring each row from its
 entries; clipped_scalars clips a factored member without building its
 block and returns one weight per record. A measured norm differs from
 the exact one by a few ulps, so the rule keeps a written relative margin
@@ -287,17 +287,3 @@ def clipped_scalars(member: ScaledRows, s: float) -> np.ndarray:
     of exact L2 norm at most s."""
     return _clip_weights(member.scalars, member.rows, s)
 
-
-def clip_to_norm(v, s: float) -> np.ndarray:
-    """Clip v to L2 norm at most s: clip_rows on a one-row block.
-
-    Returns v unchanged (bitwise) when it lies within the margin; the zero
-    vector is its own clip. The result is read-only.
-    """
-    # A copy, so that making the result read-only leaves v writable.
-    vec = np.array(v, dtype=np.float64)
-    if vec.ndim != 1 or vec.size < 1:
-        raise ValueError("vector must be 1-dimensional with at least one entry")
-    out = clip_rows(vec[None, :], s)[0]
-    out.flags.writeable = False
-    return out

@@ -27,26 +27,22 @@ from dpledger import (
     TrainConfig,
     account_ledger,
     calibrate,
-    clip_to_norm,
+    clip_rows,
     compose_rdp,
     deserialize,
+    dim_adjusted_allocation,
     dp_sgd_train,
     draw_sample,
+    effective_z,
     epsilon_at_delta,
-    gaussian_sum,
     group_query,
     make_sgd_partition,
     partition_epoch,
+    proportional_allocation,
     rdp_step,
     serialize,
     sigmas_for_target_z,
     split_clip_budget,
-)
-from dpledger.allocation import (
-    AllocationRequest,
-    AllocationStrategy,
-    allocate,
-    effective_z,
 )
 from dpledger.cli import main
 from dpledger.sampling import fixed_size_sample
@@ -105,9 +101,10 @@ def test_criterion_01_single_query_equivalence():
                     parts = []
                     for spec in specs:
                         v = np.concatenate([rec[m] for m in spec.member_names])
-                        parts.append(clip_to_norm(v, spec.clip_s) / sigma_sums[spec.name])
+                        clipped = clip_rows(v[None, :], spec.clip_s)[0]
+                        parts.append(clipped / sigma_sums[spec.name])
                     scaled_rows.append(np.concatenate(parts))
-                combined = gaussian_sum(np.array(scaled_rows), 1.0, master)
+                combined = np.array(scaled_rows).sum(axis=0) + master
                 assert combined.shape == (total_dim,)
 
                 at = 0
@@ -173,7 +170,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
         est = group_query(batch, spec, ctx, noise)
         got = np.concatenate([est.get(m) for m in names])
         clipped = [
-            clip_to_norm(np.concatenate([r[m] for m in names]), flat_s)
+            clip_rows(np.concatenate([r[m] for m in names])[None, :], flat_s)[0]
             for r in records
         ]
         manual = (clipped[0] + clipped[1] + sigma_sum * noise) / (q * n)
@@ -195,8 +192,8 @@ def test_criterion_03_flat_and_per_layer_recovery():
             )
             est = group_query(batch, spec, ctx, layer_noise)
             manual = (
-                clip_to_norm(records[0][m], bound)
-                + clip_to_norm(records[1][m], bound)
+                clip_rows(records[0][m][None, :], bound)[0]
+                + clip_rows(records[1][m][None, :], bound)[0]
                 + sigma_sum * layer_noise
             ) / (q * n)
             assert np.array_equal(est.get(m), manual)
@@ -286,10 +283,7 @@ def test_criterion_07_calibration_self_consistency():
 def test_criterion_08_allocation_conservation():
     with criterion(8, "allocations return effective_z = target_z to 1e-12"):
         rng = np.random.default_rng(88)
-        for strategy in (
-            AllocationStrategy.PROPORTIONAL,
-            AllocationStrategy.DIMENSIONALITY_ADJUSTED,
-        ):
+        for strategy in ("proportional", "dim_adjusted"):
             for _ in range(1000):
                 g = int(rng.integers(1, 9))
                 target = float(rng.uniform(0.3, 5.0))
@@ -297,10 +291,11 @@ def test_criterion_08_allocation_conservation():
                     (float(rng.uniform(0.1, 4.0)), int(rng.integers(1, 500)))
                     for _ in range(g)
                 )
-                req = AllocationRequest(
-                    target_z=target, group_bounds=bounds, strategy=strategy
-                )
-                sigmas = allocate(req)
+                clips, dims = zip(*bounds)
+                if strategy == "proportional":
+                    sigmas = proportional_allocation(target, clips)
+                else:
+                    sigmas = dim_adjusted_allocation(target, clips, dims)
                 tuples = [(s, sig) for (s, _), sig in zip(bounds, sigmas)]
                 got = effective_z(tuples)
                 assert abs(got - target) <= 1e-12 * target, (strategy, got, target)
@@ -396,15 +391,12 @@ def test_criterion_11_separation_of_concerns(tmp_path, capsys):
         # sigmas differ, the ledger bytes differ, the guarantee does not
         target = 1.3
         bounds = ((1.0, 10), (0.5, 1), (2.0, 40))
+        clips, dims = zip(*bounds)
         ledgers = {}
-        for strategy in (
-            AllocationStrategy.PROPORTIONAL,
-            AllocationStrategy.DIMENSIONALITY_ADJUSTED,
+        for strategy, sigmas in (
+            ("proportional", proportional_allocation(target, clips)),
+            ("dim_adjusted", dim_adjusted_allocation(target, clips, dims)),
         ):
-            req = AllocationRequest(
-                target_z=target, group_bounds=bounds, strategy=strategy
-            )
-            sigmas = allocate(req)
             led = Ledger()
             for _ in range(5):
                 rid = led.record_sample(q=0.02, n=5_000, policy_tag="poisson_iid")

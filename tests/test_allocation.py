@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 
 from dpledger import (
-    AllocationRequest,
-    AllocationStrategy,
     ClipSplit,
     InfiniteSensitivityError,
     PrivacyTuple,
-    allocate,
     dim_adjusted_allocation,
     effective_z,
     proportional_allocation,
     split_clip_budget,
 )
-
-
-def _req(strategy, z, bounds):
-    return AllocationRequest(target_z=z, group_bounds=tuple(bounds), strategy=strategy)
 
 
 # -------------------------------------------------------------- effective_z
@@ -68,13 +61,11 @@ def test_effective_z_refuses_s_star_out_of_range():
 
 
 def test_proportional_example():
-    req = _req(AllocationStrategy.PROPORTIONAL, 1.0, [(2.0, 1)] * 4)
-    assert proportional_allocation(req) == (4.0, 4.0, 4.0, 4.0)
+    assert proportional_allocation(1.0, [2.0] * 4) == (4.0, 4.0, 4.0, 4.0)
 
 
 def test_proportional_single_group_is_identity():
-    req = _req(AllocationStrategy.PROPORTIONAL, 1.0, [(1.0, 1)])
-    assert proportional_allocation(req) == (1.0,)
+    assert proportional_allocation(1.0, [1.0]) == (1.0,)
 
 
 def test_proportional_round_trips_to_target():
@@ -83,8 +74,7 @@ def test_proportional_round_trips_to_target():
         g = int(rng.integers(1, 9))
         z = float(rng.uniform(0.3, 5.0))
         bounds = [(float(rng.uniform(0.1, 4.0)), int(rng.integers(1, 200))) for _ in range(g)]
-        req = _req(AllocationStrategy.PROPORTIONAL, z, bounds)
-        sigmas = proportional_allocation(req)
+        sigmas = proportional_allocation(z, [s for s, _ in bounds])
         tuples = [(s, sig) for (s, _), sig in zip(bounds, sigmas)]
         assert effective_z(tuples) == pytest.approx(z, rel=1e-12)
 
@@ -93,21 +83,16 @@ def test_proportional_round_trips_to_target():
 
 
 def test_dim_adjusted_example():
-    req = _req(
-        AllocationStrategy.DIMENSIONALITY_ADJUSTED, 1.0, [(1.0, 25), (1.0, 75)]
-    )
-    sigmas = dim_adjusted_allocation(req)
+    sigmas = dim_adjusted_allocation(1.0, [1.0, 1.0], [25, 75])
     assert sigmas[0] == pytest.approx(2.0, rel=1e-12)
     assert sigmas[1] == pytest.approx(math.sqrt(100.0 / 75.0), rel=1e-12)
     assert sigmas[1] == pytest.approx(1.1547, abs=1e-4)
 
 
 def test_dim_adjusted_equal_dims_coincides_with_proportional():
-    bounds = [(0.7, 40), (1.3, 40), (2.0, 40)]
-    adj = dim_adjusted_allocation(
-        _req(AllocationStrategy.DIMENSIONALITY_ADJUSTED, 1.5, bounds)
-    )
-    prop = proportional_allocation(_req(AllocationStrategy.PROPORTIONAL, 1.5, bounds))
+    clips = [0.7, 1.3, 2.0]
+    adj = dim_adjusted_allocation(1.5, clips, [40, 40, 40])
+    prop = proportional_allocation(1.5, clips)
     assert adj == prop
 
 
@@ -117,42 +102,29 @@ def test_dim_adjusted_round_trips_to_target():
         g = int(rng.integers(1, 9))
         z = float(rng.uniform(0.3, 5.0))
         bounds = [(float(rng.uniform(0.1, 4.0)), int(rng.integers(1, 500))) for _ in range(g)]
-        req = _req(AllocationStrategy.DIMENSIONALITY_ADJUSTED, z, bounds)
-        sigmas = dim_adjusted_allocation(req)
+        sigmas = dim_adjusted_allocation(z, *zip(*bounds))
         tuples = [(s, sig) for (s, _), sig in zip(bounds, sigmas)]
         assert effective_z(tuples) == pytest.approx(z, rel=1e-12)
 
 
-def test_allocate_dispatches_on_strategy():
-    bounds = [(1.0, 25), (1.0, 75)]
-    assert allocate(
-        _req(AllocationStrategy.PROPORTIONAL, 1.0, bounds)
-    ) == proportional_allocation(_req(AllocationStrategy.PROPORTIONAL, 1.0, bounds))
-    assert allocate(
-        _req(AllocationStrategy.DIMENSIONALITY_ADJUSTED, 1.0, bounds)
-    ) == dim_adjusted_allocation(
-        _req(AllocationStrategy.DIMENSIONALITY_ADJUSTED, 1.0, bounds)
-    )
-
-
-def test_strategy_mismatch_rejected():
-    req = _req(AllocationStrategy.PROPORTIONAL, 1.0, [(1.0, 1)])
-    with pytest.raises(ValueError):
-        dim_adjusted_allocation(req)
-    req2 = _req(AllocationStrategy.DIMENSIONALITY_ADJUSTED, 1.0, [(1.0, 1)])
-    with pytest.raises(ValueError):
-        proportional_allocation(req2)
-
-
 def test_request_validation():
-    with pytest.raises(ValueError):
-        _req(AllocationStrategy.PROPORTIONAL, 0.0, [(1.0, 1)])
-    with pytest.raises(ValueError):
-        _req(AllocationStrategy.PROPORTIONAL, 1.0, [])
-    with pytest.raises(ValueError):
-        _req(AllocationStrategy.PROPORTIONAL, 1.0, [(-1.0, 1)])
-    with pytest.raises(ValueError):
-        _req(AllocationStrategy.PROPORTIONAL, 1.0, [(1.0, 0)])
+    def dim_adjusted(z, clips):
+        return dim_adjusted_allocation(z, clips, [1] * len(clips))
+
+    for allocate in (proportional_allocation, dim_adjusted):
+        with pytest.raises(ValueError, match="target_z must be positive"):
+            allocate(0.0, [1.0])
+        with pytest.raises(ValueError, match="nonempty"):
+            allocate(1.0, [])
+        with pytest.raises(ValueError, match="clip bounds must be positive"):
+            allocate(1.0, [-1.0])
+    with pytest.raises(ValueError, match="dimensions must be at least 1"):
+        dim_adjusted_allocation(1.0, [1.0], [0])
+
+
+def test_dim_adjusted_takes_one_dim_per_clip():
+    with pytest.raises(ValueError, match="as many dims"):
+        dim_adjusted_allocation(1.0, [1.0, 1.0], [3])
 
 
 # -------------------------------------------------------------- clip splits

@@ -19,6 +19,7 @@ from dpledger import (
     dp_sgd_train,
     draw_round_noise,
     draw_sample,
+    effective_z,
     generate_synthetic,
     make_sgd_partition,
     microbatch_reduce,
@@ -27,7 +28,6 @@ from dpledger import (
     sigmas_for_target_z,
 )
 from dpledger import harness
-from dpledger.allocation import effective_z
 from dpledger.harness import forward_probabilities, per_example_gradients
 
 SEED = b"harness-tests-00"

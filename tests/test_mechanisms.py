@@ -22,15 +22,14 @@ from dpledger import (
     ScaledRows,
     SecureStream,
     clip_rows,
-    clip_to_norm,
     clipped_scalars,
     draw_round_noise,
     draw_sample,
     effective_z,
-    gaussian_sum,
     group_query,
     microbatch_reduce,
     run_partitioned_round,
+    serialize,
 )
 
 
@@ -44,51 +43,90 @@ def _sep(members, clip_s, sigma, name=None):
     )
 
 
-# ------------------------------------------------------------ gaussian_sum
+# ------------------------------------------------------------ gaussian sum
+# The Gaussian sum query is group_query's last step. With q * n = 1 and
+# rows inside the clip, a one-member group's estimate is its column sum
+# plus sigma_sum times its noise row, bit for bit.
+
+_ONE = RoundContext(q=1.0, n=1, round_id=0)
+_ONE_INSECURE = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+
+
+def _noisy_sum(block, sigma_sum, noise, ctx=_ONE):
+    spec = _sep(["v"], clip_s=1e6, sigma=sigma_sum)
+    return group_query({"v": block}, spec, ctx, noise).get("v")
 
 
 def test_gaussian_sum_noiseless_sum():
     noise = SecureStream(1, "t", 0).standard_normal(2)
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = gaussian_sum(block, 0.0, noise, insecure_test_mode=True)
+    out = _noisy_sum(block, 0.0, noise, _ONE_INSECURE)
     assert np.array_equal(out, [4.0, 6.0])
 
 
 def test_gaussian_sum_empty_sample():
     empty = np.empty((0, 3))
     noise = SecureStream(1, "t", 0).standard_normal(3)
-    out = gaussian_sum(empty, 0.0, noise, insecure_test_mode=True)
+    out = _noisy_sum(empty, 0.0, noise, _ONE_INSECURE)
     assert np.array_equal(out, np.zeros(3))
 
 
 def test_gaussian_sum_zero_sigma_needs_flag():
     with pytest.raises(ConfigurationError):
-        gaussian_sum(np.ones((1, 1)), 0.0, SecureStream(1, "t", 0).standard_normal(1))
+        _noisy_sum(np.ones((1, 1)), 0.0, SecureStream(1, "t", 0).standard_normal(1))
 
 
 def test_gaussian_sum_shape_mismatch():
     with pytest.raises(ValueError):
-        gaussian_sum([[1.0, 2.0], [3.0]], 1.0, np.zeros(2))
+        _noisy_sum([[1.0, 2.0], [3.0]], 1.0, np.zeros(2))
     with pytest.raises(ValueError):  # a vector, not an (m x d) block
-        gaussian_sum(np.ones(2), 1.0, np.zeros(2))
+        _noisy_sum(np.ones(2), 1.0, np.zeros(2))
     with pytest.raises(ValueError):  # no columns to noise
-        gaussian_sum(np.empty((2, 0)), 1.0, np.zeros(0))
+        _noisy_sum(np.empty((2, 0)), 1.0, np.zeros(0))
 
 
 @pytest.mark.parametrize("shape", [(1,), (99,), (101,), (1, 100), (100, 1)])
 def test_gaussian_sum_refuses_a_noise_row_of_another_shape(shape):
     # a length-1 row would broadcast one Gaussian value onto all 100 sums
     with pytest.raises(ValueError, match="noise row"):
-        gaussian_sum(np.ones((3, 100)), 1.0, np.ones(shape))
+        _noisy_sum(np.ones((3, 100)), 1.0, np.ones(shape))
 
 
 def test_gaussian_sum_never_writes_its_noise_row():
     noise = SecureStream(1, "t", 0).standard_normal(3)
     before = noise.copy()
     noise.setflags(write=False)
-    out = gaussian_sum(np.ones((2, 3)), 2.5, noise)
+    out = _noisy_sum(np.ones((2, 3)), 2.5, noise)
     assert noise.tobytes() == before.tobytes()
     assert out.tobytes() == (before * 2.5 + 2.0).tobytes()
+
+
+class _UnreadNoise:
+    """A noise row that fails the test if it is ever read."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the noise row was read")
+
+
+def test_gaussian_sum_refuses_an_overflowing_sigma_before_any_noise():
+    # q * n * noise_sigma = 1e10 * 1e300 is inf: PrivacyTuple refuses the
+    # emitted tuple before the noise row is touched
+    ctx = RoundContext(q=1.0, n=10**10, round_id=0)
+    spec = _sep(["v"], clip_s=1.0, sigma=1e300)
+    assert math.isinf(ctx.qn * spec.noise_sigma)
+    with pytest.raises(ValueError, match="noise std must be nonnegative and finite"):
+        group_query({"v": np.ones((2, 3))}, spec, ctx, _UnreadNoise())
+    # and the refused query records nothing
+    ledger = Ledger()
+    ledger.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
+    partition = GroupPartition(groups=(spec,))
+    with pytest.raises(ValueError, match="noise std"):
+        run_partitioned_round(
+            {"v": np.ones((2, 3))}, partition, ctx, {spec.name: _UnreadNoise()},
+            ledger=ledger,
+        )  # fmt: skip
+    ledger.close_round()
+    assert b"\nsum " not in serialize(ledger)
 
 
 def test_gaussian_sum_noise_distribution():
@@ -99,7 +137,7 @@ def test_gaussian_sum_noise_distribution():
     reps = 100_000
     draws = np.empty(reps)
     for i in range(reps):
-        draws[i] = gaussian_sum(zero, 1.0, s.standard_normal(1))[0]
+        draws[i] = _noisy_sum(zero, 1.0, s.standard_normal(1))[0]
     assert abs(draws.mean()) < 4.0 / math.sqrt(reps)
     assert abs(draws.std() - 1.0) < 0.02
 
@@ -139,7 +177,7 @@ def test_separate_clips_the_member_concatenation():
     rec = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     batch = {"a": rec[0][None, :], "b": rec[1][None, :]}
     est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(4))
-    manual = clip_to_norm(np.concatenate(rec), 1.0)
+    manual = clip_rows(np.concatenate(rec)[None, :], 1.0)[0]
     assert np.array_equal(est.get("a"), manual[:2])
     assert np.array_equal(est.get("b"), manual[2:])
 
@@ -203,7 +241,7 @@ def test_joint_clipping_route_matches_manual():
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
     est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(4))
     scaled = np.concatenate([rec[0] / 2.0, rec[1] / 5.0])
-    clipped = clip_to_norm(scaled, 1.0)
+    clipped = clip_rows(scaled[None, :], 1.0)[0]
     assert np.allclose(est.get("v1"), 2.0 * clipped[:2], rtol=1e-12)
     assert np.allclose(est.get("v2"), 5.0 * clipped[2:], rtol=1e-12)
 
@@ -359,9 +397,9 @@ def test_clip_rows_never_exceeds_bound(s):
     assert out[len(norms) - 1] == pytest.approx(np.eye(6)[0] * s, rel=rel)
     assert out[-2] == pytest.approx(unit * s, rel=1e-14)
     assert out[-1] == pytest.approx([0.6 * s, 0.8 * s, 0, 0, 0, 0], rel=rel)
-    # each row is clipped exactly as clip_to_norm clips it alone
+    # each row is clipped exactly as it is clipped alone
     for row_in, row_out in zip(block, out):
-        assert np.array_equal(row_out, clip_to_norm(row_in, s))
+        assert np.array_equal(row_out, clip_rows(row_in[None, :], s)[0])
 
 
 def test_clip_rows_validation():
@@ -599,9 +637,9 @@ def test_equivalence_with_single_normalized_query():
         parts = []
         for spec in specs:
             v = np.concatenate([rec[m] for m in spec.member_names])
-            parts.append(clip_to_norm(v, spec.clip_s) / sigma_sums[spec.name])
+            parts.append(clip_rows(v[None, :], spec.clip_s)[0] / sigma_sums[spec.name])
         scaled_rows.append(np.concatenate(parts))
-    combined = gaussian_sum(np.array(scaled_rows), 1.0, master)
+    combined = np.array(scaled_rows).sum(axis=0) + master
     assert combined.shape == (total_dim,)
 
     at = 0

@@ -13,24 +13,24 @@ from dpledger import (
     ScaledRows,
     SecureStream,
     clip_rows,
-    clip_to_norm,
     clipped_scalars,
     group_query,
 )
 
 
 # ---------------------------------------------------------------- clipping
+# one vector v is clipped as the one-row block v[None, :]
 
 
 def test_clip_shrinks_to_bound():
-    out = clip_to_norm([3.0, 4.0], 1.0)
+    out = clip_rows(np.array([[3.0, 4.0]]), 1.0)[0]
     assert out == pytest.approx([0.6, 0.8], rel=1e-12)
     assert np.linalg.norm(out) <= 1.0 + 1e-12
 
 
 def test_clip_identity_below_bound():
     v = np.array([0.3, 0.4])
-    out = clip_to_norm(v, 1.0)
+    out = clip_rows(v[None, :], 1.0)[0]
     assert np.array_equal(out, v)
 
 
@@ -38,8 +38,8 @@ def test_clip_idempotent_bitwise():
     rng = np.random.default_rng(7)
     for _ in range(200):
         v = rng.normal(size=rng.integers(1, 20)) * rng.choice([1e-3, 1.0, 1e3])
-        once = clip_to_norm(v, 1.0)
-        twice = clip_to_norm(once, 1.0)
+        once = clip_rows(v[None, :], 1.0)[0]
+        twice = clip_rows(once[None, :], 1.0)[0]
         assert np.array_equal(once, twice)
     # blocks and factored members at every magnitude and near the clip: a
     # clipped row measures at most s (1 - kappa_d), so it is kept
@@ -60,7 +60,7 @@ def test_clip_norm_bound_randomized():
     for d in dims:
         v = rng.normal(size=int(d)) * 10.0 ** rng.uniform(-6, 6)
         s = 10.0 ** rng.uniform(-3, 3)
-        assert np.linalg.norm(clip_to_norm(v, s)) <= s * (1.0 + 1e-12)
+        assert np.linalg.norm(clip_rows(v[None, :], s)[0]) <= s * (1.0 + 1e-12)
 
 
 def test_clip_positive_homogeneity():
@@ -69,28 +69,20 @@ def test_clip_positive_homogeneity():
         v = rng.normal(size=8)
         s = float(rng.uniform(0.1, 5.0))
         c = float(rng.uniform(0.1, 10.0))
-        left = clip_to_norm(c * v, c * s)
-        right = c * clip_to_norm(v, s)
+        left = clip_rows((c * v)[None, :], c * s)[0]
+        right = c * clip_rows(v[None, :], s)[0]
         assert np.allclose(left, right, rtol=1e-12, atol=0.0)
 
 
 def test_clip_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        clip_to_norm([1.0, 2.0], 0.0)
+        clip_rows(np.array([[1.0, 2.0]]), 0.0)
     with pytest.raises(ValueError):
-        clip_to_norm([1.0, 2.0], -1.0)
+        clip_rows(np.array([[1.0, 2.0]]), -1.0)
     with pytest.raises(ValueError):
-        clip_to_norm([1.0, math.nan], 1.0)
+        clip_rows(np.array([[1.0, math.nan]]), 1.0)
     with pytest.raises(ValueError):
-        clip_to_norm([1.0, math.inf], 1.0)
-    with pytest.raises(ValueError):
-        clip_to_norm([[1.0, 2.0]], 1.0)  # not 1-d
-
-
-def test_clip_output_not_writeable():
-    out = clip_to_norm([3.0, 4.0], 1.0)
-    with pytest.raises(ValueError):
-        out[0] = 0.0
+        clip_rows(np.array([[1.0, math.inf]]), 1.0)
 
 
 # -------------------------------------------------------------- joint scales
