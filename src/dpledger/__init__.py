@@ -18,10 +18,10 @@ mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
 times the row of unit Gaussians it is given; it builds the recorded
 (clip, sigma_sum) tuple before it adds any noise, so PrivacyTuple.check
-is the one check of both. It measures every row
+is the one check of both. It measures every record
 itself, a factored member (vectors.ScaledRows) from its scalars and rows,
-never from a norm the caller supplies, and clips blocks and factored
-members by one rule, with a written margin (kappa_d) that covers float
+never from a norm the caller supplies, and clips every group by one rule,
+one weight per record, with a written margin (kappa) that covers float
 rounding. The noise rows must be independent:
 mechanisms.draw_round_noise draws each group's row for each round from
 its own keyed stream, and the harness must hand each round its own rows
@@ -94,10 +94,8 @@ _MODULE_OF = {
     "partition_epoch": "sampling",
     "GroupPartition": "vectors",
     "GroupSpec": "vectors",
-    "Mechanism": "vectors",
     "ScaledRows": "vectors",
     "clip_rows": "vectors",
-    "clipped_scalars": "vectors",
 }
 
 __all__ = sorted(_MODULE_OF)

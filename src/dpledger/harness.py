@@ -23,9 +23,9 @@ reach the mechanisms in factored form, ScaledRows(r, gathered features),
 and no (m x dim) gradient block is written; the bias gradients r and the
 indicators are (m x 1) blocks. The residuals are checked for finiteness
 once, and the three members pass through microbatch_reduce and the group
-queries as one batch. The weights group clips that factored member
-itself (mechanisms.group_query), by the rule every block is clipped by;
-at microbatch size k > 1, microbatch_reduce averages it into a block of
+queries as one batch. group_query clips the factored member without
+building its block, by the one rule every group is clipped by; at
+microbatch size k > 1, microbatch_reduce averages it into a block of
 m / k rows.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
@@ -51,7 +51,7 @@ import numpy as np
 from .accountant import PrivacyGuarantee, _check_delta, account_ledger
 from .allocation import proportional_allocation
 from .errors import AccountingRefusal
-from .ledger import Ledger, SamplingPolicy, _check_round, serialize
+from .ledger import Ledger, SamplingPolicy, _check_round, effective_z, serialize
 from .mechanisms import (
     RoundContext,
     draw_round_noise,
@@ -60,7 +60,7 @@ from .mechanisms import (
 )
 from .prng import _PAIR_BLOCK, SecureStream, coerce_seed
 from .sampling import Sample, SamplerConfig, draw_sample, poisson_rate
-from .vectors import GroupPartition, GroupSpec, Mechanism, ScaledRows
+from .vectors import GroupPartition, GroupSpec, ScaledRows
 
 # Rounds whose noise one draw_round_noise call draws: enough to spread a
 # Box-Muller pass's per-call cost over many rounds. dp_sgd_train takes
@@ -133,7 +133,7 @@ def per_example_gradients(
     """d loss / d(w, b) for every example, from its P(label = 1 | x) at
     the current parameters: ((p - y) x, (p - y)). The weight gradients
     are factored, ScaledRows(p - y, features), and share the features'
-    memory; materialize() builds their (m x dim) block."""
+    memory."""
     residual = probabilities - labels
     return ScaledRows(residual, features), residual
 
@@ -147,24 +147,21 @@ def make_sgd_partition(
     sigma_metrics: float,
 ) -> GroupPartition:
     """Weights, bias, and the correctness-indicator metric as three
-    separate-mechanism groups. Sigmas are per-average noise stds. Groups
-    carry no dimensions; the blocks do."""
+    one-member groups without scales. Sigmas are per-average noise stds.
+    Groups carry no dimensions; the blocks do."""
     groups = (
         GroupSpec(
             member_names=("weights",),
-            mechanism=Mechanism.SEPARATE,
             clip_s=clip_weights,
             noise_sigma=sigma_weights,
         ),
         GroupSpec(
             member_names=("bias",),
-            mechanism=Mechanism.SEPARATE,
             clip_s=clip_bias,
             noise_sigma=sigma_bias,
         ),
         GroupSpec(
             member_names=("metrics",),
-            mechanism=Mechanism.SEPARATE,
             clip_s=1.0,
             noise_sigma=sigma_metrics,
         ),
@@ -240,6 +237,12 @@ class TrainConfig:
                 f"groups {zero_noise} have zero noise; set insecure_test_mode=True "
                 f"to run without privacy"
             )
+        if not self.insecure_test_mode:
+            # Every round records these tuples, so an S* out of range is
+            # refused here, before any round runs, not by the accountant.
+            rate = poisson_rate(self.q, self.n) or self.q
+            groups = self.partition.groups
+            effective_z((g.clip_s, rate * self.n * g.noise_sigma) for g in groups)
 
 
 def _sample_ahead(

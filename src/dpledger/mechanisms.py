@@ -2,18 +2,11 @@
 
 A batch is the one record format: a mapping from member name to a float64
 (m x d) block with one row per record, or to a ScaledRows, the same block
-in factored form. group_query clips the rows of a group's (m x D_g)
-block, sums its columns and adds sigma_sum times the group's row of D_g
-unit Gaussians for the round; a microbatch is a reshape and a mean.
-
-A one-member separate group whose member is factored never builds its
-block: vectors.clipped_scalars gives one weight w_i per record, by the
-rule clip_rows clips every block by, and the clipped sum is one
-matrix-vector product, rows.T @ w. That is the rank-one case of
-per-example gradient norms (Goodfellow 2015, arXiv 1510.01799): a linear
-model's weight gradient row is a residual times a data row. Every other
-group lowers a factored member to its block first, and microbatch_reduce
-at size k > 1 averages its runs into a block of m / k rows.
+in factored form, whose clipped sum is one matrix-vector product that
+never builds the block (the rank-one case of per-example gradient norms,
+Goodfellow 2015, arXiv 1510.01799). group_query clips each record of a
+group by one weight (vectors._clip_factors), then sums, noises and
+averages each member; a microbatch is a reshape and a mean.
 
 A group's noise depends on (seed, group name, round) alone, never on the
 data or the model, so draw_round_noise draws every group's rows for a
@@ -22,22 +15,19 @@ run_partitioned_round. A row must be used in its round and nowhere else:
 noise reused across rounds or groups is not independent, and the
 accountant assumes it is.
 
-The spec's mechanism picks how a group is privatized. The separate
-mechanism clips each record's concatenation of the group's members to
-clip_s. The joint mechanism divides member j by its scale alpha_j, clips
-the scaled concatenation once, and multiplies the estimate back, so
-member j sees noise of std alpha_j * noise_sigma while the group costs one
-(clip_s, sigma_sum) tuple instead of k. Both emit the tuple the privacy
-ledger exists to record, with sigma_sum = q * n * noise_sigma computed
-here, once, so the ledger sees the identical float. The tuple is built
-before any noise is added, so PrivacyTuple.check is the one clip/sigma
-check a query passes. How a round's tuples compose into one equivalent
-query is the ledger's effective_z, not decided here.
+A group with scales divides member j by alpha_j before the clip and
+multiplies its estimate back, so member j sees noise of std alpha_j *
+noise_sigma while the group costs one (clip_s, sigma_sum) tuple instead
+of k. Every group emits the tuple the privacy ledger exists to record,
+with sigma_sum = q * n * noise_sigma computed here, once, so the ledger
+sees the identical float. The tuple is built before any noise is added,
+so PrivacyTuple.check is the one clip/sigma check a query passes. How a
+round's tuples compose into one equivalent query is the ledger's
+effective_z, not decided here.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -46,14 +36,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .ledger import Ledger, PrivacyTuple, _check_round
 from .prng import standard_normal_rows
-from .vectors import (
-    GroupPartition,
-    GroupSpec,
-    Mechanism,
-    ScaledRows,
-    clip_rows,
-    clipped_scalars,
-)
+from .vectors import GroupPartition, GroupSpec, ScaledRows, _clip_factors, _clip_member
 
 
 @dataclass(frozen=True)
@@ -108,16 +91,12 @@ def _batch_rows(blocks) -> int:
     return rows
 
 
-def _block(member) -> np.ndarray:
-    """A member as its float64 (m x d) block, built if it is factored."""
+def _column_sum(member) -> np.ndarray:
+    """A member's column sum; a factored member's is rows.T @ scalars, one
+    matrix-vector product that builds no block."""
     if isinstance(member, ScaledRows):
-        return member.materialize()
-    return np.asarray(member, dtype=np.float64)
-
-
-def _split(concat: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    ends = tuple(itertools.accumulate(dims))
-    return tuple(concat[end - d : end] for d, end in zip(dims, ends))
+        return member.rows.T @ member.scalars
+    return member.sum(axis=0)
 
 
 def group_query(
@@ -126,58 +105,40 @@ def group_query(
     ctx: RoundContext,
     noise: np.ndarray,
 ) -> GroupEstimate:
-    """One group's noisy average over a batch, under either mechanism.
+    """One group's noisy average over a batch.
 
     batch maps each member name to a float64 (m x d) block with one row per
     record, or to a ScaledRows; an empty sample is a batch of (0 x d)
-    blocks. The group's members sit side by side as one (m x D_g) block. A
-    joint group's columns are divided by their member's scale; then the
-    rows are clipped to clip_s, column-summed, noised with sigma_sum *
-    noise, where noise is the group's row of D_g unit Gaussians for this
-    round, divided by q * n, and a joint group's scales are multiplied
-    back. Emits (clip_s, sigma_sum = q * n * noise_sigma), built before
-    any noise is added: a sigma_sum that overflows is refused there, and
-    sigma_sum = 0 needs ctx.insecure_test_mode. m may be 0, as a Poisson
-    sample can be empty: the sum is then zero and the noise still has D_g
-    entries. A noise row of any other shape is refused, never broadcast,
-    and it is read, never written.
-
-    A one-member separate group whose member is a ScaledRows is clipped in
-    factored form: vectors.clipped_scalars measures each row itself, from
-    the scalars and the rows, and gives weights w; the pre-noise sum is
-    rows.T @ w. Any other group materializes a factored member and clips
-    its block with clip_rows. Both clip by one rule, with a written margin
-    (kappa_d) that covers the float rounding, so every clipped row has
-    exact norm at most clip_s.
+    blocks. One weight per record clips all of the group's members to
+    clip_s (vectors._clip_factors). Member j is column-summed, divided by
+    its scale alpha_j (1 without scales), noised with sigma_sum times its
+    part of noise, the group's row of D_g unit Gaussians for this round,
+    divided by q * n and multiplied back by alpha_j. Emits (clip_s,
+    sigma_sum = q * n * noise_sigma), built before any noise is added: a
+    sigma_sum that overflows is refused there, and sigma_sum = 0 needs
+    ctx.insecure_test_mode. m may be 0, as a Poisson sample can be empty:
+    the sums are then zero and the noise still has D_g entries. A noise
+    row of any other shape is refused, never broadcast, and it is read,
+    never written.
 
     The accountant trusts this step to make the recorded clip true: it
     reads clip_s as the most that adding or removing one record moves
-    this group's pre-noise sum, in L2. The row clip makes
-    that hold while each row of the batch is one record. A row built from
-    several records breaks it: microbatch_reduce at size k > 1 averages
-    records by their position in the sample, so one added record shifts
-    every later row (ROADMAP item 1).
+    this group's pre-noise sum, in L2. The clip, whose written margin
+    covers the float rounding, makes that hold while each row of the
+    batch is one record. A row built from several records breaks it:
+    microbatch_reduce at size k > 1 averages records by their position in
+    the sample, so one added record shifts every later row (ROADMAP item
+    1).
     """
-    members = [batch[name] for name in spec.member_names]
-    factored = (
-        spec.k == 1
-        and spec.mechanism is Mechanism.SEPARATE
-        and isinstance(members[0], ScaledRows)
-    )
-    parts = members if factored else [_block(member) for member in members]
-    _batch_rows(parts)
-    dims = tuple(part.shape[1] for part in parts)
+    members = [
+        b if isinstance(b, ScaledRows) else np.asarray(b, dtype=np.float64)
+        for b in (batch[name] for name in spec.member_names)
+    ]
+    _batch_rows(members)
+    dims = tuple(member.shape[1] for member in members)
     if min(dims) < 1:
         raise ValueError(f"member dims {dims} must be positive")
-    scales = None
-    if factored:
-        column_sum = parts[0].rows.T @ clipped_scalars(parts[0], spec.clip_s)
-    else:
-        block = parts[0] if spec.k == 1 else np.concatenate(parts, axis=1)
-        if spec.joint_scales is not None:
-            scales = np.array(spec.joint_scales).repeat(dims)
-            block = block / scales
-        column_sum = clip_rows(block, spec.clip_s).sum(axis=0)
+    factors = _clip_factors(members, spec.joint_scales, spec.clip_s)
     emitted = PrivacyTuple(clip_s=spec.clip_s, sigma_sum=ctx.qn * spec.noise_sigma)
     if emitted.sigma_sum == 0.0 and not ctx.insecure_test_mode:
         raise ConfigurationError(
@@ -185,20 +146,26 @@ def group_query(
             "requires insecure_test_mode=True"
         )
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != column_sum.shape:
+    if noise.shape != (sum(dims),):
         raise ValueError(
-            f"a sum of {column_sum.shape[0]} columns takes a noise row of as many "
+            f"a sum of {sum(dims)} columns takes a noise row of as many "
             f"entries, got shape {noise.shape}"
         )
-    total = noise * emitted.sigma_sum
-    total += column_sum
-    estimate = total / ctx.qn
-    if scales is not None:
-        estimate = scales * estimate
+    estimates = []
+    end = 0
+    for member, d, scale in zip(members, dims, spec.joint_scales or (None,) * spec.k):
+        column_sum = _column_sum(_clip_member(member, factors))
+        end += d
+        if scale is not None:
+            column_sum = column_sum / scale
+        total = noise[end - d : end] * emitted.sigma_sum
+        total += column_sum
+        estimate = total / ctx.qn
+        estimates.append(estimate if scale is None else scale * estimate)
     return GroupEstimate(
         group_name=spec.name,
         member_names=spec.member_names,
-        estimates=_split(estimate, dims),
+        estimates=tuple(estimates),
         emitted=emitted,
     )
 

@@ -1,23 +1,25 @@
-"""Vector groups and the clipping primitives.
+"""Vector groups and the clip rule.
 
 A round's records reach the mechanisms as a batch: a mapping from member
 name to a float64 (m x d) block, one row per record, or to a ScaledRows,
 the same block in factored form (row i is scalars[i] * rows[i]). Groups
-partition the member names and carry the mechanism configuration (clip
-bound, noise level, optional per-member scales for the joint mechanism).
-Specs are immutable values; clip_rows and clipped_scalars are pure
-functions.
+partition the member names; a group is its members and optional
+per-member scales, with its clip bound and noise level. Specs are
+immutable values, and the clip is a pure function.
 
-Both clip by one rule (_clip_weights), measuring each row from its
-entries; clipped_scalars clips a factored member without building its
-block and returns one weight per record. A measured norm differs from
-the exact one by a few ulps, so the rule keeps a written relative margin
-kappa_d below the clip s, and every row's exact norm is at most s.
+One rule clips every group (_clip_factors): each member's rows are
+measured from their entries, or from a factored member's scalars and
+rows, and divided by the member's scale; the measures combine into one
+norm per record, and one weight per record clips all of the group's
+members at once. This is per-layer ghost clipping summed across members
+(Li, Tramer, Liang and Hashimoto 2021, arXiv 2110.05679). A measured norm
+differs from the exact one by a few ulps, so the rule keeps a written
+relative margin kappa below the clip s, and every clipped record's exact
+(scaled) norm is at most s. clip_rows is its one-member block case.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,25 +28,18 @@ import numpy as np
 from .ledger import PrivacyTuple, _check_name
 
 
-class Mechanism(enum.Enum):
-    """How a group of vectors is clipped and noised."""
-
-    SEPARATE = "separate"
-    JOINT = "joint"
-
-
 @dataclass(frozen=True)
 class GroupSpec:
-    """Mechanism configuration for one group of vectors.
+    """Configuration for one group of vectors.
 
-    clip_s bounds the L2 norm of the (scaled) concatenation of the group's
-    members; noise_sigma is the per-average noise standard deviation. For
-    the joint mechanism, joint_scales holds one positive scale per member
-    and clip_s may not exceed sqrt(k).
+    clip_s bounds the L2 norm of each record's concatenation of the
+    group's members, member j divided by joint_scales[j] when the group
+    has scales; noise_sigma is the per-average noise standard deviation.
+    Scales are one positive number per member, and with them clip_s may
+    not exceed sqrt(k).
     """
 
     member_names: tuple[str, ...]
-    mechanism: Mechanism
     clip_s: float
     noise_sigma: float
     joint_scales: tuple[float, ...] | None = None
@@ -60,11 +55,7 @@ class GroupSpec:
             _check_name(m, "member name")
         object.__setattr__(self, "member_names", members)
         PrivacyTuple.check(self.clip_s, self.noise_sigma)
-        if not isinstance(self.mechanism, Mechanism):
-            raise ValueError(f"mechanism must be a Mechanism, got {self.mechanism!r}")
-        if self.mechanism is Mechanism.JOINT:
-            if self.joint_scales is None:
-                raise ValueError("joint mechanism requires joint_scales")
+        if self.joint_scales is not None:
             scales = tuple(float(a) for a in self.joint_scales)
             if len(scales) != len(members):
                 raise ValueError(
@@ -79,8 +70,6 @@ class GroupSpec:
                     f"joint clip_s={self.clip_s} exceeds sqrt(k)={math.sqrt(k)}"
                 )
             object.__setattr__(self, "joint_scales", scales)
-        elif self.joint_scales is not None:
-            raise ValueError("joint_scales only apply to the joint mechanism")
         if not self.name:
             object.__setattr__(self, "name", "+".join(members))
         else:
@@ -126,10 +115,9 @@ class ScaledRows:
 
     A linear model's weight gradient for record i is its residual times
     its features, so a round's weight gradients are the gathered features
-    and one scalar per record. A one-member separate group is clipped and
-    summed in this form (clipped_scalars); everything else lowers it to
-    its block with materialize. Compares by identity, as arrays do not
-    compare as values.
+    and one scalar per record. The clip rule measures and sums a member
+    in this form without building its block. Compares by identity, as
+    arrays do not compare as values.
     """
 
     scalars: np.ndarray
@@ -153,10 +141,6 @@ class ScaledRows:
     @property
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
-
-    def materialize(self) -> np.ndarray:
-        """The (m x d) block: rows * scalars[:, None], a new array."""
-        return self.rows * self.scalars[:, None]
 
 
 # A row norm below this may have lost squares to underflow; it is measured
@@ -194,96 +178,142 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _clip_margin(d: int) -> float:
-    """kappa_d = (d + 8) * 2^-53, the clip's relative margin for rows of d
-    entries; 1 - kappa_d and 1 - 2 kappa_d are exact floats.
+def _clip_margin(width: int, k: int, scaled: bool) -> float:
+    """kappa = (D + 8 k + 2 c) * 2^-53, the clip's relative margin for a
+    group of k members of D entries in all, where c = 1 when a scale other
+    than 1 divides its members and c = 0 otherwise; for one unscaled
+    member of d entries it is kappa_d = (d + 8) * 2^-53. 1 - kappa and
+    1 - 2 kappa are exact floats.
 
-    With u = 2^-53 and g = d u / (1 - d u), _row_norms measures a row within
-    a factor sqrt(1 -/+ g)(1 -/+ u) of its exact norm N (a d-term sum of
-    squares in any order, then its root; its rescale is exact); a factored
-    row's product with |scalars[i]| adds (1 -/+ u). To first order in u:
-    - a kept row measures at most fl(s (1 - kappa_d)), so N <= s (1 -
-      kappa_d)(1 + u) / (sqrt(1 - g)(1 - u)^2) ~ s (1 - (d / 2 + 5) u);
-    - a clipped row's weight scalars[i] * fl(s (1 - 2 kappa_d)) / n rounds
-      three times, a block's entries once more: N <= s (1 - 2 kappa_d)(1 +
-      u)^3 / (sqrt(1 - g)(1 - u)^2) ~ s (1 - (3 d / 2 + 11) u);
-    - measured again, a clipped row reads at most s (1 - 2 kappa_d)(1 +
-      u)^4 sqrt((1 + g) / (1 - g)) / (1 - u) ~ s (1 - kappa_d - 3u), 2u s
-      or more below fl(s (1 - kappa_d)), so clipping is idempotent.
-    Both bounds hold for d up to 2^24, where second-order terms stay below
-    u. Lost squares move a sum of at least 2^-900 by under d 2^-170 of it;
-    a clipped block row's subnormal entries move it by at most sqrt(d)
-    2^-1075, which s kappa_d covers for s >= 2^-1022, and 2u s for s >=
-    sqrt(d) 2^-1022.
+    Let u = 2^-53 and g_n = n u / (1 - n u). A record's member j has exact
+    norm N_j (of its block row, or |scalars[i]| ||rows[i]||) and scale
+    a_j, and the record's exact norm is N = sqrt(sum_j (N_j / a_j)^2).
+    _row_norms measures a row of d_j entries within a factor sqrt(1 -/+
+    g_{d_j})(1 -/+ u) of its norm (a d_j-term sum of squares in any order,
+    then its root; its rescale is exact), and a one-entry row exactly.
+    The product with |scalars[i]| and the division by a_j add a factor
+    (1 -/+ u) each, and for k >= 2 the _row_norms that combines the k
+    measures adds sqrt(1 -/+ g_k)(1 -/+ u). As max_j d_j + k <= D + 1, the
+    record measures M = N (1 -/+ e u) to first order in u, with e = (D +
+    1) / 2 + 3 + c for k >= 2 and d / 2 + 2 + c for k = 1. Then:
+    - a kept record measures at most fl(s (1 - kappa)), so N <= s (1 -
+      kappa + (e + 1) u), at least (D / 2 + 5) u s below s;
+    - a clipped record's weight f = fl(s (1 - 2 kappa)) / M rounds twice,
+      and each member's clipped row once more (its entries times f, or
+      the weight scalars[i] * f): N <= s (1 - 2 kappa + (e + 3) u), at
+      least (3 D / 2 + 11) u s below s;
+    - measured again, a clipped record's member j reads at most f times
+      its first measure times 1 + (d_j + 3 + 2 c) u for a block (the
+      entries' product, and their new sum of squares, root and division,
+      against the first root and division), or 1 + (3 + 2 c) u for a
+      factored member, whose rows, and so their measure, are unchanged.
+      Combining twice adds (k + 2) u for k >= 2, so the record reads at
+      most s (1 - 2 kappa + (d + 5 + 2 c) u) for k = 1 and s (1 - 2 kappa
+      + (D + 8 + 2 c) u) for k >= 2: 2u s and (8 k - 9) u s below s (1 -
+      kappa - u) <= fl(s (1 - kappa)), so clipping is idempotent.
+    The bounds hold for D up to 2^24, where second-order terms stay below
+    u. Lost squares move a sum of at least 2^-900 by under D 2^-170 of it.
+    A product, quotient or clipped entry below 2^-1022 is off by up to
+    2^-1075 rather than by u of itself, and a division by a scale below 1
+    magnifies that: with a the least of 1 and the scales, a record's
+    measure moves by at most 2 sqrt(k) 2^-1075 / a, and its clipped norm
+    by sqrt(D) 2^-1075 / a more. For s a >= 2^-1022 the first two bounds'
+    slack covers that, and the third's 2u s covers it for s a >= (D + k)
+    2^-1020. Where s (1 - 2 kappa) a < 2^-1022 every measured record is
+    clipped to 0.
     """
-    return (d + 8) * 2.0**-53
+    return (width + 8 * k + 2 * scaled) * 2.0**-53
 
 
 _TINY = np.finfo(np.float64).tiny
 
 
-def _clip_weights(scalars: np.ndarray | None, rows: np.ndarray, s: float):
-    """The clip rule: weights w such that w[i] * rows[i] is row i of the
-    block scalars[i] * rows[i] clipped to s; scalars None stands for ones,
-    the block rows itself. Returns scalars itself when no row is clipped.
+def _measure(member) -> np.ndarray:
+    """Each record's L2 norm of one member's row, measured from its
+    entries, or from a factored member's scalars and rows."""
+    if isinstance(member, ScaledRows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(member.scalars) * _row_norms(member.rows)
+    return _row_norms(member)
 
-    Row i measures n_i = |scalars[i]| * ||rows[i]||, computed here.
-    w[i] = scalars[i] when n_i <= s (1 - kappa_d) (_clip_margin), or when
-    n_i <= s for a one-entry block row, which is measured exactly; else
-    w[i] = scalars[i] * s (1 - 2 kappa_d) / n_i, or 0 where that quotient
-    or weight is subnormal, too inexact for the margin. Non-finite input,
-    and a row whose norm exceeds the float range, are refused.
+
+def _clip_factors(members, scales, s: float) -> np.ndarray | None:
+    """The clip rule: one weight f_i per record that clips all of a
+    group's members at once, or None when no record is clipped.
+
+    members are float64 (m x d_j) blocks or ScaledRows of one row count;
+    scales is None or one positive a_j per member. Record i measures M_i:
+    member j's measure divided by a_j, and for k >= 2 the _row_norms of
+    those k measures. f_i = 1 when M_i <= s (1 - kappa) (_clip_margin), or
+    when M_i <= s for a one-entry block without scales, which is measured
+    exactly; else f_i = s (1 - 2 kappa) / M_i, or 0 where that quotient
+    is subnormal, too inexact for the margin. The clipped record is each
+    member's row times f_i (_clip_member) divided by a_j, of exact L2
+    norm at most s. Non-finite input, and a record whose measure exceeds
+    the float range, are refused.
     """
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"clip bound must be positive and finite, got {s}")
-    if not len(rows):
-        return scalars
-    norms = _row_norms(rows)
-    if scalars is not None:
+    first = members[0]
+    if not first.shape[0]:
+        return None
+    norms = [_measure(member) for member in members]
+    scaled = scales is not None and any(a != 1.0 for a in scales)
+    least = 1.0
+    if scaled:
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.abs(scalars) * norms
-    if not np.isfinite(norms).all():
-        # Only then are the arrays themselves scanned, to say which refusal.
-        parts = (rows,) if scalars is None else (scalars, rows)
-        if not all(np.isfinite(part).all() for part in parts):
-            raise ValueError("clip_rows expects a finite (m x d) block")
+            norms = [norm / a for norm, a in zip(norms, scales)]
+        least = min(1.0, *scales)
+    # One measure is its own norm: _row_norms of one column is |x|, exactly.
+    measure = norms[0] if len(norms) == 1 else _row_norms(np.column_stack(norms))
+    if not np.isfinite(measure).all():
+        # Only then are the members themselves scanned, to say which refusal.
+        for x in members:
+            parts = (x.scalars, x.rows) if isinstance(x, ScaledRows) else (x,)
+            if not all(np.isfinite(part).all() for part in parts):
+                raise ValueError("clip_rows expects a finite (m x d) block")
         raise ValueError("clip_rows: a row's L2 norm exceeds the float range")
-    d = rows.shape[1]
-    margin = _clip_margin(d)
+    width = sum(member.shape[1] for member in members)
+    margin = _clip_margin(width, len(members), scaled)
     target, keep = s * (1.0 - 2.0 * margin), s * (1.0 - margin)
-    if target < _TINY:
+    if target * least < _TINY:
         # Below the normal range the products round by more than the margin.
         target = keep = 0.0
-    if scalars is None and d == 1:
-        keep = s  # a one-entry row measures as |x|, exactly
-    over = norms > keep
+    if width == 1 and not scaled and not isinstance(first, ScaledRows):
+        keep = s  # one one-entry member, measured as |x|, exactly
+    over = measure > keep
     if not over.any():
-        return scalars
-    quotient = target / norms[over]
-    clipped = quotient if scalars is None else scalars[over] * quotient
-    clipped[(quotient < _TINY) | (np.abs(clipped) < _TINY)] = 0.0
-    weights = np.where(over, 0.0, 1.0 if scalars is None else scalars)
-    weights[over] = clipped
-    return weights
+        return None
+    quotient = target / measure[over]
+    quotient[quotient < _TINY] = 0.0
+    factors = np.ones(first.shape[0])
+    factors[over] = quotient
+    return factors
+
+
+def _clip_member(member, factors: np.ndarray | None):
+    """A member with record i weighted by its clip factor f_i
+    (_clip_factors; None when none is clipped): a block's rows times f, or
+    a factored member's scalars times f, 0 where a clipped weight is
+    subnormal, too inexact for the margin."""
+    if factors is None:
+        return member
+    if isinstance(member, ScaledRows):
+        weights = member.scalars * factors
+        weights[(np.abs(weights) < _TINY) & (factors < 1.0)] = 0.0
+        return ScaledRows(weights, member.rows)
+    return member * factors[:, None]
 
 
 def clip_rows(block, s: float) -> np.ndarray:
-    """Clip each row of a finite (m x d) block to L2 norm at most s, by the
-    rule of _clip_weights: a row within the margin comes back bitwise
-    unchanged, and clipping twice is clipping once. The input is never
-    written to; an empty block, or one of no columns, is its own clip. A
-    row whose norm exceeds the float range is refused.
+    """Clip each row of a finite (m x d) block to L2 norm at most s: the
+    clip rule (_clip_factors) of a one-member group. A row within the
+    margin comes back bitwise unchanged, and clipping twice is clipping
+    once. The input is never written to; an empty block, or one of no
+    columns, is its own clip. A row whose norm exceeds the float range is
+    refused.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2:
         raise ValueError("clip_rows expects a finite (m x d) block")
-    weights = _clip_weights(None, block, s)
-    return block if weights is None else block * weights[:, None]
-
-
-def clipped_scalars(member: ScaledRows, s: float) -> np.ndarray:
-    """Per-record weights w that clip a factored member's rows to s
-    (_clip_weights): row i of the clipped block is w[i] * member.rows[i],
-    of exact L2 norm at most s."""
-    return _clip_weights(member.scalars, member.rows, s)
-
+    return _clip_member(block, _clip_factors([block], None, s))

@@ -18,7 +18,6 @@ from dpledger import (
     GroupSpec,
     Knob,
     Ledger,
-    Mechanism,
     OrderGrid,
     RoundContext,
     SamplerConfig,
@@ -65,7 +64,6 @@ def test_criterion_01_single_query_equivalence():
                     specs.append(
                         GroupSpec(
                             member_names=members,
-                            mechanism=Mechanism.SEPARATE,
                             clip_s=float(rng.uniform(0.5, 3.0)),
                             noise_sigma=float(rng.uniform(0.05, 0.5)),
                             name=f"g{g}",
@@ -125,7 +123,6 @@ def test_criterion_02_joint_clip_noise_scales():
         start = time.perf_counter()
         spec = GroupSpec(
             member_names=("a", "b"),
-            mechanism=Mechanism.JOINT,
             clip_s=1.0,
             noise_sigma=0.01,
             joint_scales=(1.0, 100.0),
@@ -164,15 +161,22 @@ def test_criterion_03_flat_and_per_layer_recovery():
         (flat_s,) = split_clip_budget(total_s, layer_dims.values(), ClipSplit.FLAT)
         noise = SecureStream(b"acceptance-c3-00", "flat", 0).standard_normal(total_dim)
         spec = GroupSpec(
-            member_names=names, mechanism=Mechanism.SEPARATE,
-            clip_s=flat_s, noise_sigma=sigma, name="all",
+            member_names=names, clip_s=flat_s, noise_sigma=sigma, name="all",
         )
         est = group_query(batch, spec, ctx, noise)
         got = np.concatenate([est.get(m) for m in names])
-        clipped = [
-            clip_rows(np.concatenate([r[m] for m in names])[None, :], flat_s)[0]
-            for r in records
-        ]
+        # the group's rule on each record alone: a noiseless query of it
+        alone = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+        quiet = GroupSpec(member_names=names, clip_s=flat_s, noise_sigma=0.0)
+        clipped = []
+        for r in records:
+            one = {m: r[m][None, :] for m in names}
+            out = group_query(one, quiet, alone, np.zeros(total_dim)).estimates
+            clipped.append(np.concatenate(out))
+            # flat clipping scales the whole vector by one factor
+            v = np.concatenate([r[m] for m in names])
+            scale = min(1.0, flat_s / math.sqrt(np.dot(v, v)))
+            assert np.allclose(clipped[-1], scale * v, rtol=1e-12, atol=0.0)
         manual = (clipped[0] + clipped[1] + sigma_sum * noise) / (q * n)
         assert np.array_equal(got, manual)
 
@@ -187,8 +191,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
             layer_noise = noise[at : at + d]
             at += d
             spec = GroupSpec(
-                member_names=(m,), mechanism=Mechanism.SEPARATE,
-                clip_s=bound, noise_sigma=sigma,
+                member_names=(m,), clip_s=bound, noise_sigma=sigma,
             )
             est = group_query(batch, spec, ctx, layer_noise)
             manual = (

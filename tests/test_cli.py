@@ -446,6 +446,29 @@ def test_train_q_below_2_to_the_minus_64_is_refused_without_traceback(
     assert (out / "ledger.txt").read_bytes() == b""
 
 
+def test_train_refuses_an_s_star_out_of_range_before_round_0(
+    tmp_path, capsys, monkeypatch
+):
+    # every sigma_sum of about 2^1017 is finite, but the round's S* underflows
+    # to 0, so no ledger of this run could be accounted
+    def no_training(cfg):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr(dpledger.cli, "dp_sgd_train", no_training)
+    out = tmp_path / "out"
+    code = main(
+        [
+            "train", "--n", "200", "--dim", "2", "--q", "0.5", "--rounds", "2",
+            "--delta", "1e-5", "--noise-multiplier", "1e306", "--out-dir", str(out),
+        ]
+    )  # fmt: skip
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: equivalent sensitivity S* = 0.0 is out of range\n"
+    assert not out.exists()
+
+
 def test_train_at_a_rate_the_sampler_rounds_records_the_asked_noise_multiplier(
     tmp_path,
 ):

@@ -220,7 +220,7 @@ def test_gradients_match_central_differences():
             e[j] = h
             fd_w[j] = (example_loss(x, y, w + e, b) - example_loss(x, y, w - e, b)) / (2 * h)
         fd_b = (example_loss(x, y, w, b + h) - example_loss(x, y, w, b - h)) / (2 * h)
-        np.testing.assert_allclose(grad_w.materialize()[0], fd_w, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(grad_w.scalars[0] * grad_w.rows[0], fd_w, rtol=1e-6, atol=1e-9)
         assert float(grad_b[0]) == pytest.approx(fd_b, rel=1e-6, abs=1e-9)
 
 

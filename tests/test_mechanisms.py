@@ -14,7 +14,6 @@ from dpledger import (
     InfiniteSensitivityError,
     Ledger,
     LedgerUsageError,
-    Mechanism,
     PrivacyTuple,
     RoundContext,
     SamplerConfig,
@@ -22,7 +21,6 @@ from dpledger import (
     ScaledRows,
     SecureStream,
     clip_rows,
-    clipped_scalars,
     draw_round_noise,
     draw_sample,
     effective_z,
@@ -31,12 +29,12 @@ from dpledger import (
     run_partitioned_round,
     serialize,
 )
+from dpledger.vectors import _clip_factors, _clip_member
 
 
 def _sep(members, clip_s, sigma, name=None):
     return GroupSpec(
         member_names=tuple(members),
-        mechanism=Mechanism.SEPARATE,
         clip_s=clip_s,
         noise_sigma=sigma,
         name=name,
@@ -177,9 +175,14 @@ def test_separate_clips_the_member_concatenation():
     rec = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     batch = {"a": rec[0][None, :], "b": rec[1][None, :]}
     est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(4))
-    manual = clip_rows(np.concatenate(rec)[None, :], 1.0)[0]
-    assert np.array_equal(est.get("a"), manual[:2])
-    assert np.array_equal(est.get("b"), manual[2:])
+    # The rule on this record alone: the members measure 3 and 4, and the
+    # record 5, all exactly; above 1 - kappa it is scaled by (1 - 2 kappa) /
+    # 5, with kappa = (D + 8 k) 2^-53 for D = 4 entries in k = 2 members.
+    factor = (1.0 - 2.0 * (4 + 8 * 2) * 2.0**-53) / 5.0
+    assert np.array_equal(est.get("a"), rec[0] * factor)
+    assert np.array_equal(est.get("b"), rec[1] * factor)
+    flat = clip_rows(np.concatenate(rec)[None, :], 1.0)[0]
+    assert np.concatenate(est.estimates) == pytest.approx(flat, rel=20 * 2.0**-53)
 
 
 def test_separate_empty_sample_needs_dims():
@@ -204,13 +207,13 @@ def test_emitted_sigma_is_exactly_qn_sigma():
 # -------------------------------------------------------------- joint query
 
 
-def _joint(members, clip_s, sigma, scales):
+def _joint(members, clip_s, sigma, scales, name=None):
     return GroupSpec(
         member_names=tuple(members),
-        mechanism=Mechanism.JOINT,
         clip_s=clip_s,
         noise_sigma=sigma,
         joint_scales=tuple(scales),
+        name=name,
     )
 
 
@@ -473,9 +476,15 @@ def test_clip_rows_peak_memory_when_every_row_is_clipped():
 
 
 # ------------------------------------------------- factored members
-# A factored member's row i is scalars[i] * rows[i]. clipped_scalars
-# measures it as |scalars[i]| * ||rows[i]|| and clips it with the margin
-# kappa_d; the exact norm of every row it returns must be at most the clip.
+# A factored member's row i is scalars[i] * rows[i]. The clip rule
+# measures it as |scalars[i]| * ||rows[i]|| and clips it by its weight
+# scalars[i] * f_i; the exact norm of every clipped record must be at most
+# the clip.
+
+
+def _clip_alone(member, clip):
+    """A one-member group's clipped member: a block, or a ScaledRows."""
+    return _clip_member(member, _clip_factors([member], None, clip))
 
 
 @pytest.mark.parametrize("d", [1, 2, 100, 4096])
@@ -484,19 +493,76 @@ def test_factored_clip_keeps_every_exact_row_norm_within_the_clip(d):
     m = 60 if d == 4096 else 300
     for clip in (1.0, 0.37, 12.5):
         member = wide_range_member(rng, m, d, clip)
-        weights = clipped_scalars(member, clip)
+        weights = _clip_alone(member, clip).scalars
         kept = weights == member.scalars
         assert kept.any() and not kept.all()
         bound = Fraction(clip) ** 2
         for w, row in zip(weights.tolist(), member.rows):
             assert Fraction(w) ** 2 * exact_sq_norm(row) <= bound
         # the same records as a plain block, clipped by clip_rows
-        block = member.materialize()
+        block = member.rows * member.scalars[:, None]
         out = clip_rows(block, clip)
         kept = (out == block).all(axis=1)
         assert kept.any() and not kept.all()
         for row in out:
             assert exact_sq_norm(row) <= bound
+
+
+def _scaled_mixed_group(rng, m, d, clip, scales):
+    """A factored member of d entries and a block member of 2 entries whose
+    records sit at every magnitude; every third record's scaled norm is
+    within a few ulps of clip."""
+    factored = wide_range_member(rng, m, d, 1.0)
+    other = wide_range_member(rng, m, 2, 1.0)
+    block = other.rows * other.scalars[:, None]
+    near = np.arange(1, m, 3)  # where both members measure about 1
+    angle = rng.uniform(0.05, 1.5, size=near.size)
+    scalars = factored.scalars.copy()
+    scalars[near] *= scales[0] * clip * np.cos(angle)
+    block[near] *= (scales[1] * clip * np.sin(angle))[:, None]
+    return ScaledRows(scalars, factored.rows), block
+
+
+@pytest.mark.parametrize("d", [1, 3, 100])
+def test_a_scaled_group_keeps_every_exact_record_norm_within_the_clip(d):
+    # a factored and a block member, each divided by its scale, clipped by
+    # one weight per record: exactly, record i's norm is
+    # sqrt(w_i^2 ||rows_i||^2 / a_0^2 + ||block_i||^2 / a_1^2)
+    rng = np.random.default_rng(70 + d)
+    for clip, scales in ((1.0, (0.3, 7.0)), (0.37, (1.0, 1e-3)), (1.4, (3.0, 0.6))):
+        factored, block = _scaled_mixed_group(rng, 300, d, clip, scales)
+        factors = _clip_factors([factored, block], scales, clip)
+        assert (factors == 1.0).any() and (factors < 1.0).any()
+        weights = _clip_member(factored, factors)
+        rows = _clip_member(block, factors)
+        a0, a1 = (Fraction(a) ** 2 for a in scales)
+        bound = Fraction(clip) ** 2
+        for w, x, y in zip(weights.scalars.tolist(), factored.rows, rows):
+            sq_norm = Fraction(w) ** 2 * exact_sq_norm(x) / a0 + exact_sq_norm(y) / a1
+            assert sq_norm <= bound
+        # a clipped record measures within the margin, so clipping twice
+        # clips nothing more
+        assert _clip_factors([weights, rows], scales, clip) is None
+
+
+def test_a_joint_weights_and_bias_query_builds_no_group_block():
+    # one joint group of factored weights and a bias block: the clip and
+    # the sums take vectors of one entry per record, never an (m x D) block
+    rng = np.random.default_rng(9)
+    m, dim = 1000, 100
+    weights = ScaledRows(rng.normal(size=m), rng.normal(size=(m, dim)))
+    batch = {"weights": weights, "bias": weights.scalars[:, None]}
+    spec = _joint(["weights", "bias"], clip_s=1.0, sigma=0.5, scales=(1.0, 0.5))
+    ctx = RoundContext(q=0.05, n=20_000, round_id=0)
+    noise = rng.normal(size=dim + 1)
+    tracemalloc.start()
+    try:
+        est = group_query(batch, spec, ctx, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.get("weights").shape == (dim,)
+    assert peak < 0.25 * m * (dim + 1) * 8, peak / (m * (dim + 1) * 8)
 
 
 @pytest.mark.parametrize("d", [1, 7, 100])
@@ -506,8 +572,9 @@ def test_factored_sum_matches_the_clipped_block_sum(d):
     rows = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1))
     scalars = rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2, size=m)
     member = ScaledRows(scalars, rows)
-    got = rows.T @ clipped_scalars(member, clip)
-    want = clip_rows(member.materialize(), clip).sum(axis=0)
+    spec = _sep(["w"], clip_s=clip, sigma=0.0)
+    got = group_query({"w": member}, spec, _ONE_INSECURE, np.zeros(d)).get("w")
+    want = clip_rows(rows * scalars[:, None], clip).sum(axis=0)
     # Each clipped row moves by at most (kappa_d + 8 ulps) of the clip, and
     # each of the two sums of m rows of norm <= clip rounds by at most
     # m * clip * m ulps.
@@ -525,28 +592,23 @@ def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
     spec = _sep(["w"], clip_s=1.0, sigma=0.5)
     noise = rng.normal(size=4)
     est = group_query({"w": member}, spec, ctx, noise)
+    # The rule on each record alone: it measures |scalars[i]| times the
+    # root of its row's dot product, and above 1 - kappa_4 its weight is
+    # scaled to measure 1 - 2 kappa_4.
+    kappa = (4 + 8) * 2.0**-53
+    weights = member.scalars.copy()
+    for i, (scalar, row) in enumerate(zip(member.scalars, member.rows)):
+        measure = abs(scalar) * math.sqrt(np.dot(row, row))
+        if measure > 1.0 - kappa:
+            weights[i] = scalar * ((1.0 - 2.0 * kappa) / measure)
+    assert (weights == member.scalars).any() and (weights != member.scalars).any()
     total = noise * est.emitted.sigma_sum
-    total += member.rows.T @ clipped_scalars(member, 1.0)
+    total += member.rows.T @ weights
     assert est.get("w").tobytes() == (total / ctx.qn).tobytes()
     assert est.emitted == PrivacyTuple(clip_s=1.0, sigma_sum=ctx.qn * 0.5)
-    # joint and multi-member groups take the block path on the product
-    block = member.materialize()
-    assert block.tobytes() == (member.rows * member.scalars[:, None]).tobytes()
-    joint = GroupSpec(
-        member_names=("w",),
-        mechanism=Mechanism.JOINT,
-        clip_s=1.0,
-        noise_sigma=0.5,
-        joint_scales=(2.0,),
-    )
-    for spec, extra, width in ((joint, {}, 4), (_sep(["w", "a"], 1.0, 0.5), {"a": a}, 6)):
-        noise = rng.normal(size=width)
-        got = group_query({"w": member, **extra}, spec, ctx, noise)
-        want = group_query({"w": block, **extra}, spec, ctx, noise)
-        for x, y in zip(got.estimates, want.estimates):
-            assert x.tobytes() == y.tobytes()
     # size 1 passes the factored member through; a larger size averages
     # its runs to the block's means, bit for bit
+    block = member.rows * member.scalars[:, None]
     assert microbatch_reduce({"w": member, "a": a}, 1)["w"] is member
     for size in (2, 3, 4, 7):
         got = microbatch_reduce({"w": member, "a": a}, size)
@@ -566,21 +628,19 @@ def test_empty_factored_member_sums_to_zero():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_factored_member_refuses_non_finite_input_as_clip_rows_does(bad):
     finite_block = r"^clip_rows expects a finite \(m x d\) block$"
+    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    spec = _sep(["w"], 1.0, 0.5)
     for where in ("scalars", "rows"):
         scalars, rows = np.ones(3), np.ones((3, 4))
         (scalars if where == "scalars" else rows)[1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=finite_block):
-                clipped_scalars(ScaledRows(scalars, rows), 1.0)
-    ctx = RoundContext(q=0.25, n=100, round_id=0)
+                group_query({"w": ScaledRows(scalars, rows)}, spec, ctx, np.zeros(4))
     scalars = np.array([1.0, 1e300, 1.0])  # finite, but its row's norm is not
     with pytest.raises(ValueError, match="exceeds the float range"):
         group_query(
-            {"w": ScaledRows(scalars, np.full((3, 4), 1e10))},
-            _sep(["w"], 1.0, 0.5),
-            ctx,
-            np.zeros(4),
+            {"w": ScaledRows(scalars, np.full((3, 4), 1e10))}, spec, ctx, np.zeros(4)
         )
 
 
@@ -594,7 +654,7 @@ def test_scaled_rows_validation():
     with pytest.raises(ValueError):
         ScaledRows(np.ones(2), np.ones((2, 0)))
     with pytest.raises(ValueError):
-        clipped_scalars(ScaledRows(np.ones(2), np.ones((2, 2))), 0.0)
+        _clip_alone(ScaledRows(np.ones(2), np.ones((2, 2))), 0.0)
     member = ScaledRows([1, 2], [[1, 2, 3], [4, 5, 6]])
     assert member.shape == (2, 3) and member.rows.dtype == np.float64
 
@@ -797,14 +857,9 @@ def _batch_partition():
     return GroupPartition(
         groups=(
             _sep(["w"], clip_s=1.0, sigma=0.5, name="weights"),
-            GroupSpec(
-                member_names=("a", "b"),
-                mechanism=Mechanism.JOINT,
-                clip_s=1.0,
-                noise_sigma=0.25,
-                joint_scales=(1.0, 10.0),
-                name="joint",
-            ),
+            _joint(["a", "b"], 1.0, 0.25, scales=(1.0, 10.0), name="joint"),
+            # one factored member once _factored runs, and one block
+            _joint(["v", "c"], 1.2, 0.5, scales=(0.5, 4.0), name="mixed"),
         ),
     )
 
@@ -815,6 +870,8 @@ def _random_batch(m, seed=5):
         "w": rng.normal(size=(m, 3)) * rng.uniform(0.1, 3.0, size=(m, 1)),
         "a": rng.normal(size=(m, 1)),
         "b": rng.normal(size=(m, 2)) * 8.0,
+        "v": rng.normal(size=(m, 2)) * rng.uniform(0.05, 2.0, size=(m, 1)),
+        "c": rng.normal(size=(m, 1)) * 4.0,
     }
 
 
@@ -844,12 +901,13 @@ def test_batch_noise_replays_from_group_stream():
 def test_round_noise_rows_are_each_groups_per_round_stream():
     seed = coerce16(b"rows-seed")
     part = _batch_partition()
-    widths = {"w": 3, "a": 1, "b": 2}
+    widths = {"w": 3, "a": 1, "b": 2, "v": 2, "c": 1}
     rounds = range(3, 10)
     rows = draw_round_noise(seed, part, widths, rounds)
     assert {name: r.shape for name, r in rows.items()} == {
         "weights": (7, 3),
         "joint": (7, 3),
+        "mixed": (7, 3),
     }
     for spec in part.groups:
         for row, t in zip(rows[spec.name], rounds):
@@ -861,14 +919,17 @@ def test_empty_batch_still_draws_full_noise_and_records():
     part = _batch_partition()
     ctx = RoundContext(q=0.25, n=100, round_id=0)
     seed = coerce16(b"empty-seed")
-    dims = {"weights": (3,), "joint": (1, 2)}
-    empty_batch = {"w": np.empty((0, 3)), "a": np.empty((0, 1)), "b": np.empty((0, 2))}
+    dims = {"weights": (3,), "joint": (1, 2), "mixed": (2, 1)}
+    empty_batch = {
+        name: np.empty((0, d))
+        for name, d in (("w", 3), ("a", 1), ("b", 2), ("v", 2), ("c", 1))
+    }
     led = Ledger()
     led.record_sample(q=0.25, n=100, policy_tag="poisson_iid")
     noise = _round_noise(seed, part, empty_batch, ctx)
     out = run_partitioned_round(empty_batch, part, ctx, noise, ledger=led)
     led.close_round()
-    assert [e.group_name for e in led.rounds()[0][1]] == ["weights", "joint"]
+    assert [e.group_name for e in led.rounds()[0][1]] == ["weights", "joint", "mixed"]
     for spec in part.groups:
         d = sum(dims[spec.name])
         noise = SecureStream(seed, f"noise/{spec.name}", 0).standard_normal(d)
@@ -906,7 +967,7 @@ def _neighbour_batches(at, m=200, seed=31):
     and the same batch with a record far above the clip inserted at row at."""
     rng = np.random.default_rng(seed)
     base, plus = {}, {}
-    for name, d in (("w", 3), ("a", 1), ("b", 2)):
+    for name, d in (("w", 3), ("a", 1), ("b", 2), ("v", 2), ("c", 1)):
         base[name] = rng.normal(size=(m, d)) * rng.choice([1e-3, 1e3], size=(m, 1))
         plus[name] = np.insert(base[name], at, 1e3 * rng.normal(size=d), axis=0)
     return base, plus
@@ -942,11 +1003,14 @@ def test_one_added_record_moves_each_group_sum_by_at_most_its_clip():
 
 
 def _factored(batch):
-    """The batch with member w factored: row i as its first entry times row
-    i divided by it, a rule of the row alone, so the two neighbours factor
-    their shared rows alike."""
-    w = batch["w"]
-    return {**batch, "w": ScaledRows(w[:, 0], w / w[:, :1])}
+    """The batch with members w and v factored: row i as its first entry
+    times row i divided by it, a rule of the row alone, so the two
+    neighbours factor their shared rows alike."""
+    factored = dict(batch)
+    for name in ("w", "v"):
+        rows = batch[name]
+        factored[name] = ScaledRows(rows[:, 0], rows / rows[:, :1])
+    return factored
 
 
 def test_one_added_record_moves_a_factored_group_sum_by_at_most_its_clip():

@@ -7,15 +7,13 @@ from clip_cases import wide_range_member
 from dpledger import (
     GroupPartition,
     GroupSpec,
-    Mechanism,
     PrivacyTuple,
     RoundContext,
-    ScaledRows,
     SecureStream,
     clip_rows,
-    clipped_scalars,
     group_query,
 )
+from dpledger.vectors import _clip_factors, _clip_member
 
 
 # ---------------------------------------------------------------- clipping
@@ -46,11 +44,10 @@ def test_clip_idempotent_bitwise():
     for d in (1, 2, 100, 4096):
         for clip in (1.0, 0.37, 12.5):
             member = wide_range_member(rng, 60, d, clip)
-            once = clip_rows(member.materialize(), clip)
+            once = clip_rows(member.rows * member.scalars[:, None], clip)
             assert clip_rows(once, clip).tobytes() == once.tobytes()
-            weights = clipped_scalars(member, clip)
-            again = clipped_scalars(ScaledRows(weights, member.rows), clip)
-            assert again.tobytes() == weights.tobytes()
+            weights = _clip_member(member, _clip_factors([member], None, clip))
+            assert _clip_factors([weights], None, clip) is None
 
 
 def test_clip_norm_bound_randomized():
@@ -93,7 +90,6 @@ def _joint_estimates(vs, scales, clip_s):
     names = tuple(f"v{j}" for j in range(len(vs)))
     spec = GroupSpec(
         member_names=names,
-        mechanism=Mechanism.JOINT,
         clip_s=clip_s,
         noise_sigma=0.0,
         joint_scales=tuple(scales),
@@ -133,7 +129,6 @@ def test_scale_unscale_roundtrip():
 def test_group_spec_defaults_and_validation():
     g = GroupSpec(
         member_names=("w", "b"),
-        mechanism=Mechanism.SEPARATE,
         clip_s=1.0,
         noise_sigma=0.5,
     )
@@ -141,23 +136,18 @@ def test_group_spec_defaults_and_validation():
     assert g.k == 2
 
     with pytest.raises(ValueError):
-        GroupSpec(member_names=(), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0)
+        GroupSpec(member_names=(), clip_s=1.0, noise_sigma=1.0)
     with pytest.raises(ValueError):
-        GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=0.0, noise_sigma=1.0)
+        GroupSpec(member_names=("w",), clip_s=0.0, noise_sigma=1.0)
     with pytest.raises(ValueError):
-        GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=-1.0)
-    with pytest.raises(ValueError):  # the mechanism decides how a group is noised
-        GroupSpec(member_names=("w",), mechanism="separate", clip_s=1.0, noise_sigma=1.0)
+        GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=-1.0)
 
 
 def test_joint_spec_scale_rules():
-    # joint needs scales, one per member, all positive
-    with pytest.raises(ValueError):
-        GroupSpec(member_names=("a", "b"), mechanism=Mechanism.JOINT, clip_s=1.0, noise_sigma=1.0)
+    # scales are one per member, all positive
     with pytest.raises(ValueError):
         GroupSpec(
             member_names=("a", "b"),
-            mechanism=Mechanism.JOINT,
             clip_s=1.0,
             noise_sigma=1.0,
             joint_scales=(1.0,),
@@ -165,7 +155,6 @@ def test_joint_spec_scale_rules():
     with pytest.raises(ValueError):
         GroupSpec(
             member_names=("a", "b"),
-            mechanism=Mechanism.JOINT,
             clip_s=1.0,
             noise_sigma=1.0,
             joint_scales=(1.0, 0.0),
@@ -175,14 +164,12 @@ def test_joint_spec_scale_rules():
     with pytest.raises(ValueError):
         GroupSpec(
             member_names=("a", "b"),
-            mechanism=Mechanism.JOINT,
             clip_s=2.0,
             noise_sigma=1.0,
             joint_scales=(1.0, 1.0),
         )
     ok = GroupSpec(
         member_names=("a", "b"),
-        mechanism=Mechanism.JOINT,
         clip_s=math.sqrt(2.0),
         noise_sigma=1.0,
         joint_scales=(1.0, 100.0),
@@ -191,15 +178,15 @@ def test_joint_spec_scale_rules():
 
 
 def test_partition_disjointness():
-    g1 = GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0)
-    g2 = GroupSpec(member_names=("w",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="other")
+    g1 = GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=1.0)
+    g2 = GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=1.0, name="other")
     with pytest.raises(ValueError):
         GroupPartition(groups=(g1, g2))
 
 
 def test_partition_duplicate_group_names():
-    g1 = GroupSpec(member_names=("a",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="g")
-    g2 = GroupSpec(member_names=("b",), mechanism=Mechanism.SEPARATE, clip_s=1.0, noise_sigma=1.0, name="g")
+    g1 = GroupSpec(member_names=("a",), clip_s=1.0, noise_sigma=1.0, name="g")
+    g2 = GroupSpec(member_names=("b",), clip_s=1.0, noise_sigma=1.0, name="g")
     with pytest.raises(ValueError):
         GroupPartition(groups=(g1, g2))
 
