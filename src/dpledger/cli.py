@@ -194,7 +194,7 @@ def _cmd_train(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # such as a q below 2**-64, which no sampler runs
+    except ValueError as exc:  # a check that only the run itself makes
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

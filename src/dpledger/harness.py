@@ -51,7 +51,7 @@ import numpy as np
 from .accountant import PrivacyGuarantee, _check_delta, account_ledger
 from .allocation import proportional_allocation
 from .errors import AccountingRefusal
-from .ledger import Ledger, SamplingPolicy, _check_round, effective_z, serialize
+from .ledger import Ledger, SamplingPolicy, effective_z, serialize
 from .mechanisms import (
     RoundContext,
     draw_round_noise,
@@ -176,9 +176,8 @@ def sigmas_for_target_z(
     exactly target_z: the proportional allocation's sum-level sigmas
     z * sqrt(G) * S_g, divided by q' * n, where q' = poisson_rate(q, n) is
     the rate a run configured with q samples at and the mechanisms
-    multiply back. A q below 2^-64, which rounds to 0, is divided by as
-    it is: no run samples at it, and the run's sampler refuses it."""
-    rate = poisson_rate(q, n) or q
+    multiply back."""
+    rate = poisson_rate(q, n)
     return tuple(
         sigma / (rate * n) for sigma in proportional_allocation(target_z, clip_bounds)
     )
@@ -204,7 +203,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", coerce_seed(self.seed))
-        _check_round(self.q, self.n)
+        rate = poisson_rate(self.q, self.n)  # refuses a q no sampler runs
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
         if self.dim < 1:
@@ -240,7 +239,6 @@ class TrainConfig:
         if not self.insecure_test_mode:
             # Every round records these tuples, so an S* out of range is
             # refused here, before any round runs, not by the accountant.
-            rate = poisson_rate(self.q, self.n) or self.q
             groups = self.partition.groups
             effective_z((g.clip_s, rate * self.n * g.noise_sigma) for g in groups)
 

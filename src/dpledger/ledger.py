@@ -48,7 +48,8 @@ bytes as a single block; only what a block ends in, a partial line or a
 copy that the next block must confirm, is carried into the next. So
 reading a file holds one block, its largest round and the parsed ledger,
 whose memory follows its runs and distinct rounds, not the round count
-or the file's size.
+or the file's size. The read stops at the first fault in file order, so
+a bad line is refused without reading the blocks after its own.
 """
 
 from __future__ import annotations
@@ -490,8 +491,6 @@ _BLOCK_BYTES = 1 << 20
 # long run of copies costs little memory beyond the block.
 _BATCH_BYTES = 1 << 16
 
-_NON_ASCII = re.compile(rb"[\x80-\xff]")
-
 
 def _copies(
     data, pos: int, parts: tuple[str, ...], round_id: int, at_end: bool
@@ -541,8 +540,8 @@ def _undecided(data, pos: int, parts: tuple[str, ...], round_id: int) -> bool:
 def _parse(ledger: Ledger, data, pos: int, line_no: int, at_end: bool):
     """Read data from pos on into ledger; line_no is the number of the
     line before pos. Returns the position where the next block must go
-    on, the number of the line before it, and the refusal of a bad line,
-    which stops the read, or None.
+    on and the number of the line before it. A bad line, a non-ascii one
+    among them, raises LedgerParseError at its number.
 
     Where the next id's sample line follows a closed round, or closes the
     open one, the rounds from there on are read as whole copies of the
@@ -561,24 +560,22 @@ def _parse(ledger: Ledger, data, pos: int, line_no: int, at_end: bool):
             ledger._append(last, copies)
             line_no += copies * (len(last.parts) - 1)  # lines per round
             if not at_end and _undecided(data, pos, last.parts, next_id + copies):
-                return pos, line_no, None
+                return pos, line_no
             if copies:
                 continue
         end = data.find(b"\n", pos) + 1
         if not end:
-            return pos, line_no, None
+            return pos, line_no
         line_no += 1
         try:
             _replay(ledger, data[pos : end - 1].decode("ascii"))
         except (ValueError, LedgerUsageError) as exc:
-            return end, line_no, LedgerParseError(str(exc), line=line_no)
+            raise LedgerParseError(str(exc), line=line_no) from None
         pos = end
 
 
 class _Blocks:
-    """The input, one block at a time, and what its refusals need to know
-    of it: the input offset of the block's first byte, the last byte read
-    so far, and whether the block is the input's last.
+    """The input, one block at a time, and whether the block is its last.
 
     bytes input is one block, the last. A binary file is read with
     readinto, _BLOCK_BYTES at a time, into one bytearray: next(pos) moves
@@ -587,11 +584,10 @@ class _Blocks:
     """
 
     def __init__(self, source):
-        self.offset = 0
         if isinstance(source, bytes):
-            self.buf, self.at_end, self.last = source, True, source[-1:]
+            self.buf, self.at_end = source, True
         elif hasattr(source, "readinto"):
-            self.buf, self.at_end, self.last = bytearray(_BLOCK_BYTES), False, b""
+            self.buf, self.at_end = bytearray(_BLOCK_BYTES), False
             self._file = source
             self._read(0)
         else:
@@ -602,7 +598,6 @@ class _Blocks:
         tail = len(buf) - pos
         if pos:
             buf[:tail] = buf[pos:]
-        self.offset += pos
         if len(buf) < tail + _BLOCK_BYTES:  # room for a block after the tail
             buf.extend(bytes(tail + _BLOCK_BYTES - len(buf)))
         self._read(tail)
@@ -620,17 +615,6 @@ class _Blocks:
                 break
             size += read
         del buf[size:]
-        if size > tail:
-            self.last = buf[-1:]
-
-
-def _not_ascii(data, offset: int) -> LedgerParseError:
-    """The refusal of data's first non-ascii byte, at its input offset."""
-    at = _NON_ASCII.search(data).start()
-    return LedgerParseError(
-        f"not ascii: 'ascii' codec can't decode byte {data[at]:#04x} in "
-        f"position {offset + at}: ordinal not in range(128)"
-    )
 
 
 def deserialize(source) -> Ledger:
@@ -641,9 +625,10 @@ def deserialize(source) -> Ledger:
     mid-line is reported as truncation rather than silently loaded short.
     Round ids run 0, 1, 2, ... with no gaps, and each sum line carries the
     id of the sample line above it. All rounds are closed at end of input.
-    Errors carry 1-based line numbers. Of several faults, the refusal
-    names the first of: a missing header, a missing final newline, the
-    first non-ascii byte (at its offset in the input), the first bad line.
+    Errors carry 1-based line numbers. A file is refused at its first
+    fault in file order, and read no further: the header, then each line
+    in turn, a line with a non-ascii byte refused like any other bad line,
+    and a last line with no newline refused as truncated.
 
     A round enters the ledger in one of two ways. Each line is replayed
     through the Ledger methods and checked in full, so a missing round, a
@@ -651,7 +636,9 @@ def deserialize(source) -> Ledger:
     sample line follows a replayed round, the round is closed and the
     rounds after it are read as whole copies of it while their bytes
     match what serialize writes for it at their ids (_copies); where the
-    copies stop, line replay goes on.
+    copies stop, line replay goes on. Both ways accept only ascii bytes: a
+    replayed line is decoded as ascii, and a copy must equal the ascii
+    bytes serialize writes.
 
     A file is read in blocks of _BLOCK_BYTES (1 MiB) by one pass of that
     parse, which bytes input takes as a single block. Only a partial line,
@@ -659,8 +646,6 @@ def deserialize(source) -> Ledger:
     so the next block decides), moves to the next block. So the parse
     holds one block, the largest round and the ledger, whose memory
     follows its runs: a run of copies is one count, however long.
-    After a bad line the rest of the file is still read, and dropped, to
-    look for the refusals that come first.
     """
     blocks = _Blocks(source)
     buf = blocks.buf
@@ -670,25 +655,15 @@ def deserialize(source) -> Ledger:
         raise LedgerParseError("missing or unrecognized header", line=1)
     ledger = Ledger()
     pos, line_no = len(_HEADER), 1  # line_no: the newlines before pos
-    not_ascii = bad_line = None
     while True:
-        if blocks.at_end and blocks.last != b"\n":
-            raise LedgerParseError(
-                "input does not end with a newline; file is truncated",
-                line=line_no + buf.count(b"\n", pos) + 1,
-            )
-        if not_ascii is None and not buf.isascii():
-            not_ascii = _not_ascii(buf, blocks.offset)
-        if not_ascii is None and bad_line is None:
-            pos, line_no, bad_line = _parse(ledger, buf, pos, line_no, blocks.at_end)
+        pos, line_no = _parse(ledger, buf, pos, line_no, blocks.at_end)
         if blocks.at_end:
             break
-        if not_ascii or bad_line:  # read on, keeping nothing
-            line_no += buf.count(b"\n", pos)
-            pos = len(buf)
         buf, pos = blocks.next(pos), 0
-    if not_ascii or bad_line:
-        raise not_ascii or bad_line
+    if pos < len(buf):  # the last line has no newline
+        raise LedgerParseError(
+            "input does not end with a newline; file is truncated", line=line_no + 1
+        )
     if ledger.open_round is not None:
         ledger.close_round()
     return ledger

@@ -18,8 +18,9 @@ The Poisson sampler includes each record at exactly the q of its config,
 so that q is the rate a round records: SamplerConfig rounds a q below
 2^-12 down to a multiple of 2^-64 (every larger float is one already),
 and draw_sample keeps index i when its 64-bit keystream word lies below
-q * 2^64. poisson_rate is that rounding, the one rule the sampler and
-the noise calibration share.
+q * 2^64. poisson_rate is that rounding, the one rule the sampler, the
+noise calibration and the run's configuration share; it refuses a q
+below 2^-64, which would round to 0.
 """
 
 from __future__ import annotations
@@ -70,9 +71,12 @@ class Sample:
 def poisson_rate(q: float, n: int) -> float:
     """The rate the Poisson sampler runs for a configured q: q rounded down
     to a multiple of 2^-64, which leaves every float q >= 2^-12 as it is.
-    A q below 2^-64 gives 0.0, which SamplerConfig refuses."""
+    A q below 2^-64, which would round to 0, is refused."""
     _check_round(q, n)
-    return math.ldexp(math.floor(math.ldexp(q, 64)), -64)
+    rate = math.ldexp(math.floor(math.ldexp(q, 64)), -64)
+    if rate == 0.0:
+        raise ValueError(f"q must be at least 2**-64, got {q}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,7 @@ class SamplerConfig:
                 raise ValueError("poisson sampling needs q")
             if self.batch_size is not None:
                 raise ValueError("poisson sampling takes q, not batch_size")
-            q = poisson_rate(self.q, self.n)
-            if q == 0.0:
-                raise ValueError(f"q must be at least 2**-64, got {self.q}")
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", poisson_rate(self.q, self.n))
         else:
             if self.batch_size is None or not (1 <= self.batch_size <= self.n):
                 raise ValueError(

@@ -189,6 +189,39 @@ def test_account_read_error_after_the_first_block_is_refused(tmp_path, capsys, m
     assert "Traceback" not in captured.err
 
 
+def test_account_refuses_a_bad_line_in_the_first_block_after_one_read(
+    tmp_path, capsys, monkeypatch
+):
+    # The read stops at the first fault: none of the 100-odd blocks after
+    # the one that holds line 6 is read.
+    lines = _rounds_ledger(5_000).split(b"\n")
+    lines[5] = b"sum round=1 not an event"
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(dpledger.ledger, "_BLOCK_BYTES", 4096)
+    assert path.stat().st_size > 100 * 4096
+
+    class CountingFile(io.BufferedReader):
+        reads = 0
+
+        def readinto(self, buffer):
+            CountingFile.reads += 1
+            return super().readinto(buffer)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        assert mode == "rb"
+        return CountingFile(io.FileIO(file, "r"))
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "line 6: not a sample or sum event line" in captured.err
+    assert "Traceback" not in captured.err
+    assert CountingFile.reads == 1
+
+
 def test_account_bad_orders_is_usage_error(capsys):
     for orders in ("1,0.5", "2.5", "2,3.5", "1e12"):
         with pytest.raises(SystemExit) as exc:
@@ -443,7 +476,7 @@ def test_train_q_below_2_to_the_minus_64_is_refused_without_traceback(
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: q must be at least 2**-64, got 1e-25\n"
-    assert (out / "ledger.txt").read_bytes() == b""
+    assert not out.exists()
 
 
 def test_train_refuses_an_s_star_out_of_range_before_round_0(

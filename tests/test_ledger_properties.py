@@ -272,26 +272,20 @@ def _hex_float(text: str, field: str) -> float:
 
 
 def _reference_deserialize(data: bytes) -> Ledger:
-    """deserialize one line at a time: every line is matched, its floats
-    read and its event replayed through record_sample/record_sum_query,
-    with nothing kept from one line to the next."""
+    """deserialize one line at a time: after the header, every line in
+    file order is decoded as ascii, matched, its floats read and its event
+    replayed through record_sample/record_sum_query, with nothing kept
+    from one line to the next; a last line with no newline is truncated."""
     if not data.startswith(b"dpledger ledger v1\n"):
         raise LedgerParseError("missing or unrecognized header", line=1)
-    if not data.endswith(b"\n"):
-        raise LedgerParseError(
-            "input does not end with a newline; file is truncated",
-            line=data.count(b"\n") + 1,
-        )
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise LedgerParseError(f"not ascii: {exc}") from None
+    *lines, partial = data.split(b"\n")
     led = Ledger()
-    for line_no, line in enumerate(text.split("\n")[1:-1], start=2):
+    for line_no, line in enumerate(lines[1:], start=2):
         try:
-            match = _EVENT.fullmatch(line)
+            text = line.decode("ascii")
+            match = _EVENT.fullmatch(text)
             if match is None:
-                raise ValueError(f"not a sample or sum event line: {line!r}")
+                raise ValueError(f"not a sample or sum event line: {text!r}")
             round_id, policy, q, n, sum_round, group, clip, sigma = match.groups()
             if round_id is None:
                 led.record_sum_query(
@@ -312,6 +306,11 @@ def _reference_deserialize(data: bytes) -> Ledger:
                 )
         except (ValueError, LedgerUsageError) as exc:
             raise LedgerParseError(str(exc), line=line_no) from None
+    if partial:
+        raise LedgerParseError(
+            "input does not end with a newline; file is truncated",
+            line=len(lines) + 1,
+        )
     if led.open_round is not None:
         led.close_round()
     return led
@@ -519,35 +518,41 @@ def _spoil_line_6(data: bytes) -> bytes:
 
 @pytest.mark.parametrize("block", _BLOCK_SIZES)
 def test_a_file_is_refused_as_its_bytes_are_whatever_the_blocks(ledger_path, block):
-    # Which refusal wins does not depend on where the blocks fall: the
-    # header, then a missing final newline, then the first non-ascii byte,
-    # then the first bad line, even when the bad line is read blocks
-    # before what outranks it.
-    bad = _spoil_line_6(_FIXED["secure"])
+    # Wherever the blocks fall, a file is refused at its first fault in
+    # file order: the header, then each line in turn, a non-ascii byte at
+    # its line, and a last line with no newline as truncated. Faults after
+    # the first are never reached.
+    good = _FIXED["secure"]
+    bad = _spoil_line_6(good)
     far = len(bad) - 30
+    line_3 = bad.index(b"\n", bad.index(b"\n") + 1) + 1  # where line 3 starts
+    near = line_3 + 12
     cases = {
         "bad line": (bad, 6, "not a sample or sum event line"),
         "non-ascii after it": (
             bad[:far] + b"\xe9" + bad[far + 1 :],
-            None,
-            f"byte 0xe9 in position {far}:",
+            6,
+            "not a sample or sum event line",
         ),
-        "no final newline after it": (
-            bad[:-1],
-            bad.count(b"\n"),
-            "does not end with a newline",
-        ),
+        "no final newline after it": (bad[:-1], 6, "not a sample or sum event line"),
         "both after it": (
             bad[:far] + b"\xe9" + bad[far + 1 : -1],
-            bad.count(b"\n"),
-            "does not end with a newline",
+            6,
+            "not a sample or sum event line",
         ),
         "no header": (b"dpledger ledger v2\n" + bad[19:-1], 1, "header"),
+        "non-ascii before it": (
+            bad[:near] + b"\xe9" + bad[near + 1 :],
+            3,
+            "'ascii' codec can't decode byte 0xe9 in position 12:",
+        ),
+        "no final newline": (good[:-1], good.count(b"\n"), "does not end with a newline"),
     }
     for name, (data, line, words) in cases.items():
         got = _parsed(deserialize, data)
         assert got[0] is LedgerParseError and got[2] == line, name
         assert words in got[1], (name, got)
+        assert got == _parsed(_reference_deserialize, data), name
         assert _parsed_from_files(data, block, ledger_path) == got, name
 
 
