@@ -3,10 +3,10 @@ ledger, and post-hoc Renyi-DP accounting.
 
 The trusted core is two modules, ledger and accountant, which import
 nothing else from the package but errors: ledger bytes -> epsilon reads no
-other code. Mechanisms emit (clip bound, noise std) tuples, the ledger
-records them next to the sampling facts, and the accountant recomputes the
-guarantee from the ledger alone. Strategy code imports from the core,
-never the reverse.
+other code. Each group query records its (clip bound, noise std) tuple in
+the ledger's open round, next to that round's sampling facts, and the
+accountant recomputes the guarantee from the ledger alone. Strategy code
+imports from the core, never the reverse.
 
 The reported epsilon holds for the rounds that ran only if the recorded
 facts are true of them, and two steps outside the core are trusted to
@@ -16,18 +16,20 @@ sampling.SamplerConfig it draws with, a multiple of 2^-64, and
 sampling.draw_sample includes each record at exactly that q.
 mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
-times the row of unit Gaussians it is given; it builds the recorded
-(clip, sigma_sum) tuple before it adds any noise, so PrivacyTuple.check
-is the one check of both. It measures every record
-itself, a factored member (vectors.ScaledRows) from its scalars and rows,
-never from a norm the caller supplies, and clips every group by one rule,
-one weight per record, with a written margin (kappa) that covers float
-rounding. The noise rows must be independent:
-mechanisms.draw_round_noise draws each group's row for each round from
-its own keyed stream, and the harness must hand each round its own rows
-and reuse none. Allocation and calibration only choose the values that
-get recorded, so a mistake there changes the guarantee without making it
-wrong. The known break is microbatch_reduce at size
+times the row of unit Gaussians it is given. It records the (clip,
+sigma_sum) tuple itself, with sigma_sum computed from the open round's
+recorded q and n, after its last check and before it computes any
+estimate: PrivacyTuple.check is the one check of both, a refused query
+records nothing, and no estimate exists that the ledger does not hold.
+It measures every record itself, a factored member (vectors.ScaledRows)
+from its scalars and rows, never from a norm the caller supplies, and
+clips every group by one rule, one weight per record, with a written
+margin (kappa) that covers float rounding. The noise rows must be
+independent: mechanisms.draw_round_noise draws each group's row for each
+round from its own keyed stream, and the harness must hand each round
+its own rows and reuse none. Allocation and calibration only choose the
+values that get recorded, so a mistake there changes the guarantee
+without making it wrong. The known break is microbatch_reduce at size
 k > 1: each row it hands group_query averages several records picked by
 their position in the sample, so one added record moves a group's sum by
 far more than its clip (ROADMAP item 1).
@@ -78,8 +80,6 @@ _MODULE_OF = {
     "effective_z": "ledger",
     "formal_ledger": "ledger",
     "serialize": "ledger",
-    "GroupEstimate": "mechanisms",
-    "RoundContext": "mechanisms",
     "draw_round_noise": "mechanisms",
     "group_query": "mechanisms",
     "microbatch_reduce": "mechanisms",

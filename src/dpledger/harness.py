@@ -26,7 +26,9 @@ once, and the three members pass through microbatch_reduce and the group
 queries as one batch. group_query clips the factored member without
 building its block, by the one rule every group is clipped by; at
 microbatch size k > 1, microbatch_reduce averages it into a block of
-m / k rows.
+m / k rows. The loop records each round's sample event, and each group
+query records its own sum-query event in that open round, from the q and
+n recorded there, before it returns the estimates the loop steps by.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
@@ -52,12 +54,7 @@ from .accountant import PrivacyGuarantee, _check_delta, account_ledger
 from .allocation import proportional_allocation
 from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, effective_z, serialize
-from .mechanisms import (
-    RoundContext,
-    draw_round_noise,
-    microbatch_reduce,
-    run_partitioned_round,
-)
+from .mechanisms import draw_round_noise, microbatch_reduce, run_partitioned_round
 from .prng import _PAIR_BLOCK, SecureStream, coerce_seed
 from .sampling import Sample, SamplerConfig, draw_sample, poisson_rate
 from .vectors import GroupPartition, GroupSpec, ScaledRows
@@ -185,7 +182,19 @@ def sigmas_for_target_z(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything dp_sgd_train needs; see field comments for semantics."""
+    """Everything dp_sgd_train needs.
+
+    n and dim size the synthetic training set, holdout_n its held-out
+    split, and separation is the distance between the two cluster means.
+    The run samples `rounds` Poisson rounds at rate q (as poisson_rate
+    rounds it), averages each run of microbatch_size sampled records into
+    one row, answers the partition's three groups (weights, bias,
+    metrics) and steps by learning_rate. seed keys the data, every sample
+    and every noise draw. delta is the delta the finished ledger is
+    accounted at. insecure_test_mode allows zero-noise groups, whose
+    rounds the accountant then refuses; ledger_path, if given, is where
+    the ledger is written.
+    """
 
     n: int
     dim: int
@@ -275,10 +284,11 @@ class TrainReport:
 def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
     """Run the full pipeline and account the emitted ledger.
 
-    Per round: sample records, compute per-example gradients and the
-    correctness indicator at the current parameters, reduce microbatches,
-    answer each group's noisy average query, step the parameters by the
-    noisy gradient estimate, and append the round's events to the ledger.
+    Per round: record the round's sample event, sample records, compute
+    per-example gradients and the correctness indicator at the current
+    parameters, reduce microbatches, answer each group's noisy average
+    query, which records its sum-query event in the open round, close the
+    round, and step the parameters by the noisy gradient estimate.
     If the accountant refuses the finished ledger (zero-noise rounds) the
     report carries the refusal text instead of a number pretending to be a
     guarantee.
@@ -332,26 +342,19 @@ def dp_sgd_train(cfg: TrainConfig) -> TrainReport:
             {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]},
             cfg.microbatch_size,
         )
-        ctx = RoundContext(
-            q=sampler.q,
-            n=cfg.n,
-            round_id=round_id,
-            insecure_test_mode=cfg.insecure_test_mode,
-        )
         round_noise = {name: rows[t % batch_rounds] for name, rows in noise.items()}
         estimates = run_partitioned_round(
-            batch, cfg.partition, ctx, round_noise, ledger=ledger
+            batch,
+            cfg.partition,
+            round_noise,
+            ledger=ledger,
+            insecure_test_mode=cfg.insecure_test_mode,
         )
         ledger.close_round()
 
-        by_member = {
-            member: value
-            for est in estimates.values()
-            for member, value in zip(est.member_names, est.estimates)
-        }
-        metric_estimates.append(float(by_member["metrics"][0]))
-        w = w - cfg.learning_rate * by_member["weights"]
-        b = b - cfg.learning_rate * float(by_member["bias"][0])
+        metric_estimates.append(float(estimates["metrics"][0]))
+        w = w - cfg.learning_rate * estimates["weights"]
+        b = b - cfg.learning_rate * float(estimates["bias"][0])
 
     holdout_scores = holdout.features @ w + b
     holdout_acc = float(np.mean((holdout_scores >= 0.0) == (holdout.labels == 1)))

@@ -270,6 +270,12 @@ class Ledger:
     def open_round(self) -> int | None:
         return None if self._sample is None else self._closed
 
+    def open_sample(self) -> tuple[float, int]:
+        """The open round's recorded (q, n)."""
+        if self._sample is None:
+            raise LedgerUsageError("no open round; record_sample() first")
+        return self._sample.q, self._sample.n
+
     def record_sample(self, q: float, n: int, policy_tag: str) -> int:
         if self._sample is not None:
             raise LedgerUsageError(

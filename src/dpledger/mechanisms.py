@@ -18,63 +18,27 @@ accountant assumes it is.
 A group with scales divides member j by alpha_j before the clip and
 multiplies its estimate back, so member j sees noise of std alpha_j *
 noise_sigma while the group costs one (clip_s, sigma_sum) tuple instead
-of k. Every group emits the tuple the privacy ledger exists to record,
-with sigma_sum = q * n * noise_sigma computed here, once, so the ledger
-sees the identical float. The tuple is built before any noise is added,
-so PrivacyTuple.check is the one clip/sigma check a query passes. How a
-round's tuples compose into one equivalent query is the ledger's
+of k. Every group query records the tuple the privacy ledger exists to
+record in the ledger's open round itself, with sigma_sum = q * n *
+noise_sigma computed here, once, from the q and n that round recorded,
+so the ledger holds the float the noise is scaled by. It records after
+its last check and before it computes any estimate: a refused query
+records nothing, and no estimate leaves this module that the ledger does
+not hold. PrivacyTuple.check is the one clip/sigma check a query passes.
+How a round's tuples compose into one equivalent query is the ledger's
 effective_z, not decided here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .ledger import Ledger, PrivacyTuple, _check_round
+from .ledger import Ledger, PrivacyTuple
 from .prng import standard_normal_rows
 from .vectors import GroupPartition, GroupSpec, ScaledRows, _clip_factors, _clip_member
-
-
-@dataclass(frozen=True)
-class RoundContext:
-    """Per-round facts the mechanisms need: sampling rate, population, id.
-
-    insecure_test_mode permits sigma_sum = 0 (no noise, no privacy); any
-    round run that way must be treated as tainted downstream.
-    """
-
-    q: float
-    n: int
-    round_id: int
-    insecure_test_mode: bool = False
-
-    def __post_init__(self):
-        _check_round(self.q, self.n, self.round_id)
-
-    @property
-    def qn(self) -> float:
-        """The fixed average denominator: expected sample size q * n."""
-        return self.q * self.n
-
-
-@dataclass(frozen=True)
-class GroupEstimate:
-    """Privatized average estimates for one group, plus the emitted tuple."""
-
-    group_name: str
-    member_names: tuple[str, ...]
-    estimates: tuple[np.ndarray, ...]
-    emitted: PrivacyTuple
-
-    def get(self, name: str) -> np.ndarray:
-        for member, est in zip(self.member_names, self.estimates):
-            if member == name:
-                return est
-        raise KeyError(name)
 
 
 def _batch_rows(blocks) -> int:
@@ -102,24 +66,30 @@ def _column_sum(member) -> np.ndarray:
 def group_query(
     batch: Mapping[str, np.ndarray | ScaledRows],
     spec: GroupSpec,
-    ctx: RoundContext,
     noise: np.ndarray,
-) -> GroupEstimate:
-    """One group's noisy average over a batch.
+    *,
+    ledger: Ledger,
+    insecure_test_mode: bool = False,
+) -> dict[str, np.ndarray]:
+    """One group's noisy average over a batch, recorded in ledger's open
+    round before it is computed.
 
     batch maps each member name to a float64 (m x d) block with one row per
     record, or to a ScaledRows; an empty sample is a batch of (0 x d)
     blocks. One weight per record clips all of the group's members to
-    clip_s (vectors._clip_factors). Member j is column-summed, divided by
-    its scale alpha_j (1 without scales), noised with sigma_sum times its
-    part of noise, the group's row of D_g unit Gaussians for this round,
-    divided by q * n and multiplied back by alpha_j. Emits (clip_s,
-    sigma_sum = q * n * noise_sigma), built before any noise is added: a
-    sigma_sum that overflows is refused there, and sigma_sum = 0 needs
-    ctx.insecure_test_mode. m may be 0, as a Poisson sample can be empty:
-    the sums are then zero and the noise still has D_g entries. A noise
-    row of any other shape is refused, never broadcast, and it is read,
-    never written.
+    clip_s (vectors._clip_factors). q and n are the open round's recorded
+    ones; with none open the query raises LedgerUsageError. The query
+    records (clip_s, sigma_sum = q * n * noise_sigma) in the open round
+    once every check has passed and before any estimate exists, so a
+    refused query records nothing: a sigma_sum that overflows is refused,
+    sigma_sum = 0 needs insecure_test_mode, and a noise row that is not
+    the group's D_g unit Gaussians for this round is refused, never
+    broadcast; the row is read, never written. Member j is then
+    column-summed, divided by its scale alpha_j (1 without scales), noised
+    with sigma_sum times its part of noise, divided by q * n and
+    multiplied back by alpha_j. Returns member name -> estimate, in
+    spec.member_names order. m may be 0, as a Poisson sample can be
+    empty: the sums are then zero and the noise still has D_g entries.
 
     The accountant trusts this step to make the recorded clip true: it
     reads clip_s as the most that adding or removing one record moves
@@ -130,6 +100,7 @@ def group_query(
     the sample, so one added record shifts every later row (ROADMAP item
     1).
     """
+    q, n = ledger.open_sample()
     members = [
         b if isinstance(b, ScaledRows) else np.asarray(b, dtype=np.float64)
         for b in (batch[name] for name in spec.member_names)
@@ -139,8 +110,10 @@ def group_query(
     if min(dims) < 1:
         raise ValueError(f"member dims {dims} must be positive")
     factors = _clip_factors(members, spec.joint_scales, spec.clip_s)
-    emitted = PrivacyTuple(clip_s=spec.clip_s, sigma_sum=ctx.qn * spec.noise_sigma)
-    if emitted.sigma_sum == 0.0 and not ctx.insecure_test_mode:
+    qn = q * n
+    sigma_sum = qn * spec.noise_sigma
+    PrivacyTuple.check(spec.clip_s, sigma_sum)
+    if sigma_sum == 0.0 and not insecure_test_mode:
         raise ConfigurationError(
             "sigma_sum = 0 adds no noise and gives no privacy; "
             "requires insecure_test_mode=True"
@@ -151,23 +124,23 @@ def group_query(
             f"a sum of {sum(dims)} columns takes a noise row of as many "
             f"entries, got shape {noise.shape}"
         )
-    estimates = []
+    ledger.record_sum_query(
+        ledger.open_round, clip_s=spec.clip_s, sigma_sum=sigma_sum, group_name=spec.name
+    )
+    estimates = {}
     end = 0
-    for member, d, scale in zip(members, dims, spec.joint_scales or (None,) * spec.k):
+    for name, member, d, scale in zip(
+        spec.member_names, members, dims, spec.joint_scales or (None,) * spec.k
+    ):
         column_sum = _column_sum(_clip_member(member, factors))
         end += d
         if scale is not None:
             column_sum = column_sum / scale
-        total = noise[end - d : end] * emitted.sigma_sum
+        total = noise[end - d : end] * sigma_sum
         total += column_sum
-        estimate = total / ctx.qn
-        estimates.append(estimate if scale is None else scale * estimate)
-    return GroupEstimate(
-        group_name=spec.name,
-        member_names=spec.member_names,
-        estimates=tuple(estimates),
-        emitted=emitted,
-    )
+        estimate = total / qn
+        estimates[name] = estimate if scale is None else scale * estimate
+    return estimates
 
 
 def microbatch_reduce(batch, size: int) -> dict[str, np.ndarray | ScaledRows]:
@@ -246,26 +219,28 @@ def draw_round_noise(
 def run_partitioned_round(
     batch: Mapping[str, np.ndarray | ScaledRows],
     partition: GroupPartition,
-    ctx: RoundContext,
     noise: Mapping[str, np.ndarray],
     *,
     ledger: Ledger,
-) -> dict[str, GroupEstimate]:
-    """Run every group's query on one batch and record it.
+    insecure_test_mode: bool = False,
+) -> dict[str, np.ndarray]:
+    """Every group's group_query on one batch, in partition order.
 
-    noise maps each group's name to its row of unit Gaussians for round
-    ctx.round_id, as draw_round_noise gives it. One sum-query event per
-    group is appended to ledger, whose open round must be ctx.round_id;
-    the caller records the sample event (it knows the sampler). No
-    estimate is returned that the ledger does not hold.
+    noise maps each group's name to its row of unit Gaussians for the
+    ledger's open round, as draw_round_noise gives it; the caller records
+    the round's sample event (it knows the sampler), and each query
+    records its own sum-query event. Returns member name -> estimate over
+    all of the partition's members, which it keeps disjoint.
     """
-    estimates: dict[str, GroupEstimate] = {}
+    estimates: dict[str, np.ndarray] = {}
     for spec in partition.groups:
-        est = estimates[spec.name] = group_query(batch, spec, ctx, noise[spec.name])
-        ledger.record_sum_query(
-            ctx.round_id,
-            clip_s=est.emitted.clip_s,
-            sigma_sum=est.emitted.sigma_sum,
-            group_name=spec.name,
+        estimates.update(
+            group_query(
+                batch,
+                spec,
+                noise[spec.name],
+                ledger=ledger,
+                insecure_test_mode=insecure_test_mode,
+            )
         )
     return estimates

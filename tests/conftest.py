@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 The quadrature oracle grid costs hundreds of adaptive integrations, so it is
 computed once per session and shared by the accountant unit tests and the
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import pytest
 
 import oracles
+from dpledger import Ledger
 
 # The grid both the accountant tests and the acceptance gate check against.
 # The first six pairs are the acceptance grid; (0.01, 1.1) is extra, used by
@@ -55,6 +56,14 @@ def oracle_table() -> OracleTable:
             rev = oracles.log_reverse_moment(q, z, lam)
             moments[(q, z, lam)] = (fwd, rev)
     return OracleTable(moments=moments, elapsed_seconds=time.perf_counter() - start)
+
+
+def open_ledger(q=1.0, n=1):
+    """A fresh ledger whose round 0 is open at rate q and population n, for
+    group queries to read q and n from and record in."""
+    ledger = Ledger()
+    ledger.record_sample(q=q, n=n, policy_tag="poisson_iid")
+    return ledger
 
 
 # One pass/fail line per acceptance criterion, echoed after the run so the

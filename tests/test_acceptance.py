@@ -12,14 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_QZ, ORACLE_ORDERS, criterion
+from conftest import ACCEPTANCE_QZ, ORACLE_ORDERS, criterion, open_ledger
 from dpledger import (
     ClipSplit,
     GroupSpec,
     Knob,
     Ledger,
     OrderGrid,
-    RoundContext,
     SamplerConfig,
     SamplingPolicy,
     SecureStream,
@@ -54,7 +53,6 @@ def test_criterion_01_single_query_equivalence():
         start = time.perf_counter()
         rng = np.random.default_rng(42)
         q, n = 0.25, 8
-        ctx = RoundContext(q=q, n=n, round_id=0)
         for gi, g_count in enumerate((1, 2, 5)):
             for k in (1, 3):
                 specs = []
@@ -86,10 +84,11 @@ def test_criterion_01_single_query_equivalence():
 
                 at = 0
                 per_group = {}
+                ledger = open_ledger(q, n)
                 for spec in specs:
                     d = sum(dims[spec.name])
                     per_group[spec.name] = group_query(
-                        batch, spec, ctx, master[at : at + d]
+                        batch, spec, master[at : at + d], ledger=ledger
                     )
                     at += d
 
@@ -110,7 +109,7 @@ def test_criterion_01_single_query_equivalence():
                     d = sum(dims[spec.name])
                     expect = combined[at : at + d] * sigma_sums[spec.name] / (q * n)
                     got = np.concatenate(
-                        [per_group[spec.name].get(m) for m in spec.member_names]
+                        [per_group[spec.name][m] for m in spec.member_names]
                     )
                     assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
                     at += d
@@ -127,16 +126,16 @@ def test_criterion_02_joint_clip_noise_scales():
             noise_sigma=0.01,
             joint_scales=(1.0, 100.0),
         )
-        ctx = RoundContext(q=1.0, n=1, round_id=0)
+        ledger = open_ledger(1.0, 1)
         stream = SecureStream(b"acceptance-c2-00", "noise/a+b", 0)
         reps = 100_000
         first = np.empty(reps)
         second = np.empty(reps)
         empty = {"a": np.empty((0, 1)), "b": np.empty((0, 1))}
         for i in range(reps):
-            est = group_query(empty, spec, ctx, stream.standard_normal(2))
-            first[i] = est.estimates[0][0]
-            second[i] = est.estimates[1][0]
+            est = group_query(empty, spec, stream.standard_normal(2), ledger=ledger)
+            first[i] = est["a"][0]
+            second[i] = est["b"][0]
         assert abs(first.std() / 0.01 - 1.0) <= 0.02
         assert abs(second.std() / 1.0 - 1.0) <= 0.02
         elapsed = time.perf_counter() - start
@@ -150,7 +149,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
         names = tuple(layer_dims)
         total_dim = sum(layer_dims.values())
         q, n = 0.5, 4
-        ctx = RoundContext(q=q, n=n, round_id=0)
+        ledger = open_ledger(q, n)
         sigma = 0.25
         sigma_sum = q * n * sigma
         records = [{m: rng.normal(size=layer_dims[m]) for m in names} for _ in range(2)]
@@ -163,16 +162,18 @@ def test_criterion_03_flat_and_per_layer_recovery():
         spec = GroupSpec(
             member_names=names, clip_s=flat_s, noise_sigma=sigma, name="all",
         )
-        est = group_query(batch, spec, ctx, noise)
-        got = np.concatenate([est.get(m) for m in names])
+        est = group_query(batch, spec, noise, ledger=ledger)
+        got = np.concatenate([est[m] for m in names])
         # the group's rule on each record alone: a noiseless query of it
-        alone = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+        alone = open_ledger(1.0, 1)
         quiet = GroupSpec(member_names=names, clip_s=flat_s, noise_sigma=0.0)
         clipped = []
         for r in records:
             one = {m: r[m][None, :] for m in names}
-            out = group_query(one, quiet, alone, np.zeros(total_dim)).estimates
-            clipped.append(np.concatenate(out))
+            out = group_query(
+                one, quiet, np.zeros(total_dim), ledger=alone, insecure_test_mode=True
+            )
+            clipped.append(np.concatenate([out[m] for m in names]))
             # flat clipping scales the whole vector by one factor
             v = np.concatenate([r[m] for m in names])
             scale = min(1.0, flat_s / math.sqrt(np.dot(v, v)))
@@ -193,13 +194,13 @@ def test_criterion_03_flat_and_per_layer_recovery():
             spec = GroupSpec(
                 member_names=(m,), clip_s=bound, noise_sigma=sigma,
             )
-            est = group_query(batch, spec, ctx, layer_noise)
+            est = group_query(batch, spec, layer_noise, ledger=ledger)
             manual = (
                 clip_rows(records[0][m][None, :], bound)[0]
                 + clip_rows(records[1][m][None, :], bound)[0]
                 + sigma_sum * layer_noise
             ) / (q * n)
-            assert np.array_equal(est.get(m), manual)
+            assert np.array_equal(est[m], manual)
 
 
 def test_criterion_04_full_sampling_rdp_exact():

@@ -9,7 +9,6 @@ import pytest
 
 from dpledger import (
     Ledger,
-    RoundContext,
     SamplerConfig,
     SamplingPolicy,
     SecureStream,
@@ -161,13 +160,12 @@ def test_a_round_allocates_less_than_its_gathered_block(k, bound):
     widths = {"weights": dim, "bias": 1, "metrics": 1}
     rows = draw_round_noise(SEED, partition, widths, range(1))
     noise = {group: row for group, (row,) in rows.items()}
-    ctx = RoundContext(q=sampler.q, n=n, round_id=0)
     ledger = Ledger()
     ledger.record_sample(sampler.q, n, sampler.policy.value)
     tracemalloc.start()
     try:
         batch = microbatch_reduce(batch, k)
-        run_partitioned_round(batch, partition, ctx, noise, ledger=ledger)
+        run_partitioned_round(batch, partition, noise, ledger=ledger)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

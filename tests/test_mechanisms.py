@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clip_cases import exact_sq_norm, wide_range_member
+from conftest import open_ledger
 from dpledger import (
     ConfigurationError,
     GroupPartition,
@@ -15,7 +16,6 @@ from dpledger import (
     Ledger,
     LedgerUsageError,
     PrivacyTuple,
-    RoundContext,
     SamplerConfig,
     SamplingPolicy,
     ScaledRows,
@@ -41,31 +41,36 @@ def _sep(members, clip_s, sigma, name=None):
     )
 
 
+def _recorded(ledger):
+    """(clip_s, sigma_sum) of each sum event in the ledger's last round."""
+    return [(ev.clip_s, ev.sigma_sum) for ev in ledger.rounds()[-1][1]]
+
+
 # ------------------------------------------------------------ gaussian sum
 # The Gaussian sum query is group_query's last step. With q * n = 1 and
 # rows inside the clip, a one-member group's estimate is its column sum
 # plus sigma_sum times its noise row, bit for bit.
 
-_ONE = RoundContext(q=1.0, n=1, round_id=0)
-_ONE_INSECURE = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
 
-
-def _noisy_sum(block, sigma_sum, noise, ctx=_ONE):
+def _noisy_sum(block, sigma_sum, noise, insecure=False):
     spec = _sep(["v"], clip_s=1e6, sigma=sigma_sum)
-    return group_query({"v": block}, spec, ctx, noise).get("v")
+    est = group_query(
+        {"v": block}, spec, noise, ledger=open_ledger(), insecure_test_mode=insecure
+    )
+    return est["v"]
 
 
 def test_gaussian_sum_noiseless_sum():
     noise = SecureStream(1, "t", 0).standard_normal(2)
     block = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = _noisy_sum(block, 0.0, noise, _ONE_INSECURE)
+    out = _noisy_sum(block, 0.0, noise, insecure=True)
     assert np.array_equal(out, [4.0, 6.0])
 
 
 def test_gaussian_sum_empty_sample():
     empty = np.empty((0, 3))
     noise = SecureStream(1, "t", 0).standard_normal(3)
-    out = _noisy_sum(empty, 0.0, noise, _ONE_INSECURE)
+    out = _noisy_sum(empty, 0.0, noise, insecure=True)
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -109,18 +114,16 @@ class _UnreadNoise:
 def test_gaussian_sum_refuses_an_overflowing_sigma_before_any_noise():
     # q * n * noise_sigma = 1e10 * 1e300 is inf: PrivacyTuple refuses the
     # emitted tuple before the noise row is touched
-    ctx = RoundContext(q=1.0, n=10**10, round_id=0)
+    ledger = open_ledger(q=1.0, n=10**10)
     spec = _sep(["v"], clip_s=1.0, sigma=1e300)
-    assert math.isinf(ctx.qn * spec.noise_sigma)
+    assert math.isinf(1.0 * 10**10 * spec.noise_sigma)
     with pytest.raises(ValueError, match="noise std must be nonnegative and finite"):
-        group_query({"v": np.ones((2, 3))}, spec, ctx, _UnreadNoise())
+        group_query({"v": np.ones((2, 3))}, spec, _UnreadNoise(), ledger=ledger)
     # and the refused query records nothing
-    ledger = Ledger()
-    ledger.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
     partition = GroupPartition(groups=(spec,))
     with pytest.raises(ValueError, match="noise std"):
         run_partitioned_round(
-            {"v": np.ones((2, 3))}, partition, ctx, {spec.name: _UnreadNoise()},
+            {"v": np.ones((2, 3))}, partition, {spec.name: _UnreadNoise()},
             ledger=ledger,
         )  # fmt: skip
     ledger.close_round()
@@ -146,62 +149,70 @@ def test_gaussian_sum_noise_distribution():
 def test_separate_no_clip_no_noise():
     # a row measured at the clip lies above 5 (1 - kappa_2), so it is
     # scaled to measure 5 (1 - 2 kappa_2), 20 ulps of 1 in; no noise
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+    ledger = open_ledger()
     spec = _sep(["v"], clip_s=5.0, sigma=0.0)
     noise = SecureStream(3, "t", 0).standard_normal(2)
     block = np.array([[3.0, 4.0]])
-    est = group_query({"v": block}, spec, ctx, noise)
-    assert np.array_equal(est.get("v"), clip_rows(block, 5.0)[0])
-    assert est.get("v") == pytest.approx([3.0, 4.0], rel=22 * 2.0**-53)
-    assert exact_sq_norm(est.get("v")) < 25
-    assert est.emitted == PrivacyTuple(clip_s=5.0, sigma_sum=0.0)
+    est = group_query({"v": block}, spec, noise, ledger=ledger, insecure_test_mode=True)
+    assert np.array_equal(est["v"], clip_rows(block, 5.0)[0])
+    assert est["v"] == pytest.approx([3.0, 4.0], rel=22 * 2.0**-53)
+    assert exact_sq_norm(est["v"]) < 25
+    assert _recorded(ledger) == [(5.0, 0.0)]
 
 
 def test_separate_two_records_fixed_denominator():
     # sum (1,1), divided by q*n = 2 regardless of realized sample size
-    ctx = RoundContext(q=0.5, n=4, round_id=0, insecure_test_mode=True)
+    ledger = open_ledger(q=0.5, n=4)
     spec = _sep(["v"], clip_s=1.0, sigma=0.0)
     batch = {"v": np.array([[1.0, 0.0], [0.0, 1.0]])}
-    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(2))
-    assert np.allclose(est.get("v"), [0.5, 0.5], rtol=1e-15)
-    assert est.emitted.clip_s == 1.0
-    assert est.emitted.sigma_sum == 0.0
+    noise = SecureStream(3, "t", 0).standard_normal(2)
+    est = group_query(batch, spec, noise, ledger=ledger, insecure_test_mode=True)
+    assert np.allclose(est["v"], [0.5, 0.5], rtol=1e-15)
+    [(clip_s, sigma_sum)] = _recorded(ledger)
+    assert clip_s == 1.0
+    assert sigma_sum == 0.0
 
 
 def test_separate_clips_the_member_concatenation():
     # one record with two members; the clip applies to the joint 4-vector
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _sep(["a", "b"], clip_s=1.0, sigma=0.0)
     rec = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     batch = {"a": rec[0][None, :], "b": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(3, "t", 0).standard_normal(4))
+    noise = SecureStream(3, "t", 0).standard_normal(4)
+    est = group_query(batch, spec, noise, ledger=open_ledger(), insecure_test_mode=True)
     # The rule on this record alone: the members measure 3 and 4, and the
     # record 5, all exactly; above 1 - kappa it is scaled by (1 - 2 kappa) /
     # 5, with kappa = (D + 8 k) 2^-53 for D = 4 entries in k = 2 members.
     factor = (1.0 - 2.0 * (4 + 8 * 2) * 2.0**-53) / 5.0
-    assert np.array_equal(est.get("a"), rec[0] * factor)
-    assert np.array_equal(est.get("b"), rec[1] * factor)
+    assert np.array_equal(est["a"], rec[0] * factor)
+    assert np.array_equal(est["b"], rec[1] * factor)
     flat = clip_rows(np.concatenate(rec)[None, :], 1.0)[0]
-    assert np.concatenate(est.estimates) == pytest.approx(flat, rel=20 * 2.0**-53)
+    got = np.concatenate([est["a"], est["b"]])
+    assert got == pytest.approx(flat, rel=20 * 2.0**-53)
 
 
 def test_separate_empty_sample_needs_dims():
-    ctx = RoundContext(q=0.5, n=10, round_id=0, insecure_test_mode=True)
+    ledger = open_ledger(q=0.5, n=10)
     spec = _sep(["v"], clip_s=1.0, sigma=0.0)
     # an empty sample is a (0 x d) block, which carries its own d
     noise = SecureStream(3, "t", 0).standard_normal(2)
-    est = group_query({"v": np.empty((0, 2))}, spec, ctx, noise)
-    assert np.array_equal(est.get("v"), [0.0, 0.0])
+    est = group_query(
+        {"v": np.empty((0, 2))}, spec, noise, ledger=ledger, insecure_test_mode=True
+    )
+    assert np.array_equal(est["v"], [0.0, 0.0])
     with pytest.raises(ValueError):
-        group_query({"v": np.empty((0, 0))}, spec, ctx, noise)
+        group_query(
+            {"v": np.empty((0, 0))}, spec, noise, ledger=ledger, insecure_test_mode=True
+        )
 
 
 def test_emitted_sigma_is_exactly_qn_sigma():
-    ctx = RoundContext(q=0.01, n=10_000, round_id=0)
+    ledger = open_ledger(q=0.01, n=10_000)
     spec = _sep(["v"], clip_s=1.0, sigma=0.013)
     noise = SecureStream(3, "t", 0).standard_normal(1)
-    est = group_query({"v": np.array([[0.5]])}, spec, ctx, noise)
-    assert est.emitted.sigma_sum == 0.01 * 10_000 * 0.013
+    group_query({"v": np.array([[0.5]])}, spec, noise, ledger=ledger)
+    [(_, sigma_sum)] = _recorded(ledger)
+    assert sigma_sum == 0.01 * 10_000 * 0.013
 
 
 # -------------------------------------------------------------- joint query
@@ -218,69 +229,153 @@ def _joint(members, clip_s, sigma, scales, name=None):
 
 
 def test_joint_identity_when_no_clipping():
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(1.0, 100.0))
     rec = [np.array([0.3, 0.4]), np.array([20.0, 30.0])]
     # scaled concat is (0.3, 0.4, 0.2, 0.3): norm < 1, no clipping
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(4))
-    assert np.allclose(est.get("v1"), rec[0], rtol=1e-12)
-    assert np.allclose(est.get("v2"), rec[1], rtol=1e-12)
+    noise = SecureStream(4, "t", 0).standard_normal(4)
+    est = group_query(batch, spec, noise, ledger=open_ledger(), insecure_test_mode=True)
+    assert np.allclose(est["v1"], rec[0], rtol=1e-12)
+    assert np.allclose(est["v2"], rec[1], rtol=1e-12)
 
 
 def test_joint_preserves_zero_component():
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(1.0, 100.0))
     batch = {"v1": np.array([[1.0]]), "v2": np.array([[0.0]])}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(2))
-    assert np.allclose(est.get("v1"), [1.0], rtol=1e-12)
-    assert np.array_equal(est.get("v2"), [0.0])
+    noise = SecureStream(4, "t", 0).standard_normal(2)
+    est = group_query(batch, spec, noise, ledger=open_ledger(), insecure_test_mode=True)
+    assert np.allclose(est["v1"], [1.0], rtol=1e-12)
+    assert np.array_equal(est["v2"], [0.0])
 
 
 def test_joint_clipping_route_matches_manual():
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
     spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(2.0, 5.0))
     rec = [np.array([4.0, 0.0]), np.array([0.0, 10.0])]
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
-    est = group_query(batch, spec, ctx, SecureStream(4, "t", 0).standard_normal(4))
+    noise = SecureStream(4, "t", 0).standard_normal(4)
+    est = group_query(batch, spec, noise, ledger=open_ledger(), insecure_test_mode=True)
     scaled = np.concatenate([rec[0] / 2.0, rec[1] / 5.0])
     clipped = clip_rows(scaled[None, :], 1.0)[0]
-    assert np.allclose(est.get("v1"), 2.0 * clipped[:2], rtol=1e-12)
-    assert np.allclose(est.get("v2"), 5.0 * clipped[2:], rtol=1e-12)
+    assert np.allclose(est["v1"], 2.0 * clipped[:2], rtol=1e-12)
+    assert np.allclose(est["v2"], 5.0 * clipped[2:], rtol=1e-12)
 
 
 def test_joint_noise_scales_linearly_in_alpha():
     # zero records: output is alpha_j * sigma_sum * noise / qn, so doubling
     # one alpha doubles exactly that component under a replayed stream
-    ctx = RoundContext(q=1.0, n=1, round_id=0)
     noise = SecureStream(5, "alpha", 0).standard_normal(2)
     empty = {"x": np.empty((0, 1)), "y": np.empty((0, 1))}
-    a = group_query(empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 3.0)), ctx, noise)
-    b = group_query(empty, _joint(["x", "y"], 1.0, 0.7, scales=(1.0, 6.0)), ctx, noise)
-    assert np.array_equal(b.get("x"), a.get("x"))
-    assert np.allclose(b.get("y"), 2.0 * a.get("y"), rtol=1e-15)
+    a, b = (
+        group_query(empty, _joint(["x", "y"], 1.0, 0.7, s), noise, ledger=open_ledger())
+        for s in ((1.0, 3.0), (1.0, 6.0))
+    )
+    assert np.array_equal(b["x"], a["x"])
+    assert np.allclose(b["y"], 2.0 * a["y"], rtol=1e-15)
 
 
 def test_group_query_refuses_a_noise_row_that_is_not_the_group_width():
     # members of widths 1 and 2 make a 3-wide group sum
-    ctx = RoundContext(q=0.5, n=4, round_id=0)
+    ledger = open_ledger(q=0.5, n=4)
     batch = {"a": np.ones((2, 1)), "b": np.ones((2, 2))}
     for spec in (_sep(["a", "b"], 1.0, 0.5), _joint(["a", "b"], 1.0, 0.5, (1.0, 2.0))):
-        assert len(group_query(batch, spec, ctx, np.zeros(3)).estimates) == 2
+        assert len(group_query(batch, spec, np.zeros(3), ledger=ledger)) == 2
         for bad in (np.zeros(1), np.zeros(2), np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError, match="noise row"):
-                group_query(batch, spec, ctx, bad)
+                group_query(batch, spec, bad, ledger=ledger)
 
 
 def test_k1_separate_and_joint_coincide():
     # fixed noise stream, alpha_1 = 1, same clip: identical mechanisms
-    ctx = RoundContext(q=0.5, n=4, round_id=0)
     batch = {"v": np.array([[3.0, 1.0], [-0.2, 0.9]])}
     noise = SecureStream(6, "k1", 0).standard_normal(2)
-    sep = group_query(batch, _sep(["v"], 0.8, 0.4), ctx, noise)
-    joint = group_query(batch, _joint(["v"], 0.8, 0.4, scales=(1.0,)), ctx, noise)
-    assert np.array_equal(sep.get("v"), joint.get("v"))
-    assert sep.emitted == joint.emitted
+    sep_ledger, joint_ledger = open_ledger(q=0.5, n=4), open_ledger(q=0.5, n=4)
+    sep = group_query(batch, _sep(["v"], 0.8, 0.4), noise, ledger=sep_ledger)
+    joint_spec = _joint(["v"], 0.8, 0.4, scales=(1.0,))
+    joint = group_query(batch, joint_spec, noise, ledger=joint_ledger)
+    assert np.array_equal(sep["v"], joint["v"])
+    assert _recorded(sep_ledger) == _recorded(joint_ledger)
+
+
+# -------------------------------------------------------------- recording
+# A query reads q and n from the ledger's open round, and records its
+# (clip_s, sigma_sum) there after its last check and before it computes
+# any estimate, so a refused query records nothing.
+
+
+def test_group_query_without_an_open_round_refuses_and_records_nothing():
+    spec = _sep(["v"], clip_s=1.0, sigma=0.5)
+    batch = {"v": np.full((2, 3), math.nan)}  # refused before the clip reads it
+    closed = open_ledger(q=0.5, n=4)
+    closed.close_round()
+    for ledger in (Ledger(), closed):
+        before = serialize(ledger)
+        with pytest.raises(LedgerUsageError, match="no open round"):
+            group_query(batch, spec, _UnreadNoise(), ledger=ledger)
+        assert ledger.open_round is None
+        assert serialize(ledger) == before
+
+
+@pytest.mark.parametrize(
+    "batch, spec, noise, error",
+    [
+        pytest.param(
+            {"v": np.ones((2, 3))}, _sep(["v"], 1.0, 0.0), np.zeros(3),
+            ConfigurationError, id="zero-sigma-without-insecure-test-mode",
+        ),
+        pytest.param(
+            {"v": np.ones((2, 3))}, _sep(["v"], 1.0, 0.5), np.zeros(2),
+            ValueError, id="noise-row-of-the-wrong-width",
+        ),
+        pytest.param(
+            {"v": np.array([[1.0, math.inf, 0.0]])}, _sep(["v"], 1.0, 0.5), np.zeros(3),
+            ValueError, id="non-finite-member",
+        ),
+        pytest.param(
+            {"a": np.ones((2, 1)), "b": np.ones((3, 1))}, _sep(["a", "b"], 1.0, 0.5),
+            np.zeros(2), ValueError, id="mismatched-row-counts",
+        ),
+        pytest.param(
+            {"v": np.ones((2, 0))}, _sep(["v"], 1.0, 0.5), np.zeros(0),
+            ValueError, id="zero-column-member",
+        ),
+    ],
+)  # fmt: skip
+def test_a_refused_group_query_records_nothing(batch, spec, noise, error):
+    ledger = open_ledger(q=0.5, n=4)
+    with pytest.raises(error):
+        group_query(batch, spec, noise, ledger=ledger)
+    assert ledger.open_round == 0
+    assert _recorded(ledger) == []
+
+
+class _FailingLedger(Ledger):
+    """A ledger whose sum-query record fails, as a full disk would."""
+
+    def record_sum_query(self, *args, **kwargs):
+        raise OSError("the record could not be kept")
+
+
+def test_an_accepted_group_query_is_recorded_before_its_estimate():
+    rng = np.random.default_rng(11)
+    ledger = open_ledger(q=0.037, n=12_345)
+    spec = _sep(["v"], clip_s=0.9, sigma=0.0123)
+    block = rng.normal(size=(30, 4))
+    noise = rng.normal(size=4)
+    est = group_query({"v": block}, spec, noise, ledger=ledger)
+    [(sample, [event])] = ledger.rounds()
+    qn = sample.q * sample.n
+    assert (event.group_name, event.clip_s) == ("v", 0.9)
+    assert event.sigma_sum.hex() == (qn * 0.0123).hex()
+    clipped = clip_rows(block, 0.9)
+    assert not np.array_equal(clipped, block)  # the clip binds
+    want = (clipped.sum(axis=0) + event.sigma_sum * noise) / qn
+    assert list(est) == ["v"]
+    assert est["v"].tobytes() == want.tobytes()
+    # a query whose record fails returns no estimate
+    failing = _FailingLedger()
+    failing.record_sample(q=0.037, n=12_345, policy_tag="poisson_iid")
+    with pytest.raises(OSError):
+        group_query({"v": block}, spec, noise, ledger=failing)
 
 
 # ------------------------------------------------------ round composition
@@ -306,8 +401,6 @@ def test_round_compose_rejects_degenerate():
 
 def test_round_facts_refuse_non_integer_n():
     # the same (q, n, round) check the ledger records with
-    with pytest.raises(ValueError, match="n must be an integer"):
-        RoundContext(q=0.5, n=10.5, round_id=0)
     with pytest.raises(ValueError, match="n must be an integer"):
         SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=10.5, seed=b"n-check-seed-000", q=0.5)
 
@@ -553,15 +646,15 @@ def test_a_joint_weights_and_bias_query_builds_no_group_block():
     weights = ScaledRows(rng.normal(size=m), rng.normal(size=(m, dim)))
     batch = {"weights": weights, "bias": weights.scalars[:, None]}
     spec = _joint(["weights", "bias"], clip_s=1.0, sigma=0.5, scales=(1.0, 0.5))
-    ctx = RoundContext(q=0.05, n=20_000, round_id=0)
+    ledger = open_ledger(q=0.05, n=20_000)
     noise = rng.normal(size=dim + 1)
     tracemalloc.start()
     try:
-        est = group_query(batch, spec, ctx, noise)
+        est = group_query(batch, spec, noise, ledger=ledger)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.get("weights").shape == (dim,)
+    assert est["weights"].shape == (dim,)
     assert peak < 0.25 * m * (dim + 1) * 8, peak / (m * (dim + 1) * 8)
 
 
@@ -573,7 +666,9 @@ def test_factored_sum_matches_the_clipped_block_sum(d):
     scalars = rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2, size=m)
     member = ScaledRows(scalars, rows)
     spec = _sep(["w"], clip_s=clip, sigma=0.0)
-    got = group_query({"w": member}, spec, _ONE_INSECURE, np.zeros(d)).get("w")
+    got = group_query(
+        {"w": member}, spec, np.zeros(d), ledger=open_ledger(), insecure_test_mode=True
+    )["w"]
     want = clip_rows(rows * scalars[:, None], clip).sum(axis=0)
     # Each clipped row moves by at most (kappa_d + 8 ulps) of the clip, and
     # each of the two sums of m rows of norm <= clip rounds by at most
@@ -588,10 +683,10 @@ def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
     m = 50
     member = ScaledRows(rng.normal(size=m) * 3.0, rng.normal(size=(m, 4)))
     a = rng.normal(size=(m, 2))
-    ctx = RoundContext(q=0.25, n=400, round_id=0)
+    ledger = open_ledger(q=0.25, n=400)
     spec = _sep(["w"], clip_s=1.0, sigma=0.5)
     noise = rng.normal(size=4)
-    est = group_query({"w": member}, spec, ctx, noise)
+    est = group_query({"w": member}, spec, noise, ledger=ledger)
     # The rule on each record alone: it measures |scalars[i]| times the
     # root of its row's dot product, and above 1 - kappa_4 its weight is
     # scaled to measure 1 - 2 kappa_4.
@@ -602,10 +697,11 @@ def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
         if measure > 1.0 - kappa:
             weights[i] = scalar * ((1.0 - 2.0 * kappa) / measure)
     assert (weights == member.scalars).any() and (weights != member.scalars).any()
-    total = noise * est.emitted.sigma_sum
+    [(clip_s, sigma_sum)] = _recorded(ledger)
+    total = noise * sigma_sum
     total += member.rows.T @ weights
-    assert est.get("w").tobytes() == (total / ctx.qn).tobytes()
-    assert est.emitted == PrivacyTuple(clip_s=1.0, sigma_sum=ctx.qn * 0.5)
+    assert est["w"].tobytes() == (total / (0.25 * 400)).tobytes()
+    assert (clip_s, sigma_sum) == (1.0, 0.25 * 400 * 0.5)
     # size 1 passes the factored member through; a larger size averages
     # its runs to the block's means, bit for bit
     block = member.rows * member.scalars[:, None]
@@ -619,29 +715,30 @@ def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
 
 def test_empty_factored_member_sums_to_zero():
     member = ScaledRows(np.empty(0), np.empty((0, 3)))
-    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    ledger = open_ledger(q=0.25, n=100)
     noise = np.array([1.0, -2.0, 0.5])
-    est = group_query({"w": member}, _sep(["w"], 1.0, 0.5), ctx, noise)
-    assert np.array_equal(est.get("w"), noise * est.emitted.sigma_sum / ctx.qn)
+    est = group_query({"w": member}, _sep(["w"], 1.0, 0.5), noise, ledger=ledger)
+    [(_, sigma_sum)] = _recorded(ledger)
+    assert np.array_equal(est["w"], noise * sigma_sum / (0.25 * 100))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_factored_member_refuses_non_finite_input_as_clip_rows_does(bad):
     finite_block = r"^clip_rows expects a finite \(m x d\) block$"
-    ctx = RoundContext(q=0.25, n=100, round_id=0)
+    ledger = open_ledger(q=0.25, n=100)
     spec = _sep(["w"], 1.0, 0.5)
     for where in ("scalars", "rows"):
         scalars, rows = np.ones(3), np.ones((3, 4))
         (scalars if where == "scalars" else rows)[1] = bad
+        batch = {"w": ScaledRows(scalars, rows)}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=finite_block):
-                group_query({"w": ScaledRows(scalars, rows)}, spec, ctx, np.zeros(4))
+                group_query(batch, spec, np.zeros(4), ledger=ledger)
     scalars = np.array([1.0, 1e300, 1.0])  # finite, but its row's norm is not
     with pytest.raises(ValueError, match="exceeds the float range"):
-        group_query(
-            {"w": ScaledRows(scalars, np.full((3, 4), 1e10))}, spec, ctx, np.zeros(4)
-        )
+        batch = {"w": ScaledRows(scalars, np.full((3, 4), 1e10))}
+        group_query(batch, spec, np.zeros(4), ledger=ledger)
 
 
 def test_scaled_rows_validation():
@@ -667,7 +764,7 @@ def test_equivalence_with_single_normalized_query():
     # clipped concatenation, sharing one replayed noise stream
     rng = np.random.default_rng(42)
     q, n = 0.25, 8
-    ctx = RoundContext(q=q, n=n, round_id=0)
+    ledger = open_ledger(q=q, n=n)
     specs = [
         _sep(["a", "b"], clip_s=1.0, sigma=0.5, name="g0"),
         _sep(["c"], clip_s=2.0, sigma=1.25, name="g1"),
@@ -686,7 +783,7 @@ def test_equivalence_with_single_normalized_query():
     at = 0
     for spec in specs:
         d = sum(dims[spec.name])
-        outs[spec.name] = group_query(batch, spec, ctx, master[at : at + d])
+        outs[spec.name] = group_query(batch, spec, master[at : at + d], ledger=ledger)
         at += d
 
     # path B: one sigma=1 sum query over the (clip/sigma)-scaled concat,
@@ -706,7 +803,7 @@ def test_equivalence_with_single_normalized_query():
     for spec in specs:
         d = sum(dims[spec.name])
         expect = combined[at : at + d] * sigma_sums[spec.name] / (q * n)
-        got = np.concatenate([outs[spec.name].get(m) for m in spec.member_names])
+        got = np.concatenate([outs[spec.name][m] for m in spec.member_names])
         assert np.allclose(got, expect, rtol=1e-9, atol=0.0)
         at += d
 
@@ -725,13 +822,13 @@ def test_unbiasedness_under_sampling_and_noise():
     )
     trials = 100_000
     ests = np.empty(trials)
+    ledger = open_ledger(q=q, n=n)
     for t in range(trials):
         sample = draw_sample(cfg, t)
         picked = {"x": values[sample.indices][:, None]}
-        ctx = RoundContext(q=q, n=n, round_id=t)
         noise = SecureStream(8, "unbias-noise", t).standard_normal(1)
-        est = group_query(picked, spec, ctx, noise)
-        ests[t] = est.get("x")[0]
+        est = group_query(picked, spec, noise, ledger=ledger)
+        ests[t] = est["x"][0]
     true_avg = values.sum() / n
     se = ests.std() / math.sqrt(trials)
     assert abs(ests.mean() - true_avg) <= 3.0 * se
@@ -756,13 +853,12 @@ def _one_record():
 def test_run_partitioned_round_records_events():
     part = _partition()
     recs = _one_record()
-    ctx = RoundContext(q=0.5, n=4, round_id=0)
     led = Ledger()
     rid = led.record_sample(q=0.5, n=4, policy_tag="poisson_iid")
-    noise = _round_noise(coerce16(b"round-seed"), part, recs, ctx)
-    out = run_partitioned_round(recs, part, ctx, noise, ledger=led)
+    noise = _round_noise(coerce16(b"round-seed"), part, recs, rid)
+    out = run_partitioned_round(recs, part, noise, ledger=led)
     led.close_round()
-    assert set(out) == {"weights", "metrics"}
+    assert set(out) == {"w", "m"}
     rounds = led.rounds()
     assert len(rounds) == 1
     sample_ev, sums = rounds[0]
@@ -777,38 +873,25 @@ def coerce16(prefix: bytes) -> bytes:
     return prefix.ljust(16, b"\0")
 
 
-def _round_noise(seed, partition, batch, ctx):
-    """Each group's noise row for round ctx.round_id, as dp_sgd_train
-    hands it to run_partitioned_round."""
+def _round_noise(seed, partition, batch, round_id):
+    """Each group's noise row for round round_id, as dp_sgd_train hands it
+    to run_partitioned_round."""
     widths = {name: block.shape[1] for name, block in batch.items()}
-    rounds = range(ctx.round_id, ctx.round_id + 1)
-    noise = draw_round_noise(seed, partition, widths, rounds)
+    noise = draw_round_noise(seed, partition, widths, range(round_id, round_id + 1))
     return {name: rows[0] for name, rows in noise.items()}
-
-
-def _open_ledger(ctx):
-    """A ledger whose open round is ctx.round_id, the rounds before it
-    closed with no queries."""
-    led = Ledger()
-    for _ in range(ctx.round_id):
-        led.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
-        led.close_round()
-    led.record_sample(q=ctx.q, n=ctx.n, policy_tag="poisson_iid")
-    return led
 
 
 def test_run_partitioned_round_records_in_the_open_round_or_refuses():
     recs = _one_record()
-    ctx = RoundContext(q=0.5, n=4, round_id=1)
-    noise = _round_noise(coerce16(b"ledger-seed"), _partition(), recs, ctx)
+    noise = _round_noise(coerce16(b"ledger-seed"), _partition(), recs, 1)
     with pytest.raises(TypeError):
-        run_partitioned_round(recs, _partition(), ctx, noise)
-    closed = _open_ledger(ctx)
+        run_partitioned_round(recs, _partition(), noise)
+    closed = open_ledger(q=0.5, n=4)
     closed.close_round()
-    for led in (Ledger(), _open_ledger(RoundContext(q=0.5, n=4, round_id=0)), closed):
+    for led in (Ledger(), closed):
         out = None
         with pytest.raises(LedgerUsageError):
-            out = run_partitioned_round(recs, _partition(), ctx, noise, ledger=led)
+            out = run_partitioned_round(recs, _partition(), noise, ledger=led)
         assert out is None
         assert not any(sums for _, sums in led.rounds())
 
@@ -817,37 +900,31 @@ def test_run_partitioned_round_noise_keyed_by_group_name():
     # same seed, same round: each group's noise depends on its name, not
     # its position, so reordering the partition cannot change results
     recs = _one_record()
-    ctx = RoundContext(q=0.5, n=4, round_id=3)
     part = _partition()
     flipped = GroupPartition(groups=tuple(reversed(part.groups)))
     seed = coerce16(b"order-seed")
-    a = run_partitioned_round(
-        recs, part, ctx, _round_noise(seed, part, recs, ctx), ledger=_open_ledger(ctx)
+    a, b = (
+        run_partitioned_round(
+            recs, p, _round_noise(seed, p, recs, 3), ledger=open_ledger(q=0.5, n=4)
+        )
+        for p in (part, flipped)
     )
-    b = run_partitioned_round(
-        recs, flipped, ctx, _round_noise(seed, flipped, recs, ctx), ledger=_open_ledger(ctx)
-    )
-    for name in ("weights", "metrics"):
-        for member in a[name].member_names:
-            assert np.array_equal(a[name].get(member), b[name].get(member))
+    for member in ("w", "m"):
+        assert np.array_equal(a[member], b[member])
 
 
 def test_run_partitioned_round_deterministic():
     recs = _one_record()
-    ctx = RoundContext(q=0.5, n=4, round_id=7)
     part = _partition()
     seed = coerce16(b"det-seed")
-    a, b = (
+    a, b, c = (
         run_partitioned_round(
-            recs, part, ctx, _round_noise(seed, part, recs, ctx), ledger=_open_ledger(ctx)
+            recs, part, _round_noise(seed, part, recs, t), ledger=open_ledger(0.5, 4)
         )
-        for _ in range(2)
+        for t in (7, 7, 8)
     )
-    assert np.array_equal(a["weights"].get("w"), b["weights"].get("w"))
-    ctx2 = RoundContext(q=0.5, n=4, round_id=8)
-    noise2 = _round_noise(seed, part, recs, ctx2)
-    c = run_partitioned_round(recs, part, ctx2, noise2, ledger=_open_ledger(ctx2))
-    assert not np.array_equal(a["weights"].get("w"), c["weights"].get("w"))
+    assert np.array_equal(a["w"], b["w"])
+    assert not np.array_equal(a["w"], c["w"])
 
 
 # ----------------------------------------------------------- columnar batches
@@ -878,22 +955,22 @@ def _random_batch(m, seed=5):
 def test_batch_noise_replays_from_group_stream():
     # estimate * qn - colsum(clipped rows) is exactly the group's noise
     batch = _random_batch(40)
-    ctx = RoundContext(q=0.25, n=100, round_id=9)
+    ledger = open_ledger(q=0.25, n=100)
     seed = coerce16(b"replay-seed")
     part = _batch_partition()
-    noise = _round_noise(seed, part, batch, ctx)
-    out = run_partitioned_round(batch, part, ctx, noise, ledger=_open_ledger(ctx))
-    for spec in part.groups:
-        est = out[spec.name]
+    noise = _round_noise(seed, part, batch, 9)
+    out = run_partitioned_round(batch, part, noise, ledger=ledger)
+    for spec, (_, sigma_sum) in zip(part.groups, _recorded(ledger), strict=True):
+        est = np.concatenate([out[m] for m in spec.member_names])
         dims = [batch[m].shape[1] for m in spec.member_names]
         scales = np.repeat(spec.joint_scales or (1.0,), dims)
         block = np.concatenate([batch[m] for m in spec.member_names], axis=1) / scales
         clipped = clip_rows(block, spec.clip_s)
-        got = np.concatenate(est.estimates) / scales * ctx.qn - clipped.sum(axis=0)
-        noise = SecureStream(seed, f"noise/{spec.name}", ctx.round_id).standard_normal(
+        got = est / scales * (0.25 * 100) - clipped.sum(axis=0)
+        noise = SecureStream(seed, f"noise/{spec.name}", 9).standard_normal(
             block.shape[1]
         )
-        want = est.emitted.sigma_sum * noise
+        want = sigma_sum * noise
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.any(np.sqrt(np.einsum("ij,ij->i", block, block)) > spec.clip_s)
 
@@ -917,7 +994,6 @@ def test_round_noise_rows_are_each_groups_per_round_stream():
 
 def test_empty_batch_still_draws_full_noise_and_records():
     part = _batch_partition()
-    ctx = RoundContext(q=0.25, n=100, round_id=0)
     seed = coerce16(b"empty-seed")
     dims = {"weights": (3,), "joint": (1, 2), "mixed": (2, 1)}
     empty_batch = {
@@ -926,33 +1002,53 @@ def test_empty_batch_still_draws_full_noise_and_records():
     }
     led = Ledger()
     led.record_sample(q=0.25, n=100, policy_tag="poisson_iid")
-    noise = _round_noise(seed, part, empty_batch, ctx)
-    out = run_partitioned_round(empty_batch, part, ctx, noise, ledger=led)
+    noise = _round_noise(seed, part, empty_batch, 0)
+    out = run_partitioned_round(empty_batch, part, noise, ledger=led)
     led.close_round()
-    assert [e.group_name for e in led.rounds()[0][1]] == ["weights", "joint", "mixed"]
-    for spec in part.groups:
+    events = led.rounds()[0][1]
+    assert [e.group_name for e in events] == ["weights", "joint", "mixed"]
+    for spec, event in zip(part.groups, events):
         d = sum(dims[spec.name])
         noise = SecureStream(seed, f"noise/{spec.name}", 0).standard_normal(d)
         scales = np.repeat(spec.joint_scales or (1.0,), dims[spec.name])
-        want = scales * (out[spec.name].emitted.sigma_sum * noise / ctx.qn)
-        assert np.array_equal(np.concatenate(out[spec.name].estimates), want)
+        want = scales * (event.sigma_sum * noise / (0.25 * 100))
+        assert np.array_equal(np.concatenate([out[m] for m in spec.member_names]), want)
 
 
 def test_group_block_rejects_bad_batches():
     part = _batch_partition()
-    ctx = RoundContext(q=0.25, n=100, round_id=0)
     good = _random_batch(4)
-    noise = _round_noise(coerce16(b"bad-seed"), part, good, ctx)
+    noise = _round_noise(coerce16(b"bad-seed"), part, good, 0)
     with pytest.raises(ValueError):  # row counts disagree
         run_partitioned_round(
-            {**good, "b": good["b"][:3]}, part, ctx, noise, ledger=_open_ledger(ctx)
+            {**good, "b": good["b"][:3]}, part, noise, ledger=open_ledger(0.25, 100)
         )
     with pytest.raises(ValueError):  # non-finite entry
         bad = {**good, "w": good["w"].copy()}
         bad["w"][1, 2] = math.inf
-        run_partitioned_round(bad, part, ctx, noise, ledger=_open_ledger(ctx))
+        run_partitioned_round(bad, part, noise, ledger=open_ledger(0.25, 100))
     with pytest.raises(KeyError):  # a member is missing
-        run_partitioned_round({"w": good["w"]}, part, ctx, noise, ledger=_open_ledger(ctx))
+        ledger = open_ledger(0.25, 100)
+        run_partitioned_round({"w": good["w"]}, part, noise, ledger=ledger)
+
+
+def test_run_partitioned_round_returns_every_member_and_records_in_partition_order():
+    part = _batch_partition()
+    flipped = GroupPartition(groups=tuple(reversed(part.groups)))
+    batch = _random_batch(10)
+    noise = _round_noise(coerce16(b"partition-seed"), part, batch, 0)
+    for p, members in ((part, "wabvc"), (flipped, "vcabw")):
+        ledger = open_ledger(q=0.25, n=100)
+        out = run_partitioned_round(batch, p, noise, ledger=ledger)
+        assert list(out) == list(members)
+        events = ledger.rounds()[-1][1]
+        assert [ev.group_name for ev in events] == [spec.name for spec in p.groups]
+        for spec in p.groups:  # each member's entry is its group's query alone
+            alone = group_query(
+                batch, spec, noise[spec.name], ledger=open_ledger(0.25, 100)
+            )
+            for m in spec.member_names:
+                assert out[m].tobytes() == alone[m].tobytes()
 
 
 # ------------------------------------------------------- neighbour batches
@@ -977,22 +1073,21 @@ def _largest_move_over_clip(reduce):
     """max over groups and insert positions of |sum' - sum| / clip_s when
     both batches pass through `reduce` before the round."""
     part = _batch_partition()
-    ctx = RoundContext(q=0.25, n=800, round_id=4)
     seed = coerce16(b"neighbour-seed")
     worst = 0.0
     for at in (0, 100):
         base, plus = _neighbour_batches(at)
-        noise = _round_noise(seed, part, base, ctx)
+        noise = _round_noise(seed, part, base, 4)
         est, est2 = (
-            run_partitioned_round(reduce(b), part, ctx, noise, ledger=_open_ledger(ctx))
+            run_partitioned_round(reduce(b), part, noise, ledger=open_ledger(0.25, 800))
             for b in (base, plus)
         )
         for spec in part.groups:
             dims = [base[m].shape[1] for m in spec.member_names]
             scales = np.repeat(spec.joint_scales or (1.0,), dims)
-            before = np.concatenate(est[spec.name].estimates)
-            after = np.concatenate(est2[spec.name].estimates)
-            move = (after - before) * ctx.qn / scales
+            before = np.concatenate([est[m] for m in spec.member_names])
+            after = np.concatenate([est2[m] for m in spec.member_names])
+            move = (after - before) * (0.25 * 800) / scales
             worst = max(worst, math.sqrt(np.dot(move, move)) / spec.clip_s)
     return worst
 

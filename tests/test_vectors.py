@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from clip_cases import wide_range_member
+from conftest import open_ledger
 from dpledger import (
     GroupPartition,
     GroupSpec,
     PrivacyTuple,
-    RoundContext,
     SecureStream,
     clip_rows,
     group_query,
@@ -94,11 +94,12 @@ def _joint_estimates(vs, scales, clip_s):
         noise_sigma=0.0,
         joint_scales=tuple(scales),
     )
-    ctx = RoundContext(q=1.0, n=1, round_id=0, insecure_test_mode=True)
+    ledger = open_ledger()
     batch = {name: np.asarray(v)[None, :] for name, v in zip(names, vs)}
     width = sum(block.shape[1] for block in batch.values())
     noise = SecureStream(b"vectors-tests-00", "noise", 0).standard_normal(width)
-    return group_query(batch, spec, ctx, noise).estimates
+    est = group_query(batch, spec, noise, ledger=ledger, insecure_test_mode=True)
+    return [est[name] for name in names]
 
 
 def test_scale_then_clip_norm_at_most_sqrt_k():
