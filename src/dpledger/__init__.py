@@ -16,11 +16,12 @@ sampling.SamplerConfig it draws with, a multiple of 2^-64, and
 sampling.draw_sample includes each record at exactly that q.
 mechanisms.group_query must keep each record's effect on each group's
 pre-noise sum within the recorded clip, and add the recorded sigma_sum
-times the row of unit Gaussians it is given. It records the (clip,
-sigma_sum) tuple itself, with sigma_sum computed from the open round's
-recorded q and n, after its last check and before it computes any
-estimate: PrivacyTuple.check is the one check of both, a refused query
-records nothing, and no estimate exists that the ledger does not hold.
+times the row of unit Gaussians it is given. It records its
+vectors.GroupSpec's (clip, sigma_sum) tuple itself, as the spec states
+it, after its last check and before it computes any estimate:
+PrivacyTuple.check, which the spec applies, is the one check of both, a
+refused query records nothing, and no estimate exists that the ledger
+does not hold.
 It measures every record itself, a factored member (vectors.ScaledRows)
 from its scalars and rows, never from a norm the caller supplies, and
 clips every group by one rule, one weight per record, with a written
@@ -69,7 +70,6 @@ _MODULE_OF = {
     "dp_sgd_train": "harness",
     "generate_synthetic": "harness",
     "make_sgd_partition": "harness",
-    "sigmas_for_target_z": "harness",
     "FormalRow": "ledger",
     "Ledger": "ledger",
     "PrivacyTuple": "ledger",

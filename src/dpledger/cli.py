@@ -24,7 +24,7 @@ import os
 import sys
 
 from .accountant import OrderGrid, _check_delta, account_ledger
-from .allocation import Knob, calibrate
+from .allocation import Knob, calibrate, proportional_allocation
 from .errors import AccountingRefusal, CalibrationError, LedgerParseError
 from .ledger import deserialize
 
@@ -129,15 +129,15 @@ def dp_sgd_train(cfg):
 
 
 def _cmd_train(args) -> int:
-    from .harness import TrainConfig, make_sgd_partition, sigmas_for_target_z
+    from .harness import METRIC_CLIP, TrainConfig, make_sgd_partition
 
     seed = args.seed if args.seed is not None else new_seed().hex()
     try:
-        clips = (args.clip_weights, args.clip_bias, 1.0)
+        clips = (args.clip_weights, args.clip_bias, METRIC_CLIP)
         if args.insecure_no_noise:
             sigmas = (0.0, 0.0, 0.0)
         else:
-            sigmas = sigmas_for_target_z(args.noise_multiplier, clips, args.q, args.n)
+            sigmas = proportional_allocation(args.noise_multiplier, clips)
         partition = make_sgd_partition(
             clip_weights=args.clip_weights,
             clip_bias=args.clip_bias,

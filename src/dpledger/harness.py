@@ -5,11 +5,11 @@ The model is binary logistic regression with two parameter groups
 (weights, bias) plus a third privatized group carrying a per-record
 correctness indicator, so every round answers heterogeneous queries: two
 gradient averages and one metric average. The indicator lives in [0, 1],
-so its clip bound of 1 is a prior fact about the query, not a data-derived
-choice; a one-entry row is measured exactly, so the clip keeps every
-indicator bitwise. Averages always divide by q * n, never by the
-realized sample size, and the true (non-noisy) metric never reaches any
-report.
+so its clip bound of 1, METRIC_CLIP, is a prior fact about the query,
+not a data-derived choice; a one-entry row is measured exactly, so the
+clip keeps every indicator bitwise. Averages always divide by q * n,
+never by the realized sample size, and the true (non-noisy) metric never
+reaches any report.
 
 A run states its sampling rate once, as TrainConfig.q. dp_sgd_train
 makes it the one Poisson SamplerConfig of the run, and every round
@@ -27,8 +27,8 @@ queries as one batch. group_query clips the factored member without
 building its block, by the one rule every group is clipped by; at
 microbatch size k > 1, microbatch_reduce averages it into a block of
 m / k rows. The loop records each round's sample event, and each group
-query records its own sum-query event in that open round, from the q and
-n recorded there, before it returns the estimates the loop steps by.
+query records its own (clip, sigma_sum) in that open round, as its spec
+states them, before it returns the estimates the loop steps by.
 
 Determinism contract: (seed, config) fixes the dataset, every sample,
 every noise draw, the ledger bytes, and therefore the reported guarantee.
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacyGuarantee, _check_delta, account_ledger
-from .allocation import proportional_allocation
 from .errors import AccountingRefusal
 from .ledger import Ledger, SamplingPolicy, effective_z, serialize
 from .mechanisms import draw_round_noise, microbatch_reduce, run_partitioned_round
@@ -64,6 +63,9 @@ from .vectors import GroupPartition, GroupSpec, ScaledRows
 # fewer when a group's batch would exceed one _PAIR_BLOCK of pairs (but
 # never fewer than one round), so a batch's memory stays bounded.
 _NOISE_BATCH_ROUNDS = 50
+
+# The metric group's clip bound: its correctness indicator lies in [0, 1].
+METRIC_CLIP = 1.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,17 @@ class SyntheticDataset:
             raise ValueError("features and labels disagree on n")
 
 
+def _check_data_shape(n: int, dim: int, separation: float, name: str = "n") -> None:
+    """The one check of a synthetic split's size, dimension and cluster
+    separation; name is what the message calls n."""
+    if n < 2:
+        raise ValueError(f"{name} must be at least 2, got {n}")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and nonnegative, got {separation}")
+
+
 def generate_synthetic(
     n: int, dim: int, separation: float, seed, *, stream_index: int = 0
 ) -> SyntheticDataset:
@@ -90,12 +103,7 @@ def generate_synthetic(
     unit direction. stream_index selects a disjoint random stream so a
     held-out split can be drawn independently of the training split.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 examples, got {n}")
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
-    if not (math.isfinite(separation) and separation >= 0):
-        raise ValueError(f"separation must be nonnegative, got {separation}")
+    _check_data_shape(n, dim, separation)
     seed = coerce_seed(seed)
     # The cluster axis comes from its own stream so every stream_index
     # (train, holdout) sees the same geometry, just disjoint noise.
@@ -144,40 +152,27 @@ def make_sgd_partition(
     sigma_metrics: float,
 ) -> GroupPartition:
     """Weights, bias, and the correctness-indicator metric as three
-    one-member groups without scales. Sigmas are per-average noise stds.
-    Groups carry no dimensions; the blocks do."""
+    one-member groups without scales, the metric clipped at METRIC_CLIP.
+    Sigmas are the noise stds of each group's sum, as the ledger records
+    them. Groups carry no dimensions; the blocks do."""
     groups = (
         GroupSpec(
             member_names=("weights",),
             clip_s=clip_weights,
-            noise_sigma=sigma_weights,
+            sigma_sum=sigma_weights,
         ),
         GroupSpec(
             member_names=("bias",),
             clip_s=clip_bias,
-            noise_sigma=sigma_bias,
+            sigma_sum=sigma_bias,
         ),
         GroupSpec(
             member_names=("metrics",),
-            clip_s=1.0,
-            noise_sigma=sigma_metrics,
+            clip_s=METRIC_CLIP,
+            sigma_sum=sigma_metrics,
         ),
     )
     return GroupPartition(groups=groups)
-
-
-def sigmas_for_target_z(
-    target_z: float, clip_bounds, q: float, n: int
-) -> tuple[float, ...]:
-    """Per-average sigmas that make one round's effective multiplier
-    exactly target_z: the proportional allocation's sum-level sigmas
-    z * sqrt(G) * S_g, divided by q' * n, where q' = poisson_rate(q, n) is
-    the rate a run configured with q samples at and the mechanisms
-    multiply back."""
-    rate = poisson_rate(q, n)
-    return tuple(
-        sigma / (rate * n) for sigma in proportional_allocation(target_z, clip_bounds)
-    )
 
 
 @dataclass(frozen=True)
@@ -212,11 +207,9 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", coerce_seed(self.seed))
-        rate = poisson_rate(self.q, self.n)  # refuses a q no sampler runs
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be at least 1, got {self.dim}")
+        poisson_rate(self.q, self.n)  # refuses a q no sampler runs
+        _check_data_shape(self.n, self.dim, self.separation)
+        _check_data_shape(self.holdout_n, self.dim, self.separation, "holdout_n")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
         if self.microbatch_size < 1:
@@ -228,18 +221,12 @@ class TrainConfig:
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
         _check_delta(self.delta)
-        if self.holdout_n < 2:
-            raise ValueError(f"holdout_n must be at least 2, got {self.holdout_n}")
-        if not (math.isfinite(self.separation) and self.separation >= 0):
-            raise ValueError(
-                f"separation must be finite and nonnegative, got {self.separation}"
-            )
         names = self.partition.member_names()
         if names != {"weights", "bias", "metrics"}:
             raise ValueError(
                 f"partition must cover exactly weights/bias/metrics, got {sorted(names)}"
             )
-        zero_noise = [g.name for g in self.partition.groups if g.noise_sigma == 0.0]
+        zero_noise = [g.name for g in self.partition.groups if g.sigma_sum == 0.0]
         if zero_noise and not self.insecure_test_mode:
             raise ValueError(
                 f"groups {zero_noise} have zero noise; set insecure_test_mode=True "
@@ -249,7 +236,7 @@ class TrainConfig:
             # Every round records these tuples, so an S* out of range is
             # refused here, before any round runs, not by the accountant.
             groups = self.partition.groups
-            effective_z((g.clip_s, rate * self.n * g.noise_sigma) for g in groups)
+            effective_z((g.clip_s, g.sigma_sum) for g in groups)
 
 
 def _sample_ahead(

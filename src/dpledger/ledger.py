@@ -109,7 +109,7 @@ class PrivacyTuple:
 
     check is the one definition of a valid (clip bound, noise std) pair:
     the ledger's sum-query events are privacy tuples, and GroupSpec applies
-    it to its per-average noise_sigma.
+    it to the (clip_s, sigma_sum) its queries record.
     """
 
     clip_s: float

@@ -16,17 +16,16 @@ noise reused across rounds or groups is not independent, and the
 accountant assumes it is.
 
 A group with scales divides member j by alpha_j before the clip and
-multiplies its estimate back, so member j sees noise of std alpha_j *
-noise_sigma while the group costs one (clip_s, sigma_sum) tuple instead
-of k. Every group query records the tuple the privacy ledger exists to
-record in the ledger's open round itself, with sigma_sum = q * n *
-noise_sigma computed here, once, from the q and n that round recorded,
-so the ledger holds the float the noise is scaled by. It records after
-its last check and before it computes any estimate: a refused query
-records nothing, and no estimate leaves this module that the ledger does
-not hold. PrivacyTuple.check is the one clip/sigma check a query passes.
-How a round's tuples compose into one equivalent query is the ledger's
-effective_z, not decided here.
+multiplies its estimate back, so member j's sum sees noise of std
+alpha_j * sigma_sum while the group costs one (clip_s, sigma_sum) tuple
+instead of k. Every group query records its spec's (clip_s, sigma_sum),
+the tuple the privacy ledger exists to record, in the ledger's open
+round itself, as given, so the ledger holds the float the noise is
+scaled by; the q and n that round recorded only divide the noisy sum
+into an average. It records after its last check and before it computes
+any estimate: a refused query records nothing, and no estimate leaves
+this module that the ledger does not hold. How a round's tuples compose
+into one equivalent query is the ledger's effective_z, not decided here.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .ledger import Ledger, PrivacyTuple
+from .ledger import Ledger
 from .prng import standard_normal_rows
 from .vectors import GroupPartition, GroupSpec, ScaledRows, _clip_factors, _clip_member
 
@@ -79,11 +78,10 @@ def group_query(
     blocks. One weight per record clips all of the group's members to
     clip_s (vectors._clip_factors). q and n are the open round's recorded
     ones; with none open the query raises LedgerUsageError. The query
-    records (clip_s, sigma_sum = q * n * noise_sigma) in the open round
-    once every check has passed and before any estimate exists, so a
-    refused query records nothing: a sigma_sum that overflows is refused,
-    sigma_sum = 0 needs insecure_test_mode, and a noise row that is not
-    the group's D_g unit Gaussians for this round is refused, never
+    records spec's (clip_s, sigma_sum) in the open round once every check
+    has passed and before any estimate exists, so a refused query records
+    nothing: sigma_sum = 0 needs insecure_test_mode, and a noise row that
+    is not the group's D_g unit Gaussians for this round is refused, never
     broadcast; the row is read, never written. Member j is then
     column-summed, divided by its scale alpha_j (1 without scales), noised
     with sigma_sum times its part of noise, divided by q * n and
@@ -110,9 +108,7 @@ def group_query(
     if min(dims) < 1:
         raise ValueError(f"member dims {dims} must be positive")
     factors = _clip_factors(members, spec.joint_scales, spec.clip_s)
-    qn = q * n
-    sigma_sum = qn * spec.noise_sigma
-    PrivacyTuple.check(spec.clip_s, sigma_sum)
+    sigma_sum = spec.sigma_sum
     if sigma_sum == 0.0 and not insecure_test_mode:
         raise ConfigurationError(
             "sigma_sum = 0 adds no noise and gives no privacy; "
@@ -127,6 +123,7 @@ def group_query(
     ledger.record_sum_query(
         ledger.open_round, clip_s=spec.clip_s, sigma_sum=sigma_sum, group_name=spec.name
     )
+    qn = q * n
     estimates = {}
     end = 0
     for name, member, d, scale in zip(

@@ -18,9 +18,9 @@ The Poisson sampler includes each record at exactly the q of its config,
 so that q is the rate a round records: SamplerConfig rounds a q below
 2^-12 down to a multiple of 2^-64 (every larger float is one already),
 and draw_sample keeps index i when its 64-bit keystream word lies below
-q * 2^64. poisson_rate is that rounding, the one rule the sampler, the
-noise calibration and the run's configuration share; it refuses a q
-below 2^-64, which would round to 0.
+q * 2^64. poisson_rate is that rounding, the one rule the sampler and
+the run's configuration share; it refuses a q below 2^-64, which would
+round to 0.
 """
 
 from __future__ import annotations

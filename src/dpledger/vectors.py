@@ -4,8 +4,8 @@ A round's records reach the mechanisms as a batch: a mapping from member
 name to a float64 (m x d) block, one row per record, or to a ScaledRows,
 the same block in factored form (row i is scalars[i] * rows[i]). Groups
 partition the member names; a group is its members and optional
-per-member scales, with its clip bound and noise level. Specs are
-immutable values, and the clip is a pure function.
+per-member scales, with its clip bound and the noise std of its sum.
+Specs are immutable values, and the clip is a pure function.
 
 One rule clips every group (_clip_factors): each member's rows are
 measured from their entries, or from a factored member's scalars and
@@ -34,14 +34,15 @@ class GroupSpec:
 
     clip_s bounds the L2 norm of each record's concatenation of the
     group's members, member j divided by joint_scales[j] when the group
-    has scales; noise_sigma is the per-average noise standard deviation.
-    Scales are one positive number per member, and with them clip_s may
-    not exceed sqrt(k).
+    has scales; sigma_sum is the noise standard deviation of the group's
+    sum, the one (clip_s, sigma_sum) pair every query of the group
+    records. Scales are one positive number per member, and with them
+    clip_s may not exceed sqrt(k).
     """
 
     member_names: tuple[str, ...]
     clip_s: float
-    noise_sigma: float
+    sigma_sum: float
     joint_scales: tuple[float, ...] | None = None
     name: str = ""
 
@@ -54,7 +55,7 @@ class GroupSpec:
         for m in members:
             _check_name(m, "member name")
         object.__setattr__(self, "member_names", members)
-        PrivacyTuple.check(self.clip_s, self.noise_sigma)
+        PrivacyTuple.check(self.clip_s, self.sigma_sum)
         if self.joint_scales is not None:
             scales = tuple(float(a) for a in self.joint_scales)
             if len(scales) != len(members):

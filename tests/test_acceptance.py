@@ -39,7 +39,6 @@ from dpledger import (
     proportional_allocation,
     rdp_step,
     serialize,
-    sigmas_for_target_z,
     split_clip_budget,
 )
 from dpledger.cli import main
@@ -63,7 +62,7 @@ def test_criterion_01_single_query_equivalence():
                         GroupSpec(
                             member_names=members,
                             clip_s=float(rng.uniform(0.5, 3.0)),
-                            noise_sigma=float(rng.uniform(0.05, 0.5)),
+                            sigma_sum=q * n * float(rng.uniform(0.05, 0.5)),
                             name=f"g{g}",
                         )
                     )
@@ -92,7 +91,7 @@ def test_criterion_01_single_query_equivalence():
                     )
                     at += d
 
-                sigma_sums = {s.name: q * n * s.noise_sigma for s in specs}
+                sigma_sums = {s.name: s.sigma_sum for s in specs}
                 scaled_rows = []
                 for rec in records:
                     parts = []
@@ -123,7 +122,7 @@ def test_criterion_02_joint_clip_noise_scales():
         spec = GroupSpec(
             member_names=("a", "b"),
             clip_s=1.0,
-            noise_sigma=0.01,
+            sigma_sum=0.01,
             joint_scales=(1.0, 100.0),
         )
         ledger = open_ledger(1.0, 1)
@@ -150,8 +149,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
         total_dim = sum(layer_dims.values())
         q, n = 0.5, 4
         ledger = open_ledger(q, n)
-        sigma = 0.25
-        sigma_sum = q * n * sigma
+        sigma_sum = q * n * 0.25
         records = [{m: rng.normal(size=layer_dims[m]) for m in names} for _ in range(2)]
         batch = {m: np.array([rec[m] for rec in records]) for m in names}
         total_s = 2.0
@@ -160,13 +158,13 @@ def test_criterion_03_flat_and_per_layer_recovery():
         (flat_s,) = split_clip_budget(total_s, layer_dims.values(), ClipSplit.FLAT)
         noise = SecureStream(b"acceptance-c3-00", "flat", 0).standard_normal(total_dim)
         spec = GroupSpec(
-            member_names=names, clip_s=flat_s, noise_sigma=sigma, name="all",
+            member_names=names, clip_s=flat_s, sigma_sum=sigma_sum, name="all",
         )
         est = group_query(batch, spec, noise, ledger=ledger)
         got = np.concatenate([est[m] for m in names])
         # the group's rule on each record alone: a noiseless query of it
         alone = open_ledger(1.0, 1)
-        quiet = GroupSpec(member_names=names, clip_s=flat_s, noise_sigma=0.0)
+        quiet = GroupSpec(member_names=names, clip_s=flat_s, sigma_sum=0.0)
         clipped = []
         for r in records:
             one = {m: r[m][None, :] for m in names}
@@ -192,7 +190,7 @@ def test_criterion_03_flat_and_per_layer_recovery():
             layer_noise = noise[at : at + d]
             at += d
             spec = GroupSpec(
-                member_names=(m,), clip_s=bound, noise_sigma=sigma,
+                member_names=(m,), clip_s=bound, sigma_sum=sigma_sum,
             )
             est = group_query(batch, spec, layer_noise, ledger=ledger)
             manual = (
@@ -364,7 +362,7 @@ def test_criterion_10_harness_sanity():
         report = dp_sgd_train(cfg)
         assert report.holdout_accuracy >= 0.99
 
-        sigmas = sigmas_for_target_z(1.1, (1.0, 0.5, 1.0), 0.01, 10_000)
+        sigmas = proportional_allocation(1.1, (1.0, 0.5, 1.0))
         part = make_sgd_partition(
             clip_weights=1.0, clip_bias=0.5,
             sigma_weights=sigmas[0], sigma_bias=sigmas[1], sigma_metrics=sigmas[2],

@@ -15,6 +15,7 @@ from dpledger import (
     compose_rdp,
     deserialize,
     epsilon_at_delta,
+    proportional_allocation,
     rdp_step,
     serialize,
 )
@@ -466,6 +467,18 @@ def test_account_refuses_a_hand_written_ledger_of_another_policy(
     assert captured.out == ""
     assert captured.err.startswith(f"refused: round 0 used policy '{policy}'")
     assert "Traceback" not in captured.err
+
+
+def test_train_records_the_allocated_sigma_sums_bit_for_bit(tmp_path):
+    # q * n = 30: every sum line holds proportional_allocation's float, not
+    # one divided by q * n and multiplied back
+    argv = ("--q", "0.03", "--n", "1000", "--noise-multiplier", "1.1")
+    code, out = _train(tmp_path, *argv)
+    assert code == 0
+    want = [sigma.hex() for sigma in proportional_allocation(1.1, (1.0, 0.5, 1.0))]
+    lines = (out / "ledger.txt").read_text().splitlines()
+    got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
+    assert got == want * 10
 
 
 def test_train_q_below_2_to_the_minus_64_is_refused_without_traceback(

@@ -18,13 +18,12 @@ from dpledger import (
     dp_sgd_train,
     draw_round_noise,
     draw_sample,
-    effective_z,
     generate_synthetic,
     make_sgd_partition,
     microbatch_reduce,
+    proportional_allocation,
     run_partitioned_round,
     serialize,
-    sigmas_for_target_z,
 )
 from dpledger import harness
 from dpledger.harness import forward_probabilities, per_example_gradients
@@ -52,7 +51,7 @@ def _config(
         sw = sb = 0.0
         sm = 0.0 if sigma_metrics is None else sigma_metrics
     else:
-        sw, sb, sm = sigmas_for_target_z(z, clips, q, n)
+        sw, sb, sm = proportional_allocation(z, clips)
         if sigma_metrics is not None:
             sm = sigma_metrics
     partition = make_sgd_partition(
@@ -153,9 +152,10 @@ def test_a_round_allocates_less_than_its_gathered_block(k, bound):
     correct = ((probs >= 0.5) == (ys == 1.0)).astype(np.float64)
     grad_w, grad_b = per_example_gradients(xs, ys, probs)
     batch = {"weights": grad_w, "bias": grad_b[:, None], "metrics": correct[:, None]}
+    sigma_sum = q * n * 0.01
     partition = make_sgd_partition(
         clip_weights=1.0, clip_bias=0.5,
-        sigma_weights=0.01, sigma_bias=0.01, sigma_metrics=0.01,
+        sigma_weights=sigma_sum, sigma_bias=sigma_sum, sigma_metrics=sigma_sum,
     )  # fmt: skip
     widths = {"weights": dim, "bias": 1, "metrics": 1}
     rows = draw_round_noise(SEED, partition, widths, range(1))
@@ -232,41 +232,6 @@ def test_partition_shape():
     assert by_name["metrics"].clip_s == 1.0  # indicator lives in [0, 1]
 
 
-def test_sigmas_for_target_z_round_trip():
-    sigmas = sigmas_for_target_z(1.0, (1.0,), 0.01, 10_000)
-    assert sigmas == (0.01,)
-    clips = (4.0, 1.0, 1.0)
-    for z in (0.7, 1.1, 3.0):
-        sigmas = sigmas_for_target_z(z, clips, 0.05, 400)
-        got = effective_z([(c, 0.05 * 400 * sig) for c, sig in zip(clips, sigmas)])
-        assert got == pytest.approx(z, rel=1e-12)
-    with pytest.raises(ValueError):
-        sigmas_for_target_z(0.0, clips, 0.05, 400)
-    with pytest.raises(ValueError):
-        sigmas_for_target_z(1.0, (), 0.05, 400)
-
-
-def test_sigmas_for_target_z_calibrates_at_the_rate_the_sampler_runs():
-    # 1e-15 is not a multiple of 2^-64; the sampler runs it rounded down
-    q, n = 1e-15, 2000
-    rate = SamplerConfig(policy=SamplingPolicy.POISSON_IID, n=n, seed=SEED, q=q).q
-    assert rate < q
-    clips = (4.0, 1.0, 1.0)
-    sigmas = sigmas_for_target_z(1.5, clips, q, n)
-    got = effective_z([(c, rate * n * sig) for c, sig in zip(clips, sigmas)])
-    assert got == pytest.approx(1.5, rel=1e-12)
-    # a rate the sampler runs as it is calibrates as before
-    assert sigmas_for_target_z(1.5, clips, 0.05, n) == tuple(
-        sig / (0.05 * n) for sig in sigmas_for_target_z(1.5, clips, 1.0, 1)
-    )
-
-
-@pytest.mark.parametrize("q, n", [(0.0, 400), (0.05, 0), (-0.5, 400), (1.5, 400)])
-def test_sigmas_for_target_z_checks_q_and_n(q, n):
-    with pytest.raises(ValueError):
-        sigmas_for_target_z(1.0, (1.0,), q, n)
-
-
 # ------------------------------------------------------------------- config
 
 
@@ -331,7 +296,9 @@ def test_metric_noise_does_not_touch_the_model():
     # weights and bias keep zero noise in both runs; only the metric sigma
     # changes, so the trajectory and holdout accuracy must be identical
     clean = dp_sgd_train(_config(SEED, rounds=15, insecure=True))
-    noised = dp_sgd_train(_config(SEED, rounds=15, insecure=True, sigma_metrics=0.05))
+    noised = dp_sgd_train(
+        _config(SEED, rounds=15, insecure=True, sigma_metrics=1.0 * 200 * 0.05)
+    )
     assert noised.holdout_accuracy == clean.holdout_accuracy
     assert len(clean.metric_estimates) == len(noised.metric_estimates) == 15
     # clean run's estimates are the exact clipped averages; every privatized
@@ -402,12 +369,30 @@ def test_each_round_records_the_rate_its_sampler_ran(q, monkeypatch):
 
     monkeypatch.setattr(harness, "draw_sample", draw)
     report = dp_sgd_train(_config(SEED, n=400, rounds=30, q=q, z=1.5))
-    rounds = report.ledger.rounds()
-    assert sorted(seen) == list(range(30)) and len(rounds) == 30
-    for sample, _ in rounds:
-        assert sample.q.hex() == seen[sample.round_id].q.hex()
+    samples = [
+        dict(field.split("=") for field in line.split()[1:])
+        for line in serialize(report.ledger).decode("ascii").splitlines()
+        if line.startswith("sample ")
+    ]
+    assert sorted(seen) == list(range(30)) and len(samples) == 30
+    for sample in samples:
+        assert sample["q"] == seen[int(sample["round"])].q.hex()
     ran = seen[0].q
     assert (ran == q) == (q >= 2.0**-12)
+
+
+def test_each_round_records_the_allocated_sigma_sums_bit_for_bit():
+    # 1.5e-4 is below 2^-12, so the sampler runs at a rate other than q;
+    # every sum line still records the allocation's own float, which no
+    # division and multiplication by that rate and n return bit for bit
+    q, n = 1.5e-4, 100_000
+    assert SamplerConfig(SamplingPolicy.POISSON_IID, n, SEED, q=q).q != q
+    cfg = _config(SEED, n=n, dim=2, rounds=3, q=q, z=1.1)
+    want = [sigma.hex() for sigma in proportional_allocation(1.1, (4.0, 1.0, 1.0))]
+    report = dp_sgd_train(cfg)
+    lines = serialize(report.ledger).decode("ascii").splitlines()
+    got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
+    assert got == want * 3
 
 
 # -------------------------------------------------------- sampling ahead

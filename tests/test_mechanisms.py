@@ -32,18 +32,24 @@ from dpledger import (
 from dpledger.vectors import _clip_factors, _clip_member
 
 
-def _sep(members, clip_s, sigma, name=None):
+def _sep(members, clip_s, sigma_sum, name=None):
     return GroupSpec(
         member_names=tuple(members),
         clip_s=clip_s,
-        noise_sigma=sigma,
+        sigma_sum=sigma_sum,
         name=name,
     )
 
 
 def _recorded(ledger):
-    """(clip_s, sigma_sum) of each sum event in the ledger's last round."""
-    return [(ev.clip_s, ev.sigma_sum) for ev in ledger.rounds()[-1][1]]
+    """(clip_s, sigma_sum) of each serialized sum line of the ledger's last
+    round, which this closes if it is open."""
+    if ledger.open_round is not None:
+        ledger.close_round()
+    lines = serialize(ledger).decode("ascii").splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("sample "))
+    sums = [dict(f.split("=") for f in line.split()[1:]) for line in lines[last + 1 :]]
+    return [(float.fromhex(f["clip"]), float.fromhex(f["sigma_sum"])) for f in sums]
 
 
 # ------------------------------------------------------------ gaussian sum
@@ -53,7 +59,7 @@ def _recorded(ledger):
 
 
 def _noisy_sum(block, sigma_sum, noise, insecure=False):
-    spec = _sep(["v"], clip_s=1e6, sigma=sigma_sum)
+    spec = _sep(["v"], clip_s=1e6, sigma_sum=sigma_sum)
     est = group_query(
         {"v": block}, spec, noise, ledger=open_ledger(), insecure_test_mode=insecure
     )
@@ -111,25 +117,6 @@ class _UnreadNoise:
         raise AssertionError("the noise row was read")
 
 
-def test_gaussian_sum_refuses_an_overflowing_sigma_before_any_noise():
-    # q * n * noise_sigma = 1e10 * 1e300 is inf: PrivacyTuple refuses the
-    # emitted tuple before the noise row is touched
-    ledger = open_ledger(q=1.0, n=10**10)
-    spec = _sep(["v"], clip_s=1.0, sigma=1e300)
-    assert math.isinf(1.0 * 10**10 * spec.noise_sigma)
-    with pytest.raises(ValueError, match="noise std must be nonnegative and finite"):
-        group_query({"v": np.ones((2, 3))}, spec, _UnreadNoise(), ledger=ledger)
-    # and the refused query records nothing
-    partition = GroupPartition(groups=(spec,))
-    with pytest.raises(ValueError, match="noise std"):
-        run_partitioned_round(
-            {"v": np.ones((2, 3))}, partition, {spec.name: _UnreadNoise()},
-            ledger=ledger,
-        )  # fmt: skip
-    ledger.close_round()
-    assert b"\nsum " not in serialize(ledger)
-
-
 def test_gaussian_sum_noise_distribution():
     # 1e5 repeated queries on a zero vector; stream is fixed, so the
     # observed moments are frozen, not flaky
@@ -150,7 +137,7 @@ def test_separate_no_clip_no_noise():
     # a row measured at the clip lies above 5 (1 - kappa_2), so it is
     # scaled to measure 5 (1 - 2 kappa_2), 20 ulps of 1 in; no noise
     ledger = open_ledger()
-    spec = _sep(["v"], clip_s=5.0, sigma=0.0)
+    spec = _sep(["v"], clip_s=5.0, sigma_sum=0.0)
     noise = SecureStream(3, "t", 0).standard_normal(2)
     block = np.array([[3.0, 4.0]])
     est = group_query({"v": block}, spec, noise, ledger=ledger, insecure_test_mode=True)
@@ -163,7 +150,7 @@ def test_separate_no_clip_no_noise():
 def test_separate_two_records_fixed_denominator():
     # sum (1,1), divided by q*n = 2 regardless of realized sample size
     ledger = open_ledger(q=0.5, n=4)
-    spec = _sep(["v"], clip_s=1.0, sigma=0.0)
+    spec = _sep(["v"], clip_s=1.0, sigma_sum=0.0)
     batch = {"v": np.array([[1.0, 0.0], [0.0, 1.0]])}
     noise = SecureStream(3, "t", 0).standard_normal(2)
     est = group_query(batch, spec, noise, ledger=ledger, insecure_test_mode=True)
@@ -175,7 +162,7 @@ def test_separate_two_records_fixed_denominator():
 
 def test_separate_clips_the_member_concatenation():
     # one record with two members; the clip applies to the joint 4-vector
-    spec = _sep(["a", "b"], clip_s=1.0, sigma=0.0)
+    spec = _sep(["a", "b"], clip_s=1.0, sigma_sum=0.0)
     rec = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
     batch = {"a": rec[0][None, :], "b": rec[1][None, :]}
     noise = SecureStream(3, "t", 0).standard_normal(4)
@@ -193,7 +180,7 @@ def test_separate_clips_the_member_concatenation():
 
 def test_separate_empty_sample_needs_dims():
     ledger = open_ledger(q=0.5, n=10)
-    spec = _sep(["v"], clip_s=1.0, sigma=0.0)
+    spec = _sep(["v"], clip_s=1.0, sigma_sum=0.0)
     # an empty sample is a (0 x d) block, which carries its own d
     noise = SecureStream(3, "t", 0).standard_normal(2)
     est = group_query(
@@ -208,7 +195,7 @@ def test_separate_empty_sample_needs_dims():
 
 def test_emitted_sigma_is_exactly_qn_sigma():
     ledger = open_ledger(q=0.01, n=10_000)
-    spec = _sep(["v"], clip_s=1.0, sigma=0.013)
+    spec = _sep(["v"], clip_s=1.0, sigma_sum=0.01 * 10_000 * 0.013)
     noise = SecureStream(3, "t", 0).standard_normal(1)
     group_query({"v": np.array([[0.5]])}, spec, noise, ledger=ledger)
     [(_, sigma_sum)] = _recorded(ledger)
@@ -218,18 +205,18 @@ def test_emitted_sigma_is_exactly_qn_sigma():
 # -------------------------------------------------------------- joint query
 
 
-def _joint(members, clip_s, sigma, scales, name=None):
+def _joint(members, clip_s, sigma_sum, scales, name=None):
     return GroupSpec(
         member_names=tuple(members),
         clip_s=clip_s,
-        noise_sigma=sigma,
+        sigma_sum=sigma_sum,
         joint_scales=tuple(scales),
         name=name,
     )
 
 
 def test_joint_identity_when_no_clipping():
-    spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(1.0, 100.0))
+    spec = _joint(["v1", "v2"], clip_s=1.0, sigma_sum=0.0, scales=(1.0, 100.0))
     rec = [np.array([0.3, 0.4]), np.array([20.0, 30.0])]
     # scaled concat is (0.3, 0.4, 0.2, 0.3): norm < 1, no clipping
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
@@ -240,7 +227,7 @@ def test_joint_identity_when_no_clipping():
 
 
 def test_joint_preserves_zero_component():
-    spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(1.0, 100.0))
+    spec = _joint(["v1", "v2"], clip_s=1.0, sigma_sum=0.0, scales=(1.0, 100.0))
     batch = {"v1": np.array([[1.0]]), "v2": np.array([[0.0]])}
     noise = SecureStream(4, "t", 0).standard_normal(2)
     est = group_query(batch, spec, noise, ledger=open_ledger(), insecure_test_mode=True)
@@ -249,7 +236,7 @@ def test_joint_preserves_zero_component():
 
 
 def test_joint_clipping_route_matches_manual():
-    spec = _joint(["v1", "v2"], clip_s=1.0, sigma=0.0, scales=(2.0, 5.0))
+    spec = _joint(["v1", "v2"], clip_s=1.0, sigma_sum=0.0, scales=(2.0, 5.0))
     rec = [np.array([4.0, 0.0]), np.array([0.0, 10.0])]
     batch = {"v1": rec[0][None, :], "v2": rec[1][None, :]}
     noise = SecureStream(4, "t", 0).standard_normal(4)
@@ -277,7 +264,7 @@ def test_group_query_refuses_a_noise_row_that_is_not_the_group_width():
     # members of widths 1 and 2 make a 3-wide group sum
     ledger = open_ledger(q=0.5, n=4)
     batch = {"a": np.ones((2, 1)), "b": np.ones((2, 2))}
-    for spec in (_sep(["a", "b"], 1.0, 0.5), _joint(["a", "b"], 1.0, 0.5, (1.0, 2.0))):
+    for spec in (_sep(["a", "b"], 1.0, 1.0), _joint(["a", "b"], 1.0, 1.0, (1.0, 2.0))):
         assert len(group_query(batch, spec, np.zeros(3), ledger=ledger)) == 2
         for bad in (np.zeros(1), np.zeros(2), np.zeros(4), np.zeros((1, 3))):
             with pytest.raises(ValueError, match="noise row"):
@@ -289,21 +276,21 @@ def test_k1_separate_and_joint_coincide():
     batch = {"v": np.array([[3.0, 1.0], [-0.2, 0.9]])}
     noise = SecureStream(6, "k1", 0).standard_normal(2)
     sep_ledger, joint_ledger = open_ledger(q=0.5, n=4), open_ledger(q=0.5, n=4)
-    sep = group_query(batch, _sep(["v"], 0.8, 0.4), noise, ledger=sep_ledger)
-    joint_spec = _joint(["v"], 0.8, 0.4, scales=(1.0,))
+    sep = group_query(batch, _sep(["v"], 0.8, 0.5 * 4 * 0.4), noise, ledger=sep_ledger)
+    joint_spec = _joint(["v"], 0.8, 0.5 * 4 * 0.4, scales=(1.0,))
     joint = group_query(batch, joint_spec, noise, ledger=joint_ledger)
     assert np.array_equal(sep["v"], joint["v"])
     assert _recorded(sep_ledger) == _recorded(joint_ledger)
 
 
 # -------------------------------------------------------------- recording
-# A query reads q and n from the ledger's open round, and records its
-# (clip_s, sigma_sum) there after its last check and before it computes
-# any estimate, so a refused query records nothing.
+# A query records its spec's (clip_s, sigma_sum) in the ledger's open
+# round after its last check and before it computes any estimate, so a
+# refused query records nothing.
 
 
 def test_group_query_without_an_open_round_refuses_and_records_nothing():
-    spec = _sep(["v"], clip_s=1.0, sigma=0.5)
+    spec = _sep(["v"], clip_s=1.0, sigma_sum=1.0)
     batch = {"v": np.full((2, 3), math.nan)}  # refused before the clip reads it
     closed = open_ledger(q=0.5, n=4)
     closed.close_round()
@@ -323,19 +310,19 @@ def test_group_query_without_an_open_round_refuses_and_records_nothing():
             ConfigurationError, id="zero-sigma-without-insecure-test-mode",
         ),
         pytest.param(
-            {"v": np.ones((2, 3))}, _sep(["v"], 1.0, 0.5), np.zeros(2),
+            {"v": np.ones((2, 3))}, _sep(["v"], 1.0, 1.0), np.zeros(2),
             ValueError, id="noise-row-of-the-wrong-width",
         ),
         pytest.param(
-            {"v": np.array([[1.0, math.inf, 0.0]])}, _sep(["v"], 1.0, 0.5), np.zeros(3),
+            {"v": np.array([[1.0, math.inf, 0.0]])}, _sep(["v"], 1.0, 1.0), np.zeros(3),
             ValueError, id="non-finite-member",
         ),
         pytest.param(
-            {"a": np.ones((2, 1)), "b": np.ones((3, 1))}, _sep(["a", "b"], 1.0, 0.5),
+            {"a": np.ones((2, 1)), "b": np.ones((3, 1))}, _sep(["a", "b"], 1.0, 1.0),
             np.zeros(2), ValueError, id="mismatched-row-counts",
         ),
         pytest.param(
-            {"v": np.ones((2, 0))}, _sep(["v"], 1.0, 0.5), np.zeros(0),
+            {"v": np.ones((2, 0))}, _sep(["v"], 1.0, 1.0), np.zeros(0),
             ValueError, id="zero-column-member",
         ),
     ],
@@ -358,7 +345,7 @@ class _FailingLedger(Ledger):
 def test_an_accepted_group_query_is_recorded_before_its_estimate():
     rng = np.random.default_rng(11)
     ledger = open_ledger(q=0.037, n=12_345)
-    spec = _sep(["v"], clip_s=0.9, sigma=0.0123)
+    spec = _sep(["v"], clip_s=0.9, sigma_sum=0.037 * 12_345 * 0.0123)
     block = rng.normal(size=(30, 4))
     noise = rng.normal(size=4)
     est = group_query({"v": block}, spec, noise, ledger=ledger)
@@ -645,7 +632,7 @@ def test_a_joint_weights_and_bias_query_builds_no_group_block():
     m, dim = 1000, 100
     weights = ScaledRows(rng.normal(size=m), rng.normal(size=(m, dim)))
     batch = {"weights": weights, "bias": weights.scalars[:, None]}
-    spec = _joint(["weights", "bias"], clip_s=1.0, sigma=0.5, scales=(1.0, 0.5))
+    spec = _joint(["weights", "bias"], clip_s=1.0, sigma_sum=500.0, scales=(1.0, 0.5))
     ledger = open_ledger(q=0.05, n=20_000)
     noise = rng.normal(size=dim + 1)
     tracemalloc.start()
@@ -665,7 +652,7 @@ def test_factored_sum_matches_the_clipped_block_sum(d):
     rows = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2, size=(m, 1))
     scalars = rng.normal(size=m) * 10.0 ** rng.uniform(-2, 2, size=m)
     member = ScaledRows(scalars, rows)
-    spec = _sep(["w"], clip_s=clip, sigma=0.0)
+    spec = _sep(["w"], clip_s=clip, sigma_sum=0.0)
     got = group_query(
         {"w": member}, spec, np.zeros(d), ledger=open_ledger(), insecure_test_mode=True
     )["w"]
@@ -684,7 +671,7 @@ def test_group_query_sums_a_factored_member_by_one_matrix_vector_product():
     member = ScaledRows(rng.normal(size=m) * 3.0, rng.normal(size=(m, 4)))
     a = rng.normal(size=(m, 2))
     ledger = open_ledger(q=0.25, n=400)
-    spec = _sep(["w"], clip_s=1.0, sigma=0.5)
+    spec = _sep(["w"], clip_s=1.0, sigma_sum=0.25 * 400 * 0.5)
     noise = rng.normal(size=4)
     est = group_query({"w": member}, spec, noise, ledger=ledger)
     # The rule on each record alone: it measures |scalars[i]| times the
@@ -717,7 +704,7 @@ def test_empty_factored_member_sums_to_zero():
     member = ScaledRows(np.empty(0), np.empty((0, 3)))
     ledger = open_ledger(q=0.25, n=100)
     noise = np.array([1.0, -2.0, 0.5])
-    est = group_query({"w": member}, _sep(["w"], 1.0, 0.5), noise, ledger=ledger)
+    est = group_query({"w": member}, _sep(["w"], 1.0, 12.5), noise, ledger=ledger)
     [(_, sigma_sum)] = _recorded(ledger)
     assert np.array_equal(est["w"], noise * sigma_sum / (0.25 * 100))
 
@@ -726,7 +713,7 @@ def test_empty_factored_member_sums_to_zero():
 def test_factored_member_refuses_non_finite_input_as_clip_rows_does(bad):
     finite_block = r"^clip_rows expects a finite \(m x d\) block$"
     ledger = open_ledger(q=0.25, n=100)
-    spec = _sep(["w"], 1.0, 0.5)
+    spec = _sep(["w"], 1.0, 12.5)
     for where in ("scalars", "rows"):
         scalars, rows = np.ones(3), np.ones((3, 4))
         (scalars if where == "scalars" else rows)[1] = bad
@@ -766,8 +753,8 @@ def test_equivalence_with_single_normalized_query():
     q, n = 0.25, 8
     ledger = open_ledger(q=q, n=n)
     specs = [
-        _sep(["a", "b"], clip_s=1.0, sigma=0.5, name="g0"),
-        _sep(["c"], clip_s=2.0, sigma=1.25, name="g1"),
+        _sep(["a", "b"], clip_s=1.0, sigma_sum=q * n * 0.5, name="g0"),
+        _sep(["c"], clip_s=2.0, sigma_sum=q * n * 1.25, name="g1"),
     ]
     dims = {"g0": (2, 3), "g1": (4,)}
     draws = [
@@ -788,7 +775,7 @@ def test_equivalence_with_single_normalized_query():
 
     # path B: one sigma=1 sum query over the (clip/sigma)-scaled concat,
     # rescaled per group by sigma_g_sum/(qn)
-    sigma_sums = {s.name: q * n * s.noise_sigma for s in specs}
+    sigma_sums = {s.name: s.sigma_sum for s in specs}
     scaled_rows = []
     for rec in draws:
         parts = []
@@ -816,7 +803,7 @@ def test_unbiasedness_under_sampling_and_noise():
     n, q = 8, 0.5
     rng = np.random.default_rng(99)
     values = rng.uniform(-0.5, 0.5, size=n)  # all |v| < clip 1.0
-    spec = _sep(["x"], clip_s=1.0, sigma=0.25)
+    spec = _sep(["x"], clip_s=1.0, sigma_sum=q * n * 0.25)
     cfg = SamplerConfig(
         policy=SamplingPolicy.POISSON_IID, n=n, seed=b"unbias-unbias-00", q=q
     )
@@ -840,8 +827,8 @@ def test_unbiasedness_under_sampling_and_noise():
 def _partition():
     return GroupPartition(
         groups=(
-            _sep(["w"], clip_s=1.0, sigma=0.5, name="weights"),
-            _sep(["m"], clip_s=1.0, sigma=0.25, name="metrics"),
+            _sep(["w"], clip_s=1.0, sigma_sum=0.5 * 4 * 0.5, name="weights"),
+            _sep(["m"], clip_s=1.0, sigma_sum=0.5 * 4 * 0.25, name="metrics"),
         ),
     )
 
@@ -930,13 +917,13 @@ def test_run_partitioned_round_deterministic():
 # ----------------------------------------------------------- columnar batches
 
 
-def _batch_partition():
+def _batch_partition(qn=0.25 * 100):
     return GroupPartition(
         groups=(
-            _sep(["w"], clip_s=1.0, sigma=0.5, name="weights"),
-            _joint(["a", "b"], 1.0, 0.25, scales=(1.0, 10.0), name="joint"),
+            _sep(["w"], clip_s=1.0, sigma_sum=qn * 0.5, name="weights"),
+            _joint(["a", "b"], 1.0, qn * 0.25, scales=(1.0, 10.0), name="joint"),
             # one factored member once _factored runs, and one block
-            _joint(["v", "c"], 1.2, 0.5, scales=(0.5, 4.0), name="mixed"),
+            _joint(["v", "c"], 1.2, qn * 0.5, scales=(0.5, 4.0), name="mixed"),
         ),
     )
 
@@ -1072,7 +1059,7 @@ def _neighbour_batches(at, m=200, seed=31):
 def _largest_move_over_clip(reduce):
     """max over groups and insert positions of |sum' - sum| / clip_s when
     both batches pass through `reduce` before the round."""
-    part = _batch_partition()
+    part = _batch_partition(0.25 * 800)
     seed = coerce16(b"neighbour-seed")
     worst = 0.0
     for at in (0, 100):

@@ -91,7 +91,7 @@ def _joint_estimates(vs, scales, clip_s):
     spec = GroupSpec(
         member_names=names,
         clip_s=clip_s,
-        noise_sigma=0.0,
+        sigma_sum=0.0,
         joint_scales=tuple(scales),
     )
     ledger = open_ledger()
@@ -131,17 +131,19 @@ def test_group_spec_defaults_and_validation():
     g = GroupSpec(
         member_names=("w", "b"),
         clip_s=1.0,
-        noise_sigma=0.5,
+        sigma_sum=0.5,
     )
     assert g.name == "w+b"
     assert g.k == 2
 
     with pytest.raises(ValueError):
-        GroupSpec(member_names=(), clip_s=1.0, noise_sigma=1.0)
+        GroupSpec(member_names=(), clip_s=1.0, sigma_sum=1.0)
     with pytest.raises(ValueError):
-        GroupSpec(member_names=("w",), clip_s=0.0, noise_sigma=1.0)
+        GroupSpec(member_names=("w",), clip_s=0.0, sigma_sum=1.0)
     with pytest.raises(ValueError):
-        GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=-1.0)
+        GroupSpec(member_names=("w",), clip_s=1.0, sigma_sum=-1.0)
+    with pytest.raises(ValueError, match="noise std must be nonnegative and finite"):
+        GroupSpec(member_names=("w",), clip_s=1.0, sigma_sum=math.inf)
 
 
 def test_joint_spec_scale_rules():
@@ -150,14 +152,14 @@ def test_joint_spec_scale_rules():
         GroupSpec(
             member_names=("a", "b"),
             clip_s=1.0,
-            noise_sigma=1.0,
+            sigma_sum=1.0,
             joint_scales=(1.0,),
         )
     with pytest.raises(ValueError):
         GroupSpec(
             member_names=("a", "b"),
             clip_s=1.0,
-            noise_sigma=1.0,
+            sigma_sum=1.0,
             joint_scales=(1.0, 0.0),
         )
     # after per-member scaling each piece has norm <= 1, so clip_s beyond
@@ -166,28 +168,28 @@ def test_joint_spec_scale_rules():
         GroupSpec(
             member_names=("a", "b"),
             clip_s=2.0,
-            noise_sigma=1.0,
+            sigma_sum=1.0,
             joint_scales=(1.0, 1.0),
         )
     ok = GroupSpec(
         member_names=("a", "b"),
         clip_s=math.sqrt(2.0),
-        noise_sigma=1.0,
+        sigma_sum=1.0,
         joint_scales=(1.0, 100.0),
     )
     assert ok.k == 2
 
 
 def test_partition_disjointness():
-    g1 = GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=1.0)
-    g2 = GroupSpec(member_names=("w",), clip_s=1.0, noise_sigma=1.0, name="other")
+    g1 = GroupSpec(member_names=("w",), clip_s=1.0, sigma_sum=1.0)
+    g2 = GroupSpec(member_names=("w",), clip_s=1.0, sigma_sum=1.0, name="other")
     with pytest.raises(ValueError):
         GroupPartition(groups=(g1, g2))
 
 
 def test_partition_duplicate_group_names():
-    g1 = GroupSpec(member_names=("a",), clip_s=1.0, noise_sigma=1.0, name="g")
-    g2 = GroupSpec(member_names=("b",), clip_s=1.0, noise_sigma=1.0, name="g")
+    g1 = GroupSpec(member_names=("a",), clip_s=1.0, sigma_sum=1.0, name="g")
+    g2 = GroupSpec(member_names=("b",), clip_s=1.0, sigma_sum=1.0, name="g")
     with pytest.raises(ValueError):
         GroupPartition(groups=(g1, g2))
 
