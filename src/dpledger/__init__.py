@@ -2,11 +2,16 @@
 ledger, and post-hoc Renyi-DP accounting.
 
 The trusted core is two modules, ledger and accountant, which import
-nothing else from the package but errors: ledger bytes -> epsilon reads no
-other code. Each group query records its (clip bound, noise std) tuple in
-the ledger's open round, next to that round's sampling facts, and the
+nothing else from the package but errors (and numpy, which ledger uses to
+check a v2 file's round lines): ledger bytes -> epsilon reads no other
+code. Each group query records its (clip bound, noise std) tuple in the
+ledger's open round, next to that round's sampling facts, and the
 accountant recomputes the guarantee from the ledger alone. Strategy code
-imports from the core, never the reverse.
+imports from the core, never the reverse. A v2 ledger file carries check
+values and a close line, so a cut or accidentally damaged file is
+refused; they are no MAC against a deliberate edit. A v1 file has
+neither, so a cut or damaged v1 file can be accounted short, and
+dpledger account says so in a caveat.
 
 The reported epsilon holds for the rounds that ran only if the recorded
 facts are true of them, and two steps outside the core are trusted to

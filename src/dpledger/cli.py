@@ -51,11 +51,11 @@ def _parse_delta(text: str) -> float:
     return delta
 
 
-def _print_guarantee(guarantee) -> None:
+def _print_guarantee(guarantee, ledger_caveats=()) -> None:
     print(f"epsilon = {guarantee.epsilon!r}")
     print(f"delta = {guarantee.delta!r}")
     print(f"achieving_order = {guarantee.achieving_order}")
-    for caveat in guarantee.caveats:
+    for caveat in (*guarantee.caveats, *ledger_caveats):
         print(f"caveat: {caveat}")
 
 
@@ -74,7 +74,7 @@ def _cmd_account(args) -> int:
     except AccountingRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    _print_guarantee(guarantee)
+    _print_guarantee(guarantee, ledger.caveats)  # what a v1 file cannot show
     return 0
 
 

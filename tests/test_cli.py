@@ -21,6 +21,7 @@ from dpledger import (
 )
 from dpledger import cli, harness
 from dpledger.cli import main
+from ledger_v1 import serialize_v1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "ledger.txt"
 # A 60-digit mpmath sum of each round's A - 1 series gives the golden
@@ -117,6 +118,39 @@ def test_account_golden_ledger_regression(capsys):
     assert f"achieving_order = {GOLDEN_ORDER}" in out
 
 
+def test_account_of_a_v1_file_prints_one_caveat(tmp_path, capsys):
+    # v1 has no close line or check values; the same ledger in v2 has both
+    assert main(["account", "--ledger", str(GOLDEN), "--delta", "1e-5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"epsilon = {GOLDEN_EPSILON!r}" in out
+    caveats = [line for line in out if line.startswith("caveat: ")]
+    assert caveats == [f"caveat: {dpledger.ledger._V1_CAVEAT}"]
+    path = tmp_path / "golden-v2.txt"
+    path.write_bytes(serialize(deserialize(GOLDEN.read_bytes())))
+    assert main(["account", "--ledger", str(path), "--delta", "1e-5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"epsilon = {GOLDEN_EPSILON!r}" in out
+    assert not [line for line in out if line.startswith("caveat: ")]
+
+
+def test_account_refuses_a_train_ledger_with_its_last_line_cut(tmp_path, capsys):
+    code, out = _train(tmp_path)
+    assert code == 0
+    path = out / "ledger.txt"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[-1].startswith(b"close rounds=10 ")
+    path.write_bytes(b"".join(lines[:-1]))
+    capsys.readouterr()
+    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"line {len(lines)}: the input ends after 10 round(s) with no close line" in (
+        captured.err
+    )
+    assert "Traceback" not in captured.err
+
+
 def test_account_takes_a_delta_whose_inverse_overflows(capsys):
     # 1 / delta overflows below about 5.6e-309; log(1 / delta) does not
     epsilons = []
@@ -137,7 +171,8 @@ def test_account_custom_orders(capsys):
     assert f"epsilon = {GOLDEN_EPSILON!r}" in out  # optimum sits at order 9
 
 
-def _rounds_ledger(rounds: int) -> bytes:
+def _rounds_ledger(rounds: int, write=serialize) -> bytes:
+    """rounds rounds of 3 groups whose q alternates every 1000 rounds."""
     led = Ledger()
     for k in range(rounds):
         q = (0.01, 0.02)[k // 1000 % 2]
@@ -145,19 +180,20 @@ def _rounds_ledger(rounds: int) -> bytes:
         for g in range(3):
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=5.0, group_name=f"g{g}")
         led.close_round()
-    return serialize(led)
+    return write(led)
 
 
 def test_account_reads_a_ledger_of_many_blocks_as_bytes(tmp_path, capsys, monkeypatch):
-    data = _rounds_ledger(5_000)
-    path = tmp_path / "ledger.txt"
-    path.write_bytes(data)
+    # v2 writes 46 bytes a round and v1 317, so each file takes > 100 blocks
     monkeypatch.setattr(dpledger.ledger, "_BLOCK_BYTES", 4096)
-    assert len(data) > 100 * 4096
-    code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
-    assert code == 0
-    want = account_ledger(deserialize(data), 1e-5).epsilon
-    assert f"epsilon = {want!r}\n" in capsys.readouterr().out
+    for data in (_rounds_ledger(20_000), _rounds_ledger(5_000, serialize_v1)):
+        path = tmp_path / "ledger.txt"
+        path.write_bytes(data)
+        assert len(data) > 100 * 4096
+        code = main(["account", "--ledger", str(path), "--delta", "1e-5"])
+        assert code == 0
+        want = account_ledger(deserialize(data), 1e-5).epsilon
+        assert f"epsilon = {want!r}\n" in capsys.readouterr().out
 
 
 def test_account_read_error_after_the_first_block_is_refused(tmp_path, capsys, monkeypatch):
@@ -195,7 +231,7 @@ def test_account_refuses_a_bad_line_in_the_first_block_after_one_read(
 ):
     # The read stops at the first fault: none of the 100-odd blocks after
     # the one that holds line 6 is read.
-    lines = _rounds_ledger(5_000).split(b"\n")
+    lines = _rounds_ledger(5_000, serialize_v1).split(b"\n")
     lines[5] = b"sum round=1 not an event"
     path = tmp_path / "ledger.txt"
     path.write_bytes(b"\n".join(lines))
@@ -342,15 +378,16 @@ def test_account_refuses_ledger_with_a_round_deleted(tmp_path, capsys):
     assert captured.out == ""
 
 
-def _three_round_ledger() -> bytes:
-    """3 rounds of 3 groups at q = 0.01, 0.02, 0.03, clip 1, sigma_sum 100."""
+def _three_round_ledger(write=serialize_v1) -> bytes:
+    """3 rounds of 3 groups at q = 0.01, 0.02, 0.03, clip 1, sigma_sum 100,
+    as v1 bytes unless write is serialize."""
     led = Ledger()
     for q in (0.01, 0.02, 0.03):
         rid = led.record_sample(q=q, n=10_000, policy_tag="poisson_iid")
         for g in range(3):
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=f"g{g}")
         led.close_round()
-    return serialize(led)
+    return write(led)
 
 
 def _env() -> dict:
@@ -361,7 +398,7 @@ def _env() -> dict:
 
 
 def test_account_refuses_an_empty_round_without_a_warning(tmp_path):
-    # A file cut after round 2's sample line, and one with round 1's sum
+    # A v1 file cut after round 2's sample line, and one with round 1's sum
     # lines deleted: each leaves a round with no sum queries, which is
     # refused, never dropped and accounted short. Run as a child process,
     # so that a warning would reach stderr as it does for a user.
@@ -476,7 +513,13 @@ def test_train_records_the_allocated_sigma_sums_bit_for_bit(tmp_path):
     code, out = _train(tmp_path, *argv)
     assert code == 0
     want = [sigma.hex() for sigma in proportional_allocation(1.1, (1.0, 0.5, 1.0))]
-    lines = (out / "ledger.txt").read_text().splitlines()
+    # the file is v2: its one kind holds the sigma_sums, and 10 rounds use it
+    data = (out / "ledger.txt").read_bytes()
+    lines = data.decode("ascii").splitlines()
+    got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
+    assert got == want
+    assert [line.split()[2] for line in lines if line.startswith("round ")] == ["0" * 16] * 10
+    lines = serialize_v1(deserialize(data)).decode("ascii").splitlines()
     got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
     assert got == want * 10
 

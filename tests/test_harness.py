@@ -27,6 +27,7 @@ from dpledger import (
 )
 from dpledger import harness
 from dpledger.harness import forward_probabilities, per_example_gradients
+from ledger_v1 import serialize_v1
 
 SEED = b"harness-tests-00"
 
@@ -314,7 +315,7 @@ def test_true_metrics_absent_from_artifacts(tmp_path):
     )
     blob = path.read_bytes().decode("ascii")
     for line in blob.splitlines()[1:]:
-        assert line.split(" ", 1)[0] in {"sample", "sum"}
+        assert line.split(" ", 1)[0] in {"sample", "sum", "end", "round", "close"}
     # the ledger carries bounds and noise, never estimates
     for value in report.metric_estimates:
         assert float.hex(value) not in blob
@@ -371,7 +372,7 @@ def test_each_round_records_the_rate_its_sampler_ran(q, monkeypatch):
     report = dp_sgd_train(_config(SEED, n=400, rounds=30, q=q, z=1.5))
     samples = [
         dict(field.split("=") for field in line.split()[1:])
-        for line in serialize(report.ledger).decode("ascii").splitlines()
+        for line in serialize_v1(report.ledger).decode("ascii").splitlines()
         if line.startswith("sample ")
     ]
     assert sorted(seen) == list(range(30)) and len(samples) == 30
@@ -390,9 +391,14 @@ def test_each_round_records_the_allocated_sigma_sums_bit_for_bit():
     cfg = _config(SEED, n=n, dim=2, rounds=3, q=q, z=1.1)
     want = [sigma.hex() for sigma in proportional_allocation(1.1, (4.0, 1.0, 1.0))]
     report = dp_sgd_train(cfg)
-    lines = serialize(report.ledger).decode("ascii").splitlines()
+    lines = serialize_v1(report.ledger).decode("ascii").splitlines()
     got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
     assert got == want * 3
+    # v2 holds the one distinct round once, as a kind, and 3 round lines
+    lines = serialize(report.ledger).decode("ascii").splitlines()
+    got = [line.split("sigma_sum=")[1] for line in lines if line.startswith("sum ")]
+    assert got == want
+    assert [line.split()[2] for line in lines if line.startswith("round ")] == ["0" * 16] * 3
 
 
 # -------------------------------------------------------- sampling ahead

@@ -19,6 +19,8 @@ from dpledger import (
     serialize,
 )
 from dpledger import ledger as ledger_module
+from ledger_v1 import V1_HEADER, serialize_v1
+from ledger_v2 import V2_HEADER, close_line, kind_block, round_line
 
 
 def _one_round(q=0.5, clip=1.0, sigma=1.0, policy="poisson_iid", n=100):
@@ -115,8 +117,10 @@ def test_integral_n_is_stored_as_int():
     led.close_round()
     ((sample, _),) = led.rounds()
     assert type(sample.n) is int
-    assert serialize(led).endswith(b" n=10\n")
+    assert b"sample policy=poisson_iid q=0x1.0000000000000p-1 n=10\n" in serialize(led)
     assert serialize(deserialize(serialize(led))) == serialize(led)
+    assert serialize_v1(led).endswith(b" n=10\n")
+    assert serialize_v1(deserialize(serialize_v1(led))) == serialize_v1(led)
 
 
 # ----------------------------------------------------------- normalization
@@ -169,7 +173,7 @@ def _ledger_of(sigmas):
 )
 def test_formal_refuses_empty_rounds(sigmas, refused):
     led = _ledger_of(sigmas)
-    for ledger in (led, deserialize(serialize(led))):
+    for ledger in (led, deserialize(serialize(led)), deserialize(serialize_v1(led))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SensitivityRangeError) as exc:
@@ -258,8 +262,9 @@ def test_equal_rounds_in_a_row_are_one_run():
     led = _runs_ledger()
     assert [count for _, count in led._runs] == [2, 1, 1, 2]
     assert len({id(rnd) for rnd, _ in led._runs}) == 2  # A and B, interned
-    back = deserialize(serialize(led))
-    assert [count for _, count in back._runs] == [2, 1, 1, 2]
+    for data in (serialize(led), serialize_v1(led)):
+        back = deserialize(data)
+        assert [count for _, count in back._runs] == [2, 1, 1, 2]
 
 
 def test_formal_rows_count_across_runs_from_the_first_run():
@@ -281,22 +286,37 @@ def test_insecure_rounds_and_round_ids_span_runs():
 
 
 def test_serialize_writes_each_round_of_a_run_at_its_id():
+    # v2: each kind's block at its first use, then one line per round
     led = _runs_ledger()
+    a, b = (
+        kind_block(k, ("poisson_iid", q, 10), [("g", 1.0, 2.0)])
+        for k, q in enumerate((0.25, 0.5))
+    )
+    kinds = (0, 0, 1, 0, 1, 1)
+    table = [a, round_line(0, 0), round_line(1, 0), b]
+    table += [round_line(k, kinds[k]) for k in range(2, 6)]
+    assert serialize(led) == V2_HEADER + b"".join(table) + close_line(6)
+    # v1, as the test writer writes it and the reader reads it back
     lines = [
         f"sample round={k} policy=poisson_iid q={q.hex()} n=10\n"
         f"sum round={k} group=g clip={(1.0).hex()} sigma_sum={(2.0).hex()}\n"
         for k, q in enumerate((0.25, 0.25, 0.5, 0.25, 0.5, 0.5))
     ]
-    assert serialize(led) == b"dpledger ledger v1\n" + "".join(lines).encode("ascii")
+    v1 = b"dpledger ledger v1\n" + "".join(lines).encode("ascii")
+    assert serialize_v1(led) == v1
+    assert serialize_v1(deserialize(v1)) == v1
 
 
 # ------------------------------------------------------------ serialization
 
 
 def test_empty_ledger_is_header_only():
+    # v2 closes even an empty table; v1 was its header alone
     data = serialize(Ledger())
-    assert data == b"dpledger ledger v1\n"
+    assert data == V2_HEADER + close_line(0)
     assert serialize(deserialize(data)) == data
+    assert serialize_v1(Ledger()) == b"dpledger ledger v1\n"
+    assert serialize_v1(deserialize(b"dpledger ledger v1\n")) == b"dpledger ledger v1\n"
 
 
 def test_roundtrip_byte_exact():
@@ -310,6 +330,8 @@ def test_roundtrip_byte_exact():
     led.close_round()
     data = serialize(led)
     assert serialize(deserialize(data)) == data
+    v1 = serialize_v1(led)
+    assert serialize_v1(deserialize(v1)) == v1
 
 
 def test_roundtrip_preserves_awkward_floats():
@@ -320,11 +342,11 @@ def test_roundtrip_preserves_awkward_floats():
     rid = led.record_sample(q=q, n=7, policy_tag="poisson_iid")
     led.record_sum_query(rid, clip_s=1.0 / 3.0, sigma_sum=sigma, group_name="g")
     led.close_round()
-    back = deserialize(serialize(led))
-    sample, sums = back.rounds()[0]
-    assert sample.q == q
-    assert sums[0].clip_s == 1.0 / 3.0
-    assert sums[0].sigma_sum == sigma
+    for data in (serialize(led), serialize_v1(led)):
+        sample, sums = deserialize(data).rounds()[0]
+        assert sample.q == q
+        assert sums[0].clip_s == 1.0 / 3.0
+        assert sums[0].sigma_sum == sigma
 
 
 def test_serialize_refuses_open_round():
@@ -339,23 +361,27 @@ def test_append_only_prefix_property():
     rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
     led.record_sum_query(rid, clip_s=1.0, sigma_sum=2.0, group_name="g")
     led.close_round()
-    first = serialize(led)
+    first, first_v1 = serialize(led), serialize_v1(led)
     rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
     led.record_sum_query(rid, clip_s=1.0, sigma_sum=2.0, group_name="g")
     led.close_round()
-    second = serialize(led)
-    assert second.startswith(first)
+    second, second_v1 = serialize(led), serialize_v1(led)
+    # v2 appends before its close line, which names the round count
+    assert first.endswith(close_line(1)) and second.endswith(close_line(2))
+    assert second.startswith(first[: -len(close_line(1))])
     assert len(second) > len(first)
+    assert second_v1.startswith(first_v1)
+    assert len(second_v1) > len(first_v1)
 
 
 def test_truncated_input_is_a_parse_error():
     led = _one_round()
-    data = serialize(led)
-    with pytest.raises(LedgerParseError) as exc:
-        deserialize(data[:-1])  # lost trailing newline
-    assert "truncat" in str(exc.value)
-    with pytest.raises(LedgerParseError):
-        deserialize(data[: len(data) // 2])
+    for data in (serialize(led), serialize_v1(led)):
+        with pytest.raises(LedgerParseError) as exc:
+            deserialize(data[:-1])  # lost trailing newline
+        assert "truncat" in str(exc.value)
+        with pytest.raises(LedgerParseError):
+            deserialize(data[: len(data) // 2])
 
 
 def test_bad_header_rejected():
@@ -365,11 +391,11 @@ def test_bad_header_rejected():
 
 
 def test_parse_errors_carry_line_numbers():
-    data = serialize(_one_round())
-    bad = data + b"sum round=9 group=g clip=XYZ sigma_sum=0x1p+0\n"
-    with pytest.raises(LedgerParseError) as exc:
-        deserialize(bad)
-    assert exc.value.line == data.count(b"\n") + 1
+    for data in (serialize(_one_round()), serialize_v1(_one_round())):
+        bad = data + b"sum round=9 group=g clip=XYZ sigma_sum=0x1p+0\n"
+        with pytest.raises(LedgerParseError) as exc:
+            deserialize(bad)
+        assert exc.value.line == data.count(b"\n") + 1
 
 
 _CANONICAL_ROUND = (
@@ -394,7 +420,7 @@ _CANONICAL_ROUND = (
     ],
 )
 def test_noncanonical_integers_rejected(field, token):
-    assert serialize(deserialize(_CANONICAL_ROUND)) == _CANONICAL_ROUND
+    assert serialize_v1(deserialize(_CANONICAL_ROUND)) == _CANONICAL_ROUND
     canonical = {"n": b"n=1000", "round": b"round=0"}[field]
     bad = _CANONICAL_ROUND.replace(canonical, f"{field}={token}".encode())
     with pytest.raises(LedgerParseError) as exc:
@@ -417,7 +443,7 @@ _CANONICAL_SUM = _CANONICAL_ROUND + (
      "+0x1.0000000000000p-1", "0x1.0000000000000P-1", "0x1p99999"],
 )  # fmt: skip
 def test_noncanonical_floats_rejected(field, line, token):
-    assert serialize(deserialize(_CANONICAL_SUM)) == _CANONICAL_SUM
+    assert serialize_v1(deserialize(_CANONICAL_SUM)) == _CANONICAL_SUM
     canonical = {
         "q": b"q=0x1.0000000000000p-1",
         "clip": b"clip=0x1.8000000000000p+0",
@@ -441,13 +467,14 @@ def test_noncanonical_line_endings_rejected(line, ending):
 
 
 def _three_rounds():
+    """Three rounds of three groups, as v1 bytes."""
     led = Ledger()
     for q in (0.01, 0.02, 0.03):
         rid = led.record_sample(q=q, n=10_000, policy_tag="poisson_iid")
         for g in ("a", "b", "c"):
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=g)
         led.close_round()
-    return serialize(led)
+    return serialize_v1(led)
 
 
 def test_deleted_middle_round_is_refused():
@@ -511,8 +538,8 @@ def test_sum_before_sample_rejected():
 
 def test_round_ids_must_increase():
     led = _one_round()
-    data = serialize(led)
-    dup = data + data[len(b"dpledger ledger v1\n") :]
+    data = serialize_v1(led)
+    dup = data + data[len(V1_HEADER) :]
     with pytest.raises(LedgerParseError) as exc:
         deserialize(dup)
     assert "strictly increasing" in str(exc.value)
@@ -550,18 +577,23 @@ def test_signed_zero_sigma_stays_distinct():
         for sigma in sigmas:
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
         led.close_round()
-    data = serialize(led)
+    data, v1 = serialize(led), serialize_v1(led)
     sigma_texts = [
-        line.rsplit(b"=", 1)[1] for line in data.split(b"\n") if line.startswith(b"sum ")
+        line.rsplit(b"=", 1)[1] for line in v1.split(b"\n") if line.startswith(b"sum ")
     ]
     assert sigma_texts == [b"0x0.0p+0", b"-0x0.0p+0", b"-0x0.0p+0", b"0x0.0p+0", b"0x0.0p+0"]
-    back = deserialize(data)
-    assert serialize(back) == data
-    assert led.insecure_rounds() == back.insecure_rounds() == (0, 1, 2, 3)
-    signs = [
-        [math.copysign(1.0, ev.sigma_sum) for ev in sums] for _, sums in back.rounds()
+    # v2 writes each of the three distinct rounds once, as a kind
+    kind_texts = [
+        line.rsplit(b"=", 1)[1] for line in data.split(b"\n") if line.startswith(b"sum ")
     ]
-    assert signs == [[1.0], [-1.0], [-1.0, 1.0], [1.0]]
+    assert kind_texts == [b"0x0.0p+0", b"-0x0.0p+0", b"-0x0.0p+0", b"0x0.0p+0"]
+    for back in (deserialize(data), deserialize(v1)):
+        assert serialize(back) == data and serialize_v1(back) == v1
+        assert led.insecure_rounds() == back.insecure_rounds() == (0, 1, 2, 3)
+        signs = [
+            [math.copysign(1.0, ev.sigma_sum) for ev in sums] for _, sums in back.rounds()
+        ]
+        assert signs == [[1.0], [-1.0], [-1.0, 1.0], [1.0]]
 
 
 def test_out_of_range_round_named_when_its_queries_repeat():
@@ -572,7 +604,7 @@ def test_out_of_range_round_named_when_its_queries_repeat():
         rid = led.record_sample(q=0.5, n=10, policy_tag="poisson_iid")
         led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name="g")
         led.close_round()
-    for ledger in (led, deserialize(serialize(led))):
+    for ledger in (led, deserialize(serialize(led)), deserialize(serialize_v1(led))):
         with pytest.raises(SensitivityRangeError) as exc:
             formal_ledger(ledger)
         assert str(exc.value).startswith("round 1:")
@@ -580,7 +612,7 @@ def test_out_of_range_round_named_when_its_queries_repeat():
 
 @pytest.fixture(scope="module")
 def fixed_hyperparameter_bytes():
-    """20k rounds of the same 12 queries, serialized."""
+    """20k rounds of the same 12 queries, serialized as v2 and as v1."""
     led = Ledger()
     for _ in range(20_000):
         rid = led.record_sample(q=0.01, n=60_000, policy_tag="poisson_iid")
@@ -589,20 +621,20 @@ def fixed_hyperparameter_bytes():
                 rid, clip_s=0.5 + g / 16, sigma_sum=3.0 + g, group_name=f"layer{g}"
             )
         led.close_round()
-    return serialize(led)
+    return serialize(led), serialize_v1(led)
 
 
 def test_fixed_hyperparameter_ledger_parses_into_shared_events(fixed_hyperparameter_bytes):
     # 20k rounds of the same 12 queries: the parsed ledger holds the 13
     # distinct events once, so it adds a few GC-tracked objects, where one
     # object per event would add 260,000.
-    data = fixed_hyperparameter_bytes
-    gc.collect()
-    before = len(gc.get_objects())
-    back = deserialize(data)
-    gc.collect()
-    assert len(gc.get_objects()) - before <= 40
-    assert serialize(back) == data
+    for data, write in zip(fixed_hyperparameter_bytes, (serialize, serialize_v1)):
+        gc.collect()
+        before = len(gc.get_objects())
+        back = deserialize(data)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 40
+        assert write(back) == data
 
 
 def test_zero_noise_rounds_recorded_live_share_one_record():
@@ -627,9 +659,10 @@ def test_zero_noise_rounds_recorded_live_share_one_record():
 def test_fixed_hyperparameter_ledger_is_accounted_per_distinct_round(
     fixed_hyperparameter_bytes, monkeypatch
 ):
-    # The parse replays round 0 through the Ledger methods and reads the
-    # other 19,999 rounds as whole copies of it; formal_ledger composes
-    # the one distinct round once.
+    # v2: the parse replays kind 0 once through the Ledger methods and adds
+    # the 20,000 round lines of it as one run. v1: it replays round 0 and
+    # reads the other 19,999 rounds as whole copies of it. formal_ledger
+    # composes the one distinct round once.
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -645,10 +678,12 @@ def test_fixed_hyperparameter_ledger_is_accounted_per_distinct_round(
     monkeypatch.setattr(
         ledger_module, "effective_z", counted("effective_z", ledger_module.effective_z)
     )
-    rows = formal_ledger(deserialize(fixed_hyperparameter_bytes))
-    assert calls["effective_z"] == 1
-    assert calls["record_sum_query"] <= 12
-    assert [(row.rounds, row.first_round) for row in rows] == [(20_000, 0)]
+    for data in fixed_hyperparameter_bytes:
+        calls.clear()
+        rows = formal_ledger(deserialize(data))
+        assert calls["effective_z"] == 1
+        assert calls["record_sum_query"] <= 12
+        assert [(row.rounds, row.first_round) for row in rows] == [(20_000, 0)]
 
 
 def test_formal_is_pure_over_serialization():
@@ -661,5 +696,7 @@ def test_formal_is_pure_over_serialization():
         warnings.simplefilter("error")
         rows_a = formal_ledger(led)
         rows_b = formal_ledger(deserialize(serialize(led)))
-    assert rows_a == rows_b
+        rows_c = formal_ledger(deserialize(serialize_v1(led)))
+    assert rows_a == rows_b == rows_c
     assert [row.z.hex() for row in rows_a] == [row.z.hex() for row in rows_b]
+    assert [row.z.hex() for row in rows_a] == [row.z.hex() for row in rows_c]

@@ -1,7 +1,9 @@
-"""Property tests for the ledger wire format (hypothesis).
+"""Property tests for the ledger wire format v1 (hypothesis).
 
-Random ledgers must round-trip byte-exactly and account to the same bits
-from memory and from file; a file with a whole round cut out of its middle
+The library writes v2 (see test_ledger_v2) and still reads v1, so the v1
+bytes here come from the test-only writer in ledger_v1. Random ledgers
+must round-trip byte-exactly and account to the same bits from memory
+and from file; a file with a whole round cut out of its middle
 must be refused at the line where the round is missing. Ledgers drawn from
 a small pool of events repeat their line texts, as a fixed-hyperparameter
 run does; a repeated line with its round id or line ending spoiled must be
@@ -44,6 +46,7 @@ from dpledger import (
     formal_ledger,
     serialize,
 )
+from ledger_v1 import serialize_v1
 
 _NAMES = st.text(alphabet="abcxyzABCXYZ0189_.+-/", min_size=1, max_size=8)
 _POLICIES = st.sampled_from(["poisson_iid", "fixed_size_wor", "disjoint_partition"])
@@ -190,18 +193,18 @@ def _outcome(led: Ledger):
 @given(st.one_of(_ROUNDS, _POOLED_ROUNDS, _RUN_ROUNDS, _PERIODIC_ROUNDS))
 def test_random_ledgers_round_trip_and_account_identically(rounds):
     led = _build(rounds)
-    data = serialize(led)
-    back = deserialize(data)
-    assert serialize(back) == data
-    assert back.rounds() == led.rounds()
-    assert back.insecure_rounds() == led.insecure_rounds()
-    assert _outcome(back) == _outcome(led)
+    for data, write in ((serialize(led), serialize), (serialize_v1(led), serialize_v1)):
+        back = deserialize(data)
+        assert write(back) == data
+        assert back.rounds() == led.rounds()
+        assert back.insecure_rounds() == led.insecure_rounds()
+        assert _outcome(back) == _outcome(led)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_ROUNDS.filter(lambda r: len(r) >= 2), st.data())
 def test_deleting_a_round_before_the_last_is_refused(rounds, data):
-    lines = serialize(_build(rounds)).split(b"\n")
+    lines = serialize_v1(_build(rounds)).split(b"\n")
     # 0-based index of each round's sample line; the header is index 0
     starts = [i for i, ln in enumerate(lines) if ln.startswith(b"sample ")]
     k = data.draw(st.integers(0, len(rounds) - 2), label="deleted round")
@@ -242,7 +245,7 @@ _SPOILERS = {
     st.data(),
 )
 def test_spoiled_repeated_line_is_refused_at_that_line(rounds, spoiler, data):
-    lines = serialize(_build(rounds)).split(b"\n")
+    lines = serialize_v1(_build(rounds)).split(b"\n")
     repeated = _repeated_lines(lines)
     i = data.draw(st.sampled_from(repeated), label="spoiled line")
     kind, rid_text, rest = lines[i].split(b" ", 2)
@@ -393,7 +396,7 @@ def test_spoiled_run_parses_as_the_reference_does(ledger_path, rounds, spoiler, 
     # digit, can leave a well-formed ledger: v1 does not record how many
     # queries a round has. So the round must be read as written, never as
     # a copy of an earlier round, and any refusal must name the spoiled line.
-    lines = serialize(_build(rounds)).split(b"\n")
+    lines = serialize_v1(_build(rounds)).split(b"\n")
     starts = [k for k, line in enumerate(lines) if line.startswith(b"sample ")]
     starts.append(len(lines) - 1)  # where a round after the last would start
     copies = [
@@ -414,9 +417,9 @@ def test_spoiled_run_parses_as_the_reference_does(ledger_path, rounds, spoiler, 
     assert _parsed_from_files(spoiled, block, ledger_path) == got
 
 
-def _cyclic_ledger(rounds: int, cycle) -> bytes:
+def _cyclic_ledger(rounds: int, cycle, write=serialize_v1) -> bytes:
     """rounds rounds that take their (q, sigma_sum per group) from cycle
-    in turn, at clip 1."""
+    in turn, at clip 1, as v1 bytes unless write is serialize."""
     led = Ledger()
     for k in range(rounds):
         q, sigmas = cycle[k % len(cycle)]
@@ -424,7 +427,7 @@ def _cyclic_ledger(rounds: int, cycle) -> bytes:
         for g, sigma in enumerate(sigmas):
             led.record_sum_query(rid, clip_s=1.0, sigma_sum=sigma, group_name=f"g{g}")
         led.close_round()
-    return serialize(led)
+    return write(led)
 
 
 # 200 rounds of 2 groups, the second file with a zero-noise query; and 200
@@ -491,8 +494,9 @@ def test_refusal_early_in_a_long_ledger_stops_at_its_line():
     st.sampled_from(_BLOCK_SIZES),
 )
 def test_a_ledger_read_from_a_file_parses_as_its_bytes(ledger_path, rounds, block):
-    data = serialize(_build(rounds))
-    assert _parsed_from_files(data, block, ledger_path) == _parsed(deserialize, data)
+    led = _build(rounds)
+    for data in (serialize(led), serialize_v1(led)):
+        assert _parsed_from_files(data, block, ledger_path) == _parsed(deserialize, data)
 
 
 @pytest.mark.parametrize("name", sorted(_FIXED))
@@ -540,7 +544,7 @@ def test_a_file_is_refused_as_its_bytes_are_whatever_the_blocks(ledger_path, blo
             6,
             "not a sample or sum event line",
         ),
-        "no header": (b"dpledger ledger v2\n" + bad[19:-1], 1, "header"),
+        "no header": (b"dpledger ledger v3\n" + bad[19:-1], 1, "header"),
         "non-ascii before it": (
             bad[:near] + b"\xe9" + bad[near + 1 :],
             3,
@@ -567,7 +571,7 @@ def test_copies_that_straddle_a_block_edge_parse_as_their_bytes(ledger_path):
     queries = [("g0", 1.0, 3.0), ("g1", 1.0, 5.0)]
     run = [(0.01, 60_000, "poisson_iid", queries)] * 10
     more = [(0.01, 60_000, "poisson_iid", [*queries, ("g2", 1.0, 7.0)])]
-    longer = serialize(_build(run + more + run))
+    longer = serialize_v1(_build(run + more + run))
     edges.append((longer, longer.index(b"sum round=10 group=g2 ")))
     for data, end in edges:
         want = _parsed(deserialize, data)
@@ -583,7 +587,7 @@ def _write_copies(path, rounds: int) -> int:
     for g in range(3):
         led.record_sum_query(rid, clip_s=1.0, sigma_sum=100.0, group_name=f"g{g}")
     led.close_round()
-    header, text = serialize(led).split(b"\n", 1)
+    header, text = serialize_v1(led).split(b"\n", 1)
     text = text.replace(b" round=0 ", b" round=%d ")
     with open(path, "wb") as fh:
         fh.write(header + b"\n")

@@ -30,6 +30,7 @@ from dpledger import (
     serialize,
 )
 from dpledger.vectors import _clip_factors, _clip_member
+from ledger_v1 import serialize_v1
 
 
 def _sep(members, clip_s, sigma_sum, name=None):
@@ -42,11 +43,12 @@ def _sep(members, clip_s, sigma_sum, name=None):
 
 
 def _recorded(ledger):
-    """(clip_s, sigma_sum) of each serialized sum line of the ledger's last
-    round, which this closes if it is open."""
+    """(clip_s, sigma_sum) of each sum line of the ledger's last round in
+    v1, where each round holds its own sum lines; this closes the round if
+    it is open."""
     if ledger.open_round is not None:
         ledger.close_round()
-    lines = serialize(ledger).decode("ascii").splitlines()
+    lines = serialize_v1(ledger).decode("ascii").splitlines()
     last = max(i for i, line in enumerate(lines) if line.startswith("sample "))
     sums = [dict(f.split("=") for f in line.split()[1:]) for line in lines[last + 1 :]]
     return [(float.fromhex(f["clip"]), float.fromhex(f["sigma_sum"])) for f in sums]
